@@ -2,23 +2,22 @@
 
 Subcommands:
 
-    fourwave run --config cfg.ini [--out PATH] [--format csv|json]
-                 [--threads N] [--db]
+    fourwave run --config cfg.ini [--out PATH] [--format csv|json] [--db]
     fourwave validate --config cfg.ini
     fourwave reference --config cfg.ini [...]      ; model=reference shortcut
 
-Output is deterministic for a fixed config and seed; sweep points may be
-dispatched to a thread pool but are always written in sweep order.  Rows
-whose frequency point sits on a resonance pole are emitted with an empty
-value set and a 'pole' flag; the run still exits 0.
+Output is deterministic for a fixed config and seed; rows are written in
+sweep order.  Rows whose frequency point sits on a resonance pole are
+emitted with an empty value set and a 'pole' flag; the run still exits 0.
 """
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import config as cfgmod
 from . import reference as refmod
@@ -80,11 +79,11 @@ def _cold_row(cfg: RunConfig, axis: str, value: float) -> dict:
     omega = mhz_to_rad_us(value if axis == "omega_mhz" else cfg.omega_mhz)
     try:
         if cfg.langevin and mp.optical_depth > 0:
-            mp = mp.with_scale(calibrate_langevin_scale(mp, nodes=cfg.z_nodes))
+            mp = mp.with_scale(calibrate_langevin_scale(mp))
         abcd0 = transfer(mp, 0.0).abcd
         abcd_w = transfer(mp, omega).abcd
         abcd_mw = transfer(mp, -omega).abcd
-        diff = integrated_diffusion(mp, omega, cfg.z_nodes) if cfg.langevin \
+        diff = integrated_diffusion(mp, omega) if cfg.langevin \
             else IntegratedDiffusion.zero()
         parts = (abcd0, abcd_w, abcd_mw, diff)
         snm = spec.intensity_difference_noise_parts(*parts)
@@ -114,13 +113,13 @@ def _vapor_row(cfg: RunConfig, axis: str, value: float) -> dict:
     omega = mhz_to_rad_us(value if axis == "omega_mhz" else cfg.omega_mhz)
     try:
         if cfg.langevin and mp.optical_depth > 0:
-            mp = mp.with_scale(calibrate_langevin_scale(mp, nodes=cfg.z_nodes))
+            mp = mp.with_scale(calibrate_langevin_scale(mp))
         order = cfg.velocity_order
         abcd0 = vapmod.doppler_transfer(mp, vp, 0.0, order)
         abcd_w = vapmod.doppler_transfer(mp, vp, omega, order)
         abcd_mw = vapmod.doppler_transfer(mp, vp, -omega, order)
         # cold-atom diffusion reused with the velocity-averaged transfer
-        diff = integrated_diffusion(mp, omega, cfg.z_nodes) if cfg.langevin \
+        diff = integrated_diffusion(mp, omega) if cfg.langevin \
             else IntegratedDiffusion.zero()
         prepared, front_loss = vapmod.residual_transmission(mp, vp)
         parts = (abcd0, abcd_w, abcd_mw, diff)
@@ -187,7 +186,7 @@ _ROW_BUILDERS = {"cold": _cold_row, "vapor": _vapor_row,
                  "eit": _eit_row, "reference": _reference_row}
 
 
-def run(cfg: RunConfig, threads: int = 1, with_db: bool = False) -> int:
+def run(cfg: RunConfig, with_db: bool = False) -> int:
     """Execute the sweep and write the output file; returns exit status."""
     problems = cfgmod.validate(cfg)
     if problems:
@@ -197,12 +196,7 @@ def run(cfg: RunConfig, threads: int = 1, with_db: bool = False) -> int:
     values = _sweep_values(cfg)
     builder = _ROW_BUILDERS[cfg.model]
     axis = cfg.sweep_axis
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda v: builder(cfg, axis, v), values))
-    else:
-        rows = [builder(cfg, axis, v) for v in values]
+    rows = [builder(cfg, axis, v) for v in values]
 
     columns = _columns(cfg.model, cfg.reference.get("kind", ""))
     if with_db:
@@ -231,10 +225,11 @@ def _with_db_columns(columns, rows):
 
 
 def _render_csv(labels, columns, rows) -> str:
-    lines = [",".join(labels)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(c)) for c in columns))
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(labels)
+    writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
+    return buf.getvalue()
 
 
 def _render_json(labels, columns, rows, cfg: RunConfig) -> str:
@@ -263,7 +258,6 @@ def main(argv=None) -> int:
         if name != "validate":
             p.add_argument("--out", default=None, help="override output.path")
             p.add_argument("--format", default=None, choices=("csv", "json"))
-            p.add_argument("--threads", type=int, default=1)
             p.add_argument("--db", action="store_true",
                            help="append decibel columns for noise quantities")
     args = parser.parse_args(argv)
@@ -289,7 +283,7 @@ def main(argv=None) -> int:
     if args.format:
         cfg.output_format = args.format
     try:
-        return run(cfg, threads=args.threads, with_db=args.db)
+        return run(cfg, with_db=args.db)
     except FourwaveError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

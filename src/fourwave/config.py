@@ -37,8 +37,8 @@ Grammar (INI dialect, parsed by configparser):
     format = csv | json
 
     [quadrature]                  ; optional
-    z_nodes = <int>               ; default 64
     velocity_order = <int>        ; default 40
+    z_nodes = <int>               ; accepted and ignored: the z-integral is exact
 
 Frequencies are ordinary frequencies in MHz (converted to rad/us once,
 here), temperatures in Celsius, lengths in the units their key names say.
@@ -98,7 +98,6 @@ class RunConfig:
     sweep_count: int = 0
     output_path: str = "out.csv"
     output_format: str = "csv"
-    z_nodes: int = 64
     velocity_order: int = 40
 
 
@@ -110,8 +109,19 @@ def _float_map(section) -> dict:
     return {k: section[k] for k in section}
 
 
+def _number(parser, section: str, key: str, default: str, kind):
+    """``kind`` of section.key; a malformed value is a ConfigParseError."""
+    raw = parser.get(section, key, fallback=default)
+    try:
+        return kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigParseError(f"{section}.{key}: not {noun}: {raw!r}") from None
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse config text; raises ConfigParseError on syntax errors."""
+    """Parse config text; raises ConfigParseError on syntax errors and on
+    a seed, count, quadrature order or scalar frequency that is not a number."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(text)
@@ -121,9 +131,9 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig()
     run = parser["run"] if parser.has_section("run") else {}
     cfg.model = run.get("model", "")
-    cfg.seed = int(run.get("seed", "0"))
+    cfg.seed = _number(parser, "run", "seed", "0", int)
     cfg.langevin = run.get("langevin", "on").strip().lower() not in ("off", "0", "false", "no")
-    cfg.omega_mhz = float(run.get("omega_mhz", "1.0"))
+    cfg.omega_mhz = _number(parser, "run", "omega_mhz", "1.0", float)
 
     for name in ("atom", "medium", "vapor", "eit", "reference"):
         if parser.has_section(name):
@@ -132,19 +142,17 @@ def parse_config(text: str) -> RunConfig:
     if parser.has_section("sweep"):
         sweep = parser["sweep"]
         cfg.sweep_axis = sweep.get("axis", "")
-        cfg.sweep_start = float(sweep.get("start", "0"))
-        cfg.sweep_stop = float(sweep.get("stop", "0"))
-        cfg.sweep_count = int(sweep.get("count", "0"))
+        cfg.sweep_start = _number(parser, "sweep", "start", "0", float)
+        cfg.sweep_stop = _number(parser, "sweep", "stop", "0", float)
+        cfg.sweep_count = _number(parser, "sweep", "count", "0", int)
 
     if parser.has_section("output"):
         out = parser["output"]
         cfg.output_path = out.get("path", cfg.output_path)
         cfg.output_format = out.get("format", cfg.output_format).strip().lower()
 
-    if parser.has_section("quadrature"):
-        quad = parser["quadrature"]
-        cfg.z_nodes = int(quad.get("z_nodes", str(cfg.z_nodes)))
-        cfg.velocity_order = int(quad.get("velocity_order", str(cfg.velocity_order)))
+    cfg.velocity_order = _number(parser, "quadrature", "velocity_order",
+                                 str(cfg.velocity_order), int)
     return cfg
 
 
@@ -210,8 +218,6 @@ def validate(cfg: RunConfig) -> list[Diagnostic]:
     if cfg.output_format not in FORMATS:
         diags.append(Diagnostic("output.format",
                                 f"must be one of {FORMATS}, got {cfg.output_format!r}"))
-    if cfg.z_nodes < 8:
-        diags.append(Diagnostic("quadrature.z_nodes", f"must be >= 8, got {cfg.z_nodes}"))
     if cfg.velocity_order < 16:
         diags.append(Diagnostic("quadrature.velocity_order",
                                 f"must be >= 16, got {cfg.velocity_order}"))

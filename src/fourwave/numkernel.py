@@ -1,27 +1,23 @@
 """Dense complex linear-algebra and quadrature kernels.
 
-Every matrix exponential, eigenvalue call and fixed-node integral used by
-the physics modules goes through here, so algorithmic constants and default
-tolerances live in one place.
+Every matrix exponential, eigenvalue call and velocity-average node set
+used by the physics modules goes through here, so algorithmic constants
+and default tolerances live in one place.
 """
 
 import math
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigurationError, DimensionError, NumericError
 
-# Default node counts. 64 for the unit-interval propagation integral,
-# 40 for the velocity average; both overridable per call.
-DEFAULT_Z_NODES = 64
+# Default node count for the velocity average; overridable per call.
 DEFAULT_VELOCITY_ORDER = 40
 
 # Default tolerances quoted by the kernel contracts.
 EXPM_DET_RTOL = 1e-10
 EIGVALS_DET_RTOL = 1e-8
-QUAD_DOUBLING_RTOL = 1e-8
 
 # Pade-13 numerator coefficients for the scaling-and-squaring exponential
 # (Higham's method; same constants as scipy and expm ports elsewhere).
@@ -34,10 +30,6 @@ _PADE13_B = (
 # 1-norm threshold below which Pade-13 is accurate without scaling.
 _THETA_13 = 5.371920351148152
 _MAX_SQUARINGS = 64
-
-# Composite Gauss-Legendre panel order for quad_unit; a k-node panel is
-# exact for polynomials of degree 2k-1 (31 here).
-_PANEL_ORDER = 16
 
 
 def _as_square(m, who: str) -> np.ndarray:
@@ -87,33 +79,6 @@ def eigvals(m) -> np.ndarray:
     """Eigenvalues of a square complex matrix (no particular ordering)."""
     a = _as_square(m, "eigvals")
     return np.linalg.eigvals(a)
-
-
-def quad_unit(f, nodes: int = DEFAULT_Z_NODES) -> np.ndarray:
-    """Fixed-node composite Gauss-Legendre estimate of int_0^1 f(z) dz.
-
-    ``f`` maps a float in [0, 1] to a scalar or ndarray.  The rule splits
-    the interval into equal panels of at most 16 Gauss-Legendre nodes each,
-    so ``nodes`` is rounded up to a multiple of the panel size.
-    """
-    if nodes < 2:
-        raise ConfigurationError(f"quad_unit: nodes must be >= 2, got {nodes}")
-    if nodes <= _PANEL_ORDER:
-        panels, order = 1, int(nodes)
-    else:
-        order = _PANEL_ORDER
-        panels = int(math.ceil(nodes / order))
-    x, w = leggauss(order)
-    width = 1.0 / panels
-    acc = None
-    for p in range(panels):
-        left = p * width
-        for xi, wi in zip(x, w):
-            z = left + 0.5 * width * (xi + 1.0)
-            val = np.asarray(f(z), dtype=complex)
-            term = (0.5 * width * wi) * val
-            acc = term if acc is None else acc + term
-    return acc
 
 
 def gauss_hermite_nodes(order: int, sigma: float):

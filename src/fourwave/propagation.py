@@ -9,7 +9,8 @@ matrix exponential of the generator:
     abcd(omega) = expm( i * (alphaL * Gamma / 4) * T M1'(omega)^-1 S1 ).
 
 Langevin noise enters the spectra through four z-integrated diffusion
-coefficients; their overall normalization is fixed by requiring that the
+coefficients, each read off one block exponential (Van Loan, IEEE TAC 23
+(1978) 395); their overall normalization is fixed by requiring that the
 output field commutator stays canonical (see calibrate_langevin_scale),
 rather than by microscopic coupling-constant bookkeeping.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from .atom import AtomParams, build_coherence_system, diffusion_set, steady_state
 from .errors import CalibrationError, DomainError, NormalizationError, PoleError
-from .numkernel import DEFAULT_Z_NODES, expm, quad_unit
+from .numkernel import expm
 from .units import TWO_PI
 
 # A frequency point is flagged as a resonance pole (and excluded from
@@ -64,16 +65,14 @@ class MediumParams:
 
 @dataclass(frozen=True)
 class TwoModeTransfer:
-    """Frequency-dependent input-output matrix and its adjoint partner.
+    """Frequency-dependent input-output matrix.
 
     ``abcd`` maps (a, b+) at the input to the output at analysis frequency
-    ``freq``; ``abcd_adjoint`` is the entrywise conjugate of the transfer
-    evaluated at -freq and propagates (a+, b).
+    ``freq``.
     """
 
     freq: float
     abcd: np.ndarray
-    abcd_adjoint: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,10 +125,8 @@ def generator(mp: MediumParams, omega: float) -> np.ndarray:
 
 
 def transfer(mp: MediumParams, omega: float) -> TwoModeTransfer:
-    """Input-output transfer at omega together with its adjoint partner."""
-    abcd = expm(generator(mp, omega))
-    abcd_adjoint = np.conj(expm(generator(mp, -omega)))
-    return TwoModeTransfer(freq=omega, abcd=abcd, abcd_adjoint=abcd_adjoint)
+    """Input-output transfer at omega."""
+    return TwoModeTransfer(freq=omega, abcd=expm(generator(mp, omega)))
 
 
 def gains(mp: MediumParams) -> MeanFieldOut:
@@ -140,22 +137,21 @@ def gains(mp: MediumParams) -> MeanFieldOut:
                         phase_a=float(np.angle(a0)), phase_b=float(np.angle(c0)))
 
 
-def _z_integrated(mp, omega, dmat, row, nodes):
-    """[row| int_0^1 e^{-Gz} K D K^+ e^{-G^+ z} dz |row], scaled.
+def _z_integrated(mp, omega, dmat):
+    """int_0^1 e^{-Gz} K D K^+ e^{-G^+ z} dz, scaled; a 2x2 matrix.
 
     This is the propagated second moment of the delta-correlated coherence
-    noise projected on one field row; with a Hermitian positive
-    semidefinite D it is a nonnegative real number.
+    noise; with a Hermitian positive semidefinite D its diagonal is real
+    and nonnegative.  The integral is exact: for C = [[-G, Q], [0, G^+]]
+    with Q = K D K^+, expm(C) = [[e^{-G}, F12], [0, e^{G^+}]] where
+    F12 = int_0^1 e^{-G(1-s)} Q e^{G^+ s} ds, so F12 e^{-G^+} is the
+    integral (Van Loan 1978).
     """
     prefactor, kernel, s1 = _coherence_kernel(mp, omega)
     gen_w = 1j * prefactor * (kernel @ s1)
-
-    def integrand(z):
-        ez = expm(-gen_w * z)
-        u = ez[row, :] @ kernel
-        return u @ dmat @ np.conj(u)
-
-    value = complex(quad_unit(integrand, nodes))
+    q = kernel @ dmat @ kernel.conj().T
+    f = expm(np.block([[-gen_w, q], [np.zeros((2, 2)), gen_w.conj().T]]))
+    value = f[:2, 2:] @ f[:2, :2].conj().T
     return mp.langevin_scale * prefactor * value
 
 
@@ -167,27 +163,25 @@ def _cast_real(value: complex, who: str) -> float:
     return float(value.real)
 
 
-def integrated_diffusion(mp: MediumParams, omega: float,
-                         nodes: int = DEFAULT_Z_NODES) -> IntegratedDiffusion:
+def integrated_diffusion(mp: MediumParams, omega: float) -> IntegratedDiffusion:
     """Symmetric-order z-integrated Langevin coefficients at omega.
 
     The forward pair uses the kernel at +omega, the _rev pair the kernel
     at -omega, matching how they weight the transfer-matrix entries in the
     noise spectra.
     """
-    if nodes < 8:
-        raise DomainError(f"integrated_diffusion: nodes must be >= 8, got {nodes}")
     dsym = diffusion_set(mp.atom).dsym
+    fwd = _z_integrated(mp, omega, dsym)
+    rev = _z_integrated(mp, -omega, dsym)
     return IntegratedDiffusion(
-        d_aa=_cast_real(_z_integrated(mp, omega, dsym, 0, nodes), "d_aa"),
-        d_aa_rev=_cast_real(_z_integrated(mp, -omega, dsym, 0, nodes), "d_aa_rev"),
-        d_bb=_cast_real(_z_integrated(mp, omega, dsym, 1, nodes), "d_bb"),
-        d_bb_rev=_cast_real(_z_integrated(mp, -omega, dsym, 1, nodes), "d_bb_rev"),
+        d_aa=_cast_real(fwd[0, 0], "d_aa"),
+        d_aa_rev=_cast_real(rev[0, 0], "d_aa_rev"),
+        d_bb=_cast_real(fwd[1, 1], "d_bb"),
+        d_bb_rev=_cast_real(rev[1, 1], "d_bb_rev"),
     )
 
 
-def commutator_defect(mp: MediumParams, omega: float,
-                      nodes: int = DEFAULT_Z_NODES) -> float:
+def commutator_defect(mp: MediumParams, omega: float) -> float:
     """Langevin contribution to the output commutator of mode a.
 
     Uses the antisymmetric combination d1 - d2 projected on the probe row
@@ -195,13 +189,12 @@ def commutator_defect(mp: MediumParams, omega: float,
     |A(omega)|^2 - |B(omega)|^2 + commutator_defect(omega) = 1.
     """
     ds = diffusion_set(mp.atom)
-    return _cast_real(_z_integrated(mp, omega, ds.d1 - ds.d2, 0, nodes),
+    return _cast_real(_z_integrated(mp, omega, ds.d1 - ds.d2)[0, 0],
                       "commutator_defect")
 
 
 def calibrate_langevin_scale(mp: MediumParams,
-                             omega_ref: float = DEFAULT_CALIBRATION_FREQ,
-                             nodes: int = DEFAULT_Z_NODES) -> float:
+                             omega_ref: float = DEFAULT_CALIBRATION_FREQ) -> float:
     """Positive scale restoring the canonical commutator at omega_ref.
 
     Solves |A|^2 - |B|^2 + s * (d1 - d2 coefficient) = 1 at the reference
@@ -210,7 +203,7 @@ def calibrate_langevin_scale(mp: MediumParams,
     """
     abcd = transfer(mp, omega_ref).abcd
     deficit = 1.0 - (abs(abcd[0, 0])**2 - abs(abcd[0, 1])**2)
-    raw = commutator_defect(mp.with_scale(1.0), omega_ref, nodes)
+    raw = commutator_defect(mp.with_scale(1.0), omega_ref)
     if abs(raw) < 1e-14:
         if abs(deficit) > 1e-9:
             raise CalibrationError(
@@ -223,7 +216,7 @@ def calibrate_langevin_scale(mp: MediumParams,
     return scale
 
 
-def calibrated(mp: MediumParams, omega_ref: float = DEFAULT_CALIBRATION_FREQ,
-               nodes: int = DEFAULT_Z_NODES) -> MediumParams:
+def calibrated(mp: MediumParams,
+               omega_ref: float = DEFAULT_CALIBRATION_FREQ) -> MediumParams:
     """Copy of mp with langevin_scale set by calibrate_langevin_scale."""
-    return mp.with_scale(calibrate_langevin_scale(mp, omega_ref, nodes))
+    return mp.with_scale(calibrate_langevin_scale(mp, omega_ref))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NormalizationError
-from .numkernel import DEFAULT_Z_NODES
 from .propagation import (IntegratedDiffusion, MediumParams,
                           integrated_diffusion, transfer)
 
@@ -104,38 +103,38 @@ def inseparability_parts(abcd0, abcd_w, abcd_mw,
                   + phase_sum_noise_parts(abcd0, abcd_w, abcd_mw, diff))
 
 
-def _medium_parts(mp: MediumParams, omega: float, nodes: int, langevin: bool):
+def _medium_parts(mp: MediumParams, omega: float, langevin: bool):
     abcd0 = transfer(mp, 0.0).abcd
     abcd_w = transfer(mp, omega).abcd
     abcd_mw = transfer(mp, -omega).abcd
-    diff = integrated_diffusion(mp, omega, nodes) if langevin \
+    diff = integrated_diffusion(mp, omega) if langevin \
         else IntegratedDiffusion.zero()
     return abcd0, abcd_w, abcd_mw, diff
 
 
 def probe_intensity_noise(mp: MediumParams, omega: float,
-                          nodes: int = DEFAULT_Z_NODES, langevin: bool = True) -> float:
-    return probe_intensity_noise_parts(*_medium_parts(mp, omega, nodes, langevin))
+                          *, langevin: bool = True) -> float:
+    return probe_intensity_noise_parts(*_medium_parts(mp, omega, langevin))
 
 
 def probe_phase_noise(mp: MediumParams, omega: float,
-                      nodes: int = DEFAULT_Z_NODES, langevin: bool = True) -> float:
-    return probe_phase_noise_parts(*_medium_parts(mp, omega, nodes, langevin))
+                      *, langevin: bool = True) -> float:
+    return probe_phase_noise_parts(*_medium_parts(mp, omega, langevin))
 
 
 def intensity_difference_noise(mp: MediumParams, omega: float,
-                               nodes: int = DEFAULT_Z_NODES, langevin: bool = True) -> float:
-    return intensity_difference_noise_parts(*_medium_parts(mp, omega, nodes, langevin))
+                               *, langevin: bool = True) -> float:
+    return intensity_difference_noise_parts(*_medium_parts(mp, omega, langevin))
 
 
 def phase_sum_noise(mp: MediumParams, omega: float,
-                    nodes: int = DEFAULT_Z_NODES, langevin: bool = True) -> float:
-    return phase_sum_noise_parts(*_medium_parts(mp, omega, nodes, langevin))
+                    *, langevin: bool = True) -> float:
+    return phase_sum_noise_parts(*_medium_parts(mp, omega, langevin))
 
 
 def inseparability(mp: MediumParams, omega: float,
-                   nodes: int = DEFAULT_Z_NODES, langevin: bool = True) -> float:
-    return inseparability_parts(*_medium_parts(mp, omega, nodes, langevin))
+                   *, langevin: bool = True) -> float:
+    return inseparability_parts(*_medium_parts(mp, omega, langevin))
 
 
 def to_dB(s: float) -> float:
@@ -155,13 +154,13 @@ _KINDS = {
 
 
 def compute_spectrum(mp: MediumParams, freqs, kind: str,
-                     nodes: int = DEFAULT_Z_NODES, langevin: bool = True) -> NoiseSpectrum:
+                     *, langevin: bool = True) -> NoiseSpectrum:
     """Evaluate one noise observable on a frequency grid."""
     if kind not in _KINDS:
         raise DomainError(f"unknown spectrum kind {kind!r}; one of {sorted(_KINDS)}")
     freqs = np.asarray(freqs, dtype=float)
     fn = _KINDS[kind]
-    values = np.array([fn(mp, w, nodes=nodes, langevin=langevin) for w in freqs])
+    values = np.array([fn(mp, w, langevin=langevin) for w in freqs])
     return NoiseSpectrum(freqs=freqs, values=values, label=kind)
 
 

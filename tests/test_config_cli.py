@@ -1,5 +1,6 @@
 """Configuration parsing, validation and the batch CLI."""
 
+import csv
 import json
 
 import pytest
@@ -58,6 +59,28 @@ axis = gain
 start = 3
 stop = 3
 count = 1
+
+[output]
+path = {path}
+format = csv
+"""
+
+CHAIN_CONFIG = """
+[run]
+model = reference
+seed = 1
+
+[reference]
+kind = chain
+slice_gain = 1.2
+slice_transmission = 0.9
+n_slices = 4
+
+[sweep]
+axis = slice_transmission
+start = -0.5
+stop = 0.5
+count = 3
 
 [output]
 path = {path}
@@ -131,6 +154,15 @@ class TestValidation:
         bad = tmp_path / "bad.ini"
         bad.write_text(cold_config(tmp_path / "o.csv", count=0))
         assert main(["validate", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command", ("run", "validate"))
+    def test_non_integer_seed_is_a_read_error(self, tmp_path, capsys, command):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(cold_config(tmp_path / "o.csv", seed="abc"))
+        assert main([command, "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read config" in err
+        assert "run.seed" in err
 
 
 class TestRun:
@@ -206,15 +238,6 @@ class TestRun:
         assert main(["run", "--config", str(ini), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_parallel_equals_serial(self, tmp_path):
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        ini = tmp_path / "cfg.ini"
-        ini.write_text(cold_config(serial, count=9))
-        assert main(["run", "--config", str(ini)]) == 0
-        assert main(["run", "--config", str(ini), "--out", str(parallel),
-                     "--threads", "4"]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-
     def test_json_mirrors_csv_schema(self, tmp_path):
         csv_out, json_out = tmp_path / "o.csv", tmp_path / "o.json"
         ini = tmp_path / "cfg.ini"
@@ -267,6 +290,17 @@ class TestRun:
         raw = out.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+    def test_error_rows_with_commas_keep_csv_rectangular(self, tmp_path):
+        out = tmp_path / "chain.csv"
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(CHAIN_CONFIG.format(path=out))
+        assert main(["run", "--config", str(ini)]) == 0
+        with open(out, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [len(header)] * 3
+        assert rows[0][-1].startswith("error:slice_transmission")
+        assert rows[2][-1] == ""
 
 
 class TestVaporModel:

@@ -1,4 +1,4 @@
-"""Kernel tests: matrix exponential, eigenvalues, fixed-node quadratures."""
+"""Kernel tests: matrix exponential, eigenvalues, Gauss-Hermite quadrature."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 from fourwave.errors import ConfigurationError, DimensionError
 from fourwave.numkernel import (eigvals, expm, gauss_hermite_nodes,
-                                quad_gauss_hermite, quad_unit)
+                                quad_gauss_hermite)
 
 
 def _random_complex(rng, shape, scale=1.0):
@@ -114,44 +114,6 @@ class TestEigvals:
     def test_non_square_raises(self):
         with pytest.raises(DimensionError):
             eigvals(np.zeros((3, 2)))
-
-
-class TestQuadUnit:
-    def test_constant(self):
-        c = np.array([[1.0 + 2j, 0.5], [0.0, -1j]])
-        assert np.allclose(quad_unit(lambda z: c, nodes=8), c, atol=1e-14)
-
-    def test_linear(self):
-        val = quad_unit(lambda z: z * np.eye(2), nodes=16)
-        assert np.allclose(val, np.eye(2) / 2, atol=1e-14)
-
-    def test_commuting_exponentials_closed_form(self):
-        # e^{Az} e^{Bz} = e^{(A+B)z} for commuting A, B built from one matrix
-        rng = np.random.default_rng(9)
-        base = _random_complex(rng, (3, 3), 0.5)
-        a, b = 0.7 * base, -0.2 * base + 0.3 * np.eye(3)
-        s = a + b
-        expected = np.linalg.solve(s, expm(s) - np.eye(3))
-        val = quad_unit(lambda z: expm(a * z) @ expm(b * z), nodes=64)
-        assert np.max(np.abs(val - expected)) < 1e-10
-
-    def test_polynomial_exactness(self):
-        # per-panel 16-node Gauss-Legendre is exact through degree 31
-        coeffs = np.arange(1, 16) * (1.0 + 0.5j)
-        poly = np.polynomial.Polynomial(coeffs)
-        exact = poly.integ()(1.0) - poly.integ()(0.0)
-        got = complex(quad_unit(lambda z: np.array(poly(z)), nodes=64))
-        assert abs(got - exact) < 1e-12 * max(1.0, abs(exact))
-
-    def test_doubling_converged(self):
-        f = lambda z: np.array([[np.exp(1j * 3 * z), z**2], [0.1, np.cos(z)]])
-        once = quad_unit(f, nodes=64)
-        twice = quad_unit(f, nodes=128)
-        assert np.max(np.abs(once - twice)) < 1e-8
-
-    def test_too_few_nodes(self):
-        with pytest.raises(ConfigurationError):
-            quad_unit(lambda z: 1.0, nodes=1)
 
 
 class TestGaussHermite:
