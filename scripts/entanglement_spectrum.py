@@ -10,8 +10,7 @@ import argparse
 
 import numpy as np
 
-from fourwave import (AtomParams, MediumParams, calibrated, inseparability,
-                      intensity_difference_noise, phase_sum_noise, to_dB)
+from fourwave import AtomParams, MediumParams, calibrated, evaluate, to_dB
 from fourwave.units import TWO_PI
 
 
@@ -31,11 +30,9 @@ def main():
     crossing = None
     prev = None
     for f in freqs:
-        w = TWO_PI * f
-        snm = intensity_difference_noise(mp, w)
-        sphp = phase_sum_noise(mp, w)
-        insep = inseparability(mp, w)
-        rows.append((f, snm, sphp, insep))
+        obs = evaluate(mp, TWO_PI * f)
+        insep = obs.inseparability
+        rows.append((f, obs.S_Nminus, obs.S_phiplus, insep))
         if prev is not None and prev < 1.0 <= insep:
             crossing = f
         prev = insep
@@ -45,9 +42,9 @@ def main():
         for f, snm, sphp, insep in rows:
             fh.write(f"{f:.6g},{snm:.9g},{sphp:.9g},{insep:.9g}\n")
 
-    f1 = TWO_PI * 1.0
-    print(f"at 1 MHz: S_N- = {to_dB(intensity_difference_noise(mp, f1)):+.2f} dB, "
-          f"S_phi+ = {to_dB(phase_sum_noise(mp, f1)):+.2f} dB")
+    at1 = evaluate(mp, TWO_PI * 1.0)
+    print(f"at 1 MHz: S_N- = {to_dB(at1.S_Nminus):+.2f} dB, "
+          f"S_phi+ = {to_dB(at1.S_phiplus):+.2f} dB")
     if crossing:
         print(f"inseparability crosses 1 near {crossing:.2f} MHz")
     print(f"wrote {args.out}")

@@ -11,8 +11,7 @@ import argparse
 
 import numpy as np
 
-from fourwave import (AtomParams, MediumParams, calibrated, gains,
-                      intensity_difference_noise)
+from fourwave import AtomParams, MediumParams, calibrated, evaluate
 from fourwave.units import TWO_PI
 
 
@@ -30,9 +29,8 @@ def main():
         atom = AtomParams.from_mhz(gamma_e=5.75, gamma_g=0.5, omega0=3036.0,
                                    delta1=1000.0, delta2=d2, rabi=520.0)
         mp = calibrated(MediumParams(atom=atom, optical_depth=300.0))
-        g = gains(mp)
-        snm = intensity_difference_noise(mp, w)
-        rows.append((d2, g.gain_a, g.gain_b, snm))
+        obs = evaluate(mp, w)
+        rows.append((d2, obs.gain_a, obs.gain_b, obs.S_Nminus))
 
     with open(args.out, "w", newline="") as fh:
         fh.write("delta2_mhz,Ga,Gb,S_Nminus\n")

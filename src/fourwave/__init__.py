@@ -9,18 +9,17 @@ from .atom import (AtomParams, DiffusionSet, SteadyState, build_coherence_system
 from .eit import (LambdaParams, absorption_spectrum, susceptibility,
                   transparency_window)
 from .propagation import (IntegratedDiffusion, MeanFieldOut, MediumParams,
-                          TwoModeTransfer, calibrate_langevin_scale, calibrated,
+                          calibrate_langevin_scale, calibrated,
                           commutator_defect, gains, generator,
-                          integrated_diffusion, transfer)
+                          integrated_diffusion)
 from .reference import (SliceChainParams, detection_loss, ideal_pia_means,
                         ideal_pia_noise, nlo_pia_transfer, nlo_psa_field,
                         psa_gain, psa_noise, sliced_amp_loss, unbalanced_loss)
-from .spectra import (NoiseSpectrum, compute_spectrum, inseparability,
-                      intensity_difference_noise, phase_sum_noise,
-                      probe_intensity_noise, probe_phase_noise, to_dB)
+from .spectra import (NoiseSpectrum, Observables, compute_spectrum, evaluate,
+                      observables, to_dB)
 from .vapor import (VaporParams, doppler_absorption, doppler_generator,
-                    doppler_transfer, maxwell_pdf, residual_transmission,
-                    slice_consistency, transit_time, vapor_density)
+                    maxwell_pdf, residual_transmission, slice_consistency,
+                    transit_time, vapor_density)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

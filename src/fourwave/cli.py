@@ -13,7 +13,6 @@ emitted with an empty value set and a 'pole' flag; the run still exits 0.
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -25,9 +24,7 @@ from . import spectra as spec
 from . import vapor as vapmod
 from .config import ConfigParseError, RunConfig
 from .errors import FourwaveError, PoleError
-from .propagation import (IntegratedDiffusion, MediumParams,
-                          calibrate_langevin_scale, integrated_diffusion,
-                          transfer)
+from .propagation import calibrate_langevin_scale
 from .units import mhz_to_rad_us
 
 NOISE_COLUMNS = ("S_Nminus", "S_phiplus", "inseparability", "S_Na", "S_N")
@@ -42,12 +39,9 @@ def _fmt(value) -> str:
 
 
 def _columns(model: str, kind: str = "") -> list[str]:
-    if model == "cold":
-        return ["sweep_value", "Ga", "Gb", "S_Nminus", "S_phiplus",
-                "inseparability", "S_Na", "flag"]
-    if model == "vapor":
-        return ["sweep_value", "Ga", "Gb", "S_Nminus", "S_phiplus",
-                "inseparability", "S_Na", "prepared_fraction", "flag"]
+    if model in ("cold", "vapor"):
+        extra = ["prepared_fraction"] if model == "vapor" else []
+        return ["sweep_value", "Ga", "Gb", *spec.NOISE_FIELDS, *extra, "flag"]
     if model == "eit":
         return ["sweep_value", "chi_re", "chi_im", "flag"]
     if kind == "psa":
@@ -62,85 +56,30 @@ def _sweep_values(cfg: RunConfig) -> list[float]:
     return [cfg.sweep_start + i * step for i in range(cfg.sweep_count)]
 
 
-def _medium_for(cfg: RunConfig, axis: str, value: float) -> MediumParams:
-    atom = cfgmod.atom_params_from(cfg)
-    depth = float(cfg.medium["optical_depth"])
-    if axis in ("delta1_mhz", "delta2_mhz", "rabi_mhz"):
-        field = {"delta1_mhz": "delta1", "delta2_mhz": "delta2",
-                 "rabi_mhz": "rabi"}[axis]
-        atom = dataclasses.replace(atom, **{field: mhz_to_rad_us(value)})
-    elif axis == "optical_depth":
-        depth = value
-    return MediumParams(atom=atom, optical_depth=depth)
-
-
-def _cold_row(cfg: RunConfig, axis: str, value: float) -> dict:
-    mp = _medium_for(cfg, axis, value)
+def _medium_row(cfg: RunConfig, axis: str, value: float) -> dict:
+    """Cold or vapor row: calibrate, evaluate, and for the vapor model fold
+    the front-loaded residual absorption into the gains."""
+    point = cfgmod.at_sweep_value(cfg, value)
+    mp = cfgmod.medium_params_from(point)
     omega = mhz_to_rad_us(value if axis == "omega_mhz" else cfg.omega_mhz)
+    vp = exponent = None
+    if cfg.model == "vapor":
+        vp = cfgmod.vapor_params_from(point)
+        exponent = lambda m, w: vapmod.doppler_generator(m, vp, w, cfg.velocity_order)
     try:
         if cfg.langevin and mp.optical_depth > 0:
             mp = mp.with_scale(calibrate_langevin_scale(mp))
-        abcd0 = transfer(mp, 0.0).abcd
-        abcd_w = transfer(mp, omega).abcd
-        abcd_mw = transfer(mp, -omega).abcd
-        diff = integrated_diffusion(mp, omega) if cfg.langevin \
-            else IntegratedDiffusion.zero()
-        parts = (abcd0, abcd_w, abcd_mw, diff)
-        snm = spec.intensity_difference_noise_parts(*parts)
-        sphp = spec.phase_sum_noise_parts(*parts)
-        sna = spec.probe_intensity_noise_parts(*parts)
+        obs = spec.evaluate(mp, omega, langevin=cfg.langevin, exponent=exponent)
+        prepared, front_loss = (None, 1.0) if vp is None \
+            else vapmod.residual_transmission(mp, vp)
     except PoleError:
         return {"sweep_value": value, "flag": "pole"}
     except FourwaveError as exc:
         return {"sweep_value": value, "flag": f"error:{exc}"}
-    return {
-        "sweep_value": value,
-        "Ga": abs(abcd0[0, 0])**2,
-        "Gb": abs(abcd0[1, 0])**2,
-        "S_Nminus": snm,
-        "S_phiplus": sphp,
-        "inseparability": 0.5 * (snm + sphp),
-        "S_Na": sna,
-        "flag": "",
-    }
-
-
-def _vapor_row(cfg: RunConfig, axis: str, value: float) -> dict:
-    mp = _medium_for(cfg, axis, value)
-    vp = cfgmod.vapor_params_from(cfg)
-    if axis == "temperature_c":
-        vp = dataclasses.replace(vp, temperature=value + 273.15)
-    omega = mhz_to_rad_us(value if axis == "omega_mhz" else cfg.omega_mhz)
-    try:
-        if cfg.langevin and mp.optical_depth > 0:
-            mp = mp.with_scale(calibrate_langevin_scale(mp))
-        order = cfg.velocity_order
-        abcd0 = vapmod.doppler_transfer(mp, vp, 0.0, order)
-        abcd_w = vapmod.doppler_transfer(mp, vp, omega, order)
-        abcd_mw = vapmod.doppler_transfer(mp, vp, -omega, order)
-        # cold-atom diffusion reused with the velocity-averaged transfer
-        diff = integrated_diffusion(mp, omega) if cfg.langevin \
-            else IntegratedDiffusion.zero()
-        prepared, front_loss = vapmod.residual_transmission(mp, vp)
-        parts = (abcd0, abcd_w, abcd_mw, diff)
-        snm = spec.intensity_difference_noise_parts(*parts)
-        sphp = spec.phase_sum_noise_parts(*parts)
-        sna = spec.probe_intensity_noise_parts(*parts)
-    except PoleError:
-        return {"sweep_value": value, "flag": "pole"}
-    except FourwaveError as exc:
-        return {"sweep_value": value, "flag": f"error:{exc}"}
-    return {
-        "sweep_value": value,
-        "Ga": front_loss * abs(abcd0[0, 0])**2,
-        "Gb": front_loss * abs(abcd0[1, 0])**2,
-        "S_Nminus": snm,
-        "S_phiplus": sphp,
-        "inseparability": 0.5 * (snm + sphp),
-        "S_Na": sna,
-        "prepared_fraction": prepared,
-        "flag": "",
-    }
+    return {"sweep_value": value,
+            "Ga": front_loss * obs.gain_a, "Gb": front_loss * obs.gain_b,
+            **{name: getattr(obs, name) for name in spec.NOISE_FIELDS},
+            "prepared_fraction": prepared, "flag": ""}
 
 
 def _eit_row(cfg: RunConfig, axis: str, value: float) -> dict:
@@ -182,7 +121,7 @@ def _reference_row(cfg: RunConfig, axis: str, value: float) -> dict:
         return {"sweep_value": value, "flag": f"error:{exc}"}
 
 
-_ROW_BUILDERS = {"cold": _cold_row, "vapor": _vapor_row,
+_ROW_BUILDERS = {"cold": _medium_row, "vapor": _medium_row,
                  "eit": _eit_row, "reference": _reference_row}
 
 

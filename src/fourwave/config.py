@@ -45,7 +45,7 @@ here), temperatures in Celsius, lengths in the units their key names say.
 """
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .units import (ATOMIC_MASS_KG, celsius_to_kelvin, mhz_to_rad_us)
 
@@ -67,10 +67,17 @@ _VAPOR_KEYS = ("temperature_c", "atomic_mass_u", "wavelength_nm", "pump_waist_um
                "probe_waist_um", "cell_length_mm", "cross_section_cm2")
 _EIT_KEYS = ("gamma_e_mhz", "gamma_g_mhz", "delta1_mhz", "rabi_c_mhz")
 
+# Parameter blocks each model reads, in build order, and their required keys.
+_BLOCKS = {"cold": ("atom", "medium"), "vapor": ("atom", "medium", "vapor"),
+           "eit": ("eit",)}
+_REQUIRED = {"atom": _ATOM_KEYS, "medium": ("optical_depth",),
+             "vapor": _VAPOR_KEYS, "eit": _EIT_KEYS}
+
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One configuration problem, addressed by section.key."""
+    """One configuration problem, addressed by section.key, or by section
+    for a block whose values lie outside the model's domain."""
 
     key: str
     reason: str
@@ -105,10 +112,6 @@ class ConfigParseError(Exception):
     """Raised when the config text cannot be read at all."""
 
 
-def _float_map(section) -> dict:
-    return {k: section[k] for k in section}
-
-
 def _number(parser, section: str, key: str, default: str, kind):
     """``kind`` of section.key; a malformed value is a ConfigParseError."""
     raw = parser.get(section, key, fallback=default)
@@ -122,7 +125,8 @@ def _number(parser, section: str, key: str, default: str, kind):
 def parse_config(text: str) -> RunConfig:
     """Parse config text; raises ConfigParseError on syntax errors and on
     a seed, count, quadrature order or scalar frequency that is not a number."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -137,7 +141,7 @@ def parse_config(text: str) -> RunConfig:
 
     for name in ("atom", "medium", "vapor", "eit", "reference"):
         if parser.has_section(name):
-            setattr(cfg, name, _float_map(parser[name]))
+            setattr(cfg, name, dict(parser[name]))
 
     if parser.has_section("sweep"):
         sweep = parser["sweep"]
@@ -175,21 +179,8 @@ def validate(cfg: RunConfig) -> list[Diagnostic]:
         diags.append(Diagnostic("run.model", f"must be one of {MODELS}, got {cfg.model!r}"))
         return diags
 
-    if cfg.model in ("cold", "vapor"):
-        _require_floats(diags, cfg.atom, _ATOM_KEYS, "atom")
-        _require_floats(diags, cfg.medium, ("optical_depth",), "medium")
-        if not diags and float(cfg.medium["optical_depth"]) < 0:
-            diags.append(Diagnostic("medium.optical_depth", "must be >= 0"))
-        if "gamma_e_mhz" in cfg.atom:
-            try:
-                if float(cfg.atom["gamma_e_mhz"]) <= 0:
-                    diags.append(Diagnostic("atom.gamma_e_mhz", "must be > 0"))
-            except ValueError:
-                pass
-    if cfg.model == "vapor":
-        _require_floats(diags, cfg.vapor, _VAPOR_KEYS, "vapor")
-    if cfg.model == "eit":
-        _require_floats(diags, cfg.eit, _EIT_KEYS, "eit")
+    for section in _BLOCKS.get(cfg.model, ()):
+        _require_floats(diags, getattr(cfg, section), _REQUIRED[section], section)
     if cfg.model == "reference":
         kind = cfg.reference.get("kind", "")
         if kind not in REFERENCE_KINDS:
@@ -221,7 +212,41 @@ def validate(cfg: RunConfig) -> list[Diagnostic]:
     if cfg.velocity_order < 16:
         diags.append(Diagnostic("quadrature.velocity_order",
                                 f"must be >= 16, got {cfg.velocity_order}"))
-    return diags
+    return diags or _parameter_diagnostics(cfg)
+
+
+def _parameter_diagnostics(cfg: RunConfig) -> list[Diagnostic]:
+    """The first domain error of the parameter objects run() builds.
+
+    They are built at both sweep endpoints: sweeps are linear and every
+    parameter constraint is an interval, so the endpoints decide.  The
+    problem is reported under the block it was read from.
+    """
+    from .errors import DomainError
+    builders = {"atom": atom_params_from, "medium": medium_params_from,
+                "vapor": vapor_params_from, "eit": eit_params_from}
+    ends = (cfg.sweep_start,) if cfg.sweep_count == 1 \
+        else (cfg.sweep_start, cfg.sweep_stop)
+    for value in ends:
+        point = at_sweep_value(cfg, value)
+        for section in _BLOCKS.get(cfg.model, ()):
+            try:
+                builders[section](point)
+            except DomainError as exc:
+                at = f" (at {cfg.sweep_axis} = {value:g})" \
+                    if cfg.sweep_axis in getattr(cfg, section) else ""
+                return [Diagnostic(section, f"{exc}{at}")]
+    return []
+
+
+def at_sweep_value(cfg: RunConfig, value: float) -> RunConfig:
+    """Copy of cfg with the swept key of [atom], [medium] or [vapor] set to
+    ``value``; cfg itself when no block holds the sweep axis."""
+    for section in ("atom", "medium", "vapor"):
+        raw = getattr(cfg, section)
+        if cfg.sweep_axis in raw:
+            return replace(cfg, **{section: {**raw, cfg.sweep_axis: value}})
+    return cfg
 
 
 def atom_params_from(cfg: RunConfig):
@@ -236,6 +261,13 @@ def atom_params_from(cfg: RunConfig):
         delta2=mhz_to_rad_us(a["delta2_mhz"]),
         rabi=mhz_to_rad_us(a["rabi_mhz"]),
     )
+
+
+def medium_params_from(cfg: RunConfig):
+    """MediumParams from the [atom] and [medium] blocks."""
+    from .propagation import MediumParams
+    return MediumParams(atom=atom_params_from(cfg),
+                        optical_depth=float(cfg.medium["optical_depth"]))
 
 
 def vapor_params_from(cfg: RunConfig):

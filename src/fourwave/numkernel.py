@@ -95,12 +95,3 @@ def gauss_hermite_nodes(order: int, sigma: float):
     w = w / w.sum()
     return sigma * x, w
 
-
-def quad_gauss_hermite(f, order: int = DEFAULT_VELOCITY_ORDER, sigma: float = 1.0):
-    """Gaussian-weighted integral int f(v) N(v; 0, sigma^2) dv."""
-    v, w = gauss_hermite_nodes(order, sigma)
-    acc = None
-    for vi, wi in zip(v, w):
-        term = wi * np.asarray(f(vi), dtype=complex)
-        acc = term if acc is None else acc + term
-    return acc

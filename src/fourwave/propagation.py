@@ -49,9 +49,10 @@ class MediumParams:
     langevin_scale: float = 1.0
 
     def __post_init__(self):
-        if self.optical_depth < 0:
+        if not (np.isfinite(self.optical_depth) and self.optical_depth >= 0):
             raise DomainError(
-                f"MediumParams: optical_depth must be >= 0, got {self.optical_depth}")
+                f"MediumParams: optical_depth must be finite and >= 0, "
+                f"got {self.optical_depth}")
         if not self.langevin_scale > 0:
             raise DomainError(
                 f"MediumParams: langevin_scale must be > 0, got {self.langevin_scale}")
@@ -61,18 +62,6 @@ class MediumParams:
 
     def with_atom(self, **changes) -> "MediumParams":
         return dataclasses.replace(self, atom=dataclasses.replace(self.atom, **changes))
-
-
-@dataclass(frozen=True)
-class TwoModeTransfer:
-    """Frequency-dependent input-output matrix.
-
-    ``abcd`` maps (a, b+) at the input to the output at analysis frequency
-    ``freq``.
-    """
-
-    freq: float
-    abcd: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -122,11 +111,6 @@ def generator(mp: MediumParams, omega: float) -> np.ndarray:
     """Full 2x2 propagation exponent over normalized z in [0, 1]."""
     prefactor, kernel, s1 = _coherence_kernel(mp, omega)
     return 1j * prefactor * (kernel @ s1)
-
-
-def transfer(mp: MediumParams, omega: float) -> TwoModeTransfer:
-    """Input-output transfer at omega."""
-    return TwoModeTransfer(freq=omega, abcd=expm(generator(mp, omega)))
 
 
 def gains(mp: MediumParams) -> MeanFieldOut:
@@ -201,7 +185,7 @@ def calibrate_langevin_scale(mp: MediumParams,
     frequency.  Returns 1 when the identity already holds and the Langevin
     term vanishes (zero optical depth, or a synthetic pure-gain medium).
     """
-    abcd = transfer(mp, omega_ref).abcd
+    abcd = expm(generator(mp, omega_ref))
     deficit = 1.0 - (abs(abcd[0, 0])**2 - abs(abcd[0, 1])**2)
     raw = commutator_defect(mp.with_scale(1.0), omega_ref)
     if abs(raw) < 1e-14:

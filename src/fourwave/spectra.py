@@ -1,10 +1,13 @@
 """Normalized quantum-noise spectra and the inseparability criterion.
 
 All spectra are normalized to the standard quantum limit of a coherent
-beam (SQL = 1).  Each observable comes in two flavors: a ``*_parts``
-function that combines precomputed transfer matrices and diffusion
-coefficients (useful for synthetic input-output matrices), and a wrapper
-taking the medium parameters directly.
+beam (SQL = 1).  Every observable is read off the same objects: the
+two-mode input-output (ABCD) matrix at 0, +omega and -omega and the four
+z-integrated Langevin coefficients at omega.  ``evaluate`` builds those
+objects once for a medium and returns all observables together as an
+``Observables``; ``observables`` does the same for precomputed (e.g.
+synthetic) matrices.  The ``*_parts`` functions are the single formulas
+both of them combine.
 """
 
 import math
@@ -13,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NormalizationError
-from .propagation import (IntegratedDiffusion, MediumParams,
-                          integrated_diffusion, transfer)
+from .numkernel import expm
+from .propagation import (IntegratedDiffusion, MediumParams, generator,
+                          integrated_diffusion)
 
 NORMALIZATION_FLOOR = 1e-30
 
@@ -55,13 +59,6 @@ def probe_intensity_noise_parts(abcd0, abcd_w, abcd_mw,
                   + abs(bm)**2 * (1.0 + diff.d_bb_rev))
 
 
-def probe_phase_noise_parts(abcd0, abcd_w, abcd_mw,
-                            diff: IntegratedDiffusion) -> float:
-    """Single-mode phase noise of the probe; identical to the intensity
-    noise for this phase-insensitive process."""
-    return probe_intensity_noise_parts(abcd0, abcd_w, abcd_mw, diff)
-
-
 def intensity_difference_noise_parts(abcd0, abcd_w, abcd_mw,
                                      diff: IntegratedDiffusion) -> float:
     """Normalized noise of the probe/conjugate intensity difference."""
@@ -92,49 +89,49 @@ def phase_sum_noise_parts(abcd0, abcd_w, abcd_mw,
             + abs(a0*dm - c0*bm)**2 * (1.0 + diff.d_bb_rev)) / denom
 
 
-def inseparability_parts(abcd0, abcd_w, abcd_mw,
-                         diff: IntegratedDiffusion) -> float:
-    """Half the sum of intensity-difference and phase-sum noises.
+@dataclass(frozen=True)
+class Observables:
+    """Everything read off a medium at one analysis frequency, SQL = 1: the
+    mean-field gains |A(0)|^2 and |C(0)|^2, the pair noises, their half sum
+    (below 1 witnesses entanglement) and the single-mode probe noise."""
 
-    Values below 1 witness probe/conjugate entanglement (sufficient
-    criterion).
+    gain_a: float
+    gain_b: float
+    S_Nminus: float
+    S_phiplus: float
+    inseparability: float
+    S_Na: float
+
+
+NOISE_FIELDS = ("S_Nminus", "S_phiplus", "inseparability", "S_Na")
+
+
+def observables(abcd0, abcd_w, abcd_mw, diff: IntegratedDiffusion) -> Observables:
+    """All observables from the transfer matrices at 0, +omega, -omega and
+    the integrated diffusion at omega."""
+    parts = (abcd0, abcd_w, abcd_mw, diff)
+    snm = intensity_difference_noise_parts(*parts)
+    sphp = phase_sum_noise_parts(*parts)
+    sna = probe_intensity_noise_parts(*parts)
+    return Observables(gain_a=abs(abcd0[0, 0])**2, gain_b=abs(abcd0[1, 0])**2,
+                       S_Nminus=snm, S_phiplus=sphp,
+                       inseparability=0.5 * (snm + sphp), S_Na=sna)
+
+
+def evaluate(mp: MediumParams, omega: float, *, langevin: bool = True,
+             exponent=None) -> Observables:
+    """All observables of the medium at analysis frequency omega.
+
+    ``exponent(mp, omega)`` is the 2x2 propagation exponent; None selects
+    the cold-atom ``generator`` (looked up at call time).  It is
+    exponentiated at 0, +omega and -omega before the diffusion is
+    integrated.  Without ``langevin`` the diffusion terms are zero.
     """
-    return 0.5 * (intensity_difference_noise_parts(abcd0, abcd_w, abcd_mw, diff)
-                  + phase_sum_noise_parts(abcd0, abcd_w, abcd_mw, diff))
-
-
-def _medium_parts(mp: MediumParams, omega: float, langevin: bool):
-    abcd0 = transfer(mp, 0.0).abcd
-    abcd_w = transfer(mp, omega).abcd
-    abcd_mw = transfer(mp, -omega).abcd
-    diff = integrated_diffusion(mp, omega) if langevin \
-        else IntegratedDiffusion.zero()
-    return abcd0, abcd_w, abcd_mw, diff
-
-
-def probe_intensity_noise(mp: MediumParams, omega: float,
-                          *, langevin: bool = True) -> float:
-    return probe_intensity_noise_parts(*_medium_parts(mp, omega, langevin))
-
-
-def probe_phase_noise(mp: MediumParams, omega: float,
-                      *, langevin: bool = True) -> float:
-    return probe_phase_noise_parts(*_medium_parts(mp, omega, langevin))
-
-
-def intensity_difference_noise(mp: MediumParams, omega: float,
-                               *, langevin: bool = True) -> float:
-    return intensity_difference_noise_parts(*_medium_parts(mp, omega, langevin))
-
-
-def phase_sum_noise(mp: MediumParams, omega: float,
-                    *, langevin: bool = True) -> float:
-    return phase_sum_noise_parts(*_medium_parts(mp, omega, langevin))
-
-
-def inseparability(mp: MediumParams, omega: float,
-                   *, langevin: bool = True) -> float:
-    return inseparability_parts(*_medium_parts(mp, omega, langevin))
+    if exponent is None:
+        exponent = generator
+    abcds = [expm(exponent(mp, w)) for w in (0.0, omega, -omega)]
+    diff = integrated_diffusion(mp, omega) if langevin else IntegratedDiffusion.zero()
+    return observables(*abcds, diff)
 
 
 def to_dB(s: float) -> float:
@@ -144,23 +141,15 @@ def to_dB(s: float) -> float:
     return 10.0 * math.log10(s)
 
 
-_KINDS = {
-    "probe_intensity": probe_intensity_noise,
-    "probe_phase": probe_phase_noise,
-    "intensity_difference": intensity_difference_noise,
-    "phase_sum": phase_sum_noise,
-    "inseparability": inseparability,
-}
-
-
 def compute_spectrum(mp: MediumParams, freqs, kind: str,
                      *, langevin: bool = True) -> NoiseSpectrum:
-    """Evaluate one noise observable on a frequency grid."""
-    if kind not in _KINDS:
-        raise DomainError(f"unknown spectrum kind {kind!r}; one of {sorted(_KINDS)}")
+    """One noise observable, a field of Observables named in NOISE_FIELDS,
+    on a frequency grid."""
+    if kind not in NOISE_FIELDS:
+        raise DomainError(f"unknown spectrum kind {kind!r}; one of {NOISE_FIELDS}")
     freqs = np.asarray(freqs, dtype=float)
-    fn = _KINDS[kind]
-    values = np.array([fn(mp, w, langevin=langevin) for w in freqs])
+    values = np.array([getattr(evaluate(mp, w, langevin=langevin), kind)
+                       for w in freqs])
     return NoiseSpectrum(freqs=freqs, values=values, label=kind)
 
 

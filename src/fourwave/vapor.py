@@ -109,12 +109,6 @@ def doppler_generator(mp: MediumParams, vp: VaporParams, omega: float,
     return acc
 
 
-def doppler_transfer(mp: MediumParams, vp: VaporParams, omega: float,
-                     order: int = DEFAULT_VELOCITY_ORDER) -> np.ndarray:
-    """Input-output matrix of the velocity-averaged medium."""
-    return expm(doppler_generator(mp, vp, omega, order))
-
-
 @dataclass(frozen=True)
 class SliceDeviation:
     """Outcome of the sliced-medium commutation check."""

@@ -13,18 +13,13 @@ import pytest
 from fourwave.atom import AtomParams, preparation_probability, steady_state
 from fourwave.eit import (LambdaParams, absorption_peak_separation,
                           susceptibility, transparency_window)
+from fourwave.numkernel import expm
 from fourwave.propagation import (IntegratedDiffusion, MediumParams,
-                                  calibrated, commutator_defect, gains,
-                                  generator, transfer)
+                                  calibrated, commutator_defect, generator)
 from fourwave.reference import (SliceChainParams, detection_loss,
                                 nlo_pia_transfer, nlo_psa_field,
                                 sliced_amp_loss, unbalanced_loss)
-from fourwave.spectra import (inseparability, inseparability_parts,
-                              intensity_difference_noise,
-                              intensity_difference_noise_parts,
-                              phase_sum_noise, phase_sum_noise_parts,
-                              probe_intensity_noise,
-                              probe_intensity_noise_parts, to_dB)
+from fourwave.spectra import evaluate, observables, to_dB
 from fourwave.units import TWO_PI
 from fourwave.vapor import (VaporParams, doppler_absorption,
                             doppler_generator, doppler_width,
@@ -59,12 +54,12 @@ FIG2 = dict(gamma_g_mhz=0.01, rabi_mhz=300.0, delta1_mhz=1000.0,
 
 def test_01_cold_atom_entanglement_figure():
     mp = calibrated(medium(**ENTANGLED))
-    w = TWO_PI * 1.0
-    snm_db = to_dB(intensity_difference_noise(mp, w))
-    sphp_db = to_dB(phase_sum_noise(mp, w))
+    at1 = evaluate(mp, TWO_PI * 1.0)
+    snm_db = to_dB(at1.S_Nminus)
+    sphp_db = to_dB(at1.S_phiplus)
     both_in_band = -7.5 <= snm_db <= -4.5 and -7.5 <= sphp_db <= -4.5
-    insep_low = inseparability(mp, TWO_PI * 2.0)
-    insep_high = inseparability(mp, TWO_PI * 4.0)
+    insep_low = evaluate(mp, TWO_PI * 2.0).inseparability
+    insep_high = evaluate(mp, TWO_PI * 4.0).inseparability
     crosses = insep_low < 1.0 < insep_high
     report(1, f"entangled pair at 1 MHz: S_N-={snm_db:+.2f} dB, "
               f"S_phi+={sphp_db:+.2f} dB, inseparability crosses 1 in "
@@ -74,9 +69,9 @@ def test_01_cold_atom_entanglement_figure():
 
 def test_02_quantum_beamsplitter_regime():
     mp = calibrated(medium(**QBS))
-    g = gains(mp)
-    total = g.gain_a + g.gain_b
-    snm = intensity_difference_noise(mp, TWO_PI * 1.0)
+    obs = evaluate(mp, TWO_PI * 1.0)
+    total = obs.gain_a + obs.gain_b
+    snm = obs.S_Nminus
     report(2, f"quantum beamsplitter: Ga+Gb={total:.3f} < 1 and "
               f"S_N-(1 MHz)={snm:.3f} < 1",
            total < 1.0 and snm < 1.0)
@@ -103,14 +98,11 @@ def test_04_ideal_amplifier_oracle():
         c, s = math.sqrt(g), math.sqrt(g - 1.0)
         abcd = np.array([[c, s], [s, c]], dtype=complex)
         expected = 1.0 / (2.0 * g - 1.0)
-        ok &= abs(intensity_difference_noise_parts(abcd, abcd, abcd, zero)
-                  - expected) < 1e-12
-        ok &= abs(phase_sum_noise_parts(abcd, abcd, abcd, zero)
-                  - expected) < 1e-12
-        ok &= abs(inseparability_parts(abcd, abcd, abcd, zero)
-                  - expected) < 1e-12
-        ok &= abs(probe_intensity_noise_parts(abcd, abcd, abcd, zero)
-                  - (2.0 * g - 1.0)) < 1e-12
+        obs = observables(abcd, abcd, abcd, zero)
+        ok &= abs(obs.S_Nminus - expected) < 1e-12
+        ok &= abs(obs.S_phiplus - expected) < 1e-12
+        ok &= abs(obs.inseparability - expected) < 1e-12
+        ok &= abs(obs.S_Na - (2.0 * g - 1.0)) < 1e-12
     report(4, "synthetic two-mode amplifier reproduces 1/(2G-1) and 2G-1 "
               "to 1e-12 for G in {1, 1.5, 3, 10}", ok)
 
@@ -120,11 +112,11 @@ def test_05_commutator_sum_rule():
     worst_residual, worst_floor = 0.0, np.inf
     for f in np.linspace(0.2, 10.0, 50):
         w = TWO_PI * f
-        abcd = transfer(mp, w).abcd
+        abcd = expm(generator(mp, w))
         identity = (abs(abcd[0, 0])**2 - abs(abcd[0, 1])**2
                     + commutator_defect(mp, w))
         worst_residual = max(worst_residual, abs(identity - 1.0))
-        worst_floor = min(worst_floor, probe_intensity_noise(mp, w))
+        worst_floor = min(worst_floor, evaluate(mp, w).S_Na)
     report(5, f"commutator sum rule residual {worst_residual:.2e} < 1e-4 and "
               f"single-mode noise floor {worst_floor:.9f} >= 1 - 1e-6 "
               f"on a 50-point grid",
@@ -136,9 +128,11 @@ def test_06_langevin_monotonicity_and_parity():
     monotone, parity = True, True
     for f in (0.5, 1.0, 2.0, 3.0, 5.0):
         w = TWO_PI * f
-        for fn in (intensity_difference_noise, phase_sum_noise, inseparability):
-            monotone &= fn(mp, w, langevin=True) >= fn(mp, w, langevin=False) - 1e-12
-            parity &= abs(fn(mp, w) - fn(mp, -w)) < 1e-10
+        noisy, clean = evaluate(mp, w), evaluate(mp, w, langevin=False)
+        minus = evaluate(mp, -w)
+        for name in ("S_Nminus", "S_phiplus", "inseparability"):
+            monotone &= getattr(noisy, name) >= getattr(clean, name) - 1e-12
+            parity &= abs(getattr(noisy, name) - getattr(minus, name)) < 1e-10
     report(6, "Langevin terms never improve correlations; spectra even in "
               "the analysis frequency to 1e-10", monotone and parity)
 
@@ -159,7 +153,6 @@ def test_07_doppler_suite():
     # (c) hot-vs-cold gain shift across the pump-power scan; the absolute
     # shift stays below 5% of the (unit-floored) cold gain everywhere, and
     # below 5% of the cold gain itself wherever the medium amplifies
-    from fourwave.numkernel import expm
     worst_floored, worst_amplifying = 0.0, 0.0
     for rabi in np.linspace(100.0, 600.0, 11):
         mpi = medium(gamma_g_mhz=1.0, rabi_mhz=rabi, delta1_mhz=700.0,

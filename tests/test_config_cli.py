@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +111,26 @@ format = csv
 """
 
 
+VAPOR_BLOCK = """
+[vapor]
+temperature_c = 120
+atomic_mass_u = 85
+wavelength_nm = 795
+pump_waist_um = 600
+probe_waist_um = 300
+cell_length_mm = 12.5
+cross_section_cm2 = 1e-9
+"""
+
+
+def vapor_config(path, **kwargs):
+    return cold_config(path, **kwargs).replace("model = cold",
+                                               "model = vapor") + VAPOR_BLOCK
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def read_rows(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -163,6 +184,49 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "cannot read config" in err
         assert "run.seed" in err
+
+    def test_percent_sign_in_a_value_is_literal(self, tmp_path):
+        out = tmp_path / "out%.csv"
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(cold_config(out, count=2))
+        assert main(["validate", "--config", str(ini)]) == 0
+        assert main(["run", "--config", str(ini)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("model, edits, rejected", (
+        ("cold", (), False),
+        ("cold", (("rabi_mhz = 300", "rabi_mhz = -5"),), True),
+        ("cold", (("gamma_e_mhz = 5.75", "gamma_e_mhz = 0"),), True),
+        ("cold", (("optical_depth = 150", "optical_depth = nan"),), True),
+        ("cold", (("optical_depth = 150", "optical_depth = -1"),), True),
+        ("cold", (("axis = delta2_mhz", "axis = rabi_mhz"),
+                  ("start = -100", "start = -5")), True),
+        ("vapor", (), False),
+        ("vapor", (("probe_waist_um = 300", "probe_waist_um = 900"),), True),
+        ("vapor", (("axis = delta2_mhz", "axis = temperature_c"),
+                   ("start = -100", "start = -300")), True),
+        ("eit", (), False),
+        ("eit", (("rabi_c_mhz = 5.75", "rabi_c_mhz = -1"),), True),
+    ), ids=("cold", "negative-rabi", "zero-linewidth", "nan-depth",
+            "negative-depth", "rabi-sweep-from-negative", "vapor",
+            "probe-wider-than-pump", "temperature-sweep-below-zero-kelvin",
+            "eit", "eit-negative-control"))
+    def test_validate_rejects_exactly_what_run_rejects(self, tmp_path, model,
+                                                       edits, rejected):
+        out = tmp_path / "o.csv"
+        text = {"cold": cold_config(out, count=2),
+                "vapor": vapor_config(out, count=2, depth=1000),
+                "eit": EIT_CONFIG.format(path=out).replace("count = 81", "count = 2"),
+                }[model]
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(text)
+        assert main(["validate", "--config", str(ini)]) == (2 if rejected else 0)
+        assert main(["run", "--config", str(ini)]) == (2 if rejected else 0)
+        if not rejected:
+            assert "error:" not in out.read_text()
 
 
 class TestRun:
@@ -306,18 +370,8 @@ class TestRun:
 class TestVaporModel:
     def test_vapor_sweep_has_prepared_fraction(self, tmp_path):
         out = tmp_path / "vap.csv"
-        text = cold_config(out, axis="rabi_mhz", start=250, stop=350, count=3,
-                           depth=1000).replace("model = cold", "model = vapor")
-        text += """
-[vapor]
-temperature_c = 120
-atomic_mass_u = 85
-wavelength_nm = 795
-pump_waist_um = 600
-probe_waist_um = 300
-cell_length_mm = 12.5
-cross_section_cm2 = 1e-9
-"""
+        text = vapor_config(out, axis="rabi_mhz", start=250, stop=350, count=3,
+                            depth=1000)
         ini = tmp_path / "cfg.ini"
         ini.write_text(text)
         assert main(["run", "--config", str(ini)]) == 0
@@ -326,3 +380,30 @@ cross_section_cm2 = 1e-9
         for row in rows:
             assert 0 < float(row["prepared_fraction"]) <= 1
             assert float(row["Ga"]) > 0
+
+
+class TestReferenceOutputs:
+    """The shipped configs reproduce the stored benchmark reference CSV."""
+
+    def run_shipped(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        assert main(["run", "--config", str(ROOT / "configs" / f"{name}.ini"),
+                     "--out", str(out)]) == 0
+        return out.read_bytes().splitlines(keepends=True)
+
+    def test_entangled_pair_byte_identical(self, tmp_path):
+        got = self.run_shipped(tmp_path, "entangled_pair")
+        reference = ROOT / "benchmarks/reference/cold_omega_sweep/entangled_pair.csv"
+        assert b"".join(got) == reference.read_bytes()
+
+    def test_vapor_gain_scan_byte_identical_off_the_known_defect_rows(self, tmp_path):
+        # the noise columns at delta2 = -28 ... -26 MHz run to 1e46 ... 1e120
+        # and already differ from the reference in the 4th to 10th digit
+        defect = (b"-28,", b"-27,", b"-26,")
+        got = self.run_shipped(tmp_path, "vapor_gain_scan")
+        reference = (ROOT / "benchmarks/reference/vapor_delta2_scan/"
+                     "vapor_gain_scan.csv").read_bytes().splitlines(keepends=True)
+        assert len(got) == len(reference) == 62
+        kept = [(g, r) for g, r in zip(got, reference) if not r.startswith(defect)]
+        assert len(kept) == 59
+        assert all(g == r for g, r in kept)

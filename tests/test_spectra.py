@@ -6,12 +6,10 @@ import pytest
 from fourwave.atom import AtomParams
 from fourwave.errors import DomainError, NormalizationError
 from fourwave.propagation import IntegratedDiffusion, MediumParams, calibrated
-from fourwave.spectra import (NoiseSpectrum, compute_spectrum, inseparability,
-                              inseparability_parts, intensity_difference_noise,
-                              intensity_difference_noise_parts, phase_sum_noise,
-                              phase_sum_noise_parts, probe_intensity_noise,
-                              probe_intensity_noise_parts, probe_phase_noise,
-                              probe_phase_noise_parts, symmetric_grid, to_dB)
+from fourwave.spectra import (NOISE_FIELDS, NoiseSpectrum, compute_spectrum,
+                              evaluate, intensity_difference_noise_parts,
+                              observables, probe_intensity_noise_parts,
+                              symmetric_grid, to_dB)
 from fourwave.units import TWO_PI
 
 
@@ -37,30 +35,25 @@ class TestIdealAmplifierOracle:
     def test_pair_spectra(self, gain):
         abcd = bogoliubov(gain)
         expected = 1.0 / (2.0 * gain - 1.0)
-        snm = intensity_difference_noise_parts(abcd, abcd, abcd, NO_DIFFUSION)
-        sphp = phase_sum_noise_parts(abcd, abcd, abcd, NO_DIFFUSION)
-        insep = inseparability_parts(abcd, abcd, abcd, NO_DIFFUSION)
-        assert snm == pytest.approx(expected, abs=1e-12)
-        assert sphp == pytest.approx(expected, abs=1e-12)
-        assert insep == pytest.approx(expected, abs=1e-12)
+        obs = observables(abcd, abcd, abcd, NO_DIFFUSION)
+        assert obs.S_Nminus == pytest.approx(expected, abs=1e-12)
+        assert obs.S_phiplus == pytest.approx(expected, abs=1e-12)
+        assert obs.inseparability == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("gain", [1.0, 1.5, 3.0, 10.0])
     def test_single_mode_spectra(self, gain):
         abcd = bogoliubov(gain)
-        sna = probe_intensity_noise_parts(abcd, abcd, abcd, NO_DIFFUSION)
+        sna = observables(abcd, abcd, abcd, NO_DIFFUSION).S_Na
         assert sna == pytest.approx(2.0 * gain - 1.0, abs=1e-12)
-        assert probe_phase_noise_parts(abcd, abcd, abcd, NO_DIFFUSION) == sna
 
 
 class TestTransparentMedium:
     def test_all_spectra_at_standard_quantum_limit(self):
         mp = medium(optical_depth=0.0)
         w = TWO_PI * 1.0
-        assert probe_intensity_noise(mp, w) == pytest.approx(1.0, abs=1e-12)
-        assert probe_phase_noise(mp, w) == pytest.approx(1.0, abs=1e-12)
-        assert intensity_difference_noise(mp, w) == pytest.approx(1.0, abs=1e-12)
-        assert phase_sum_noise(mp, w) == pytest.approx(1.0, abs=1e-12)
-        assert inseparability(mp, w) == pytest.approx(1.0, abs=1e-12)
+        obs = evaluate(mp, w)
+        for name in NOISE_FIELDS:
+            assert getattr(obs, name) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -70,40 +63,34 @@ def mp():
 
 class TestMicroscopicSpectra:
 
-    def test_intensity_and_phase_noise_identical(self, mp):
-        w = TWO_PI * 1.0
-        assert probe_intensity_noise(mp, w) == pytest.approx(
-            probe_phase_noise(mp, w), abs=1e-12)
-
     def test_parity(self, mp):
         for f in (0.5, 1.0, 3.0):
             w = TWO_PI * f
-            for fn in (probe_intensity_noise, intensity_difference_noise,
-                       phase_sum_noise, inseparability):
-                assert fn(mp, w) == pytest.approx(fn(mp, -w), abs=1e-10)
+            plus, minus = evaluate(mp, w), evaluate(mp, -w)
+            for name in NOISE_FIELDS:
+                assert getattr(plus, name) == pytest.approx(getattr(minus, name),
+                                                            abs=1e-10)
 
     def test_inseparability_is_half_sum(self, mp):
-        w = TWO_PI * 1.5
-        expected = 0.5 * (intensity_difference_noise(mp, w) + phase_sum_noise(mp, w))
-        assert inseparability(mp, w) == expected
+        obs = evaluate(mp, TWO_PI * 1.5)
+        assert obs.inseparability == 0.5 * (obs.S_Nminus + obs.S_phiplus)
 
     def test_langevin_noise_never_improves_correlations(self, mp):
         for f in (0.5, 1.0, 2.0, 4.0):
             w = TWO_PI * f
-            for fn in (intensity_difference_noise, phase_sum_noise, inseparability):
-                with_noise = fn(mp, w, langevin=True)
-                without = fn(mp, w, langevin=False)
-                assert with_noise >= without - 1e-12
+            noisy, clean = evaluate(mp, w, langevin=True), evaluate(mp, w, langevin=False)
+            for name in ("S_Nminus", "S_phiplus", "inseparability"):
+                assert getattr(noisy, name) >= getattr(clean, name) - 1e-12
 
     def test_single_mode_floor(self, mp):
         for f in (0.3, 1.0, 5.0):
-            assert probe_intensity_noise(mp, TWO_PI * f) >= 1.0 - 1e-6
+            assert evaluate(mp, TWO_PI * f).S_Na >= 1.0 - 1e-6
 
     def test_sub_shot_noise_entanglement_point(self, mp):
-        w = TWO_PI * 1.0
-        assert intensity_difference_noise(mp, w) < 1.0
-        assert phase_sum_noise(mp, w) < 1.0
-        assert inseparability(mp, w) < 1.0
+        obs = evaluate(mp, TWO_PI * 1.0)
+        assert obs.S_Nminus < 1.0
+        assert obs.S_phiplus < 1.0
+        assert obs.inseparability < 1.0
 
 
 class TestHelpers:
@@ -133,5 +120,6 @@ class TestHelpers:
         assert isinstance(spectrum, NoiseSpectrum)
         assert spectrum.label == "inseparability"
         assert np.allclose(spectrum.values, 1.0, atol=1e-12)
-        with pytest.raises(DomainError):
-            compute_spectrum(mp, freqs, "nonsense")
+        for kind in ("nonsense", "probe_phase"):
+            with pytest.raises(DomainError):
+                compute_spectrum(mp, freqs, kind)
