@@ -12,7 +12,10 @@ Canonical vector layouts used throughout the package:
   with s44 eliminated through the closure s11+s22+s33+s44 = 1;
 * probe/conjugate coherence sector  Sigma1 = (s23, s41, s43, s21).
 
-All rates and detunings are angular frequencies in rad/us.
+All rates and detunings are angular frequencies in rad/us.  Steady state,
+drift matrix and coherence system take an optional array ``detuning_shift``
+added to delta1 (Doppler velocity nodes), the coherence system also an
+array of frequencies; outputs stack over both.
 """
 
 from dataclasses import dataclass
@@ -87,16 +90,38 @@ FIELD_PROJECTOR = np.array([[1.0, 0.0, 0.0, 0.0],
                             [0.0, -1.0, 0.0, 0.0]])
 
 
-def build_drift_m0(p: AtomParams) -> np.ndarray:
+def _matrix(rows, shape=()) -> np.ndarray:
+    """Complex matrix literal with entries broadcast to ``shape`` (leading).
+
+    An unstacked literal takes one np.array call: filling its entries one
+    by one in Python is about 5x slower for the 7x7 drift matrix and cost
+    the scalar-heavy noise_scripts benchmark workload about 4%.
+    """
+    if shape == ():
+        return np.array(rows, dtype=complex)
+    out = np.empty(shape + (len(rows), len(rows[0])), dtype=complex)
+    for r, row in enumerate(rows):
+        for c, entry in enumerate(row):
+            out[..., r, c] = entry
+    return out
+
+
+def _square(x):
+    """x**2 by C pow as in a scalar call (numpy's array power can differ)."""
+    return x**2 if np.ndim(x) == 0 else np.vectorize(pow, otypes=[float])(x, 2)
+
+
+def build_drift_m0(p: AtomParams, detuning_shift=0.0) -> np.ndarray:
     """7x7 drift matrix of the pump-only sector.
 
     Acts on Sigma0 = (s11, s22, s33, s31, s13, s42, s24); the dynamics is
     d/dt Sigma0 = i*M0 Sigma0 - i*S0, so decay rates are Im of the
     eigenvalues of M0.
     """
-    g, om, dl, w0 = p.gamma_e, p.rabi, p.delta1, p.omega0
+    g, om, w0 = p.gamma_e, p.rabi, p.omega0
+    dl = p.delta1 + detuning_shift
     i = 1j
-    return np.array([
+    return _matrix([
         [i*g/2, i*g/2, 0,     -om/2,         om/2,          0,                0],
         [i*g/2, i*g/2, 0,      0,            0,             -om/2,            om/2],
         [0,     0,     i*g,    om/2,         -om/2,         0,                0],
@@ -104,7 +129,7 @@ def build_drift_m0(p: AtomParams) -> np.ndarray:
         [om/2,  0,     -om/2,  0,            dl + i*g/2,    0,                0],
         [-om/2, -om,   -om/2,  0,            0,             -dl - w0 + i*g/2, 0],
         [om/2,  om,    om/2,   0,            0,             0,                dl + w0 + i*g/2],
-    ], dtype=complex)
+    ], np.shape(dl))
 
 
 def drift_source(p: AtomParams) -> np.ndarray:
@@ -113,60 +138,68 @@ def drift_source(p: AtomParams) -> np.ndarray:
     return 0.5 * np.array([1j*g, 1j*g, 0, 0, 0, -om, om], dtype=complex)
 
 
-def steady_state(p: AtomParams) -> SteadyState:
+def steady_state(p: AtomParams, detuning_shift=0.0) -> SteadyState:
     """Closed-form stationary state of the pump-dressed atom.
 
-    Cross-checked against the linear system M0 x = S0; a residual above
-    STEADY_STATE_RESIDUAL_TOL raises DegenerateModelError.
+    Cross-checked against the linear system M0 x = S0 at every shift; a
+    residual above STEADY_STATE_RESIDUAL_TOL raises DegenerateModelError.
     """
-    g, om, dl, w0 = p.gamma_e, p.rabi, p.delta1, p.omega0
-    denom = g**2 + 2.0 * (om**2 + dl**2 + (dl + w0)**2)
-    if denom <= 0.0:
+    g, om, w0 = p.gamma_e, p.rabi, p.omega0
+    dl = p.delta1 + detuning_shift
+    dl2, dw2 = _square(dl), _square(dl + w0)
+    denom = g**2 + 2.0 * (om**2 + dl2 + dw2)
+    if np.any(denom <= 0.0):
         raise DegenerateModelError("steady_state: degenerate denominator")
-    s11 = (g**2 + om**2 + 4.0 * dl**2) / (2.0 * denom)
-    s22 = (g**2 + om**2 + 4.0 * (dl + w0)**2) / (2.0 * denom)
+    s11 = (g**2 + om**2 + 4.0 * dl2) / (2.0 * denom)
+    s22 = (g**2 + om**2 + 4.0 * dw2) / (2.0 * denom)
     s33 = om**2 / (2.0 * denom)
     s44 = 1.0 - (s11 + s22 + s33)
     s31 = -om * (2.0 * dl + 1j * g) / (2.0 * denom)
     s42 = -om * (2.0 * (dl + w0) + 1j * g) / (2.0 * denom)
 
-    vec = np.array([s11, s22, s33, s31, np.conj(s31), s42, np.conj(s42)],
-                   dtype=complex)
-    residual = build_drift_m0(p) @ vec - drift_source(p)
-    scale = max(np.linalg.norm(drift_source(p)), 1.0)
-    if np.linalg.norm(residual) > STEADY_STATE_RESIDUAL_TOL * scale:
+    s13, s24 = np.conj(s31), np.conj(s42)
+
+    vec = np.array([s11, s22, s33, s31, s13, s42, s24], dtype=complex)
+    src = drift_source(p)
+    m0 = build_drift_m0(p, detuning_shift)
+    norms = np.linalg.norm(np.einsum("...ij,j...->...i", m0, vec) - src, axis=-1)
+    bad = norms > STEADY_STATE_RESIDUAL_TOL * max(np.linalg.norm(src), 1.0)
+    if bad.any():
         raise DegenerateModelError(
             f"steady_state: closed form fails the linear system, "
-            f"residual {np.linalg.norm(residual):.3e}")
-    return SteadyState(pops=(s11, s22, s33, s44),
-                       coh=(s31, np.conj(s31), s42, np.conj(s42)))
+            f"residual {norms.flat[bad.argmax()]:.3e}")
+    return SteadyState(pops=(s11, s22, s33, s44), coh=(s31, s13, s42, s24))
 
 
-def build_coherence_system(p: AtomParams, ss: SteadyState, omega: float):
+def build_coherence_system(p: AtomParams, ss: SteadyState, omega, detuning_shift=0.0):
     """Fourier-space coherence system (m1prime, s1, t).
 
     m1prime = omega*I + M1 drives Sigma1 = (s23, s41, s43, s21); s1 couples
     the stationary populations to the (probe, conjugate+) field pair; t
-    projects the coherence sector back onto the fields.
+    projects the coherence sector back onto the fields.  ``ss`` is taken at
+    the same shift; m1prime is stacked to omega.shape + shift.shape.
     """
     g, gam = p.gamma_e, p.gamma_g
-    om, dl, d2, w0 = p.rabi, p.delta1, p.delta2, p.omega0
+    om, d2, w0 = p.rabi, p.delta2, p.omega0
+    dl = p.delta1 + detuning_shift
+    shape = np.shape(dl)
     i = 1j
-    m1 = np.array([
+    m1 = _matrix([
         [i*g/2 + (dl - d2), 0,                      -om/2,              om/2],
         [0,                 i*g/2 - (dl + d2 + w0),  om/2,              -om/2],
         [-om/2,             om/2,                    i*g - (d2 + w0),   0],
         [om/2,              -om/2,                   0,                 i*gam - d2],
-    ], dtype=complex)
+    ], shape)
     s11, s22, s33, s44 = ss.pops
     s31, s13, s42, s24 = ss.coh
-    s1 = np.array([
+    s1 = _matrix([
         [s33 - s22, 0],
         [0,         s11 - s44],
         [-s42,      s13],
         [s31,       -s24],
-    ], dtype=complex)
-    return omega * np.eye(4, dtype=complex) + m1, s1, FIELD_PROJECTOR.copy()
+    ], shape)
+    w = np.reshape(omega, np.shape(omega) + (1,) * (len(shape) + 2))
+    return w * np.eye(4, dtype=complex) + m1, s1, FIELD_PROJECTOR.copy()
 
 
 def diffusion_set(p: AtomParams) -> DiffusionSet:

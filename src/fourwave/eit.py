@@ -1,6 +1,6 @@
 """Three-level lambda susceptibility and transparency-window analytics."""
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -24,8 +24,12 @@ class LambdaParams:
     chi_scale: float = 1.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite(astuple(self))):
+            raise DomainError("LambdaParams: all parameters must be finite")
         if not self.gamma_e > 0:
             raise DomainError(f"LambdaParams: gamma_e must be > 0, got {self.gamma_e}")
+        if self.gamma_g < 0:
+            raise DomainError(f"LambdaParams: gamma_g must be >= 0, got {self.gamma_g}")
         if self.rabi_c < 0:
             raise DomainError(f"LambdaParams: rabi_c must be >= 0, got {self.rabi_c}")
         if not self.chi_scale > 0:

@@ -24,14 +24,16 @@ class DegenerateModelError(FourwaveError, ValueError):
 class PoleError(FourwaveError, ArithmeticError):
     """A frequency point sits on (or too close to) a Raman resonance pole.
 
-    Carries the offending analysis frequency in ``omega`` and, for
-    velocity-averaged quantities, the list of offending velocity nodes.
+    Carries the offending analysis frequency in ``omega``, the indices of
+    the offending detuning shifts of a stacked call in ``nodes`` and, for
+    velocity-averaged quantities, the offending velocities.
     """
 
-    def __init__(self, message, omega=None, velocities=None):
+    def __init__(self, message, omega=None, velocities=None, nodes=None):
         super().__init__(message)
         self.omega = omega
         self.velocities = velocities or []
+        self.nodes = nodes or []
 
 
 class DomainError(FourwaveError, ValueError):

@@ -5,6 +5,7 @@ used by the physics modules goes through here, so algorithmic constants
 and default tolerances live in one place.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -81,17 +82,25 @@ def eigvals(m) -> np.ndarray:
     return np.linalg.eigvals(a)
 
 
+@functools.cache
+def _unit_gauss_hermite(order: int):
+    """Read-only unit-sigma nodes and normalized weights of one order."""
+    x, w = hermegauss(order)
+    w = w / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_hermite_nodes(order: int, sigma: float):
     """Nodes and probability weights for a zero-mean Gaussian of std sigma.
 
     Weights are renormalized to sum to one exactly, so a constant function
-    averages to itself regardless of order.
+    averages to itself regardless of order.  Weights are read-only.
     """
     if order < 4:
         raise ConfigurationError(f"gauss-hermite order must be >= 4, got {order}")
     if not sigma > 0.0:
         raise ConfigurationError(f"gauss-hermite sigma must be > 0, got {sigma}")
-    x, w = hermegauss(order)
-    w = w / w.sum()
+    x, w = _unit_gauss_hermite(order)
     return sigma * x, w
 

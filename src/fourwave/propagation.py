@@ -12,10 +12,13 @@ Langevin noise enters the spectra through four z-integrated diffusion
 coefficients, each read off one block exponential (Van Loan, IEEE TAC 23
 (1978) 395); their overall normalization is fixed by requiring that the
 output field commutator stays canonical (see calibrate_langevin_scale),
-rather than by microscopic coupling-constant bookkeeping.
+rather than by microscopic coupling-constant bookkeeping.  The generator
+takes arrays of frequencies and delta1 shifts (Doppler velocity nodes) and
+stacks its exponents, from one batched pole test and one batched inverse.
 """
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,23 +96,30 @@ class MeanFieldOut:
     phase_b: float
 
 
-def _coherence_kernel(mp: MediumParams, omega: float):
-    """(generator prefactor) and the 2x4 kernel T M1'(omega)^-1."""
+def _coherence_kernel(mp: MediumParams, omega, detuning_shift=0.0):
+    """(generator prefactor), the kernel T M1'(omega)^-1 and S1, stacked.
+
+    A pole raises PoleError, before any inverse, naming the first omega in
+    stack order that has one and the flat indices of its pole shifts.
+    """
     p = mp.atom
-    ss = steady_state(p)
-    m1p, s1, t = build_coherence_system(p, ss, omega)
-    if np.linalg.cond(m1p) > POLE_CONDITION_LIMIT:
-        raise PoleError(
-            f"coherence system singular at omega = {omega:.6g} rad/us",
-            omega=omega)
+    ss = steady_state(p, detuning_shift)
+    m1p, s1, t = build_coherence_system(p, ss, omega, detuning_shift)
+    poles = (np.linalg.cond(m1p) > POLE_CONDITION_LIMIT).reshape(np.size(omega), -1)
+    if poles.any():
+        first = poles.any(axis=1).argmax()
+        at = float(np.ravel(omega)[first])
+        raise PoleError(f"coherence system singular at omega = {at:.6g} rad/us",
+                        omega=at, nodes=np.flatnonzero(poles[first]).tolist())
     kernel = t @ np.linalg.inv(m1p)
     prefactor = mp.optical_depth * p.gamma_e / 4.0
     return prefactor, kernel, s1
 
 
-def generator(mp: MediumParams, omega: float) -> np.ndarray:
-    """Full 2x2 propagation exponent over normalized z in [0, 1]."""
-    prefactor, kernel, s1 = _coherence_kernel(mp, omega)
+def generator(mp: MediumParams, omega, detuning_shift=0.0) -> np.ndarray:
+    """Full 2x2 propagation exponent over normalized z in [0, 1] with
+    delta1 shifted by ``detuning_shift``, stacked to omega.shape + shift.shape."""
+    prefactor, kernel, s1 = _coherence_kernel(mp, omega, detuning_shift)
     return 1j * prefactor * (kernel @ s1)
 
 
@@ -122,20 +132,22 @@ def gains(mp: MediumParams) -> MeanFieldOut:
 
 
 def _z_integrated(mp, omega, dmat):
-    """int_0^1 e^{-Gz} K D K^+ e^{-G^+ z} dz, scaled; a 2x2 matrix.
+    """int_0^1 e^{-Gz} K D K^+ e^{-G^+ z} dz, scaled; 2x2 per omega.
 
     This is the propagated second moment of the delta-correlated coherence
     noise; with a Hermitian positive semidefinite D its diagonal is real
     and nonnegative.  The integral is exact: for C = [[-G, Q], [0, G^+]]
     with Q = K D K^+, expm(C) = [[e^{-G}, F12], [0, e^{G^+}]] where
     F12 = int_0^1 e^{-G(1-s)} Q e^{G^+ s} ds, so F12 e^{-G^+} is the
-    integral (Van Loan 1978).
+    integral (Van Loan 1978).  Stacked over the shape of omega.
     """
     prefactor, kernel, s1 = _coherence_kernel(mp, omega)
-    gen_w = 1j * prefactor * (kernel @ s1)
-    q = kernel @ dmat @ kernel.conj().T
-    f = expm(np.block([[-gen_w, q], [np.zeros((2, 2)), gen_w.conj().T]]))
-    value = f[:2, 2:] @ f[:2, :2].conj().T
+    gens = 1j * prefactor * (kernel @ s1)
+    qs = kernel @ dmat @ np.swapaxes(kernel.conj(), -1, -2)
+    value = np.empty(gens.shape, dtype=complex)
+    for idx in np.ndindex(gens.shape[:-2]):
+        f = expm(np.block([[-gens[idx], qs[idx]], [np.zeros((2, 2)), gens[idx].conj().T]]))
+        value[idx] = f[:2, 2:] @ f[:2, :2].conj().T
     return mp.langevin_scale * prefactor * value
 
 
@@ -155,8 +167,7 @@ def integrated_diffusion(mp: MediumParams, omega: float) -> IntegratedDiffusion:
     noise spectra.
     """
     dsym = diffusion_set(mp.atom).dsym
-    fwd = _z_integrated(mp, omega, dsym)
-    rev = _z_integrated(mp, -omega, dsym)
+    fwd, rev = _z_integrated(mp, np.array([omega, -omega]), dsym)
     return IntegratedDiffusion(
         d_aa=_cast_real(fwd[0, 0], "d_aa"),
         d_aa_rev=_cast_real(rev[0, 0], "d_aa_rev"),
@@ -177,6 +188,7 @@ def commutator_defect(mp: MediumParams, omega: float) -> float:
                       "commutator_defect")
 
 
+@functools.lru_cache(maxsize=256)
 def calibrate_langevin_scale(mp: MediumParams,
                              omega_ref: float = DEFAULT_CALIBRATION_FREQ) -> float:
     """Positive scale restoring the canonical commutator at omega_ref.
@@ -184,6 +196,7 @@ def calibrate_langevin_scale(mp: MediumParams,
     Solves |A|^2 - |B|^2 + s * (d1 - d2 coefficient) = 1 at the reference
     frequency.  Returns 1 when the identity already holds and the Langevin
     term vanishes (zero optical depth, or a synthetic pure-gain medium).
+    Results (not errors) are cached per (medium, omega_ref).
     """
     abcd = expm(generator(mp, omega_ref))
     deficit = 1.0 - (abs(abcd[0, 0])**2 - abs(abcd[0, 1])**2)

@@ -122,14 +122,15 @@ def evaluate(mp: MediumParams, omega: float, *, langevin: bool = True,
              exponent=None) -> Observables:
     """All observables of the medium at analysis frequency omega.
 
-    ``exponent(mp, omega)`` is the 2x2 propagation exponent; None selects
-    the cold-atom ``generator`` (looked up at call time).  It is
-    exponentiated at 0, +omega and -omega before the diffusion is
-    integrated.  Without ``langevin`` the diffusion terms are zero.
+    ``exponent(mp, omegas)`` stacks the 2x2 propagation exponents of an
+    array of frequencies; None selects the cold-atom ``generator`` (looked
+    up at call time).  It is called once for (0, +omega, -omega), and each
+    is exponentiated before the diffusion is integrated.  Without
+    ``langevin`` the diffusion terms are zero.
     """
     if exponent is None:
         exponent = generator
-    abcds = [expm(exponent(mp, w)) for w in (0.0, omega, -omega)]
+    abcds = [expm(g) for g in exponent(mp, np.array([0.0, omega, -omega]))]
     diff = integrated_diffusion(mp, omega) if langevin else IntegratedDiffusion.zero()
     return observables(*abcds, diff)
 

@@ -2,10 +2,11 @@
 
 The cold-atom propagation generator is averaged over the Maxwell-Boltzmann
 velocity distribution by shifting the one-photon detuning per velocity
-class, delta1 -> delta1 + k*v.  The distribution is symmetric, so the sign
-of the shift is immaterial.  Langevin diffusion is not velocity averaged
-(the coefficients change very little); cold-atom diffusion is reused with
-the averaged transfer.
+class, delta1 -> delta1 + k*v, in one stacked generator call over all
+nodes.  The distribution is symmetric, so the sign of the shift is
+immaterial.  Langevin diffusion is not velocity averaged (the coefficients
+change very little); cold-atom diffusion is reused with the averaged
+transfer.
 """
 
 import warnings
@@ -40,12 +41,12 @@ class VaporParams:
     cross_section: float   # m^2
 
     def __post_init__(self):
-        if not self.temperature > 0:
-            raise DomainError(f"VaporParams: temperature must be > 0, got {self.temperature}")
+        for name in ("temperature", "atomic_mass", "wavelength", "cell_length", "cross_section"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise DomainError(f"VaporParams: {name} must be finite and > 0, got {value}")
         if not (self.pump_waist > self.probe_waist > 0):
             raise DomainError("VaporParams: need pump_waist > probe_waist > 0")
-        if not self.cell_length > 0:
-            raise DomainError(f"VaporParams: cell_length must be > 0, got {self.cell_length}")
 
     @classmethod
     def rb85_d1(cls, temperature_c: float = 120.0, pump_waist: float = 600e-6,
@@ -82,30 +83,29 @@ def doppler_width(vp: VaporParams) -> float:
     return (TWO_PI / vp.wavelength) * velocity_sigma(vp) * 1e-6
 
 
-def doppler_generator(mp: MediumParams, vp: VaporParams, omega: float,
+def doppler_generator(mp: MediumParams, vp: VaporParams, omega,
                       order: int = DEFAULT_VELOCITY_ORDER) -> np.ndarray:
-    """Velocity-averaged propagation exponent.
+    """Velocity-averaged propagation exponent, stacked over omega.shape.
 
     Gauss-Hermite average of the cold generator with the detuning shifted
     by k*v per node.  Any node sitting on a Raman pole aborts the average;
-    the error lists the offending velocities.
+    the error lists the offending velocities at the first such omega.
     """
     if order < 16:
         raise ConfigurationError(f"doppler_generator: order must be >= 16, got {order}")
     k = TWO_PI / vp.wavelength
     velocities, weights = gauss_hermite_nodes(order, velocity_sigma(vp))
-    acc = np.zeros((2, 2), dtype=complex)
-    bad = []
-    for v, w in zip(velocities, weights):
-        shifted = mp.with_atom(delta1=mp.atom.delta1 + k * v * 1e-6)
-        try:
-            acc += w * generator(shifted, omega)
-        except PoleError:
-            bad.append(v)
-    if bad:
+    try:
+        gens = generator(mp, omega, k * velocities * 1e-6)
+    except PoleError as exc:
         raise PoleError(
-            f"doppler_generator: {len(bad)} velocity nodes on resonance at "
-            f"omega = {omega:.6g}", omega=omega, velocities=bad)
+            f"doppler_generator: {len(exc.nodes)} velocity nodes on resonance at "
+            f"omega = {exc.omega:.6g}", omega=exc.omega,
+            velocities=list(velocities[exc.nodes])) from exc
+    # node by node, in node order: a vectorised sum may round differently
+    acc = np.zeros(gens.shape[:-3] + (2, 2), dtype=complex)
+    for j, w in enumerate(weights):
+        acc += w * gens[..., j, :, :]
     return acc
 
 
@@ -132,15 +132,13 @@ def slice_consistency(mp: MediumParams, vp: VaporParams, omega: float,
     rng = np.random.default_rng(seed)
     k = TWO_PI / vp.wavelength
     velocities = rng.normal(0.0, velocity_sigma(vp), n_slices)
-    exponents = []
-    for v in velocities:
-        shifted = mp.with_atom(delta1=mp.atom.delta1 + k * v * 1e-6)
-        exponents.append(generator(shifted, omega) / n_slices)
+    exponents = generator(mp, omega, k * velocities * 1e-6) / n_slices
+    slabs = [expm(e) for e in exponents]
 
     def ordered_product(idx):
         acc = np.eye(2, dtype=complex)
         for i in idx:
-            acc = expm(exponents[i]) @ acc
+            acc = slabs[i] @ acc
         return acc
 
     product = ordered_product(range(n_slices))

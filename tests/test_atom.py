@@ -1,5 +1,7 @@
 """Atom-model tests: drift matrix, steady state, coherence system, diffusion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -8,7 +10,7 @@ from fourwave.atom import (AtomParams, build_coherence_system, build_drift_m0,
                            decay_rates, diffusion_set, drift_source,
                            preparation_probability, slowest_relaxation,
                            steady_state)
-from fourwave.errors import DomainError
+from fourwave.errors import DegenerateModelError, DomainError
 from fourwave.units import TWO_PI
 
 
@@ -128,6 +130,48 @@ class TestCoherenceSystem:
         p = atom(gamma_e=1.0)
         _, _, t = build_coherence_system(p, steady_state(p), 0.0)
         assert np.array_equal(t, [[1, 0, 0, 0], [0, -1, 0, 0]])
+
+
+class TestStackedSteadyState:
+    # numpy floats, like the velocity nodes of a Doppler average: the
+    # per-node calls then run the same numpy arithmetic as the stack
+    SHIFTS = np.linspace(-3000.0, 3000.0, 4001)
+    P = AtomParams.from_mhz(5.75, 1.0, 3036.0, 800.0, 4.0, 330.0)
+
+    def test_stack_equals_per_node_states(self):
+        ss = steady_state(self.P, self.SHIFTS)
+        for j, s in enumerate(self.SHIFTS):
+            one = steady_state(dataclasses.replace(self.P, delta1=self.P.delta1 + s))
+            for stacked, single in zip(ss.pops + ss.coh, one.pops + one.coh):
+                assert stacked[j] == single
+
+    def test_coherence_system_stacks_frequency_then_shift(self):
+        shifts = self.SHIFTS[::1000]
+        omegas = np.array([0.0, 1.5, -1.5])
+        ss = steady_state(self.P, shifts)
+        m1p, s1, _ = build_coherence_system(self.P, ss, omegas, shifts)
+        m0 = build_drift_m0(self.P, shifts)
+        assert m1p.shape == (3, 5, 4, 4) and s1.shape == (5, 4, 2)
+        for j, s in enumerate(shifts):
+            p = dataclasses.replace(self.P, delta1=self.P.delta1 + s)
+            assert np.array_equal(m0[j], build_drift_m0(p))
+            for i, w in enumerate(omegas):
+                one, s1_one, _ = build_coherence_system(p, steady_state(p), w)
+                assert np.array_equal(m1p[i, j], one)
+                assert np.array_equal(s1[j], s1_one)
+
+    def test_residual_checked_on_every_node(self, monkeypatch):
+        import fourwave.atom as atom_mod
+        exact = atom_mod.build_drift_m0
+
+        def broken_on_last_node(p, detuning_shift=0.0):
+            m0 = exact(p, detuning_shift).copy()
+            m0[..., -1, 0, 0] += 1.0
+            return m0
+
+        monkeypatch.setattr(atom_mod, "build_drift_m0", broken_on_last_node)
+        with pytest.raises(DegenerateModelError):
+            steady_state(self.P, self.SHIFTS[:3])
 
 
 class TestDiffusionSet:

@@ -205,12 +205,16 @@ class TestValidation:
         ("vapor", (("probe_waist_um = 300", "probe_waist_um = 900"),), True),
         ("vapor", (("axis = delta2_mhz", "axis = temperature_c"),
                    ("start = -100", "start = -300")), True),
+        ("vapor", (("atomic_mass_u = 85", "atomic_mass_u = nan"),), True),
+        ("vapor", (("wavelength_nm = 795", "wavelength_nm = 0"),), True),
         ("eit", (), False),
         ("eit", (("rabi_c_mhz = 5.75", "rabi_c_mhz = -1"),), True),
+        ("eit", (("gamma_g_mhz = 0", "gamma_g_mhz = nan"),), True),
     ), ids=("cold", "negative-rabi", "zero-linewidth", "nan-depth",
             "negative-depth", "rabi-sweep-from-negative", "vapor",
             "probe-wider-than-pump", "temperature-sweep-below-zero-kelvin",
-            "eit", "eit-negative-control"))
+            "nan-atomic-mass", "zero-wavelength",
+            "eit", "eit-negative-control", "eit-nan-ground-decay"))
     def test_validate_rejects_exactly_what_run_rejects(self, tmp_path, model,
                                                        edits, rejected):
         out = tmp_path / "o.csv"

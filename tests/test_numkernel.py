@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import solve_ivp
 
 from fourwave.errors import ConfigurationError, DimensionError
@@ -140,3 +141,11 @@ class TestGaussHermite:
         assert np.allclose(v, -v[::-1])
         assert np.allclose(w, w[::-1])
         assert w.sum() == pytest.approx(1.0, abs=1e-15)
+
+    def test_unit_nodes_computed_once_per_order(self):
+        x, w = hermegauss(40)
+        x1, w1 = gauss_hermite_nodes(40, 1.0)
+        x2, w2 = gauss_hermite_nodes(40, 2.5)
+        assert w2 is w1 and not w1.flags.writeable
+        assert np.array_equal(w1, w / w.sum())
+        assert np.array_equal(x2, 2.5 * x)

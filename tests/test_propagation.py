@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from fourwave.atom import AtomParams
+from fourwave.errors import PoleError
 from fourwave.propagation import (MediumParams, calibrate_langevin_scale,
                                   calibrated, commutator_defect, gains,
                                   generator, integrated_diffusion)
-from fourwave.numkernel import expm
+from fourwave.numkernel import expm, gauss_hermite_nodes
 from fourwave.units import TWO_PI
+from fourwave.vapor import VaporParams, velocity_sigma
 
 
 def medium(gamma_e_mhz=5.75, gamma_g_mhz=0.01, omega0_mhz=3036.0,
@@ -56,6 +58,43 @@ class TestGenerator:
             absorption.append(-g[0, 0].real)
         peak = deltas[int(np.argmax(absorption))]
         assert 1000.0 < peak < 1150.0
+
+
+# The [atom]/[medium] point of configs/vapor_gain_scan.ini.
+VAPOR_POINT = dict(gamma_g_mhz=1.0, rabi_mhz=330.0, delta1_mhz=800.0,
+                   delta2_mhz=4.0, optical_depth=4500.0)
+
+
+def doppler_shifts(order=40):
+    """The delta1 shifts k*v of a hot-rubidium Doppler average, rad/us."""
+    vp = VaporParams.rb85_d1(temperature_c=120.0)
+    velocities, _ = gauss_hermite_nodes(order, velocity_sigma(vp))
+    return TWO_PI / vp.wavelength * velocities * 1e-6
+
+
+class TestStackedGenerator:
+    @pytest.mark.parametrize("point", (VAPOR_POINT, FIG2), ids=("vapor", "fig2"))
+    def test_stack_equals_per_point_calls(self, point):
+        mp = medium(**point)
+        w = TWO_PI * 1.0
+        omegas = np.array([0.0, w, -w, TWO_PI * 3.7])
+        shifts = doppler_shifts()
+        stacked, unshifted = generator(mp, omegas, shifts), generator(mp, omegas)
+        assert stacked.shape == (4, 40, 2, 2)
+        for i, omega in enumerate(omegas):
+            assert np.array_equal(unshifted[i], generator(mp, omega))
+            for j, s in enumerate(shifts):
+                single = generator(mp.with_atom(delta1=mp.atom.delta1 + s), omega)
+                assert np.array_equal(stacked[i, j], single)
+
+    def test_pole_names_first_pole_frequency_and_its_nodes(self):
+        # no pump, no ground decay: every node is singular at omega = delta2
+        mp = medium(rabi_mhz=0.0, gamma_g_mhz=0.0, delta2_mhz=2.0)
+        d2 = mp.atom.delta2
+        with pytest.raises(PoleError) as err:
+            generator(mp, np.array([0.0, -d2, d2, d2]), np.array([0.0, 1.0, 2.0]))
+        assert err.value.omega == d2
+        assert err.value.nodes == [0, 1, 2]
 
 
 class TestTransfer:
@@ -184,3 +223,20 @@ class TestCalibration:
 
     def test_scale_positive(self):
         assert calibrate_langevin_scale(medium(**FIG2)) > 0
+
+    def test_equal_medium_is_served_from_the_cache(self):
+        calibrate_langevin_scale.cache_clear()
+        first = calibrate_langevin_scale(medium(**FIG2))
+        second = calibrate_langevin_scale(medium(**FIG2))
+        info = calibrate_langevin_scale.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert second == first
+
+    def test_errors_are_not_cached(self):
+        calibrate_langevin_scale.cache_clear()
+        # pole at omega = delta2 = the 1 MHz reference frequency
+        mp = medium(rabi_mhz=0.0, gamma_g_mhz=0.0, delta2_mhz=1.0)
+        for _ in range(2):
+            with pytest.raises(PoleError):
+                calibrate_langevin_scale(mp)
+        assert calibrate_langevin_scale.cache_info().currsize == 0

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fourwave.atom import AtomParams
-from fourwave.errors import DomainError, NormalizationError
-from fourwave.propagation import IntegratedDiffusion, MediumParams, calibrated
+from fourwave.errors import DomainError, NormalizationError, PoleError
+from fourwave.propagation import (IntegratedDiffusion, MediumParams, calibrated,
+                                  generator)
 from fourwave.spectra import (NOISE_FIELDS, NoiseSpectrum, compute_spectrum,
                               evaluate, intensity_difference_noise_parts,
                               observables, probe_intensity_noise_parts,
@@ -91,6 +92,35 @@ class TestMicroscopicSpectra:
         assert obs.S_Nminus < 1.0
         assert obs.S_phiplus < 1.0
         assert obs.inseparability < 1.0
+
+
+class TestEvaluatePoles:
+    # no pump, no ground decay: the only pole is at omega = delta2
+    @pytest.mark.parametrize("delta2_mhz, omega_mhz, pole_mhz", (
+        (0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 1.0), (1.0, -1.0, 1.0)),
+        ids=("all-three", "zero", "plus-omega", "minus-omega"))
+    def test_reports_the_pole_frequency(self, delta2_mhz, omega_mhz, pole_mhz):
+        mp = medium(rabi_mhz=0.0, gamma_g_mhz=0.0, delta2_mhz=delta2_mhz)
+        with pytest.raises(PoleError) as err:
+            evaluate(mp, TWO_PI * omega_mhz)
+        assert err.value.omega == TWO_PI * pole_mhz
+
+    def test_exponents_at_all_three_frequencies_precede_any_exponential(self):
+        # expm of the exponent at 0 would fail (norm beyond 2^64 squarings);
+        # the pole at +omega is reported first
+        mp = medium(rabi_mhz=0.0, gamma_g_mhz=0.0, delta2_mhz=1.0,
+                    optical_depth=1e30)
+        seen = []
+
+        def exponent(m, omegas):
+            seen.append(omegas)
+            return generator(m, omegas)
+
+        with pytest.raises(PoleError) as err:
+            evaluate(mp, TWO_PI * 1.0, exponent=exponent)
+        assert err.value.omega == TWO_PI * 1.0
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], [0.0, TWO_PI * 1.0, -TWO_PI * 1.0])
 
 
 class TestHelpers:

@@ -6,8 +6,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from fourwave.atom import AtomParams
-from fourwave.errors import ConfigurationError, DomainError, RangeWarning
-from fourwave.numkernel import expm
+from fourwave.errors import ConfigurationError, DomainError, PoleError, RangeWarning
+from fourwave.numkernel import expm, gauss_hermite_nodes
 from fourwave.propagation import MediumParams, generator
 from fourwave.vapor import (VaporParams, doppler_absorption, doppler_generator,
                             doppler_width, maxwell_pdf,
@@ -88,6 +88,24 @@ class TestDopplerAveraging:
         cold = gains_of(generator(mp, 0.0))
         hot = gains_of(doppler_generator(mp, VP, 0.0))
         assert abs(hot - cold) / cold < 0.05
+
+    def test_frequency_stack_equals_scalar_calls(self):
+        mp = hot_medium()
+        w = TWO_PI * 1.0
+        omegas = np.array([0.0, w, -w])
+        stacked = doppler_generator(mp, VP, omegas)
+        assert stacked.shape == (3, 2, 2)
+        for i, omega in enumerate(omegas):
+            assert np.array_equal(stacked[i], doppler_generator(mp, VP, omega))
+
+    def test_pole_on_every_node_reports_all_velocities(self):
+        # no pump, no ground decay: each node is singular at omega = delta2 = 0
+        mp = hot_medium(rabi_mhz=0.0, gamma_g_mhz=0.0, delta2_mhz=0.0)
+        velocities, _ = gauss_hermite_nodes(40, velocity_sigma(VP))
+        with pytest.raises(PoleError) as err:
+            doppler_generator(mp, VP, 0.0)
+        assert err.value.omega == 0.0
+        assert np.array_equal(err.value.velocities, velocities)
 
     def test_minimum_order_enforced(self):
         with pytest.raises(ConfigurationError):
