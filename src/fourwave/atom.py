@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModelError, DomainError
-from .numkernel import eigvals
 from .units import mhz_to_rad_us
 
 # Decay directions with rates below this fraction of the fastest rate are
@@ -235,7 +234,7 @@ def diffusion_set(p: AtomParams) -> DiffusionSet:
 
 def decay_rates(p: AtomParams) -> np.ndarray:
     """Decay rates of the drift dynamics (Im of the M0 eigenvalues), sorted."""
-    return np.sort(np.imag(eigvals(build_drift_m0(p))))
+    return np.sort(np.imag(np.linalg.eigvals(build_drift_m0(p))))
 
 
 def slowest_relaxation(p: AtomParams) -> float:

@@ -132,23 +132,22 @@ def gains(mp: MediumParams) -> MeanFieldOut:
 
 
 def _z_integrated(mp, omega, dmat):
-    """int_0^1 e^{-Gz} K D K^+ e^{-G^+ z} dz, scaled; 2x2 per omega.
+    """(int_0^1 e^{-Gz} K D K^+ e^{-G^+ z} dz scaled, G); 2x2 per omega.
 
-    This is the propagated second moment of the delta-correlated coherence
-    noise; with a Hermitian positive semidefinite D its diagonal is real
-    and nonnegative.  The integral is exact: for C = [[-G, Q], [0, G^+]]
+    The integral is the propagated second moment of the delta-correlated
+    coherence noise; with a Hermitian positive semidefinite D its diagonal
+    is real and nonnegative.  It is exact: for C = [[-G, Q], [0, G^+]]
     with Q = K D K^+, expm(C) = [[e^{-G}, F12], [0, e^{G^+}]] where
     F12 = int_0^1 e^{-G(1-s)} Q e^{G^+ s} ds, so F12 e^{-G^+} is the
-    integral (Van Loan 1978).  Stacked over the shape of omega.
+    integral (Van Loan 1978).  The blocks C of all omegas make one stacked
+    exponential; G is returned so the transfer needs no second kernel solve.
     """
     prefactor, kernel, s1 = _coherence_kernel(mp, omega)
     gens = 1j * prefactor * (kernel @ s1)
     qs = kernel @ dmat @ np.swapaxes(kernel.conj(), -1, -2)
-    value = np.empty(gens.shape, dtype=complex)
-    for idx in np.ndindex(gens.shape[:-2]):
-        f = expm(np.block([[-gens[idx], qs[idx]], [np.zeros((2, 2)), gens[idx].conj().T]]))
-        value[idx] = f[:2, 2:] @ f[:2, :2].conj().T
-    return mp.langevin_scale * prefactor * value
+    f = expm(np.block([[-gens, qs], [np.zeros_like(gens), np.swapaxes(gens.conj(), -1, -2)]]))
+    value = f[..., :2, 2:] @ np.swapaxes(f[..., :2, :2].conj(), -1, -2)
+    return mp.langevin_scale * prefactor * value, gens
 
 
 def _cast_real(value: complex, who: str) -> float:
@@ -167,7 +166,7 @@ def integrated_diffusion(mp: MediumParams, omega: float) -> IntegratedDiffusion:
     noise spectra.
     """
     dsym = diffusion_set(mp.atom).dsym
-    fwd, rev = _z_integrated(mp, np.array([omega, -omega]), dsym)
+    (fwd, rev), _ = _z_integrated(mp, np.array([omega, -omega]), dsym)
     return IntegratedDiffusion(
         d_aa=_cast_real(fwd[0, 0], "d_aa"),
         d_aa_rev=_cast_real(rev[0, 0], "d_aa_rev"),
@@ -184,7 +183,7 @@ def commutator_defect(mp: MediumParams, omega: float) -> float:
     |A(omega)|^2 - |B(omega)|^2 + commutator_defect(omega) = 1.
     """
     ds = diffusion_set(mp.atom)
-    return _cast_real(_z_integrated(mp, omega, ds.d1 - ds.d2)[0, 0],
+    return _cast_real(_z_integrated(mp, omega, ds.d1 - ds.d2)[0][0, 0],
                       "commutator_defect")
 
 
@@ -196,11 +195,14 @@ def calibrate_langevin_scale(mp: MediumParams,
     Solves |A|^2 - |B|^2 + s * (d1 - d2 coefficient) = 1 at the reference
     frequency.  Returns 1 when the identity already holds and the Langevin
     term vanishes (zero optical depth, or a synthetic pure-gain medium).
-    Results (not errors) are cached per (medium, omega_ref).
+    Results (not errors) are cached per (medium, omega_ref).  The
+    transfer comes from the exponent the diffusion integral already forms.
     """
-    abcd = expm(generator(mp, omega_ref))
+    ds = diffusion_set(mp.atom)
+    x, gen = _z_integrated(mp.with_scale(1.0), omega_ref, ds.d1 - ds.d2)
+    abcd = expm(gen)
     deficit = 1.0 - (abs(abcd[0, 0])**2 - abs(abcd[0, 1])**2)
-    raw = commutator_defect(mp.with_scale(1.0), omega_ref)
+    raw = _cast_real(x[0, 0], "commutator_defect")
     if abs(raw) < 1e-14:
         if abs(deficit) > 1e-9:
             raise CalibrationError(

@@ -124,13 +124,13 @@ def evaluate(mp: MediumParams, omega: float, *, langevin: bool = True,
 
     ``exponent(mp, omegas)`` stacks the 2x2 propagation exponents of an
     array of frequencies; None selects the cold-atom ``generator`` (looked
-    up at call time).  It is called once for (0, +omega, -omega), and each
-    is exponentiated before the diffusion is integrated.  Without
-    ``langevin`` the diffusion terms are zero.
+    up at call time).  It is called once for (0, +omega, -omega), and the
+    stack is exponentiated in one call before the diffusion is integrated.
+    Without ``langevin`` the diffusion terms are zero.
     """
     if exponent is None:
         exponent = generator
-    abcds = [expm(g) for g in exponent(mp, np.array([0.0, omega, -omega]))]
+    abcds = expm(exponent(mp, np.array([0.0, omega, -omega])))
     diff = integrated_diffusion(mp, omega) if langevin else IntegratedDiffusion.zero()
     return observables(*abcds, diff)
 

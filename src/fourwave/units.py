@@ -32,9 +32,5 @@ def mhz_to_rad_us(f_mhz: float) -> float:
     return TWO_PI * f_mhz
 
 
-def rad_us_to_mhz(w: float) -> float:
-    return w / TWO_PI
-
-
 def celsius_to_kelvin(t_c: float) -> float:
     return t_c + 273.15

@@ -133,7 +133,7 @@ def slice_consistency(mp: MediumParams, vp: VaporParams, omega: float,
     k = TWO_PI / vp.wavelength
     velocities = rng.normal(0.0, velocity_sigma(vp), n_slices)
     exponents = generator(mp, omega, k * velocities * 1e-6) / n_slices
-    slabs = [expm(e) for e in exponents]
+    slabs = expm(exponents)
 
     def ordered_product(idx):
         acc = np.eye(2, dtype=complex)

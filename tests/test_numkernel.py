@@ -1,4 +1,8 @@
-"""Kernel tests: matrix exponential, eigenvalues, Gauss-Hermite quadrature."""
+"""Kernel tests: matrix exponential, Gauss-Hermite quadrature."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,8 +11,8 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import solve_ivp
 
-from fourwave.errors import ConfigurationError, DimensionError
-from fourwave.numkernel import eigvals, expm, gauss_hermite_nodes
+from fourwave.errors import ConfigurationError, DimensionError, NumericError
+from fourwave.numkernel import expm, gauss_hermite_nodes
 
 
 def _random_complex(rng, shape, scale=1.0):
@@ -58,7 +62,6 @@ class TestExpm:
             expm(np.zeros((2, 3)))
 
     def test_overflow_and_nonfinite_rejected(self):
-        from fourwave.errors import NumericError
         with pytest.raises(NumericError):
             expm(1e21 * np.eye(2))
         with pytest.raises(NumericError):
@@ -95,25 +98,56 @@ class TestExpm:
         assert np.allclose(expm(m), scipy.linalg.expm(m), rtol=1e-11, atol=1e-11)
 
 
-class TestEigvals:
-    def test_diagonal(self):
-        vals = eigvals(np.diag([1.0, 2.0j]))
-        assert sorted(vals, key=abs) == pytest.approx([1.0, 2.0j])
+class TestStackedExpm:
+    @staticmethod
+    def _mixed_norm_stack(rng, n):
+        # 1-norms from 1e-4 to 20 straddle the Pade threshold (about 5.4),
+        # so members need 0, 1 or 2 squarings; member 5 is zero
+        norms = np.geomspace(1e-4, 20.0, 12)
+        stack = _random_complex(rng, (12, n, n))
+        stack *= (norms / np.linalg.norm(stack, 1, axis=(-2, -1)))[:, None, None]
+        stack[5] = 0.0
+        return stack
 
-    def test_rotation_generator(self):
-        vals = sorted(eigvals(np.array([[0, 1], [-1, 0]])), key=lambda z: z.imag)
-        assert vals == pytest.approx([-1j, 1j])
+    @pytest.mark.parametrize("n", (2, 4))
+    def test_each_member_equals_its_own_exponential(self, n):
+        stack = self._mixed_norm_stack(np.random.default_rng(n), n)
+        out = expm(stack)
+        assert out.shape == stack.shape
+        for member, value in zip(stack, out):
+            assert np.array_equal(value, expm(member))
+        assert np.array_equal(out[5], np.eye(n))
 
-    def test_product_equals_det(self):
-        rng = np.random.default_rng(5)
-        m = _random_complex(rng, (5, 5))
-        prod = np.prod(eigvals(m))
-        det = np.linalg.det(m)
-        assert abs(prod - det) <= 1e-8 * abs(det)
+    def test_leading_axes_are_kept(self):
+        stack = self._mixed_norm_stack(np.random.default_rng(9), 2).reshape(3, 4, 2, 2)
+        out = expm(stack)
+        assert out.shape == (3, 4, 2, 2)
+        assert all(np.array_equal(out[i, j], expm(stack[i, j]))
+                   for i in range(3) for j in range(4))
 
-    def test_non_square_raises(self):
+    def test_nan_in_one_member_raises(self):
+        stack = self._mixed_norm_stack(np.random.default_rng(1), 2)
+        stack[7, 1, 0] = np.nan
+        with pytest.raises(NumericError):
+            expm(stack)
+
+    def test_one_dimensional_input_raises(self):
         with pytest.raises(DimensionError):
-            eigvals(np.zeros((3, 2)))
+            expm(np.zeros(4))
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only: importing scipy.linalg would add
+    # 0.3 to 0.6 s to the start-up of every run
+    import fourwave
+    src = os.path.dirname(os.path.dirname(fourwave.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, fourwave; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestGaussHermite:
