@@ -44,10 +44,9 @@ class AtomParams:
     rabi: float      # pump Rabi frequency
 
     def __post_init__(self):
-        vals = (self.gamma_e, self.gamma_g, self.omega0,
-                self.delta1, self.delta2, self.rabi)
-        if not all(np.isfinite(v) for v in vals):
-            raise DomainError("AtomParams: all parameters must be finite")
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise DomainError(f"AtomParams: {name} must be finite, got {value}")
         if not self.gamma_e > 0:
             raise DomainError(f"AtomParams: gamma_e must be > 0, got {self.gamma_e}")
         if self.gamma_g < 0:

@@ -106,15 +106,9 @@ def _reference_row(cfg: RunConfig, axis: str, value: float) -> dict:
             big = math.radians(float(cfg.reference.get("big_theta_deg", "90")))
             return {"sweep_value": value, "psa_gain": refmod.psa_gain(gain, theta),
                     "S_N": refmod.psa_noise(gain, theta, big), "flag": ""}
-        params = {
-            "slice_gain": float(cfg.reference["slice_gain"]),
-            "slice_transmission": float(cfg.reference["slice_transmission"]),
-            "n_slices": int(float(cfg.reference["n_slices"])),
-        }
-        if axis == "n_slices":
-            params["n_slices"] = int(value)
-        elif axis in params:
-            params[axis] = value
+        params = {key: float(value if key == axis else cfg.reference[key])
+                  for key in ("slice_gain", "slice_transmission", "n_slices")}
+        params["n_slices"] = int(params["n_slices"])
         ga, gb, snm = refmod.sliced_amp_loss(refmod.SliceChainParams(**params))
         return {"sweep_value": value, "Ga": ga, "Gb": gb, "S_Nminus": snm, "flag": ""}
     except FourwaveError as exc:
@@ -132,10 +126,8 @@ def run(cfg: RunConfig, with_db: bool = False) -> int:
         for d in problems:
             print(f"config error at {d}", file=sys.stderr)
         return 2
-    values = _sweep_values(cfg)
-    builder = _ROW_BUILDERS[cfg.model]
     axis = cfg.sweep_axis
-    rows = [builder(cfg, axis, v) for v in values]
+    rows = [_ROW_BUILDERS[cfg.model](cfg, axis, v) for v in _sweep_values(cfg)]
 
     columns = _columns(cfg.model, cfg.reference.get("kind", ""))
     if with_db:

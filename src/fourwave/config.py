@@ -45,6 +45,7 @@ here), temperatures in Celsius, lengths in the units their key names say.
 """
 
 import configparser
+import re
 from dataclasses import dataclass, field, replace
 
 from .units import (ATOMIC_MASS_KG, celsius_to_kelvin, mhz_to_rad_us)
@@ -52,6 +53,8 @@ from .units import (ATOMIC_MASS_KG, celsius_to_kelvin, mhz_to_rad_us)
 MODELS = ("cold", "vapor", "eit", "reference")
 FORMATS = ("csv", "json")
 REFERENCE_KINDS = ("pia", "psa", "chain")
+_REFERENCE_KEYS = {"pia": ("gain",), "psa": ("gain",),
+                   "chain": ("slice_gain", "slice_transmission", "n_slices")}
 
 SWEEP_AXES = {
     "cold": ("delta1_mhz", "delta2_mhz", "rabi_mhz", "optical_depth", "omega_mhz"),
@@ -181,23 +184,16 @@ def validate(cfg: RunConfig) -> list[Diagnostic]:
 
     for section in _BLOCKS.get(cfg.model, ()):
         _require_floats(diags, getattr(cfg, section), _REQUIRED[section], section)
+    axes = SWEEP_AXES[cfg.model]
     if cfg.model == "reference":
         kind = cfg.reference.get("kind", "")
         if kind not in REFERENCE_KINDS:
             diags.append(Diagnostic("reference.kind",
                                     f"must be one of {REFERENCE_KINDS}, got {kind!r}"))
-        elif kind in ("pia", "psa"):
-            _require_floats(diags, cfg.reference, ("gain",), "reference")
-        elif kind == "chain":
-            _require_floats(diags, cfg.reference,
-                            ("slice_gain", "slice_transmission", "n_slices"), "reference")
+        else:       # the keys a kind reads are the axes it may sweep
+            axes = _REFERENCE_KEYS[kind]
+            _require_floats(diags, cfg.reference, axes, "reference")
 
-    axes = SWEEP_AXES[cfg.model]
-    if cfg.model == "reference":
-        kind = cfg.reference.get("kind", "")
-        axes = {"pia": ("gain",), "psa": ("gain",),
-                "chain": ("slice_gain", "slice_transmission", "n_slices")}.get(
-                    kind, axes)
     if not cfg.sweep_axis:
         diags.append(Diagnostic("sweep.axis", "missing sweep axis"))
     elif cfg.sweep_axis not in axes:
@@ -219,8 +215,7 @@ def _parameter_diagnostics(cfg: RunConfig) -> list[Diagnostic]:
     """The first domain error of the parameter objects run() builds.
 
     They are built at both sweep endpoints: sweeps are linear and every
-    parameter constraint is an interval, so the endpoints decide.  The
-    problem is reported under the block it was read from.
+    parameter constraint is an interval, so the endpoints decide.
     """
     from .errors import DomainError
     builders = {"atom": atom_params_from, "medium": medium_params_from,
@@ -233,10 +228,23 @@ def _parameter_diagnostics(cfg: RunConfig) -> list[Diagnostic]:
             try:
                 builders[section](point)
             except DomainError as exc:
-                at = f" (at {cfg.sweep_axis} = {value:g})" \
-                    if cfg.sweep_axis in getattr(cfg, section) else ""
-                return [Diagnostic(section, f"{exc}{at}")]
+                return [_in_config_terms(cfg, section, value, exc)]
     return []
+
+
+def _in_config_terms(cfg: RunConfig, section: str, value: float, exc) -> Diagnostic:
+    """exc, a "Class: field must ..., got v" DomainError, under the config key
+    of that field with the value as written (a swept key: the sweep endpoint);
+    any other message stays under the block."""
+    block, swept = getattr(cfg, section), cfg.sweep_axis
+    at = f" (at {swept} = {value:g})"
+    rule = re.match(r"\w+: (\w+) (must .*), got ", str(exc))
+    for key in _REQUIRED[section] if rule else ():
+        if re.fullmatch(rf"{rule[1]}(_[^_]+)?", key):
+            must = "must be finite and > -273.15" if key == "temperature_c" else rule[2]
+            written = f"{value:g}{at}" if key == swept else block[key]
+            return Diagnostic(f"{section}.{key}", f"{must}, got {written}")
+    return Diagnostic(section, f"{exc}{at if swept in block else ''}")
 
 
 def at_sweep_value(cfg: RunConfig, value: float) -> RunConfig:

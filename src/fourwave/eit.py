@@ -1,6 +1,6 @@
 """Three-level lambda susceptibility and transparency-window analytics."""
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,9 @@ class LambdaParams:
     chi_scale: float = 1.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite(astuple(self))):
-            raise DomainError("LambdaParams: all parameters must be finite")
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise DomainError(f"LambdaParams: {name} must be finite, got {value}")
         if not self.gamma_e > 0:
             raise DomainError(f"LambdaParams: gamma_e must be > 0, got {self.gamma_e}")
         if self.gamma_g < 0:

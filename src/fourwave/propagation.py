@@ -14,7 +14,7 @@ coefficients, each read off one block exponential (Van Loan, IEEE TAC 23
 output field commutator stays canonical (see calibrate_langevin_scale),
 rather than by microscopic coupling-constant bookkeeping.  The generator
 takes arrays of frequencies and delta1 shifts (Doppler velocity nodes) and
-stacks its exponents, from one batched pole test and one batched inverse.
+stacks its exponents, from one batched inverse that also screens for poles.
 """
 
 import dataclasses
@@ -28,8 +28,8 @@ from .errors import CalibrationError, DomainError, NormalizationError, PoleError
 from .numkernel import expm
 from .units import TWO_PI
 
-# A frequency point is flagged as a resonance pole (and excluded from
-# spectra) when the coherence system is this badly conditioned.
+# Resonance pole (row flagged, excluded from spectra): the coherence system's 2-norm
+# condition number exceeds this, checked exactly unless a 1-norm screen rules it out.
 POLE_CONDITION_LIMIT = 1e12
 
 # Relative imaginary residue allowed when casting a diffusion coefficient
@@ -96,31 +96,48 @@ class MeanFieldOut:
     phase_b: float
 
 
-def _coherence_kernel(mp: MediumParams, omega, detuning_shift=0.0):
-    """(generator prefactor), the kernel T M1'(omega)^-1 and S1, stacked.
+def _inverse_and_poles(m):
+    """(m^-1, mask cond(m) > POLE_CONDITION_LIMIT) of a stack; m^-1 is None
+    where inv fails on a pole.  kappa_2 <= n kappa_1 for n x n m, so if every
+    kappa_1 = |m|_1 |m^-1|_1 is within limit / 2n (2 for rounding in m^-1)
+    there is no pole and the SVD of cond is skipped."""
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        if not (poles := np.linalg.cond(m) > POLE_CONDITION_LIMIT).any():
+            raise
+        return None, poles
+    kappa = np.linalg.norm(m, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
+    if np.all(kappa <= POLE_CONDITION_LIMIT / (2 * m.shape[-1])):    # False on a NaN
+        return inv, np.zeros(kappa.shape, dtype=bool)
+    return inv, np.linalg.cond(m) > POLE_CONDITION_LIMIT
 
-    A pole raises PoleError, before any inverse, naming the first omega in
-    stack order that has one and the flat indices of its pole shifts.
+
+def _coherence_kernel(mp: MediumParams, omega, detuning_shift=0.0):
+    """(generator prefactor, the kernel T M1'(omega)^-1, the generator), stacked.
+
+    A pole raises PoleError naming the first omega in stack order that has
+    one and the flat indices of its pole shifts.
     """
     p = mp.atom
     ss = steady_state(p, detuning_shift)
     m1p, s1, t = build_coherence_system(p, ss, omega, detuning_shift)
-    poles = (np.linalg.cond(m1p) > POLE_CONDITION_LIMIT).reshape(np.size(omega), -1)
+    inv, poles = _inverse_and_poles(m1p)
     if poles.any():
+        poles = poles.reshape(np.size(omega), -1)
         first = poles.any(axis=1).argmax()
         at = float(np.ravel(omega)[first])
         raise PoleError(f"coherence system singular at omega = {at:.6g} rad/us",
                         omega=at, nodes=np.flatnonzero(poles[first]).tolist())
-    kernel = t @ np.linalg.inv(m1p)
+    kernel = t @ inv
     prefactor = mp.optical_depth * p.gamma_e / 4.0
-    return prefactor, kernel, s1
+    return prefactor, kernel, 1j * prefactor * (kernel @ s1)
 
 
 def generator(mp: MediumParams, omega, detuning_shift=0.0) -> np.ndarray:
     """Full 2x2 propagation exponent over normalized z in [0, 1] with
     delta1 shifted by ``detuning_shift``, stacked to omega.shape + shift.shape."""
-    prefactor, kernel, s1 = _coherence_kernel(mp, omega, detuning_shift)
-    return 1j * prefactor * (kernel @ s1)
+    return _coherence_kernel(mp, omega, detuning_shift)[2]
 
 
 def gains(mp: MediumParams) -> MeanFieldOut:
@@ -142,8 +159,7 @@ def _z_integrated(mp, omega, dmat):
     integral (Van Loan 1978).  The blocks C of all omegas make one stacked
     exponential; G is returned so the transfer needs no second kernel solve.
     """
-    prefactor, kernel, s1 = _coherence_kernel(mp, omega)
-    gens = 1j * prefactor * (kernel @ s1)
+    prefactor, kernel, gens = _coherence_kernel(mp, omega)
     qs = kernel @ dmat @ np.swapaxes(kernel.conj(), -1, -2)
     f = expm(np.block([[-gens, qs], [np.zeros_like(gens), np.swapaxes(gens.conj(), -1, -2)]]))
     value = f[..., :2, 2:] @ np.swapaxes(f[..., :2, :2].conj(), -1, -2)

@@ -128,9 +128,7 @@ def evaluate(mp: MediumParams, omega: float, *, langevin: bool = True,
     stack is exponentiated in one call before the diffusion is integrated.
     Without ``langevin`` the diffusion terms are zero.
     """
-    if exponent is None:
-        exponent = generator
-    abcds = expm(exponent(mp, np.array([0.0, omega, -omega])))
+    abcds = expm((exponent or generator)(mp, np.array([0.0, omega, -omega])))
     diff = integrated_diffusion(mp, omega) if langevin else IntegratedDiffusion.zero()
     return observables(*abcds, diff)
 

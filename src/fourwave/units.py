@@ -14,7 +14,6 @@ TWO_PI = 2.0 * math.pi
 # SI constants (CODATA 2018)
 KB = 1.380649e-23          # J/K
 ATOMIC_MASS_KG = 1.66053906660e-27
-C_LIGHT = 299792458.0      # m/s
 
 ATM_TO_PA = 101325.0
 ATM_TO_TORR = 760.0
@@ -22,9 +21,6 @@ ATM_TO_TORR = 760.0
 # Rb-85 D1 line, used by convenience constructors only.
 RB85_MASS_KG = 85.0 * ATOMIC_MASS_KG
 RB85_D1_WAVELENGTH_M = 794.979e-9
-RB85_D1_GAMMA_MHZ = 5.75            # natural linewidth Gamma/2pi
-RB85_HYPERFINE_MHZ = 3036.0         # ground-state splitting omega0/2pi
-RB85_D1_CROSS_SECTION_M2 = 1.0e-13  # 1e-9 cm^2
 
 
 def mhz_to_rad_us(f_mhz: float) -> float:

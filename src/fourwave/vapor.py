@@ -102,11 +102,9 @@ def doppler_generator(mp: MediumParams, vp: VaporParams, omega,
             f"doppler_generator: {len(exc.nodes)} velocity nodes on resonance at "
             f"omega = {exc.omega:.6g}", omega=exc.omega,
             velocities=list(velocities[exc.nodes])) from exc
-    # node by node, in node order: a vectorised sum may round differently
-    acc = np.zeros(gens.shape[:-3] + (2, 2), dtype=complex)
-    for j, w in enumerate(weights):
-        acc += w * gens[..., j, :, :]
-    return acc
+    # a running sum adds node by node in node order (a pairwise np.sum may
+    # round differently); + 0.0 turns an all -0.0 sum into the loop's +0.0
+    return np.cumsum(weights[:, None, None] * gens, axis=-3)[..., -1, :, :] + 0.0
 
 
 @dataclass(frozen=True)

@@ -193,6 +193,42 @@ class TestValidation:
         assert main(["run", "--config", str(ini)]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("edits, message", (
+        ((("rabi_mhz = 300", "rabi_mhz = -5"),), "atom.rabi_mhz: must be >= 0, got -5"),
+        ((("gamma_g_mhz = 0.01", "gamma_g_mhz = nan"),),
+         "atom.gamma_g_mhz: must be finite, got nan"),
+        ((("optical_depth = 150", "optical_depth = -1.5"),),
+         "medium.optical_depth: must be finite and >= 0, got -1.5"),
+        ((("axis = delta2_mhz", "axis = rabi_mhz"), ("start = -100", "start = -5")),
+         "atom.rabi_mhz: must be >= 0, got -5 (at rabi_mhz = -5)"),
+        ((("axis = delta2_mhz", "axis = rabi_mhz"), ("start = -100", "start = 10"),
+          ("stop = 100", "stop = -2.5")),
+         "atom.rabi_mhz: must be >= 0, got -2.5 (at rabi_mhz = -2.5)"),
+    ), ids=("negative-rabi", "nan-ground-decay", "negative-depth",
+            "swept-rabi-start", "swept-rabi-stop"))
+    def test_domain_error_names_key_and_value_as_written(self, tmp_path, capsys,
+                                                          edits, message):
+        text = cold_config(tmp_path / "o.csv")
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        assert [str(d) for d in validate(parse_config(text))] == [message]
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(text)
+        assert main(["validate", "--config", str(ini)]) == 2
+        assert capsys.readouterr().out == message + "\n"
+
+    def test_vapor_domain_errors_in_config_units(self, tmp_path):
+        text = vapor_config(tmp_path / "o.csv", count=2, depth=1000)
+        for old, new, message in (
+                ("temperature_c = 120", "temperature_c = -300",
+                 "vapor.temperature_c: must be finite and > -273.15, got -300"),
+                ("wavelength_nm = 795", "wavelength_nm = 0",
+                 "vapor.wavelength_nm: must be finite and > 0, got 0")):
+            assert old in text
+            diags = validate(parse_config(text.replace(old, new)))
+            assert [str(d) for d in diags] == [message]
+
     @pytest.mark.parametrize("model, edits, rejected", (
         ("cold", (), False),
         ("cold", (("rabi_mhz = 300", "rabi_mhz = -5"),), True),

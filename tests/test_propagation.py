@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourwave.atom import AtomParams
 from fourwave.errors import PoleError
-from fourwave.propagation import (MediumParams, calibrate_langevin_scale,
+from fourwave.propagation import (POLE_CONDITION_LIMIT, MediumParams,
+                                  _inverse_and_poles, calibrate_langevin_scale,
                                   calibrated, commutator_defect, gains,
                                   generator, integrated_diffusion)
 from fourwave.numkernel import expm, gauss_hermite_nodes
 from fourwave.units import TWO_PI
-from fourwave.vapor import VaporParams, velocity_sigma
+from fourwave.vapor import VaporParams, doppler_generator, velocity_sigma
 
 
 def medium(gamma_e_mhz=5.75, gamma_g_mhz=0.01, omega0_mhz=3036.0,
@@ -95,6 +98,64 @@ class TestStackedGenerator:
             generator(mp, np.array([0.0, -d2, d2, d2]), np.array([0.0, 1.0, 2.0]))
         assert err.value.omega == d2
         assert err.value.nodes == [0, 1, 2]
+
+
+def conditioned(rng, log10_cond, defect=0):
+    """Random complex 4x4 matrix of 2-norm condition number 10**log10_cond;
+    defect 1 zeroes a row and defect 2 repeats a column (exactly singular)."""
+    def unitary():
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        return q
+    m = (unitary() * np.logspace(0.0, -log10_cond, 4)) @ unitary()
+    if defect == 1:
+        m[2] = 0.0
+    elif defect == 2:
+        m[:, 3] = m[:, 1]
+    return m
+
+
+class TestPoleScreen:
+    # members: (log10 condition number, rank defect, log10 scale); about one
+    # in four is exactly singular
+    @given(seed=st.integers(0, 2**32 - 1),
+           members=st.lists(st.tuples(st.floats(0.0, 20.0),
+                                      st.sampled_from((0,) * 6 + (1, 2)),
+                                      st.floats(-3.0, 3.0)), min_size=1, max_size=6))
+    @settings(max_examples=200)
+    def test_mask_is_the_exact_condition_test(self, seed, members):
+        rng = np.random.default_rng(seed)
+        m = np.stack([10.0**scale * conditioned(rng, log10_cond, defect)
+                      for log10_cond, defect, scale in members])
+        inv, poles = _inverse_and_poles(m)
+        assert np.array_equal(poles, np.linalg.cond(m) > POLE_CONDITION_LIMIT)
+        if not poles.any():
+            assert np.array_equal(inv, np.linalg.inv(m))
+
+    @pytest.mark.parametrize("log10_cond, svd", (
+        (0.0, False), (10.0, False), (11.95, True), (12.05, True), (20.0, True)))
+    def test_svd_runs_only_where_the_screen_cannot_decide(self, monkeypatch,
+                                                          log10_cond, svd):
+        # kappa_2 / 4 <= kappa_1 <= 4 kappa_2 for 4x4: the screen at 1.25e11
+        # always passes kappa_2 = 1e10 and always fails kappa_2 >= 8.9e11
+        calls, exact = [], np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(m) or exact(m))
+        m = np.stack([conditioned(np.random.default_rng(3), 1.0),
+                      conditioned(np.random.default_rng(4), log10_cond)])
+        _, poles = _inverse_and_poles(m)
+        assert bool(calls) == svd
+        assert poles.tolist() == [False, exact(m[1]) > POLE_CONDITION_LIMIT]
+
+    def test_well_conditioned_stacks_never_reach_the_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.cond called on a well-conditioned stack")
+        monkeypatch.setattr(np.linalg, "cond", no_svd)
+        mp = medium(**VAPOR_POINT)
+        w = TWO_PI * 1.0
+        omegas = np.array([0.0, w, -w])
+        assert generator(mp, omegas, doppler_shifts()).shape == (3, 40, 2, 2)
+        vp = VaporParams.rb85_d1(temperature_c=120.0)
+        assert doppler_generator(mp, vp, omegas).shape == (3, 2, 2)
+        assert doppler_generator(mp, vp, w).shape == (2, 2)
 
 
 class TestTransfer:

@@ -1,11 +1,14 @@
 """Hot-vapor tests: velocity averaging, transit time, vapor utilities."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from fourwave.atom import AtomParams
+from fourwave.config import medium_params_from, parse_config, vapor_params_from
 from fourwave.errors import ConfigurationError, DomainError, PoleError, RangeWarning
 from fourwave.numkernel import expm, gauss_hermite_nodes
 from fourwave.propagation import MediumParams, generator
@@ -106,6 +109,27 @@ class TestDopplerAveraging:
             doppler_generator(mp, VP, 0.0)
         assert err.value.omega == 0.0
         assert np.array_equal(err.value.velocities, velocities)
+
+    @pytest.mark.parametrize("order", (16, 40, 64))
+    @pytest.mark.parametrize("pump", ("config", "off"))
+    def test_node_sum_is_the_in_order_running_sum(self, order, pump):
+        # the golden outputs were summed node by node in node order; the
+        # average must match that loop bit for bit, signed zeros included
+        cfg = parse_config((Path(__file__).parents[1] / "configs"
+                            / "vapor_gain_scan.ini").read_text())
+        mp, vp = medium_params_from(cfg), vapor_params_from(cfg)
+        if pump == "off":
+            mp = mp.with_atom(rabi=0.0)
+        velocities, weights = gauss_hermite_nodes(order, velocity_sigma(vp))
+        w = TWO_PI * 1.0
+        for omega in (0.0, w, -w, TWO_PI * 3.7, np.array([0.0, w, -w, TWO_PI * 3.7])):
+            gens = generator(mp, omega, TWO_PI / vp.wavelength * velocities * 1e-6)
+            acc = np.zeros(np.shape(omega) + (2, 2), dtype=complex)
+            for j, wt in enumerate(weights):
+                acc += wt * gens[..., j, :, :]
+            hot = doppler_generator(mp, vp, omega, order)
+            assert np.array_equal(hot, acc)
+            assert hot.tobytes() == acc.tobytes()
 
     def test_minimum_order_enforced(self):
         with pytest.raises(ConfigurationError):
