@@ -26,25 +26,21 @@ def main():
     mp = calibrated(MediumParams(atom=atom, optical_depth=150.0))
 
     freqs = np.linspace(args.fmax_mhz / args.points, args.fmax_mhz, args.points)
-    rows = []
+    # the sweep and, last, the 1 MHz point: one stacked evaluation
+    obs = evaluate(mp, TWO_PI * np.append(freqs, 1.0))
+    rows = list(zip(freqs, obs.S_Nminus, obs.S_phiplus, obs.inseparability))
     crossing = None
-    prev = None
-    for f in freqs:
-        obs = evaluate(mp, TWO_PI * f)
-        insep = obs.inseparability
-        rows.append((f, obs.S_Nminus, obs.S_phiplus, insep))
-        if prev is not None and prev < 1.0 <= insep:
+    for (_, _, _, prev), (f, _, _, insep) in zip(rows, rows[1:]):
+        if prev < 1.0 <= insep:
             crossing = f
-        prev = insep
 
     with open(args.out, "w", newline="") as fh:
         fh.write("freq_mhz,S_Nminus,S_phiplus,inseparability\n")
         for f, snm, sphp, insep in rows:
             fh.write(f"{f:.6g},{snm:.9g},{sphp:.9g},{insep:.9g}\n")
 
-    at1 = evaluate(mp, TWO_PI * 1.0)
-    print(f"at 1 MHz: S_N- = {to_dB(at1.S_Nminus):+.2f} dB, "
-          f"S_phi+ = {to_dB(at1.S_phiplus):+.2f} dB")
+    print(f"at 1 MHz: S_N- = {to_dB(obs.S_Nminus[-1]):+.2f} dB, "
+          f"S_phi+ = {to_dB(obs.S_phiplus[-1]):+.2f} dB")
     if crossing:
         print(f"inseparability crosses 1 near {crossing:.2f} MHz")
     print(f"wrote {args.out}")

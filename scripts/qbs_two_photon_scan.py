@@ -23,14 +23,12 @@ def main():
     ap.add_argument("--points", type=int, default=61)
     args = ap.parse_args()
 
-    w = TWO_PI * 1.0
-    rows = []
-    for d2 in np.linspace(args.start_mhz, args.stop_mhz, args.points):
-        atom = AtomParams.from_mhz(gamma_e=5.75, gamma_g=0.5, omega0=3036.0,
-                                   delta1=1000.0, delta2=d2, rabi=520.0)
-        mp = calibrated(MediumParams(atom=atom, optical_depth=300.0))
-        obs = evaluate(mp, w)
-        rows.append((d2, obs.gain_a, obs.gain_b, obs.S_Nminus))
+    deltas = np.linspace(args.start_mhz, args.stop_mhz, args.points)
+    atom = AtomParams.from_mhz(gamma_e=5.75, gamma_g=0.5, omega0=3036.0,
+                               delta1=1000.0, delta2=deltas, rabi=520.0)
+    mp = calibrated(MediumParams(atom=atom, optical_depth=300.0))   # one medium per delta2
+    obs = evaluate(mp, TWO_PI * 1.0)
+    rows = list(zip(deltas, obs.gain_a, obs.gain_b, obs.S_Nminus))
 
     with open(args.out, "w", newline="") as fh:
         fh.write("delta2_mhz,Ga,Gb,S_Nminus\n")

@@ -12,17 +12,17 @@ Canonical vector layouts used throughout the package:
   with s44 eliminated through the closure s11+s22+s33+s44 = 1;
 * probe/conjugate coherence sector  Sigma1 = (s23, s41, s43, s21).
 
-All rates and detunings are angular frequencies in rad/us.  Steady state,
-drift matrix and coherence system take an optional array ``detuning_shift``
-added to delta1 (Doppler velocity nodes), the coherence system also an
-array of frequencies; outputs stack over both.
+All rates and detunings are angular frequencies in rad/us.  AtomParams
+fields may be arrays; every result is stacked to the broadcast shape of the
+fields it depends on (and of the analysis frequencies), so the steady state
+of a delta2 sweep is computed once.  Velocity nodes go on the last axis.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModelError, DomainError
+from .errors import DegenerateModelError, first, require
 from .units import mhz_to_rad_us
 
 # Decay directions with rates below this fraction of the fastest rate are
@@ -34,7 +34,8 @@ STEADY_STATE_RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class AtomParams:
-    """Microscopic rates and detunings, all in rad/us."""
+    """Microscopic rates and detunings, all in rad/us; floats or arrays that
+    broadcast against each other."""
 
     gamma_e: float   # excited-state linewidth
     gamma_g: float   # ground-coherence decay
@@ -45,14 +46,10 @@ class AtomParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not np.isfinite(value):
-                raise DomainError(f"AtomParams: {name} must be finite, got {value}")
-        if not self.gamma_e > 0:
-            raise DomainError(f"AtomParams: gamma_e must be > 0, got {self.gamma_e}")
-        if self.gamma_g < 0:
-            raise DomainError(f"AtomParams: gamma_g must be >= 0, got {self.gamma_g}")
-        if self.rabi < 0:
-            raise DomainError(f"AtomParams: rabi must be >= 0, got {self.rabi}")
+            require(np.isfinite(value), f"AtomParams: {name} must be finite", value)
+        require(np.greater(self.gamma_e, 0), "AtomParams: gamma_e must be > 0", self.gamma_e)
+        require(~np.less(self.gamma_g, 0), "AtomParams: gamma_g must be >= 0", self.gamma_g)
+        require(~np.less(self.rabi, 0), "AtomParams: rabi must be >= 0", self.rabi)
 
     @classmethod
     def from_mhz(cls, gamma_e, gamma_g, omega0, delta1, delta2, rabi):
@@ -67,6 +64,10 @@ class SteadyState:
 
     pops: tuple      # (s11, s22, s33, s44), real probabilities
     coh: tuple       # (s31, s13, s42, s24), complex
+
+    def take(self, index) -> "SteadyState":
+        """The members at ``index`` of the last (velocity node) axis."""
+        return SteadyState(*(tuple(x[..., index] for x in part) for part in (self.pops, self.coh)))
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,17 @@ FIELD_PROJECTOR = np.array([[1.0, 0.0, 0.0, 0.0],
                             [0.0, -1.0, 0.0, 0.0]])
 
 
-def _matrix(rows, shape=()) -> np.ndarray:
-    """Complex matrix literal with entries broadcast to ``shape`` (leading).
+def _square(x):
+    """x**2 by C pow as in a scalar call (numpy's array power can differ)."""
+    return x**2 if np.ndim(x) == 0 else np.reshape([v**2 for v in np.ravel(x).tolist()],
+                                                   np.shape(x))
 
-    An unstacked literal takes one np.array call: filling its entries one
-    by one in Python is about 5x slower for the 7x7 drift matrix and cost
-    the scalar-heavy noise_scripts benchmark workload about 4%.
-    """
+
+def _matrix(rows) -> np.ndarray:
+    """Complex matrix literal stacked to the broadcast shape of its entries
+    (an unstacked one in one np.array call, 5x faster than entry by entry)."""
+    shape = np.broadcast_shapes(*(entry.shape for row in rows for entry in row
+                                  if isinstance(entry, np.ndarray)))
     if shape == ():
         return np.array(rows, dtype=complex)
     out = np.empty(shape + (len(rows), len(rows[0])), dtype=complex)
@@ -104,22 +109,10 @@ def _matrix(rows, shape=()) -> np.ndarray:
     return out
 
 
-def _square(x):
-    """x**2 by C pow as in a scalar call (numpy's array power can differ)."""
-    return x**2 if np.ndim(x) == 0 else np.vectorize(pow, otypes=[float])(x, 2)
-
-
-def build_drift_m0(p: AtomParams, detuning_shift=0.0) -> np.ndarray:
-    """7x7 drift matrix of the pump-only sector.
-
-    Acts on Sigma0 = (s11, s22, s33, s31, s13, s42, s24); the dynamics is
-    d/dt Sigma0 = i*M0 Sigma0 - i*S0, so decay rates are Im of the
-    eigenvalues of M0.
-    """
-    g, om, w0 = p.gamma_e, p.rabi, p.omega0
-    dl = p.delta1 + detuning_shift
+def _drift_rows(p: AtomParams) -> list:
+    g, om, w0, dl = p.gamma_e, p.rabi, p.omega0, p.delta1
     i = 1j
-    return _matrix([
+    return [
         [i*g/2, i*g/2, 0,     -om/2,         om/2,          0,                0],
         [i*g/2, i*g/2, 0,      0,            0,             -om/2,            om/2],
         [0,     0,     i*g,    om/2,         -om/2,         0,                0],
@@ -127,67 +120,76 @@ def build_drift_m0(p: AtomParams, detuning_shift=0.0) -> np.ndarray:
         [om/2,  0,     -om/2,  0,            dl + i*g/2,    0,                0],
         [-om/2, -om,   -om/2,  0,            0,             -dl - w0 + i*g/2, 0],
         [om/2,  om,    om/2,   0,            0,             0,                dl + w0 + i*g/2],
-    ], np.shape(dl))
+    ]
+
+
+def build_drift_m0(p: AtomParams) -> np.ndarray:
+    """7x7 drift matrix of the pump-only sector.
+
+    Acts on Sigma0 = (s11, s22, s33, s31, s13, s42, s24); the dynamics is
+    d/dt Sigma0 = i*M0 Sigma0 - i*S0, so decay rates are Im of the
+    eigenvalues of M0.
+    """
+    return _matrix(_drift_rows(p))
 
 
 def drift_source(p: AtomParams) -> np.ndarray:
     """Constant source vector S0 paired with the drift matrix."""
     g, om = p.gamma_e, p.rabi
-    return 0.5 * np.array([1j*g, 1j*g, 0, 0, 0, -om, om], dtype=complex)
+    return 0.5 * _matrix([[1j*g, 1j*g, 0, 0, 0, -om, om]])[..., 0, :]
 
 
-def steady_state(p: AtomParams, detuning_shift=0.0) -> SteadyState:
+def steady_state(p: AtomParams) -> SteadyState:
     """Closed-form stationary state of the pump-dressed atom.
 
-    Cross-checked against the linear system M0 x = S0 at every shift; a
+    Cross-checked against the linear system M0 x = S0 for every member; a
     residual above STEADY_STATE_RESIDUAL_TOL raises DegenerateModelError.
     """
-    g, om, w0 = p.gamma_e, p.rabi, p.omega0
-    dl = p.delta1 + detuning_shift
-    dl2, dw2 = _square(dl), _square(dl + w0)
-    denom = g**2 + 2.0 * (om**2 + dl2 + dw2)
+    g, om, w0, dl = p.gamma_e, p.rabi, p.omega0, p.delta1
+    g2, om2, dl2, dw2 = _square(g), _square(om), _square(dl), _square(dl + w0)
+    denom = g2 + 2.0 * (om2 + dl2 + dw2)
     if np.any(denom <= 0.0):
         raise DegenerateModelError("steady_state: degenerate denominator")
-    s11 = (g**2 + om**2 + 4.0 * dl2) / (2.0 * denom)
-    s22 = (g**2 + om**2 + 4.0 * dw2) / (2.0 * denom)
-    s33 = om**2 / (2.0 * denom)
+    s11 = (g2 + om2 + 4.0 * dl2) / (2.0 * denom)
+    s22 = (g2 + om2 + 4.0 * dw2) / (2.0 * denom)
+    s33 = om2 / (2.0 * denom)
     s44 = 1.0 - (s11 + s22 + s33)
     s31 = -om * (2.0 * dl + 1j * g) / (2.0 * denom)
     s42 = -om * (2.0 * (dl + w0) + 1j * g) / (2.0 * denom)
 
     s13, s24 = np.conj(s31), np.conj(s42)
-
-    vec = np.array([s11, s22, s33, s31, s13, s42, s24], dtype=complex)
+    # M0 x - S0 column by column: the 7x7 stack of a swept Doppler medium
+    # would be the largest array of its run
     src = drift_source(p)
-    m0 = build_drift_m0(p, detuning_shift)
-    norms = np.linalg.norm(np.einsum("...ij,j...->...i", m0, vec) - src, axis=-1)
-    bad = norms > STEADY_STATE_RESIDUAL_TOL * max(np.linalg.norm(src), 1.0)
+    rows, residual = _drift_rows(p), -src
+    for c, x in enumerate((s11, s22, s33, s31, s13, s42, s24)):
+        residual = residual + _matrix([[row[c]] for row in rows])[..., 0] * np.expand_dims(x, -1)
+    norms = np.linalg.norm(residual, axis=-1)
+    bad = norms > STEADY_STATE_RESIDUAL_TOL * np.maximum(np.linalg.norm(src, axis=-1), 1.0)
     if bad.any():
         raise DegenerateModelError(
             f"steady_state: closed form fails the linear system, "
-            f"residual {norms.flat[bad.argmax()]:.3e}")
+            f"residual {first(norms, bad):.3e}")
     return SteadyState(pops=(s11, s22, s33, s44), coh=(s31, s13, s42, s24))
 
 
-def build_coherence_system(p: AtomParams, ss: SteadyState, omega, detuning_shift=0.0):
+def build_coherence_system(p: AtomParams, ss: SteadyState, omega):
     """Fourier-space coherence system (m1prime, s1, t).
 
     m1prime = omega*I + M1 drives Sigma1 = (s23, s41, s43, s21); s1 couples
-    the stationary populations to the (probe, conjugate+) field pair; t
-    projects the coherence sector back onto the fields.  ``ss`` is taken at
-    the same shift; m1prime is stacked to omega.shape + shift.shape.
+    the stationary populations ``ss`` to the (probe, conjugate+) field
+    pair; t projects the coherence sector back onto the fields.
     """
     g, gam = p.gamma_e, p.gamma_g
-    om, d2, w0 = p.rabi, p.delta2, p.omega0
-    dl = p.delta1 + detuning_shift
-    shape = np.shape(dl)
+    om, d2, w0, dl = p.rabi, p.delta2, p.omega0, p.delta1
+    w = np.asarray(omega)
     i = 1j
-    m1 = _matrix([
-        [i*g/2 + (dl - d2), 0,                      -om/2,              om/2],
-        [0,                 i*g/2 - (dl + d2 + w0),  om/2,              -om/2],
-        [-om/2,             om/2,                    i*g - (d2 + w0),   0],
-        [om/2,              -om/2,                   0,                 i*gam - d2],
-    ], shape)
+    m1p = _matrix([
+        [w + (i*g/2 + (dl - d2)), 0,                           -om/2,                 om/2],
+        [0,                       w + (i*g/2 - (dl + d2 + w0)), om/2,                 -om/2],
+        [-om/2,                   om/2,                         w + (i*g - (d2 + w0)), 0],
+        [om/2,                    -om/2,                        0,            w + (i*gam - d2)],
+    ])
     s11, s22, s33, s44 = ss.pops
     s31, s13, s42, s24 = ss.coh
     s1 = _matrix([
@@ -195,9 +197,8 @@ def build_coherence_system(p: AtomParams, ss: SteadyState, omega, detuning_shift
         [0,         s11 - s44],
         [-s42,      s13],
         [s31,       -s24],
-    ], shape)
-    w = np.reshape(omega, np.shape(omega) + (1,) * (len(shape) + 2))
-    return w * np.eye(4, dtype=complex) + m1, s1, FIELD_PROJECTOR.copy()
+    ])
+    return m1p, s1, FIELD_PROJECTOR.copy()
 
 
 def diffusion_set(p: AtomParams) -> DiffusionSet:
@@ -209,25 +210,27 @@ def diffusion_set(p: AtomParams) -> DiffusionSet:
     """
     g, gam = p.gamma_e, p.gamma_g
     om, dl, w0 = p.rabi, p.delta1, p.omega0
-    tau = 2.0*g**2 + 4.0*om**2 + 4.0*w0**2 + 8.0*dl**2 + 8.0*dl*w0
-    if tau <= 0.0:
-        raise DegenerateModelError(f"diffusion_set: tau = {tau} is not positive")
+    g2, om2, dl2, w02 = _square(g), _square(om), _square(dl), _square(w0)
+    tau = 2.0*g2 + 4.0*om2 + 4.0*w02 + 8.0*dl2 + 8.0*dl*w0
+    if np.any(bad := tau <= 0.0):
+        raise DegenerateModelError(f"diffusion_set: tau = {first(tau, bad)} is not positive")
     dw = dl + w0
-    d1 = np.array([
-        [g*(g**2 + 4*dl**2 + 2*om**2 + 8*dl*w0 + 4*w0**2), 0,
+    scale = np.expand_dims(2.0 * tau, (-2, -1))
+    d1 = _matrix([
+        [g*(g2 + 4*dl2 + 2*om2 + 8*dl*w0 + 4*w02), 0,
          1j*g*om*(g + 2j*dw), 0],
         [0, 0, 0, -1j*gam*om*(g - 2j*dw)],
-        [-1j*g*om*(g - 2j*dw), 0, g*om**2, 0],
+        [-1j*g*om*(g - 2j*dw), 0, g*om2, 0],
         [0, 1j*gam*om*(g + 2j*dw), 0,
-         g*om**2 + 2*gam*(g**2 + 4*dl**2 + om**2 + 8*dl*w0 + 4*w0**2)],
-    ], dtype=complex) / (2.0 * tau)
-    d2 = np.array([
+         g*om2 + 2*gam*(g2 + 4*dl2 + om2 + 8*dl*w0 + 4*w02)],
+    ]) / scale
+    d2 = _matrix([
         [0, 0, 0, -1j*gam*(g - 2j*dl)*om],
-        [0, g*(g**2 + 4*dl**2 + 2*om**2), 1j*g*(g + 2j*dl)*om, 0],
-        [0, -1j*g*(g - 2j*dl)*om, g*om**2, 0],
+        [0, g*(g2 + 4*dl2 + 2*om2), 1j*g*(g + 2j*dl)*om, 0],
+        [0, -1j*g*(g - 2j*dl)*om, g*om2, 0],
         [1j*gam*(g + 2j*dl)*om, 0, 0,
-         g*om**2 + 2*gam*(g**2 + 4*dl**2 + om**2)],
-    ], dtype=complex) / (2.0 * tau)
+         g*om2 + 2*gam*(g2 + 4*dl2 + om2)],
+    ]) / scale
     return DiffusionSet(d1=d1, d2=d2, dsym=(d1 + d2) / 2.0)
 
 
@@ -244,20 +247,19 @@ def slowest_relaxation(p: AtomParams) -> float:
     DegenerateModelError.
     """
     rates = decay_rates(p)
-    fastest = rates.max(initial=0.0)
-    if fastest <= 0.0:
+    fastest = rates.max(axis=-1, initial=0.0)
+    if np.any(fastest <= 0.0):
         raise DegenerateModelError("slowest_relaxation: no decaying mode")
-    if rates.min() < -1e-10 * fastest:
+    if np.any(bad := rates[..., 0] < -1e-10 * fastest):
         raise DegenerateModelError(
-            f"slowest_relaxation: unstable mode with rate {rates.min():.3e}")
-    nonzero = rates[rates > ZERO_RATE_REL_TOL * fastest]
-    if nonzero.size == 0:
+            f"slowest_relaxation: unstable mode with rate {first(rates[..., 0], bad):.3e}")
+    slowest = np.where(rates > ZERO_RATE_REL_TOL * fastest[..., None], rates, np.inf).min(-1)
+    if np.any(np.isinf(slowest)):
         raise DegenerateModelError("slowest_relaxation: all modes conserved")
-    return 1.0 / nonzero.min()
+    return 1.0 / slowest
 
 
 def preparation_probability(p: AtomParams, t: float) -> float:
     """Probability that an atom has reached the stationary state after t us."""
-    if t < 0:
-        raise DomainError(f"preparation_probability: t must be >= 0, got {t}")
+    require(~np.less(t, 0), "preparation_probability: t must be >= 0", t)
     return -np.expm1(-t / slowest_relaxation(p))

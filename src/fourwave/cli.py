@@ -18,16 +18,22 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import config as cfgmod
 from . import reference as refmod
 from . import spectra as spec
 from . import vapor as vapmod
 from .config import ConfigParseError, RunConfig
 from .errors import FourwaveError, PoleError
-from .propagation import calibrate_langevin_scale
 from .units import mhz_to_rad_us
 
 NOISE_COLUMNS = ("S_Nminus", "S_phiplus", "inseparability", "S_Na", "S_N")
+
+# Coherence matrices (rows x 3 frequencies x velocity nodes) per stacked
+# block of a cold or vapor sweep: it bounds a sweep's memory at about the
+# speed of one stack (8-row blocks of configs/vapor_gain_scan.ini).
+BLOCK_MATRICES = 1000
 
 
 def _fmt(value) -> str:
@@ -56,30 +62,43 @@ def _sweep_values(cfg: RunConfig) -> list[float]:
     return [cfg.sweep_start + i * step for i in range(cfg.sweep_count)]
 
 
-def _medium_row(cfg: RunConfig, axis: str, value: float) -> dict:
-    """Cold or vapor row: calibrate, evaluate, and for the vapor model fold
-    the front-loaded residual absorption into the gains."""
-    point = cfgmod.at_sweep_value(cfg, value)
+def _medium_rows(cfg: RunConfig, values: list[float]) -> list[dict]:
+    """Cold or vapor rows of a sweep, evaluated in blocks of consecutive
+    sweep values, each block as one stacked medium."""
+    nodes = cfg.velocity_order if cfg.model == "vapor" else 1
+    size = max(1, BLOCK_MATRICES // (3 * nodes))
+    return [row for start in range(0, len(values), size)
+            for row in _medium_block(cfg, values[start:start + size])]
+
+
+def _medium_block(cfg: RunConfig, values: list[float]) -> list[dict]:
+    """Rows of one block: calibrate, evaluate, and for the vapor model fold
+    the front-loaded residual absorption into the gains.  A block that
+    raises is evaluated again one value at a time, so every row gets the
+    flag it gets alone."""
+    swept = np.array(values)
+    point = cfgmod.at_sweep_value(cfg, swept)
     mp = cfgmod.medium_params_from(point)
-    omega = mhz_to_rad_us(value if axis == "omega_mhz" else cfg.omega_mhz)
-    vp = exponent = None
-    if cfg.model == "vapor":
-        vp = cfgmod.vapor_params_from(point)
-        exponent = lambda m, w: vapmod.doppler_generator(m, vp, w, cfg.velocity_order)
-    try:
-        if cfg.langevin and mp.optical_depth > 0:
-            mp = mp.with_scale(calibrate_langevin_scale(mp))
-        obs = spec.evaluate(mp, omega, langevin=cfg.langevin, exponent=exponent)
+    omega = mhz_to_rad_us(swept if cfg.sweep_axis == "omega_mhz" else cfg.omega_mhz)
+    vp = cfgmod.vapor_params_from(point) if cfg.model == "vapor" else None
+    try:     # a zero-depth medium calibrates to exactly 1, and alone is not calibrated
+        obs = spec.evaluate(mp, omega, langevin=cfg.langevin,
+                            calibrate=bool(np.any(np.greater(mp.optical_depth, 0))),
+                            vapor=vp, order=cfg.velocity_order)
         prepared, front_loss = (None, 1.0) if vp is None \
             else vapmod.residual_transmission(mp, vp)
-    except PoleError:
-        return {"sweep_value": value, "flag": "pole"}
     except FourwaveError as exc:
-        return {"sweep_value": value, "flag": f"error:{exc}"}
-    return {"sweep_value": value,
-            "Ga": front_loss * obs.gain_a, "Gb": front_loss * obs.gain_b,
-            **{name: getattr(obs, name) for name in spec.NOISE_FIELDS},
-            "prepared_fraction": prepared, "flag": ""}
+        if len(values) > 1:
+            return [row for value in values for row in _medium_block(cfg, [value])]
+        return [{"sweep_value": values[0],
+                 "flag": "pole" if isinstance(exc, PoleError) else f"error:{exc}"}]
+    columns = {"Ga": front_loss * obs.gain_a, "Gb": front_loss * obs.gain_b,
+               **{name: getattr(obs, name) for name in spec.NOISE_FIELDS},
+               "prepared_fraction": prepared}
+    columns = {name: np.broadcast_to(column, swept.shape).tolist()
+               for name, column in columns.items() if column is not None}
+    return [{"sweep_value": value, **{name: column[i] for name, column in columns.items()},
+             "flag": ""} for i, value in enumerate(values)]
 
 
 def _eit_row(cfg: RunConfig, axis: str, value: float) -> dict:
@@ -115,8 +134,7 @@ def _reference_row(cfg: RunConfig, axis: str, value: float) -> dict:
         return {"sweep_value": value, "flag": f"error:{exc}"}
 
 
-_ROW_BUILDERS = {"cold": _medium_row, "vapor": _medium_row,
-                 "eit": _eit_row, "reference": _reference_row}
+_ROW_BUILDERS = {"eit": _eit_row, "reference": _reference_row}
 
 
 def run(cfg: RunConfig, with_db: bool = False) -> int:
@@ -126,8 +144,9 @@ def run(cfg: RunConfig, with_db: bool = False) -> int:
         for d in problems:
             print(f"config error at {d}", file=sys.stderr)
         return 2
-    axis = cfg.sweep_axis
-    rows = [_ROW_BUILDERS[cfg.model](cfg, axis, v) for v in _sweep_values(cfg)]
+    axis, values = cfg.sweep_axis, _sweep_values(cfg)
+    rows = _medium_rows(cfg, values) if cfg.model in ("cold", "vapor") \
+        else [_ROW_BUILDERS[cfg.model](cfg, axis, v) for v in values]
 
     columns = _columns(cfg.model, cfg.reference.get("kind", ""))
     if with_db:

@@ -48,6 +48,8 @@ import configparser
 import re
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .units import (ATOMIC_MASS_KG, celsius_to_kelvin, mhz_to_rad_us)
 
 MODELS = ("cold", "vapor", "eit", "reference")
@@ -235,21 +237,33 @@ def _parameter_diagnostics(cfg: RunConfig) -> list[Diagnostic]:
 def _in_config_terms(cfg: RunConfig, section: str, value: float, exc) -> Diagnostic:
     """exc, a "Class: field must ..., got v" DomainError, under the config key
     of that field with the value as written (a swept key: the sweep endpoint);
-    any other message stays under the block."""
+    another field named in the rule as "field (v)" reads "section.key =
+    written".  Any other message stays under the block."""
     block, swept = getattr(cfg, section), cfg.sweep_axis
     at = f" (at {swept} = {value:g})"
+
+    def key_of(name):
+        return next((k for k in _REQUIRED[section] if re.fullmatch(rf"{name}(_[^_]+)?", k)), None)
+
+    def written(key):
+        return f"{value:g}{at}" if key == swept else block[key]
+
+    def other_field(match):
+        other = key_of(match[1])
+        return f"{section}.{other} = {written(other)}" if other else match[0]
+
     rule = re.match(r"\w+: (\w+) (must .*), got ", str(exc))
-    for key in _REQUIRED[section] if rule else ():
-        if re.fullmatch(rf"{rule[1]}(_[^_]+)?", key):
-            must = "must be finite and > -273.15" if key == "temperature_c" else rule[2]
-            written = f"{value:g}{at}" if key == swept else block[key]
-            return Diagnostic(f"{section}.{key}", f"{must}, got {written}")
+    if rule and (key := key_of(rule[1])):
+        must = "must be finite and > -273.15" if key == "temperature_c" \
+            else re.sub(r"(\w+) \(.*?\)", other_field, rule[2])
+        return Diagnostic(f"{section}.{key}", f"{must}, got {written(key)}")
     return Diagnostic(section, f"{exc}{at if swept in block else ''}")
 
 
-def at_sweep_value(cfg: RunConfig, value: float) -> RunConfig:
+def at_sweep_value(cfg: RunConfig, value) -> RunConfig:
     """Copy of cfg with the swept key of [atom], [medium] or [vapor] set to
-    ``value``; cfg itself when no block holds the sweep axis."""
+    ``value``, a number or an array of them; cfg itself when no block holds
+    the sweep axis."""
     for section in ("atom", "medium", "vapor"):
         raw = getattr(cfg, section)
         if cfg.sweep_axis in raw:
@@ -257,10 +271,15 @@ def at_sweep_value(cfg: RunConfig, value: float) -> RunConfig:
     return cfg
 
 
+def _floats(block: dict, keys) -> dict:
+    """The values of ``keys``: a float each, a swept key's array as it is."""
+    return {k: float(block[k]) if np.ndim(block[k]) == 0 else block[k] for k in keys}
+
+
 def atom_params_from(cfg: RunConfig):
     """AtomParams from the [atom] block; boundary MHz -> rad/us conversion."""
     from .atom import AtomParams
-    a = {k: float(cfg.atom[k]) for k in _ATOM_KEYS}
+    a = _floats(cfg.atom, _ATOM_KEYS)
     return AtomParams(
         gamma_e=mhz_to_rad_us(a["gamma_e_mhz"]),
         gamma_g=mhz_to_rad_us(a["gamma_g_mhz"]),
@@ -275,12 +294,12 @@ def medium_params_from(cfg: RunConfig):
     """MediumParams from the [atom] and [medium] blocks."""
     from .propagation import MediumParams
     return MediumParams(atom=atom_params_from(cfg),
-                        optical_depth=float(cfg.medium["optical_depth"]))
+                        optical_depth=_floats(cfg.medium, ("optical_depth",))["optical_depth"])
 
 
 def vapor_params_from(cfg: RunConfig):
     from .vapor import VaporParams
-    v = {k: float(cfg.vapor[k]) for k in _VAPOR_KEYS}
+    v = _floats(cfg.vapor, _VAPOR_KEYS)
     return VaporParams(
         temperature=celsius_to_kelvin(v["temperature_c"]),
         atomic_mass=v["atomic_mass_u"] * ATOMIC_MASS_KG,

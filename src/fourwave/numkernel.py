@@ -11,7 +11,7 @@ import math
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from .errors import ConfigurationError, DimensionError, NumericError
+from .errors import ConfigurationError, DimensionError, NumericError, require
 
 # Default node count for the velocity average; overridable per call.
 DEFAULT_VELOCITY_ORDER = 40
@@ -98,8 +98,8 @@ def gauss_hermite_nodes(order: int, sigma: float):
     """
     if order < 4:
         raise ConfigurationError(f"gauss-hermite order must be >= 4, got {order}")
-    if not sigma > 0.0:
-        raise ConfigurationError(f"gauss-hermite sigma must be > 0, got {sigma}")
+    require(np.greater(sigma, 0.0), "gauss-hermite sigma must be > 0", sigma,
+            ConfigurationError)
     x, w = _unit_gauss_hermite(order)
     return sigma * x, w
 

@@ -12,24 +12,26 @@ Langevin noise enters the spectra through four z-integrated diffusion
 coefficients, each read off one block exponential (Van Loan, IEEE TAC 23
 (1978) 395); their overall normalization is fixed by requiring that the
 output field commutator stays canonical (see calibrate_langevin_scale),
-rather than by microscopic coupling-constant bookkeeping.  The generator
-takes arrays of frequencies and delta1 shifts (Doppler velocity nodes) and
-stacks its exponents, from one batched inverse that also screens for poles.
+rather than by microscopic coupling-constant bookkeeping.
+
+MediumParams fields may be arrays.  Results are stacked to the broadcast
+shape of the medium and omega (leading axes), the velocity nodes of a
+Doppler average last (MediumParams.at_nodes), then the matrix axes; one
+batched inverse per call builds the kernel and screens it for poles.
 """
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atom import AtomParams, build_coherence_system, diffusion_set, steady_state
-from .errors import CalibrationError, DomainError, NormalizationError, PoleError
+from .errors import CalibrationError, NormalizationError, PoleError, first, require
 from .numkernel import expm
 from .units import TWO_PI
 
 # Resonance pole (row flagged, excluded from spectra): the coherence system's 2-norm
-# condition number exceeds this, checked exactly unless a 1-norm screen rules it out.
+# condition number exceeds this, checked exactly unless a cheaper screen rules it out.
 POLE_CONDITION_LIMIT = 1e12
 
 # Relative imaginary residue allowed when casting a diffusion coefficient
@@ -41,7 +43,7 @@ DEFAULT_CALIBRATION_FREQ = TWO_PI * 1.0   # rad/us
 
 @dataclass(frozen=True)
 class MediumParams:
-    """Atomic medium of given optical depth.
+    """Atomic medium of given optical depth; fields broadcast like the atom's.
 
     ``langevin_scale`` multiplies every integrated diffusion coefficient;
     it is 1 by default and is normally set to calibrate_langevin_scale(mp).
@@ -52,19 +54,29 @@ class MediumParams:
     langevin_scale: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.optical_depth) and self.optical_depth >= 0):
-            raise DomainError(
-                f"MediumParams: optical_depth must be finite and >= 0, "
-                f"got {self.optical_depth}")
-        if not self.langevin_scale > 0:
-            raise DomainError(
-                f"MediumParams: langevin_scale must be > 0, got {self.langevin_scale}")
+        require(np.isfinite(self.optical_depth) & ~np.less(self.optical_depth, 0),
+                "MediumParams: optical_depth must be finite and >= 0", self.optical_depth)
+        require(np.greater(self.langevin_scale, 0), "MediumParams: langevin_scale must be > 0",
+                self.langevin_scale)
 
-    def with_scale(self, scale: float) -> "MediumParams":
+    @property
+    def shape(self) -> tuple:
+        """Broadcast shape of all fields."""
+        return np.broadcast_shapes(*map(np.shape, (*vars(self.atom).values(),
+                                                   self.optical_depth, self.langevin_scale)))
+
+    def with_scale(self, scale) -> "MediumParams":
         return dataclasses.replace(self, langevin_scale=scale)
 
     def with_atom(self, **changes) -> "MediumParams":
         return dataclasses.replace(self, atom=dataclasses.replace(self.atom, **changes))
+
+    def at_nodes(self, shifts) -> "MediumParams":
+        """This medium on a new last (node) axis, with delta1 + shifts."""
+        atom = {name: np.expand_dims(value, -1) for name, value in vars(self.atom).items()}
+        atom["delta1"] = atom["delta1"] + shifts
+        return MediumParams(AtomParams(**atom), np.expand_dims(self.optical_depth, -1),
+                            np.expand_dims(self.langevin_scale, -1))
 
 
 @dataclass(frozen=True)
@@ -96,102 +108,114 @@ class MeanFieldOut:
     phase_b: float
 
 
+def _frequencies(shape, *omegas) -> np.ndarray:
+    """The analysis frequencies, each broadcast against ``shape`` (a
+    medium's), stacked on a new leading axis."""
+    shape = np.broadcast_shapes(shape, *map(np.shape, omegas))
+    return np.stack([np.broadcast_to(w, shape) for w in omegas])
+
+
 def _inverse_and_poles(m):
     """(m^-1, mask cond(m) > POLE_CONDITION_LIMIT) of a stack; m^-1 is None
-    where inv fails on a pole.  kappa_2 <= n kappa_1 for n x n m, so if every
-    kappa_1 = |m|_1 |m^-1|_1 is within limit / 2n (2 for rounding in m^-1)
-    there is no pole and the SVD of cond is skipped."""
+    where inv fails on a pole.  kappa_2 <= kappa_F = |m|_F |m^-1|_F, so if
+    every kappa_F is within limit / 2 (2 for rounding in m^-1) there is no
+    pole and the SVD of cond is skipped."""
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:
         if not (poles := np.linalg.cond(m) > POLE_CONDITION_LIMIT).any():
             raise
         return None, poles
-    kappa = np.linalg.norm(m, 1, axis=(-2, -1)) * np.linalg.norm(inv, 1, axis=(-2, -1))
-    if np.all(kappa <= POLE_CONDITION_LIMIT / (2 * m.shape[-1])):    # False on a NaN
-        return inv, np.zeros(kappa.shape, dtype=bool)
+    kappa2 = np.prod([np.einsum("...ij,...ij->...", v, v) for v in
+                      (np.ascontiguousarray(x).view(float) for x in (m, inv))], axis=0)
+    if np.all(kappa2 <= (POLE_CONDITION_LIMIT / 2) ** 2):     # False on a NaN
+        return inv, np.zeros(m.shape[:-2], dtype=bool)
     return inv, np.linalg.cond(m) > POLE_CONDITION_LIMIT
 
 
-def _coherence_kernel(mp: MediumParams, omega, detuning_shift=0.0):
-    """(generator prefactor, the kernel T M1'(omega)^-1, the generator), stacked.
+def _coherence_kernel(mp: MediumParams, omega, ss=None):
+    """(generator prefactor, the kernel T M1'(omega)^-1, the generator),
+    stacked; ``ss`` is the steady state of mp.atom if already known.
 
-    A pole raises PoleError naming the first omega in stack order that has
-    one and the flat indices of its pole shifts.
+    A pole raises PoleError naming the omega of the first pole in stack
+    order, its stack index and the last-axis (velocity node) indices of the
+    poles beside it.
     """
     p = mp.atom
-    ss = steady_state(p, detuning_shift)
-    m1p, s1, t = build_coherence_system(p, ss, omega, detuning_shift)
+    m1p, s1, t = build_coherence_system(p, steady_state(p) if ss is None else ss, omega)
     inv, poles = _inverse_and_poles(m1p)
+    del m1p     # as large as inv: free it before the products
     if poles.any():
-        poles = poles.reshape(np.size(omega), -1)
-        first = poles.any(axis=1).argmax()
-        at = float(np.ravel(omega)[first])
-        raise PoleError(f"coherence system singular at omega = {at:.6g} rad/us",
-                        omega=at, nodes=np.flatnonzero(poles[first]).tolist())
-    kernel = t @ inv
-    prefactor = mp.optical_depth * p.gamma_e / 4.0
+        index = np.unravel_index(poles.argmax(), poles.shape)
+        at = float(np.broadcast_to(omega, poles.shape)[index])
+        raise PoleError(f"coherence system singular at omega = {at:.6g} rad/us", omega=at,
+                        nodes=np.flatnonzero(poles[index[:-1]]).tolist(), index=index)
+    # t @ inv: t keeps rows 0 and 1 of inv, the second negated; selecting
+    # them is 5x faster than a per-matrix product, and exact
+    kernel = inv[..., :2, :] * t[:, :2].diagonal()[:, None]
+    prefactor = np.expand_dims(mp.optical_depth * p.gamma_e / 4.0, (-2, -1))
     return prefactor, kernel, 1j * prefactor * (kernel @ s1)
 
 
-def generator(mp: MediumParams, omega, detuning_shift=0.0) -> np.ndarray:
-    """Full 2x2 propagation exponent over normalized z in [0, 1] with
-    delta1 shifted by ``detuning_shift``, stacked to omega.shape + shift.shape."""
-    return _coherence_kernel(mp, omega, detuning_shift)[2]
+def generator(mp: MediumParams, omega) -> np.ndarray:
+    """Full 2x2 propagation exponent over normalized z in [0, 1], stacked
+    to the broadcast shape of the medium and omega."""
+    return _coherence_kernel(mp, omega)[2]
 
 
 def gains(mp: MediumParams) -> MeanFieldOut:
     """Mean-field gains Ga = |A(0)|^2, Gb = |C(0)|^2 and output phases."""
     abcd = expm(generator(mp, 0.0))
-    a0, c0 = abcd[0, 0], abcd[1, 0]
+    a0, c0 = abcd[..., 0, 0], abcd[..., 1, 0]
     return MeanFieldOut(gain_a=abs(a0)**2, gain_b=abs(c0)**2,
-                        phase_a=float(np.angle(a0)), phase_b=float(np.angle(c0)))
+                        phase_a=np.angle(a0), phase_b=np.angle(c0))
 
 
-def _z_integrated(mp, omega, dmat):
-    """(int_0^1 e^{-Gz} K D K^+ e^{-G^+ z} dz scaled, G); 2x2 per omega.
+def _noise_integral(weight, kernel, gens, dmat):
+    """weight * int_0^1 e^{-Gz} K D K^+ e^{-G^+ z} dz; 2x2 per member.
 
     The integral is the propagated second moment of the delta-correlated
     coherence noise; with a Hermitian positive semidefinite D its diagonal
     is real and nonnegative.  It is exact: for C = [[-G, Q], [0, G^+]]
     with Q = K D K^+, expm(C) = [[e^{-G}, F12], [0, e^{G^+}]] where
     F12 = int_0^1 e^{-G(1-s)} Q e^{G^+ s} ds, so F12 e^{-G^+} is the
-    integral (Van Loan 1978).  The blocks C of all omegas make one stacked
-    exponential; G is returned so the transfer needs no second kernel solve.
+    integral (Van Loan 1978).  All members make one stacked exponential.
     """
-    prefactor, kernel, gens = _coherence_kernel(mp, omega)
-    qs = kernel @ dmat @ np.swapaxes(kernel.conj(), -1, -2)
+    qs = np.broadcast_to(kernel @ dmat @ np.swapaxes(kernel.conj(), -1, -2), gens.shape)
     f = expm(np.block([[-gens, qs], [np.zeros_like(gens), np.swapaxes(gens.conj(), -1, -2)]]))
-    value = f[..., :2, 2:] @ np.swapaxes(f[..., :2, :2].conj(), -1, -2)
-    return mp.langevin_scale * prefactor * value, gens
+    return weight * (f[..., :2, 2:] @ np.swapaxes(f[..., :2, :2].conj(), -1, -2))
 
 
-def _cast_real(value: complex, who: str) -> float:
-    tol = DIFFUSION_IMAG_RTOL * max(abs(value), 1.0)
-    if abs(value.imag) > tol:
-        raise NormalizationError(
-            f"{who}: imaginary residue {value.imag:.3e} exceeds {tol:.3e}")
-    return float(value.real)
+def _cast_real(value, who: str):
+    tol = DIFFUSION_IMAG_RTOL * np.maximum(abs(value), 1.0)
+    if np.any(bad := abs(value.imag) > tol):
+        raise NormalizationError(f"{who}: imaginary residue {first(value.imag, bad):.3e} "
+                                 f"exceeds {first(tol, bad):.3e}")
+    return value.real[()]
 
 
-def integrated_diffusion(mp: MediumParams, omega: float) -> IntegratedDiffusion:
+def integrated_diffusion(mp: MediumParams, omega, kernel=None) -> IntegratedDiffusion:
     """Symmetric-order z-integrated Langevin coefficients at omega.
 
     The forward pair uses the kernel at +omega, the _rev pair the kernel
     at -omega, matching how they weight the transfer-matrix entries in the
-    noise spectra.
+    noise spectra.  ``kernel`` is the kernel at (+omega, -omega), stacked
+    on the leading axis, if already formed.
     """
     dsym = diffusion_set(mp.atom).dsym
-    (fwd, rev), _ = _z_integrated(mp, np.array([omega, -omega]), dsym)
+    pm = _frequencies(mp.shape, omega, -np.asarray(omega))
+    prefactor, k, gens = kernel or _coherence_kernel(mp, pm)
+    fwd, rev = _noise_integral(np.expand_dims(mp.langevin_scale, (-2, -1)) * prefactor,
+                               k, gens, dsym)
     return IntegratedDiffusion(
-        d_aa=_cast_real(fwd[0, 0], "d_aa"),
-        d_aa_rev=_cast_real(rev[0, 0], "d_aa_rev"),
-        d_bb=_cast_real(fwd[1, 1], "d_bb"),
-        d_bb_rev=_cast_real(rev[1, 1], "d_bb_rev"),
+        d_aa=_cast_real(fwd[..., 0, 0], "d_aa"),
+        d_aa_rev=_cast_real(rev[..., 0, 0], "d_aa_rev"),
+        d_bb=_cast_real(fwd[..., 1, 1], "d_bb"),
+        d_bb_rev=_cast_real(rev[..., 1, 1], "d_bb_rev"),
     )
 
 
-def commutator_defect(mp: MediumParams, omega: float) -> float:
+def commutator_defect(mp: MediumParams, omega) -> float:
     """Langevin contribution to the output commutator of mode a.
 
     Uses the antisymmetric combination d1 - d2 projected on the probe row
@@ -199,36 +223,38 @@ def commutator_defect(mp: MediumParams, omega: float) -> float:
     |A(omega)|^2 - |B(omega)|^2 + commutator_defect(omega) = 1.
     """
     ds = diffusion_set(mp.atom)
-    return _cast_real(_z_integrated(mp, omega, ds.d1 - ds.d2)[0][0, 0],
-                      "commutator_defect")
+    prefactor, kernel, gens = _coherence_kernel(mp, omega)
+    x = _noise_integral(np.expand_dims(mp.langevin_scale, (-2, -1)) * prefactor,
+                        kernel, gens, ds.d1 - ds.d2)
+    return _cast_real(x[..., 0, 0], "commutator_defect")
 
 
-@functools.lru_cache(maxsize=256)
-def calibrate_langevin_scale(mp: MediumParams,
-                             omega_ref: float = DEFAULT_CALIBRATION_FREQ) -> float:
-    """Positive scale restoring the canonical commutator at omega_ref.
+def calibrate_langevin_scale(mp: MediumParams, omega_ref: float = DEFAULT_CALIBRATION_FREQ,
+                             kernel=None) -> float:
+    """Positive scale restoring the canonical commutator at omega_ref, per
+    medium; ``kernel`` is _coherence_kernel(mp, omega_ref) if already formed.
 
     Solves |A|^2 - |B|^2 + s * (d1 - d2 coefficient) = 1 at the reference
     frequency.  Returns 1 when the identity already holds and the Langevin
     term vanishes (zero optical depth, or a synthetic pure-gain medium).
-    Results (not errors) are cached per (medium, omega_ref).  The
-    transfer comes from the exponent the diffusion integral already forms.
+    The transfer comes from the exponent the diffusion integral already
+    forms; the medium's own langevin_scale does not enter.
     """
     ds = diffusion_set(mp.atom)
-    x, gen = _z_integrated(mp.with_scale(1.0), omega_ref, ds.d1 - ds.d2)
-    abcd = expm(gen)
-    deficit = 1.0 - (abs(abcd[0, 0])**2 - abs(abcd[0, 1])**2)
-    raw = _cast_real(x[0, 0], "commutator_defect")
-    if abs(raw) < 1e-14:
-        if abs(deficit) > 1e-9:
-            raise CalibrationError(
-                f"calibration impossible: commutator deficit {deficit:.3e} "
-                f"with vanishing diffusion")
-        return 1.0
-    scale = deficit / raw
-    if scale <= 0:
-        raise CalibrationError(f"calibration produced non-positive scale {scale:.3e}")
-    return scale
+    prefactor, k, gens = kernel or _coherence_kernel(mp, omega_ref)
+    x = _noise_integral(prefactor, k, gens, ds.d1 - ds.d2)
+    abcd = expm(gens)
+    deficit = 1.0 - (abs(abcd[..., 0, 0])**2 - abs(abcd[..., 0, 1])**2)
+    raw = _cast_real(x[..., 0, 0], "commutator_defect")
+    vanishing = abs(raw) < 1e-14
+    if np.any(bad := vanishing & (abs(deficit) > 1e-9)):
+        raise CalibrationError(
+            f"calibration impossible: commutator deficit {first(deficit, bad):.3e} "
+            f"with vanishing diffusion")
+    scale = np.where(vanishing, 1.0, deficit / np.where(vanishing, 1.0, raw))
+    if np.any(bad := scale <= 0):
+        raise CalibrationError(f"calibration produced non-positive scale {first(scale, bad):.3e}")
+    return scale[()]
 
 
 def calibrated(mp: MediumParams,

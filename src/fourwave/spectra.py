@@ -4,10 +4,10 @@ All spectra are normalized to the standard quantum limit of a coherent
 beam (SQL = 1).  Every observable is read off the same objects: the
 two-mode input-output (ABCD) matrix at 0, +omega and -omega and the four
 z-integrated Langevin coefficients at omega.  ``evaluate`` builds those
-objects once for a medium and returns all observables together as an
-``Observables``; ``observables`` does the same for precomputed (e.g.
-synthetic) matrices.  The ``*_parts`` functions are the single formulas
-both of them combine.
+objects once for a stack of media and frequencies and returns all
+observables together as an ``Observables``; ``observables`` does the same
+for precomputed (e.g. synthetic) matrices.  The ``*_parts`` functions are
+the single formulas both of them combine.
 """
 
 import math
@@ -15,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atom import steady_state
 from .errors import DomainError, NormalizationError
-from .numkernel import expm
-from .propagation import (IntegratedDiffusion, MediumParams, generator,
+from .numkernel import DEFAULT_VELOCITY_ORDER, expm
+from .propagation import (DEFAULT_CALIBRATION_FREQ, IntegratedDiffusion, MediumParams,
+                          _coherence_kernel, _frequencies, calibrate_langevin_scale,
                           integrated_diffusion)
+from .vapor import doppler_generator, velocity_nodes
 
 NORMALIZATION_FLOOR = 1e-30
 
@@ -37,7 +40,7 @@ class NoiseSpectrum:
 
 
 def _entries(abcd):
-    return abcd[0, 0], abcd[0, 1], abcd[1, 0], abcd[1, 1]
+    return abcd[..., 0, 0], abcd[..., 0, 1], abcd[..., 1, 0], abcd[..., 1, 1]
 
 
 def probe_intensity_noise_parts(abcd0, abcd_w, abcd_mw,
@@ -48,8 +51,7 @@ def probe_intensity_noise_parts(abcd0, abcd_w, abcd_mw,
     signs of the analysis frequency; the output photon number used for
     normalization cancels, so only the SQL reference remains.
     """
-    a0 = abcd0[0, 0]
-    if abs(a0)**2 < NORMALIZATION_FLOOR:
+    if np.any(abs(abcd0[..., 0, 0])**2 < NORMALIZATION_FLOOR):
         raise NormalizationError("probe noise undefined at zero probe gain")
     aw, bw, _, _ = _entries(abcd_w)
     am, bm, _, _ = _entries(abcd_mw)
@@ -66,7 +68,7 @@ def intensity_difference_noise_parts(abcd0, abcd_w, abcd_mw,
     aw, bw, cw, dw = _entries(abcd_w)
     am, bm, cm, dm = _entries(abcd_mw)
     denom = 2.0 * (abs(a0)**2 + abs(c0)**2)
-    if denom < NORMALIZATION_FLOOR:
+    if np.any(denom < NORMALIZATION_FLOOR):
         raise NormalizationError("intensity-difference noise undefined: zero total gain")
     return (abs(np.conj(a0)*aw - np.conj(c0)*cw)**2 * (1.0 + diff.d_aa)
             + abs(a0*np.conj(am) - c0*np.conj(cm))**2 * (1.0 + diff.d_aa_rev)
@@ -81,7 +83,7 @@ def phase_sum_noise_parts(abcd0, abcd_w, abcd_mw,
     aw, bw, cw, dw = _entries(abcd_w)
     am, bm, cm, dm = _entries(abcd_mw)
     denom = 2.0 * (abs(a0)**2 + abs(c0)**2)
-    if denom < NORMALIZATION_FLOOR:
+    if np.any(denom < NORMALIZATION_FLOOR):
         raise NormalizationError("phase-sum noise undefined: zero total gain")
     return (abs(a0*cw - c0*aw)**2 * (1.0 + diff.d_aa)
             + abs(a0*cm - c0*am)**2 * (1.0 + diff.d_aa_rev)
@@ -91,7 +93,7 @@ def phase_sum_noise_parts(abcd0, abcd_w, abcd_mw,
 
 @dataclass(frozen=True)
 class Observables:
-    """Everything read off a medium at one analysis frequency, SQL = 1: the
+    """Everything read off a medium at an analysis frequency, SQL = 1: the
     mean-field gains |A(0)|^2 and |C(0)|^2, the pair noises, their half sum
     (below 1 witnesses entanglement) and the single-mode probe noise."""
 
@@ -113,24 +115,49 @@ def observables(abcd0, abcd_w, abcd_mw, diff: IntegratedDiffusion) -> Observable
     snm = intensity_difference_noise_parts(*parts)
     sphp = phase_sum_noise_parts(*parts)
     sna = probe_intensity_noise_parts(*parts)
-    return Observables(gain_a=abs(abcd0[0, 0])**2, gain_b=abs(abcd0[1, 0])**2,
+    return Observables(gain_a=abs(abcd0[..., 0, 0])**2, gain_b=abs(abcd0[..., 1, 0])**2,
                        S_Nminus=snm, S_phiplus=sphp,
                        inseparability=0.5 * (snm + sphp), S_Na=sna)
 
 
-def evaluate(mp: MediumParams, omega: float, *, langevin: bool = True,
-             exponent=None) -> Observables:
-    """All observables of the medium at analysis frequency omega.
+def evaluate(mp: MediumParams, omega, *, langevin: bool = True, calibrate: bool = False,
+             vapor=None, order: int = DEFAULT_VELOCITY_ORDER) -> Observables:
+    """All observables of the media mp at analysis frequencies omega, stacked
+    to their broadcast shape (and the vapor's).
 
-    ``exponent(mp, omegas)`` stacks the 2x2 propagation exponents of an
-    array of frequencies; None selects the cold-atom ``generator`` (looked
-    up at call time).  It is called once for (0, +omega, -omega), and the
-    stack is exponentiated in one call before the diffusion is integrated.
+    One steady-state solve serves every kernel; for a VaporParams ``vapor``
+    it holds the ``order`` velocity nodes and, last, the atom at rest.  In
+    this order: with ``calibrate`` (and ``langevin``) the media are
+    calibrated (calibrate_langevin_scale); the exponents at 0, +omega and
+    -omega, velocity averaged for a vapor, are formed and then
+    exponentiated; the diffusion is integrated from the kernel at +-omega
+    of the atom at rest, which without ``vapor`` is the transfer kernel.
     Without ``langevin`` the diffusion terms are zero.
     """
-    abcds = expm((exponent or generator)(mp, np.array([0.0, omega, -omega])))
-    diff = integrated_diffusion(mp, omega) if langevin else IntegratedDiffusion.zero()
-    return observables(*abcds, diff)
+    shape = mp.shape
+    if vapor is None:
+        ss = steady_state(mp.atom)
+    else:
+        shifts = velocity_nodes(vapor, order)[2]
+        shape = np.broadcast_shapes(shape, shifts.shape[:-1])
+        rest = np.zeros(shifts.shape[:-1] + (1,))
+        nodes = steady_state(mp.at_nodes(np.concatenate([shifts, rest], axis=-1)).atom)
+        ss = nodes.take(-1)
+    if langevin and calibrate:
+        mp = mp.with_scale(calibrate_langevin_scale(
+            mp, kernel=_coherence_kernel(mp, DEFAULT_CALIBRATION_FREQ, ss)))
+    omegas = _frequencies(shape, 0.0, omega, -np.asarray(omega))
+    if vapor is None:
+        kernel = _coherence_kernel(mp, omegas, ss)
+        exponents = kernel[2]
+    else:
+        exponents = doppler_generator(mp, vapor, omegas, order, nodes.take(slice(-1)))
+    abcds = expm(exponents)
+    if not langevin:
+        return observables(*abcds, IntegratedDiffusion.zero())
+    pm = (kernel[0], kernel[1][1:], kernel[2][1:]) if vapor is None \
+        else _coherence_kernel(mp, omegas[1:], ss)
+    return observables(*abcds, integrated_diffusion(mp, omega, pm))
 
 
 def to_dB(s: float) -> float:
@@ -147,8 +174,7 @@ def compute_spectrum(mp: MediumParams, freqs, kind: str,
     if kind not in NOISE_FIELDS:
         raise DomainError(f"unknown spectrum kind {kind!r}; one of {NOISE_FIELDS}")
     freqs = np.asarray(freqs, dtype=float)
-    values = np.array([getattr(evaluate(mp, w, langevin=langevin), kind)
-                       for w in freqs])
+    values = getattr(evaluate(mp, freqs, langevin=langevin), kind)
     return NoiseSpectrum(freqs=freqs, values=values, label=kind)
 
 

@@ -2,11 +2,12 @@
 
 The cold-atom propagation generator is averaged over the Maxwell-Boltzmann
 velocity distribution by shifting the one-photon detuning per velocity
-class, delta1 -> delta1 + k*v, in one stacked generator call over all
-nodes.  The distribution is symmetric, so the sign of the shift is
-immaterial.  Langevin diffusion is not velocity averaged (the coefficients
-change very little); cold-atom diffusion is reused with the averaged
-transfer.
+class, delta1 -> delta1 + k*v, on a last (node) axis of the medium, in one
+stacked generator call; the leading axes come from the medium, omega and
+the VaporParams, whose fields may be arrays too.  The distribution is
+symmetric, so the sign of the shift is immaterial.  Langevin diffusion is
+not velocity averaged (the coefficients change very little); cold-atom
+diffusion is reused with the averaged transfer.
 """
 
 import warnings
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atom import preparation_probability
-from .errors import ConfigurationError, DomainError, PoleError, RangeWarning
+from .errors import ConfigurationError, DomainError, PoleError, RangeWarning, first, require
 from .numkernel import DEFAULT_VELOCITY_ORDER, expm, gauss_hermite_nodes
-from .propagation import MediumParams, generator
+from .propagation import MediumParams, _coherence_kernel, generator
 from .units import (ATM_TO_PA, ATM_TO_TORR, KB, RB85_D1_WAVELENGTH_M,
                     RB85_MASS_KG, TWO_PI, celsius_to_kelvin)
 
@@ -41,12 +42,13 @@ class VaporParams:
     cross_section: float   # m^2
 
     def __post_init__(self):
-        for name in ("temperature", "atomic_mass", "wavelength", "cell_length", "cross_section"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise DomainError(f"VaporParams: {name} must be finite and > 0, got {value}")
-        if not (self.pump_waist > self.probe_waist > 0):
-            raise DomainError("VaporParams: need pump_waist > probe_waist > 0")
+        for name, value in vars(self).items():
+            require(np.isfinite(value) & np.greater(value, 0),
+                    f"VaporParams: {name} must be finite and > 0", value)
+        if np.any(bad := ~np.greater(self.pump_waist, self.probe_waist)):
+            raise DomainError(f"VaporParams: pump_waist must be > probe_waist "
+                              f"({first(self.probe_waist, bad)}), "
+                              f"got {first(self.pump_waist, bad)}")
 
     @classmethod
     def rb85_d1(cls, temperature_c: float = 120.0, pump_waist: float = 600e-6,
@@ -83,25 +85,34 @@ def doppler_width(vp: VaporParams) -> float:
     return (TWO_PI / vp.wavelength) * velocity_sigma(vp) * 1e-6
 
 
-def doppler_generator(mp: MediumParams, vp: VaporParams, omega,
-                      order: int = DEFAULT_VELOCITY_ORDER) -> np.ndarray:
-    """Velocity-averaged propagation exponent, stacked over omega.shape.
-
-    Gauss-Hermite average of the cold generator with the detuning shifted
-    by k*v per node.  Any node sitting on a Raman pole aborts the average;
-    the error lists the offending velocities at the first such omega.
-    """
+def velocity_nodes(vp: VaporParams, order: int = DEFAULT_VELOCITY_ORDER):
+    """(velocities in m/s, weights, delta1 shifts k*v in rad/us) of the
+    Gauss-Hermite velocity nodes, on a last node axis."""
     if order < 16:
         raise ConfigurationError(f"doppler_generator: order must be >= 16, got {order}")
-    k = TWO_PI / vp.wavelength
-    velocities, weights = gauss_hermite_nodes(order, velocity_sigma(vp))
+    velocities, weights = gauss_hermite_nodes(order, np.expand_dims(velocity_sigma(vp), -1))
+    return velocities, weights, np.expand_dims(TWO_PI / vp.wavelength, -1) * velocities * 1e-6
+
+
+def doppler_generator(mp: MediumParams, vp: VaporParams, omega,
+                      order: int = DEFAULT_VELOCITY_ORDER, ss=None) -> np.ndarray:
+    """Velocity-averaged propagation exponent, stacked to the broadcast
+    shape of the medium, omega and the vapor.
+
+    Gauss-Hermite average of the cold generator with the detuning shifted
+    by k*v per node; ``ss`` is the steady state of those nodes if known.
+    Any node sitting on a Raman pole aborts the average; the error lists
+    the offending velocities at the first such omega.
+    """
+    velocities, weights, shifts = velocity_nodes(vp, order)
     try:
-        gens = generator(mp, omega, k * velocities * 1e-6)
+        gens = _coherence_kernel(mp.at_nodes(shifts), np.expand_dims(omega, -1), ss)[2]
     except PoleError as exc:
+        row = velocities[exc.index[len(exc.index) - velocities.ndim:-1]]
         raise PoleError(
             f"doppler_generator: {len(exc.nodes)} velocity nodes on resonance at "
             f"omega = {exc.omega:.6g}", omega=exc.omega,
-            velocities=list(velocities[exc.nodes])) from exc
+            velocities=list(row[exc.nodes])) from exc
     # a running sum adds node by node in node order (a pairwise np.sum may
     # round differently); + 0.0 turns an all -0.0 sum into the loop's +0.0
     return np.cumsum(weights[:, None, None] * gens, axis=-3)[..., -1, :, :] + 0.0
@@ -130,7 +141,8 @@ def slice_consistency(mp: MediumParams, vp: VaporParams, omega: float,
     rng = np.random.default_rng(seed)
     k = TWO_PI / vp.wavelength
     velocities = rng.normal(0.0, velocity_sigma(vp), n_slices)
-    exponents = generator(mp, omega, k * velocities * 1e-6) / n_slices
+    exponents = generator(mp.with_atom(delta1=mp.atom.delta1 + k * velocities * 1e-6),
+                          omega) / n_slices
     slabs = expm(exponents)
 
     def ordered_product(idx):
@@ -169,8 +181,7 @@ def residual_transmission(mp: MediumParams, vp: VaporParams,
     detuning = mp.atom.delta1 if probe_detuning is None else probe_detuning
     sig = doppler_width(vp)
     profile = np.exp(-detuning**2 / (2.0 * sig**2))
-    loss_factor = float(np.exp(-unprepared * mp.optical_depth * profile))
-    return prepared, loss_factor
+    return prepared, np.exp(-unprepared * mp.optical_depth * profile)
 
 
 def saturated_vapor_pressure_atm(temperature: float) -> float:

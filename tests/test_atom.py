@@ -139,7 +139,7 @@ class TestStackedSteadyState:
     P = AtomParams.from_mhz(5.75, 1.0, 3036.0, 800.0, 4.0, 330.0)
 
     def test_stack_equals_per_node_states(self):
-        ss = steady_state(self.P, self.SHIFTS)
+        ss = steady_state(dataclasses.replace(self.P, delta1=self.P.delta1 + self.SHIFTS))
         for j, s in enumerate(self.SHIFTS):
             one = steady_state(dataclasses.replace(self.P, delta1=self.P.delta1 + s))
             for stacked, single in zip(ss.pops + ss.coh, one.pops + one.coh):
@@ -148,9 +148,9 @@ class TestStackedSteadyState:
     def test_coherence_system_stacks_frequency_then_shift(self):
         shifts = self.SHIFTS[::1000]
         omegas = np.array([0.0, 1.5, -1.5])
-        ss = steady_state(self.P, shifts)
-        m1p, s1, _ = build_coherence_system(self.P, ss, omegas, shifts)
-        m0 = build_drift_m0(self.P, shifts)
+        nodes = dataclasses.replace(self.P, delta1=self.P.delta1 + shifts)
+        m1p, s1, _ = build_coherence_system(nodes, steady_state(nodes), omegas[:, None])
+        m0 = build_drift_m0(nodes)
         assert m1p.shape == (3, 5, 4, 4) and s1.shape == (5, 4, 2)
         for j, s in enumerate(shifts):
             p = dataclasses.replace(self.P, delta1=self.P.delta1 + s)
@@ -162,16 +162,16 @@ class TestStackedSteadyState:
 
     def test_residual_checked_on_every_node(self, monkeypatch):
         import fourwave.atom as atom_mod
-        exact = atom_mod.build_drift_m0
+        exact = atom_mod._drift_rows
 
-        def broken_on_last_node(p, detuning_shift=0.0):
-            m0 = exact(p, detuning_shift).copy()
-            m0[..., -1, 0, 0] += 1.0
-            return m0
+        def broken_on_last_node(p):
+            rows = exact(p)
+            rows[0][0] = rows[0][0] + (np.arange(np.size(p.delta1)) == np.size(p.delta1) - 1)
+            return rows
 
-        monkeypatch.setattr(atom_mod, "build_drift_m0", broken_on_last_node)
+        monkeypatch.setattr(atom_mod, "_drift_rows", broken_on_last_node)
         with pytest.raises(DegenerateModelError):
-            steady_state(self.P, self.SHIFTS[:3])
+            steady_state(dataclasses.replace(self.P, delta1=self.P.delta1 + self.SHIFTS[:3]))
 
 
 class TestDiffusionSet:

@@ -229,6 +229,22 @@ class TestValidation:
             diags = validate(parse_config(text.replace(old, new)))
             assert [str(d) for d in diags] == [message]
 
+    @pytest.mark.parametrize("old, new, message", (
+        ("pump_waist_um = 600", "pump_waist_um = inf",
+         "vapor.pump_waist_um: must be finite and > 0, got inf"),
+        ("probe_waist_um = 300", "probe_waist_um = nan",
+         "vapor.probe_waist_um: must be finite and > 0, got nan"),
+        ("probe_waist_um = 300", "probe_waist_um = 900",
+         "vapor.pump_waist_um: must be > vapor.probe_waist_um = 900, got 600"),
+    ), ids=("infinite-pump-waist", "nan-probe-waist", "probe-wider-than-pump"))
+    def test_vapor_waists_in_config_terms(self, tmp_path, old, new, message):
+        text = vapor_config(tmp_path / "o.csv", count=2, depth=1000)
+        assert old in text
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(text.replace(old, new))
+        assert [str(d) for d in validate(parse_config(ini.read_text()))] == [message]
+        assert main(["run", "--config", str(ini)]) == 2
+
     @pytest.mark.parametrize("model, edits, rejected", (
         ("cold", (), False),
         ("cold", (("rabi_mhz = 300", "rabi_mhz = -5"),), True),

@@ -123,7 +123,8 @@ class TestDopplerAveraging:
         velocities, weights = gauss_hermite_nodes(order, velocity_sigma(vp))
         w = TWO_PI * 1.0
         for omega in (0.0, w, -w, TWO_PI * 3.7, np.array([0.0, w, -w, TWO_PI * 3.7])):
-            gens = generator(mp, omega, TWO_PI / vp.wavelength * velocities * 1e-6)
+            gens = generator(mp.at_nodes(TWO_PI / vp.wavelength * velocities * 1e-6),
+                             np.expand_dims(omega, -1))
             acc = np.zeros(np.shape(omega) + (2, 2), dtype=complex)
             for j, wt in enumerate(weights):
                 acc += wt * gens[..., j, :, :]
