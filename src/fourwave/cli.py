@@ -30,10 +30,11 @@ from .units import mhz_to_rad_us
 
 NOISE_COLUMNS = ("S_Nminus", "S_phiplus", "inseparability", "S_Na", "S_N")
 
-# Coherence matrices (rows x 3 frequencies x velocity nodes) per stacked
-# block of a cold or vapor sweep: it bounds a sweep's memory at about the
-# speed of one stack (8-row blocks of configs/vapor_gain_scan.ini).
-BLOCK_MATRICES = 1000
+# Coherence matrices (rows x 3 frequencies x velocity nodes) in one stacked
+# evaluation of a cold or vapor sweep; a larger sweep is split in halves.  A
+# full stack (68 vapor rows) peaks 3.5 MB above one row at a time (37.0 vs
+# 33.5 MB resident); configs/vapor_gain_scan.ini (7320 matrices) is one stack.
+BLOCK_MATRICES = 8192
 
 
 def _fmt(value) -> str:
@@ -63,19 +64,15 @@ def _sweep_values(cfg: RunConfig) -> list[float]:
 
 
 def _medium_rows(cfg: RunConfig, values: list[float]) -> list[dict]:
-    """Cold or vapor rows of a sweep, evaluated in blocks of consecutive
-    sweep values, each block as one stacked medium."""
+    """Cold or vapor rows of consecutive sweep values, evaluated as one
+    stacked medium: calibrate, evaluate, and for the vapor model fold the
+    front-loaded residual absorption into the gains.  A stack above
+    BLOCK_MATRICES, or one that raises, is split in halves down to single
+    values, so every row gets the flag it gets alone."""
+    half = len(values) // 2
     nodes = cfg.velocity_order if cfg.model == "vapor" else 1
-    size = max(1, BLOCK_MATRICES // (3 * nodes))
-    return [row for start in range(0, len(values), size)
-            for row in _medium_block(cfg, values[start:start + size])]
-
-
-def _medium_block(cfg: RunConfig, values: list[float]) -> list[dict]:
-    """Rows of one block: calibrate, evaluate, and for the vapor model fold
-    the front-loaded residual absorption into the gains.  A block that
-    raises is evaluated again one value at a time, so every row gets the
-    flag it gets alone."""
+    if half and len(values) * 3 * nodes > BLOCK_MATRICES:
+        return _medium_rows(cfg, values[:half]) + _medium_rows(cfg, values[half:])
     swept = np.array(values)
     point = cfgmod.at_sweep_value(cfg, swept)
     mp = cfgmod.medium_params_from(point)
@@ -88,8 +85,8 @@ def _medium_block(cfg: RunConfig, values: list[float]) -> list[dict]:
         prepared, front_loss = (None, 1.0) if vp is None \
             else vapmod.residual_transmission(mp, vp)
     except FourwaveError as exc:
-        if len(values) > 1:
-            return [row for value in values for row in _medium_block(cfg, [value])]
+        if half:
+            return _medium_rows(cfg, values[:half]) + _medium_rows(cfg, values[half:])
         return [{"sweep_value": values[0],
                  "flag": "pole" if isinstance(exc, PoleError) else f"error:{exc}"}]
     columns = {"Ga": front_loss * obs.gain_a, "Gb": front_loss * obs.gain_b,
@@ -97,8 +94,13 @@ def _medium_block(cfg: RunConfig, values: list[float]) -> list[dict]:
                "prepared_fraction": prepared}
     columns = {name: np.broadcast_to(column, swept.shape).tolist()
                for name, column in columns.items() if column is not None}
-    return [{"sweep_value": value, **{name: column[i] for name, column in columns.items()},
-             "flag": ""} for i, value in enumerate(values)]
+    rows = []
+    for i, value in enumerate(values):
+        row = {name: column[i] for name, column in columns.items()}
+        bad = [name for name, x in row.items() if not math.isfinite(x)]
+        rows.append({"sweep_value": value, "flag": f"error:non-finite {bad[0]}"} if bad
+                    else {"sweep_value": value, **row, "flag": ""})
+    return rows
 
 
 def _eit_row(cfg: RunConfig, axis: str, value: float) -> dict:

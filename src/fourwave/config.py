@@ -280,14 +280,7 @@ def atom_params_from(cfg: RunConfig):
     """AtomParams from the [atom] block; boundary MHz -> rad/us conversion."""
     from .atom import AtomParams
     a = _floats(cfg.atom, _ATOM_KEYS)
-    return AtomParams(
-        gamma_e=mhz_to_rad_us(a["gamma_e_mhz"]),
-        gamma_g=mhz_to_rad_us(a["gamma_g_mhz"]),
-        omega0=mhz_to_rad_us(a["omega0_mhz"]),
-        delta1=mhz_to_rad_us(a["delta1_mhz"]),
-        delta2=mhz_to_rad_us(a["delta2_mhz"]),
-        rabi=mhz_to_rad_us(a["rabi_mhz"]),
-    )
+    return AtomParams(**{key.removesuffix("_mhz"): mhz_to_rad_us(a[key]) for key in _ATOM_KEYS})
 
 
 def medium_params_from(cfg: RunConfig):

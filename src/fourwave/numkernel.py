@@ -69,11 +69,12 @@ def expm(m) -> np.ndarray:
         r = np.linalg.solve(v - u, v + u)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"expm: Pade denominator is singular ({exc})") from exc
-    for _ in range(least):
-        r = r @ r
-    for k in range(least, most):
-        more = np.reshape(counts, norms.shape) > k
-        r[more] = r[more] @ r[more]
+    with np.errstate(over="ignore", invalid="ignore"):     # an overflow raises below
+        for _ in range(least):
+            r = r @ r
+        for k in range(least, most):
+            more = np.reshape(counts, norms.shape) > k
+            r[more] = r[more] @ r[more]
     if not np.all(np.isfinite(r)):
         raise NumericError("expm: overflow during squaring phase")
     if 0.0 in norm_list:

@@ -183,7 +183,8 @@ def _noise_integral(weight, kernel, gens, dmat):
     """
     qs = np.broadcast_to(kernel @ dmat @ np.swapaxes(kernel.conj(), -1, -2), gens.shape)
     f = expm(np.block([[-gens, qs], [np.zeros_like(gens), np.swapaxes(gens.conj(), -1, -2)]]))
-    return weight * (f[..., :2, 2:] @ np.swapaxes(f[..., :2, :2].conj(), -1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):     # inf or NaN is flagged later
+        return weight * (f[..., :2, 2:] @ np.swapaxes(f[..., :2, :2].conj(), -1, -2))
 
 
 def _cast_real(value, who: str):
@@ -252,8 +253,9 @@ def calibrate_langevin_scale(mp: MediumParams, omega_ref: float = DEFAULT_CALIBR
             f"calibration impossible: commutator deficit {first(deficit, bad):.3e} "
             f"with vanishing diffusion")
     scale = np.where(vanishing, 1.0, deficit / np.where(vanishing, 1.0, raw))
-    if np.any(bad := scale <= 0):
-        raise CalibrationError(f"calibration produced non-positive scale {first(scale, bad):.3e}")
+    if np.any(bad := ~(scale > 0)):     # NaN where the noise integral overflowed
+        kind = "non-positive" if first(scale, bad) <= 0 else "non-finite"
+        raise CalibrationError(f"calibration produced {kind} scale {first(scale, bad):.3e}")
     return scale[()]
 
 

@@ -1,12 +1,22 @@
-"""Stacked sweeps: a cold or vapor sweep evaluated in blocks writes the same
-CSV text as each of its values evaluated alone, error and pole rows included."""
+"""Stacked sweeps: a cold or vapor sweep evaluated as stacked media, split
+in halves above the size budget or on an error, writes the same CSV text as
+each of its values evaluated alone, error and pole rows included."""
 
+import json
+import math
+import warnings
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourwave import cli
 from fourwave.cli import _sweep_values, main
 from fourwave.config import SWEEP_AXES, parse_config
+
+ROOT = Path(__file__).resolve().parents[1]
 
 CONFIG = """
 [run]
@@ -49,11 +59,22 @@ POINT = {"cold": dict(gamma_g_mhz=0.01, delta1_mhz=1000.0, delta2_mhz=0.0, rabi_
          "vapor": dict(gamma_g_mhz=1.0, delta1_mhz=800.0, delta2_mhz=4.0, rabi_mhz=330.0,
                        optical_depth=4500.0, omega_mhz=1.0, temperature_c=120.0)}
 
-# Sweep ranges inside the parameter domain; a vapor block holds 8 rows, so a
-# sweep of up to 12 values spans a block boundary.
+# Sweep ranges inside the parameter domain.
 RANGES = {"delta1_mhz": (500.0, 1500.0), "delta2_mhz": (-60.0, 60.0),
           "rabi_mhz": (0.0, 600.0), "optical_depth": (0.0, 4500.0),
           "omega_mhz": (0.1, 5.0), "temperature_c": (60.0, 160.0)}
+
+
+@pytest.fixture
+def evaluate_calls(monkeypatch):
+    """The stack shape, media by frequencies, of every spectra.evaluate call."""
+    calls, evaluate = [], cli.spec.evaluate
+
+    def spy(mp, omega, **kwargs):
+        calls.append(np.broadcast_shapes(mp.shape, np.shape(omega)))
+        return evaluate(mp, omega, **kwargs)
+    monkeypatch.setattr(cli.spec, "evaluate", spy)
+    return calls
 
 
 def csv_rows(directory, name, model, axis, start, stop, count, **point):
@@ -83,9 +104,24 @@ def test_stacked_sweep_equals_each_value_alone(tmp_path_factory, model, axis, da
     low, high = RANGES[axis]
     ends = st.floats(low, high, allow_nan=False)
     start, stop = data.draw(ends), data.draw(ends)
-    count = data.draw(st.integers(2, 12))
-    assert_stacked_equals_alone(tmp_path_factory.mktemp("sweep"), model, axis,
-                                start, stop, count, **POINT[model])
+    count = data.draw(st.integers(3, 12))
+    # a budget of two rows: every sweep is split, and stacks of two remain
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "BLOCK_MATRICES", 2 * 3 * (40 if model == "vapor" else 1))
+        assert_stacked_equals_alone(tmp_path_factory.mktemp("sweep"), model, axis,
+                                    start, stop, count, **POINT[model])
+
+
+def test_shipped_vapor_sweep_is_one_stack(tmp_path, evaluate_calls):
+    assert main(["run", "--config", str(ROOT / "configs" / "vapor_gain_scan.ini"),
+                 "--out", str(tmp_path / "out.csv")]) == 0
+    assert evaluate_calls == [(61,)]
+
+
+def test_budget_splits_in_halves(tmp_path, monkeypatch, evaluate_calls):
+    monkeypatch.setattr(cli, "BLOCK_MATRICES", 4 * 3)
+    csv_rows(tmp_path, "stacked", "cold", "delta2_mhz", -5.0, 5.0, 11, **POINT["cold"])
+    assert evaluate_calls == [(2,), (3,), (3,), (3,)]
 
 
 def test_pole_row_mid_block(tmp_path):
@@ -95,13 +131,46 @@ def test_pole_row_mid_block(tmp_path):
     assert [row.split(",")[-1] for row in rows] == ["", "", "pole", "", ""]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+def test_pole_row_costs_a_logarithmic_number_of_calls(tmp_path, evaluate_calls):
+    point = {**POINT["cold"], "rabi_mhz": 0.0, "gamma_g_mhz": 0.0, "delta2_mhz": 2.0}
+    rows = assert_stacked_equals_alone(tmp_path, "cold", "omega_mhz", 1.5, 2.5, 61, **point)
+    assert [row.split(",")[-1] for row in rows] == [""] * 30 + ["pole"] + [""] * 30
+    stacked = evaluate_calls[:-61]      # each value alone makes one call
+    assert stacked[0] == (61,) and len(stacked) <= 2 * math.ceil(math.log2(61)) + 1
+
+
 def test_error_row_mid_block(tmp_path):
     # at delta2 = -17.5 MHz the transfer exponential of this dense medium
     # overflows; its neighbours evaluate
     point = {**POINT["cold"], "optical_depth": 4500.0}
-    rows = assert_stacked_equals_alone(tmp_path, "cold", "delta2_mhz", -22.5, -12.5, 5,
-                                       **point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = assert_stacked_equals_alone(tmp_path, "cold", "delta2_mhz", -22.5, -12.5, 5,
+                                           **point)
     assert [row.split(",")[-1] for row in rows] == [
         "", "", "error:expm: overflow during squaring phase", "", ""]
+
+
+def test_blow_ups_are_flagged_silently(tmp_path):
+    # overflowing exponentials, a NaN noise integral and a NaN calibration
+    # scale, side by side; no numpy warning reaches stderr
+    point = {**POINT["cold"], "delta1_mhz": 700.0, "rabi_mhz": 520.0,
+             "optical_depth": 4500.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = assert_stacked_equals_alone(tmp_path, "cold", "delta2_mhz", -70.0, -65.0, 11,
+                                           **point)
+        ini = tmp_path / "stacked.ini"
+        assert main(["run", "--config", str(ini), "--format", "json",
+                     "--out", str(tmp_path / "out.json")]) == 0
+    overflow = "error:expm: overflow during squaring phase"
+    non_finite = "error:non-finite S_Nminus"
+    no_scale = "error:calibration produced non-finite scale nan"
+    assert [row.split(",")[-1] for row in rows] == [
+        "", non_finite, overflow, non_finite, "", no_scale, overflow, no_scale, "", "", ""]
+    assert all(row.split(",")[1:-1] == [""] * 6 for row in rows if row.split(",")[-1])
+
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+    payload = json.loads((tmp_path / "out.json").read_text(), parse_constant=reject)
+    assert [row[-1] for row in payload["rows"]][1:3] == [non_finite, overflow]
