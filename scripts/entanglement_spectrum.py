@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from fourwave import AtomParams, MediumParams, calibrated, evaluate, to_dB
+from fourwave import AtomParams, MediumParams, evaluate, to_dB
 from fourwave.units import TWO_PI
 
 
@@ -23,7 +23,7 @@ def main():
 
     atom = AtomParams.from_mhz(gamma_e=5.75, gamma_g=0.01, omega0=3036.0,
                                delta1=2000.0, delta2=-217.0, rabi=2000.0)
-    mp = calibrated(MediumParams(atom=atom, optical_depth=150.0))
+    mp = MediumParams(atom=atom, optical_depth=150.0)
 
     freqs = np.linspace(args.fmax_mhz / args.points, args.fmax_mhz, args.points)
     # the sweep and, last, the 1 MHz point: one stacked evaluation

@@ -11,7 +11,7 @@ import argparse
 
 import numpy as np
 
-from fourwave import AtomParams, MediumParams, calibrated, evaluate
+from fourwave import AtomParams, MediumParams, evaluate
 from fourwave.units import TWO_PI
 
 
@@ -26,7 +26,7 @@ def main():
     deltas = np.linspace(args.start_mhz, args.stop_mhz, args.points)
     atom = AtomParams.from_mhz(gamma_e=5.75, gamma_g=0.5, omega0=3036.0,
                                delta1=1000.0, delta2=deltas, rabi=520.0)
-    mp = calibrated(MediumParams(atom=atom, optical_depth=300.0))   # one medium per delta2
+    mp = MediumParams(atom=atom, optical_depth=300.0)   # one medium per delta2
     obs = evaluate(mp, TWO_PI * 1.0)
     rows = list(zip(deltas, obs.gain_a, obs.gain_b, obs.S_Nminus))
 

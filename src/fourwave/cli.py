@@ -65,10 +65,10 @@ def _sweep_values(cfg: RunConfig) -> list[float]:
 
 def _medium_rows(cfg: RunConfig, values: list[float]) -> list[dict]:
     """Cold or vapor rows of consecutive sweep values, evaluated as one
-    stacked medium: calibrate, evaluate, and for the vapor model fold the
-    front-loaded residual absorption into the gains.  A stack above
-    BLOCK_MATRICES, or one that raises, is split in halves down to single
-    values, so every row gets the flag it gets alone."""
+    stacked medium; the vapor model folds the front-loaded residual
+    absorption into the gains.  A stack above BLOCK_MATRICES, or one that
+    raises, is split in halves down to single values, so every row gets
+    the flag it gets alone."""
     half = len(values) // 2
     nodes = cfg.velocity_order if cfg.model == "vapor" else 1
     if half and len(values) * 3 * nodes > BLOCK_MATRICES:
@@ -78,10 +78,8 @@ def _medium_rows(cfg: RunConfig, values: list[float]) -> list[dict]:
     mp = cfgmod.medium_params_from(point)
     omega = mhz_to_rad_us(swept if cfg.sweep_axis == "omega_mhz" else cfg.omega_mhz)
     vp = cfgmod.vapor_params_from(point) if cfg.model == "vapor" else None
-    try:     # a zero-depth medium calibrates to exactly 1, and alone is not calibrated
-        obs = spec.evaluate(mp, omega, langevin=cfg.langevin,
-                            calibrate=bool(np.any(np.greater(mp.optical_depth, 0))),
-                            vapor=vp, order=cfg.velocity_order)
+    try:
+        obs = spec.evaluate(mp, omega, langevin=cfg.langevin, vapor=vp, order=cfg.velocity_order)
         prepared, front_loss = (None, 1.0) if vp is None \
             else vapmod.residual_transmission(mp, vp)
     except FourwaveError as exc:
@@ -157,8 +155,12 @@ def run(cfg: RunConfig, with_db: bool = False) -> int:
               for c in columns]     # axis key carries the unit
     text = _render_csv(labels, columns, rows) if cfg.output_format == "csv" \
         else _render_json(labels, columns, rows, cfg)
-    with open(cfg.output_path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(cfg.output_path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"run failed: cannot write {cfg.output_path}: {exc.strerror}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -57,6 +57,7 @@ FORMATS = ("csv", "json")
 REFERENCE_KINDS = ("pia", "psa", "chain")
 _REFERENCE_KEYS = {"pia": ("gain",), "psa": ("gain",),
                    "chain": ("slice_gain", "slice_transmission", "n_slices")}
+_OPTIONAL_REFERENCE_KEYS = {"psa": ("theta_deg", "big_theta_deg")}
 
 SWEEP_AXES = {
     "cold": ("delta1_mhz", "delta2_mhz", "rabi_mhz", "optical_depth", "omega_mhz"),
@@ -194,7 +195,8 @@ def validate(cfg: RunConfig) -> list[Diagnostic]:
                                     f"must be one of {REFERENCE_KINDS}, got {kind!r}"))
         else:       # the keys a kind reads are the axes it may sweep
             axes = _REFERENCE_KEYS[kind]
-            _require_floats(diags, cfg.reference, axes, "reference")
+            optional = [k for k in _OPTIONAL_REFERENCE_KEYS.get(kind, ()) if k in cfg.reference]
+            _require_floats(diags, cfg.reference, (*axes, *optional), "reference")
 
     if not cfg.sweep_axis:
         diags.append(Diagnostic("sweep.axis", "missing sweep axis"))

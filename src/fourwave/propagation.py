@@ -10,9 +10,11 @@ matrix exponential of the generator:
 
 Langevin noise enters the spectra through four z-integrated diffusion
 coefficients, each read off one block exponential (Van Loan, IEEE TAC 23
-(1978) 395); their overall normalization is fixed by requiring that the
-output field commutator stays canonical (see calibrate_langevin_scale),
-rather than by microscopic coupling-constant bookkeeping.
+(1978) 395).  Their overall normalization is computed with them, never
+stored: integrated_diffusion and commutator_defect scale by
+calibrate_langevin_scale(mp), which requires the output field commutator
+to stay canonical at CALIBRATION_FREQ, rather than by microscopic
+coupling-constant bookkeeping.
 
 MediumParams fields may be arrays.  Results are stacked to the broadcast
 shape of the medium and omega (leading axes), the velocity nodes of a
@@ -38,35 +40,26 @@ POLE_CONDITION_LIMIT = 1e12
 # to a real number.
 DIFFUSION_IMAG_RTOL = 1e-8
 
-DEFAULT_CALIBRATION_FREQ = TWO_PI * 1.0   # rad/us
+# The reference frequency of the Langevin normalization, rad/us.
+CALIBRATION_FREQ = TWO_PI * 1.0
 
 
 @dataclass(frozen=True)
 class MediumParams:
-    """Atomic medium of given optical depth; fields broadcast like the atom's.
-
-    ``langevin_scale`` multiplies every integrated diffusion coefficient;
-    it is 1 by default and is normally set to calibrate_langevin_scale(mp).
-    """
+    """Atomic medium of given optical depth; fields broadcast like the atom's."""
 
     atom: AtomParams
     optical_depth: float
-    langevin_scale: float = 1.0
 
     def __post_init__(self):
         require(np.isfinite(self.optical_depth) & ~np.less(self.optical_depth, 0),
                 "MediumParams: optical_depth must be finite and >= 0", self.optical_depth)
-        require(np.greater(self.langevin_scale, 0), "MediumParams: langevin_scale must be > 0",
-                self.langevin_scale)
 
     @property
     def shape(self) -> tuple:
         """Broadcast shape of all fields."""
         return np.broadcast_shapes(*map(np.shape, (*vars(self.atom).values(),
-                                                   self.optical_depth, self.langevin_scale)))
-
-    def with_scale(self, scale) -> "MediumParams":
-        return dataclasses.replace(self, langevin_scale=scale)
+                                                   self.optical_depth)))
 
     def with_atom(self, **changes) -> "MediumParams":
         return dataclasses.replace(self, atom=dataclasses.replace(self.atom, **changes))
@@ -75,8 +68,7 @@ class MediumParams:
         """This medium on a new last (node) axis, with delta1 + shifts."""
         atom = {name: np.expand_dims(value, -1) for name, value in vars(self.atom).items()}
         atom["delta1"] = atom["delta1"] + shifts
-        return MediumParams(AtomParams(**atom), np.expand_dims(self.optical_depth, -1),
-                            np.expand_dims(self.langevin_scale, -1))
+        return MediumParams(AtomParams(**atom), np.expand_dims(self.optical_depth, -1))
 
 
 @dataclass(frozen=True)
@@ -195,19 +187,11 @@ def _cast_real(value, who: str):
     return value.real[()]
 
 
-def integrated_diffusion(mp: MediumParams, omega, kernel=None) -> IntegratedDiffusion:
-    """Symmetric-order z-integrated Langevin coefficients at omega.
-
-    The forward pair uses the kernel at +omega, the _rev pair the kernel
-    at -omega, matching how they weight the transfer-matrix entries in the
-    noise spectra.  ``kernel`` is the kernel at (+omega, -omega), stacked
-    on the leading axis, if already formed.
-    """
-    dsym = diffusion_set(mp.atom).dsym
-    pm = _frequencies(mp.shape, omega, -np.asarray(omega))
-    prefactor, k, gens = kernel or _coherence_kernel(mp, pm)
-    fwd, rev = _noise_integral(np.expand_dims(mp.langevin_scale, (-2, -1)) * prefactor,
-                               k, gens, dsym)
+def _integrated_diffusion(mp: MediumParams, scale, kernel) -> IntegratedDiffusion:
+    """integrated_diffusion at ``scale`` from the kernel at (+omega, -omega)."""
+    prefactor, k, gens = kernel
+    fwd, rev = _noise_integral(np.expand_dims(scale, (-2, -1)) * prefactor, k, gens,
+                               diffusion_set(mp.atom).dsym)
     return IntegratedDiffusion(
         d_aa=_cast_real(fwd[..., 0, 0], "d_aa"),
         d_aa_rev=_cast_real(rev[..., 0, 0], "d_aa_rev"),
@@ -216,37 +200,47 @@ def integrated_diffusion(mp: MediumParams, omega, kernel=None) -> IntegratedDiff
     )
 
 
+def integrated_diffusion(mp: MediumParams, omega) -> IntegratedDiffusion:
+    """Symmetric-order z-integrated Langevin coefficients at omega,
+    normalized by calibrate_langevin_scale.
+
+    The forward pair uses the kernel at +omega, the _rev pair the kernel
+    at -omega, matching how they weight the transfer-matrix entries in the
+    noise spectra.
+    """
+    scale = calibrate_langevin_scale(mp)
+    pm = _frequencies(mp.shape, omega, -np.asarray(omega))
+    return _integrated_diffusion(mp, scale, _coherence_kernel(mp, pm))
+
+
+def _defect_integral(mp: MediumParams, kernel):
+    """The unnormalized d1 - d2 noise integral on the probe row, complex."""
+    ds = diffusion_set(mp.atom)
+    return _noise_integral(*kernel, ds.d1 - ds.d2)[..., 0, 0]
+
+
 def commutator_defect(mp: MediumParams, omega) -> float:
     """Langevin contribution to the output commutator of mode a.
 
     Uses the antisymmetric combination d1 - d2 projected on the probe row
-    at +omega; with the calibrated scale,
-    |A(omega)|^2 - |B(omega)|^2 + commutator_defect(omega) = 1.
+    at +omega, normalized by calibrate_langevin_scale, so that
+    |A(omega)|^2 - |B(omega)|^2 + commutator_defect(omega) = 1 holds at
+    CALIBRATION_FREQ.
     """
-    ds = diffusion_set(mp.atom)
-    prefactor, kernel, gens = _coherence_kernel(mp, omega)
-    x = _noise_integral(np.expand_dims(mp.langevin_scale, (-2, -1)) * prefactor,
-                        kernel, gens, ds.d1 - ds.d2)
-    return _cast_real(x[..., 0, 0], "commutator_defect")
+    scale = calibrate_langevin_scale(mp)
+    return scale * _cast_real(_defect_integral(mp, _coherence_kernel(mp, omega)),
+                              "commutator_defect")
 
 
-def calibrate_langevin_scale(mp: MediumParams, omega_ref: float = DEFAULT_CALIBRATION_FREQ,
-                             kernel=None) -> float:
-    """Positive scale restoring the canonical commutator at omega_ref, per
-    medium; ``kernel`` is _coherence_kernel(mp, omega_ref) if already formed.
-
-    Solves |A|^2 - |B|^2 + s * (d1 - d2 coefficient) = 1 at the reference
-    frequency.  Returns 1 when the identity already holds and the Langevin
-    term vanishes (zero optical depth, or a synthetic pure-gain medium).
-    The transfer comes from the exponent the diffusion integral already
-    forms; the medium's own langevin_scale does not enter.
-    """
-    ds = diffusion_set(mp.atom)
-    prefactor, k, gens = kernel or _coherence_kernel(mp, omega_ref)
-    x = _noise_integral(prefactor, k, gens, ds.d1 - ds.d2)
-    abcd = expm(gens)
+def _langevin_scale(mp: MediumParams, ss=None):
+    """calibrate_langevin_scale(mp); ``ss`` is mp.atom's steady state if known."""
+    if not np.any(np.greater(mp.optical_depth, 0)):
+        return 1.0      # no member absorbs: exactly 1, and no kernel to hit a pole
+    kernel = _coherence_kernel(mp, CALIBRATION_FREQ, ss)
+    x = _defect_integral(mp, kernel)
+    abcd = expm(kernel[2])
     deficit = 1.0 - (abs(abcd[..., 0, 0])**2 - abs(abcd[..., 0, 1])**2)
-    raw = _cast_real(x[..., 0, 0], "commutator_defect")
+    raw = _cast_real(x, "commutator_defect")
     vanishing = abs(raw) < 1e-14
     if np.any(bad := vanishing & (abs(deficit) > 1e-9)):
         raise CalibrationError(
@@ -259,7 +253,13 @@ def calibrate_langevin_scale(mp: MediumParams, omega_ref: float = DEFAULT_CALIBR
     return scale[()]
 
 
-def calibrated(mp: MediumParams,
-               omega_ref: float = DEFAULT_CALIBRATION_FREQ) -> MediumParams:
-    """Copy of mp with langevin_scale set by calibrate_langevin_scale."""
-    return mp.with_scale(calibrate_langevin_scale(mp, omega_ref))
+def calibrate_langevin_scale(mp: MediumParams) -> float:
+    """Positive scale of the Langevin noise of each medium: the one that
+    restores the canonical commutator at CALIBRATION_FREQ.
+
+    Solves |A|^2 - |B|^2 + s * (d1 - d2 coefficient) = 1 at the reference
+    frequency.  Returns 1 when the identity already holds and the Langevin
+    term vanishes (a synthetic pure-gain medium), and exactly 1, forming
+    no kernel, when no member has optical depth.
+    """
+    return _langevin_scale(mp)

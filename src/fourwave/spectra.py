@@ -3,40 +3,26 @@
 All spectra are normalized to the standard quantum limit of a coherent
 beam (SQL = 1).  Every observable is read off the same objects: the
 two-mode input-output (ABCD) matrix at 0, +omega and -omega and the four
-z-integrated Langevin coefficients at omega.  ``evaluate`` builds those
-objects once for a stack of media and frequencies and returns all
-observables together as an ``Observables``; ``observables`` does the same
-for precomputed (e.g. synthetic) matrices.  The ``*_parts`` functions are
-the single formulas both of them combine.
+z-integrated Langevin coefficients at omega, normalized as in
+propagation.calibrate_langevin_scale.  ``evaluate`` builds those objects
+once for a stack of media and frequencies, normalization included, and
+returns all observables together as an ``Observables``; ``observables``
+does the same for precomputed (e.g. synthetic) matrices.  The ``*_parts``
+functions are the single formulas both of them combine.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atom import steady_state
-from .errors import DomainError, NormalizationError
+from .errors import NormalizationError, require
 from .numkernel import DEFAULT_VELOCITY_ORDER, expm
-from .propagation import (DEFAULT_CALIBRATION_FREQ, IntegratedDiffusion, MediumParams,
-                          _coherence_kernel, _frequencies, calibrate_langevin_scale,
-                          integrated_diffusion)
+from .propagation import (IntegratedDiffusion, MediumParams, _coherence_kernel,
+                          _frequencies, _integrated_diffusion, _langevin_scale)
 from .vapor import doppler_generator, velocity_nodes
 
 NORMALIZATION_FLOOR = 1e-30
-
-
-@dataclass(frozen=True)
-class NoiseSpectrum:
-    """Noise values on a frequency grid, SQL = 1."""
-
-    freqs: np.ndarray
-    values: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        if len(self.freqs) != len(self.values):
-            raise DomainError("NoiseSpectrum: freqs and values must have equal length")
 
 
 def _entries(abcd):
@@ -120,19 +106,20 @@ def observables(abcd0, abcd_w, abcd_mw, diff: IntegratedDiffusion) -> Observable
                        inseparability=0.5 * (snm + sphp), S_Na=sna)
 
 
-def evaluate(mp: MediumParams, omega, *, langevin: bool = True, calibrate: bool = False,
+def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
              vapor=None, order: int = DEFAULT_VELOCITY_ORDER) -> Observables:
     """All observables of the media mp at analysis frequencies omega, stacked
     to their broadcast shape (and the vapor's).
 
     One steady-state solve serves every kernel; for a VaporParams ``vapor``
     it holds the ``order`` velocity nodes and, last, the atom at rest.  In
-    this order: with ``calibrate`` (and ``langevin``) the media are
-    calibrated (calibrate_langevin_scale); the exponents at 0, +omega and
-    -omega, velocity averaged for a vapor, are formed and then
-    exponentiated; the diffusion is integrated from the kernel at +-omega
-    of the atom at rest, which without ``vapor`` is the transfer kernel.
-    Without ``langevin`` the diffusion terms are zero.
+    this order: with ``langevin`` the Langevin scale is found
+    (calibrate_langevin_scale: exactly 1 when no medium has optical depth);
+    the exponents at 0, +omega and -omega, velocity averaged for a vapor,
+    are formed and then exponentiated; the diffusion is integrated at that
+    scale from the kernel at +-omega of the atom at rest, which without
+    ``vapor`` is the transfer kernel.  Without ``langevin`` the diffusion
+    terms are zero.
     """
     shape = mp.shape
     if vapor is None:
@@ -143,9 +130,7 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True, calibrate: bool 
         rest = np.zeros(shifts.shape[:-1] + (1,))
         nodes = steady_state(mp.at_nodes(np.concatenate([shifts, rest], axis=-1)).atom)
         ss = nodes.take(-1)
-    if langevin and calibrate:
-        mp = mp.with_scale(calibrate_langevin_scale(
-            mp, kernel=_coherence_kernel(mp, DEFAULT_CALIBRATION_FREQ, ss)))
+    scale = _langevin_scale(mp, ss) if langevin else None
     omegas = _frequencies(shape, 0.0, omega, -np.asarray(omega))
     if vapor is None:
         kernel = _coherence_kernel(mp, omegas, ss)
@@ -157,30 +142,10 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True, calibrate: bool 
         return observables(*abcds, IntegratedDiffusion.zero())
     pm = (kernel[0], kernel[1][1:], kernel[2][1:]) if vapor is None \
         else _coherence_kernel(mp, omegas[1:], ss)
-    return observables(*abcds, integrated_diffusion(mp, omega, pm))
+    return observables(*abcds, _integrated_diffusion(mp, scale, pm))
 
 
 def to_dB(s: float) -> float:
     """Power-convention decibels, 10*log10(s)."""
-    if s <= 0:
-        raise DomainError(f"to_dB: value must be > 0, got {s}")
-    return 10.0 * math.log10(s)
-
-
-def compute_spectrum(mp: MediumParams, freqs, kind: str,
-                     *, langevin: bool = True) -> NoiseSpectrum:
-    """One noise observable, a field of Observables named in NOISE_FIELDS,
-    on a frequency grid."""
-    if kind not in NOISE_FIELDS:
-        raise DomainError(f"unknown spectrum kind {kind!r}; one of {NOISE_FIELDS}")
-    freqs = np.asarray(freqs, dtype=float)
-    values = getattr(evaluate(mp, freqs, langevin=langevin), kind)
-    return NoiseSpectrum(freqs=freqs, values=values, label=kind)
-
-
-def symmetric_grid(max_freq: float, count: int) -> np.ndarray:
-    """Frequency grid symmetric about 0 (omits 0 itself), for parity checks."""
-    if count < 2 or count % 2:
-        raise DomainError("symmetric_grid: count must be even and >= 2")
-    half = np.linspace(max_freq / (count // 2), max_freq, count // 2)
-    return np.concatenate([-half[::-1], half])
+    require(np.greater(s, 0), "to_dB: value must be > 0", s)
+    return 10.0 * np.log10(s)

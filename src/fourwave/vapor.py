@@ -212,9 +212,9 @@ def vapor_density(vp: VaporParams) -> float:
     """
     t = vp.temperature
     lo, hi = PRESSURE_FIT_RANGE_K
-    if not lo <= t <= hi:
+    if np.any(outside := np.less(t, lo) | np.greater(t, hi)):
         warnings.warn(
-            f"vapor_density: T = {t:.1f} K outside fitted range [{lo}, {hi}] K",
+            f"vapor_density: T = {first(t, outside):.1f} K outside fitted range [{lo}, {hi}] K",
             RangeWarning, stacklevel=2)
     pressure_pa = saturated_vapor_pressure_atm(t) * ATM_TO_PA
     return vapor_fraction(t) * pressure_pa / (KB * t)
@@ -232,7 +232,6 @@ def doppler_absorption(vp: VaporParams, detuning: float, peak_od: float) -> floa
     width sigma_nu = omega_0 * sqrt(kB T / (m c^2)) expressed in rad/us,
     the unit of ``detuning``.
     """
-    if peak_od < 0:
-        raise DomainError(f"doppler_absorption: peak_od must be >= 0, got {peak_od}")
+    require(~np.less(peak_od, 0), "doppler_absorption: peak_od must be >= 0", peak_od)
     sig = doppler_width(vp)
-    return float(np.exp(-peak_od * np.exp(-detuning**2 / (2.0 * sig**2))))
+    return np.exp(-peak_od * np.exp(-detuning**2 / (2.0 * sig**2)))

@@ -15,7 +15,7 @@ from fourwave.eit import (LambdaParams, absorption_peak_separation,
                           susceptibility, transparency_window)
 from fourwave.numkernel import expm
 from fourwave.propagation import (IntegratedDiffusion, MediumParams,
-                                  calibrated, commutator_defect, generator)
+                                  commutator_defect, generator)
 from fourwave.reference import (SliceChainParams, detection_loss,
                                 nlo_pia_transfer, nlo_psa_field,
                                 sliced_amp_loss, unbalanced_loss)
@@ -53,7 +53,7 @@ FIG2 = dict(gamma_g_mhz=0.01, rabi_mhz=300.0, delta1_mhz=1000.0,
 
 
 def test_01_cold_atom_entanglement_figure():
-    mp = calibrated(medium(**ENTANGLED))
+    mp = medium(**ENTANGLED)
     at1 = evaluate(mp, TWO_PI * 1.0)
     snm_db = to_dB(at1.S_Nminus)
     sphp_db = to_dB(at1.S_phiplus)
@@ -68,7 +68,7 @@ def test_01_cold_atom_entanglement_figure():
 
 
 def test_02_quantum_beamsplitter_regime():
-    mp = calibrated(medium(**QBS))
+    mp = medium(**QBS)
     obs = evaluate(mp, TWO_PI * 1.0)
     total = obs.gain_a + obs.gain_b
     snm = obs.S_Nminus
@@ -108,7 +108,7 @@ def test_04_ideal_amplifier_oracle():
 
 
 def test_05_commutator_sum_rule():
-    mp = calibrated(medium(**FIG2))
+    mp = medium(**FIG2)
     worst_residual, worst_floor = 0.0, np.inf
     for f in np.linspace(0.2, 10.0, 50):
         w = TWO_PI * f
@@ -124,7 +124,7 @@ def test_05_commutator_sum_rule():
 
 
 def test_06_langevin_monotonicity_and_parity():
-    mp = calibrated(medium(**ENTANGLED))
+    mp = medium(**ENTANGLED)
     monotone, parity = True, True
     for f in (0.5, 1.0, 2.0, 3.0, 5.0):
         w = TWO_PI * f

@@ -262,17 +262,22 @@ class TestValidation:
         ("eit", (), False),
         ("eit", (("rabi_c_mhz = 5.75", "rabi_c_mhz = -1"),), True),
         ("eit", (("gamma_g_mhz = 0", "gamma_g_mhz = nan"),), True),
+        ("psa", (("gain = 3", "gain = 3\ntheta_deg = 30\nbig_theta_deg = 45"),), False),
+        ("psa", (("gain = 3", "gain = 3\ntheta_deg = abc"),), True),
+        ("psa", (("gain = 3", "gain = 3\nbig_theta_deg = abc"),), True),
     ), ids=("cold", "negative-rabi", "zero-linewidth", "nan-depth",
             "negative-depth", "rabi-sweep-from-negative", "vapor",
             "probe-wider-than-pump", "temperature-sweep-below-zero-kelvin",
             "nan-atomic-mass", "zero-wavelength",
-            "eit", "eit-negative-control", "eit-nan-ground-decay"))
+            "eit", "eit-negative-control", "eit-nan-ground-decay",
+            "psa", "psa-theta-not-a-number", "psa-big-theta-not-a-number"))
     def test_validate_rejects_exactly_what_run_rejects(self, tmp_path, model,
                                                        edits, rejected):
         out = tmp_path / "o.csv"
         text = {"cold": cold_config(out, count=2),
                 "vapor": vapor_config(out, count=2, depth=1000),
                 "eit": EIT_CONFIG.format(path=out).replace("count = 81", "count = 2"),
+                "psa": REFERENCE_CONFIG.format(path=out).replace("kind = pia", "kind = psa"),
                 }[model]
         for old, new in edits:
             assert old in text
@@ -319,6 +324,15 @@ class TestRun:
         _, rows = read_rows(out)
         assert float(rows[0]["S_Nminus"]) == pytest.approx(0.2, abs=1e-12)
         assert float(rows[0]["Ga"]) == 3.0
+
+    def test_unwritable_output_is_reported_not_raised(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "ref.csv"
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(REFERENCE_CONFIG.format(path=out))
+        assert main(["run", "--config", str(ini)]) == 1
+        assert capsys.readouterr().err == (f"run failed: cannot write {out}: "
+                                           "No such file or directory\n")
+        assert not out.parent.exists()
 
     def test_reference_subcommand_rejects_other_models(self, tmp_path):
         ini = tmp_path / "cfg.ini"

@@ -9,8 +9,8 @@ from fourwave.atom import AtomParams
 from fourwave.errors import PoleError
 from fourwave.propagation import (POLE_CONDITION_LIMIT, MediumParams,
                                   _inverse_and_poles, calibrate_langevin_scale,
-                                  calibrated, commutator_defect, gains,
-                                  generator, integrated_diffusion)
+                                  commutator_defect, gains, generator,
+                                  integrated_diffusion)
 from fourwave.numkernel import expm, gauss_hermite_nodes
 from fourwave.units import TWO_PI
 from fourwave.vapor import VaporParams, doppler_generator, velocity_sigma
@@ -281,7 +281,8 @@ class TestIntegratedDiffusion:
         for k in range(1, n):
             ez[k] = ez[k - 1] @ step
         u = ez[:, row, :] @ kernel
-        oracle = pref * np.einsum("ki,ij,kj->", u, dsym, u.conj()).real / n
+        oracle = (calibrate_langevin_scale(mp) * pref
+                  * np.einsum("ki,ij,kj->", u, dsym, u.conj()).real / n)
         got = getattr(integrated_diffusion(mp, w), field)
         assert got == pytest.approx(oracle, rel=1e-6)
 
@@ -291,7 +292,7 @@ class TestCalibration:
         assert calibrate_langevin_scale(medium(optical_depth=0.0)) == 1.0
 
     def test_commutator_identity_across_frequencies(self):
-        mp = calibrated(medium(**FIG2))
+        mp = medium(**FIG2)
         for f in np.linspace(0.2, 10.0, 12):
             w = TWO_PI * f
             abcd = expm(generator(mp, w))
@@ -299,7 +300,7 @@ class TestCalibration:
             assert lhs == pytest.approx(1.0, abs=1e-4)
 
     def test_exact_at_reference_frequency(self):
-        mp = calibrated(medium(**QBS))
+        mp = medium(**QBS)
         w = TWO_PI * 1.0
         abcd = expm(generator(mp, w))
         lhs = abs(abcd[0, 0])**2 - abs(abcd[0, 1])**2 + commutator_defect(mp, w)

@@ -5,11 +5,9 @@ import pytest
 
 from fourwave.atom import AtomParams
 from fourwave.errors import DomainError, NormalizationError, PoleError
-from fourwave.propagation import IntegratedDiffusion, MediumParams, calibrated
-from fourwave.spectra import (NOISE_FIELDS, NoiseSpectrum, compute_spectrum,
-                              evaluate, intensity_difference_noise_parts,
-                              observables, probe_intensity_noise_parts,
-                              symmetric_grid, to_dB)
+from fourwave.propagation import IntegratedDiffusion, MediumParams
+from fourwave.spectra import (NOISE_FIELDS, evaluate, intensity_difference_noise_parts,
+                              observables, probe_intensity_noise_parts, to_dB)
 from fourwave.units import TWO_PI
 from fourwave.vapor import VaporParams
 
@@ -59,7 +57,7 @@ class TestTransparentMedium:
 
 @pytest.fixture(scope="module")
 def mp():
-    return calibrated(medium())
+    return medium()
 
 
 class TestMicroscopicSpectra:
@@ -107,11 +105,12 @@ class TestEvaluatePoles:
 
     def test_exponents_at_all_three_frequencies_precede_any_exponential(self):
         # expm of the exponent at 0 would fail (norm beyond 2^64 squarings);
-        # the pole at +omega is reported first
+        # the pole at +omega is reported first.  Without Langevin noise: the
+        # pole is also at the calibration frequency
         mp = medium(rabi_mhz=0.0, gamma_g_mhz=0.0, delta2_mhz=1.0,
                     optical_depth=1e30)
         with pytest.raises(PoleError) as err:
-            evaluate(mp, TWO_PI * 1.0)
+            evaluate(mp, TWO_PI * 1.0, langevin=False)
         assert err.value.omega == TWO_PI * 1.0
         assert err.value.index == (1,)      # the stack is (0, +omega, -omega)
 
@@ -124,28 +123,18 @@ class TestHelpers:
         with pytest.raises(DomainError):
             to_dB(0.0)
 
+    def test_db_conversion_broadcasts(self):
+        values = [0.5, 0.2, 7.0]
+        assert to_dB(np.array(values)).tolist() == [to_dB(v) for v in values]
+        with pytest.raises(DomainError, match="got -1.0"):
+            to_dB(np.array([0.5, -1.0]))
+
     def test_zero_gain_rejected(self):
         abcd0 = np.zeros((2, 2), dtype=complex)
         with pytest.raises(NormalizationError):
             probe_intensity_noise_parts(abcd0, np.eye(2), np.eye(2), NO_DIFFUSION)
         with pytest.raises(NormalizationError):
             intensity_difference_noise_parts(abcd0, np.eye(2), np.eye(2), NO_DIFFUSION)
-
-    def test_symmetric_grid(self):
-        grid = symmetric_grid(TWO_PI * 5.0, 10)
-        assert np.allclose(grid, -grid[::-1])
-        assert len(grid) == 10
-
-    def test_compute_spectrum_labels_and_lengths(self):
-        mp = medium(optical_depth=0.0)
-        freqs = symmetric_grid(TWO_PI * 2.0, 6)
-        spectrum = compute_spectrum(mp, freqs, "inseparability")
-        assert isinstance(spectrum, NoiseSpectrum)
-        assert spectrum.label == "inseparability"
-        assert np.allclose(spectrum.values, 1.0, atol=1e-12)
-        for kind in ("nonsense", "probe_phase"):
-            with pytest.raises(DomainError):
-                compute_spectrum(mp, freqs, kind)
 
 
 class TestStackedEvaluate:
@@ -165,11 +154,10 @@ class TestStackedEvaluate:
         vapor = VaporParams.rb85_d1(temperature_c=120.0) if hot else None
         mp = medium(**self.POINT)
         w = TWO_PI * 1.0
-        stacked = evaluate(mp.with_atom(**{axis: values}), w, calibrate=True, vapor=vapor)
+        stacked = evaluate(mp.with_atom(**{axis: values}), w, vapor=vapor)
         for i, value in enumerate(values):
-            one = evaluate(mp.with_atom(**{axis: values[i:i + 1]}), w, calibrate=True,
-                           vapor=vapor)
-            scalar = evaluate(mp.with_atom(**{axis: value}), w, calibrate=True, vapor=vapor)
+            one = evaluate(mp.with_atom(**{axis: values[i:i + 1]}), w, vapor=vapor)
+            scalar = evaluate(mp.with_atom(**{axis: value}), w, vapor=vapor)
             for name in ("gain_a", "gain_b", *NOISE_FIELDS):
                 assert getattr(stacked, name)[i] == getattr(one, name)[0], (name, i)
                 assert getattr(scalar, name) == pytest.approx(getattr(one, name)[0], rel=1e-12)

@@ -139,6 +139,18 @@ def test_pole_row_costs_a_logarithmic_number_of_calls(tmp_path, evaluate_calls):
     assert stacked[0] == (61,) and len(stacked) <= 2 * math.ceil(math.log2(61)) + 1
 
 
+def test_zero_depth_has_unit_langevin_scale(tmp_path):
+    # the only pole sits at the 1 MHz calibration frequency; a medium without
+    # optical depth has Langevin scale 1 and never meets it
+    point = {**POINT["cold"], "rabi_mhz": 0.0, "gamma_g_mhz": 0.0, "delta2_mhz": 1.0,
+             "optical_depth": 0.0}
+    rows, _ = csv_rows(tmp_path, "zero", "cold", "omega_mhz", 2.0, 3.0, 3, **point)
+    assert len(rows) == 4
+    for row in rows[1:]:
+        *values, flag = row.split(",")
+        assert flag == "" and all(math.isfinite(float(v)) for v in values), row
+
+
 def test_error_row_mid_block(tmp_path):
     # at delta2 = -17.5 MHz the transfer exponential of this dense medium
     # overflows; its neighbours evaluate

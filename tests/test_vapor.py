@@ -1,5 +1,6 @@
 """Hot-vapor tests: velocity averaging, transit time, vapor utilities."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,24 @@ class TestVaporUtilities:
         with pytest.warns(RangeWarning):
             value = vapor_density(vp)
         assert np.isfinite(value)
+
+    def test_utilities_broadcast_like_their_scalar_calls(self):
+        temps, detunings, depths = [100.0, 120.0, 165.0], [0.0, 3.0, 9.0], [2.5, 0.0, 1.0]
+        each = [VaporParams.rb85_d1(temperature_c=t) for t in temps]
+        vp = VaporParams.rb85_d1(temperature_c=np.array(temps))
+        with pytest.warns(RangeWarning, match="T = 438.1 K"):     # 165 C only
+            stacked = [vapor_density(vp), optical_depth(vp),
+                       doppler_absorption(vp, np.array(detunings), np.array(depths))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RangeWarning)
+            alone = [[vapor_density(one) for one in each], [optical_depth(one) for one in each],
+                     [doppler_absorption(*args) for args in zip(each, detunings, depths)]]
+        for got, want in zip(stacked, alone):
+            assert got.tolist() == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_absorption_rejects_negative_depth(self):
+        with pytest.raises(DomainError, match="peak_od must be >= 0, got -1.0"):
+            doppler_absorption(VP, np.zeros(2), np.array([1.0, -1.0]))
 
     def test_absorption_peak_and_wings(self):
         assert doppler_absorption(VP, 0.0, 2.5) == pytest.approx(np.exp(-2.5), rel=1e-12)
