@@ -31,6 +31,11 @@ ZERO_RATE_REL_TOL = 1e-12
 
 STEADY_STATE_RESIDUAL_TOL = 1e-10
 
+# Largest |rate| or |detuning|, rad/us: about 400 times the optical frequency
+# of the Rb D1 line, far outside the rotating-wave model, and small enough
+# that no product the formulas form (cubes at most) overflows.
+FREQUENCY_LIMIT = 1e12
+
 
 @dataclass(frozen=True)
 class AtomParams:
@@ -46,7 +51,10 @@ class AtomParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            require(np.isfinite(value), f"AtomParams: {name} must be finite", value)
+            if not np.less_equal(abs(value), FREQUENCY_LIMIT).all():     # also on a NaN
+                require(np.isfinite(value), f"AtomParams: {name} must be finite", value)
+                require(abs(value) <= FREQUENCY_LIMIT, f"AtomParams: {name} must be at most "
+                        f"{FREQUENCY_LIMIT:g} rad/us in magnitude", value)
         require(np.greater(self.gamma_e, 0), "AtomParams: gamma_e must be > 0", self.gamma_e)
         require(~np.less(self.gamma_g, 0), "AtomParams: gamma_g must be >= 0", self.gamma_g)
         require(~np.less(self.rabi, 0), "AtomParams: rabi must be >= 0", self.rabi)

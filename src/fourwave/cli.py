@@ -56,13 +56,6 @@ def _columns(model: str, kind: str = "") -> list[str]:
     return ["sweep_value", "Ga", "Gb", "S_Nminus", "flag"]
 
 
-def _sweep_values(cfg: RunConfig) -> list[float]:
-    if cfg.sweep_count == 1:
-        return [cfg.sweep_start]
-    step = (cfg.sweep_stop - cfg.sweep_start) / (cfg.sweep_count - 1)
-    return [cfg.sweep_start + i * step for i in range(cfg.sweep_count)]
-
-
 def _medium_rows(cfg: RunConfig, values: list[float]) -> list[dict]:
     """Cold or vapor rows of consecutive sweep values, evaluated as one
     stacked medium; the vapor model folds the front-loaded residual
@@ -144,7 +137,7 @@ def run(cfg: RunConfig, with_db: bool = False) -> int:
         for d in problems:
             print(f"config error at {d}", file=sys.stderr)
         return 2
-    axis, values = cfg.sweep_axis, _sweep_values(cfg)
+    axis, values = cfg.sweep_axis, cfgmod.sweep_values(cfg)
     rows = _medium_rows(cfg, values) if cfg.model in ("cold", "vapor") \
         else [_ROW_BUILDERS[cfg.model](cfg, axis, v) for v in values]
 

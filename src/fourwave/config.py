@@ -25,7 +25,7 @@ Grammar (INI dialect, parsed by configparser):
     kind = pia | psa | chain
     gain = <float>                          ; pia, psa
     theta_deg, big_theta_deg = <float>      ; psa
-    slice_gain, slice_transmission, n_slices ; chain
+    slice_gain, slice_transmission, n_slices ; chain (n_slices whole, >= 1)
 
     [sweep]
     axis = <parameter key>        ; exactly one sweep axis
@@ -37,19 +37,24 @@ Grammar (INI dialect, parsed by configparser):
     format = csv | json
 
     [quadrature]                  ; optional
-    velocity_order = <int>        ; default 40
+    velocity_order = <int>        ; default 40, from 16 to MAX_VELOCITY_ORDER = 100
     z_nodes = <int>               ; accepted and ignored: the z-integral is exact
 
 Frequencies are ordinary frequencies in MHz (converted to rad/us once,
 here), temperatures in Celsius, lengths in the units their key names say.
+The analysis frequency and the sweep bounds must be finite, and every
+frequency at most atom.FREQUENCY_LIMIT (1e12 rad/us) in magnitude.
 """
 
 import configparser
+import math
 import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .atom import FREQUENCY_LIMIT
+from .numkernel import MAX_VELOCITY_ORDER
 from .units import (ATOMIC_MASS_KG, celsius_to_kelvin, mhz_to_rad_us)
 
 MODELS = ("cold", "vapor", "eit", "reference")
@@ -206,13 +211,37 @@ def validate(cfg: RunConfig) -> list[Diagnostic]:
                                 f"{cfg.model!r}; one of {axes}"))
     if cfg.sweep_count < 1:
         diags.append(Diagnostic("sweep.count", f"must be >= 1, got {cfg.sweep_count}"))
+    for key, value in (("run.omega_mhz", cfg.omega_mhz), ("sweep.start", cfg.sweep_start),
+                       ("sweep.stop", cfg.sweep_stop)):
+        if not math.isfinite(value):
+            diags.append(Diagnostic(key, f"must be finite, got {value}"))
+        elif (key == "run.omega_mhz" or cfg.sweep_axis == "omega_mhz") \
+                and abs(mhz_to_rad_us(value)) > FREQUENCY_LIMIT:
+            diags.append(Diagnostic(key, f"must be at most {FREQUENCY_LIMIT:g} rad/us in "
+                                         f"magnitude, got {value}"))
     if cfg.output_format not in FORMATS:
         diags.append(Diagnostic("output.format",
                                 f"must be one of {FORMATS}, got {cfg.output_format!r}"))
-    if cfg.velocity_order < 16:
-        diags.append(Diagnostic("quadrature.velocity_order",
-                                f"must be >= 16, got {cfg.velocity_order}"))
+    if not 16 <= cfg.velocity_order <= MAX_VELOCITY_ORDER:
+        diags.append(Diagnostic("quadrature.velocity_order", f"must be from 16 to "
+                                f"{MAX_VELOCITY_ORDER}, got {cfg.velocity_order}"))
+    if not diags and cfg.model == "reference" and cfg.reference.get("kind") == "chain":
+        swept = cfg.sweep_axis == "n_slices"
+        slices = sweep_values(cfg) if swept else [float(cfg.reference["n_slices"])]
+        if bad := [n for n in slices if not (n >= 1 and n.is_integer())]:
+            written = f"{bad[0]:g} (at n_slices = {bad[0]:g})" if swept \
+                else cfg.reference["n_slices"]
+            diags.append(Diagnostic("reference.n_slices",
+                                    f"must be a whole number >= 1, got {written}"))
     return diags or _parameter_diagnostics(cfg)
+
+
+def sweep_values(cfg: RunConfig) -> list[float]:
+    """The swept values, in sweep order."""
+    if cfg.sweep_count == 1:
+        return [cfg.sweep_start]
+    step = (cfg.sweep_stop - cfg.sweep_start) / (cfg.sweep_count - 1)
+    return [cfg.sweep_start + i * step for i in range(cfg.sweep_count)]
 
 
 def _parameter_diagnostics(cfg: RunConfig) -> list[Diagnostic]:

@@ -15,6 +15,9 @@ from .errors import ConfigurationError, DimensionError, NumericError, require
 
 # Default node count for the velocity average; overridable per call.
 DEFAULT_VELOCITY_ORDER = 40
+# Largest velocity-average order: numpy documents hermegauss as tested up to
+# degree 100, and its companion matrix grows as the order squared.
+MAX_VELOCITY_ORDER = 100
 
 # Pade-13 numerator coefficients for the scaling-and-squaring exponential
 # (Higham's method; same constants as scipy and expm ports elsewhere).

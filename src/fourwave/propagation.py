@@ -125,6 +125,23 @@ def _inverse_and_poles(m):
     return inv, np.linalg.cond(m) > POLE_CONDITION_LIMIT
 
 
+def _folded_matmul(a, b):
+    """a @ b, bit for bit, with the axes along which b is broadcast folded
+    into the rows of a: one BLAS product per distinct b.  A one-row a is not
+    folded: numpy's vector kernel rounds it differently."""
+    n = max(a.ndim, b.ndim) - 2
+    a_lead, b_lead = ((1,) * (n + 2 - x.ndim) + x.shape[:-2] for x in (a, b))
+    fold = [i for i in range(n) if b_lead[i] == 1]
+    if a.shape[-2] < 2 or not fold:
+        return a @ b
+    keep = [i for i in range(n) if b_lead[i] != 1]
+    rows = a.reshape(a_lead + a.shape[-2:]).transpose(keep + fold + [n, n + 1])
+    out = rows.reshape([a_lead[i] for i in keep] + [-1, a.shape[-1]]) \
+        @ b.reshape([b_lead[i] for i in keep] + list(b.shape[-2:]))
+    out = out.reshape(out.shape[:-2] + rows.shape[len(keep):-1] + b.shape[-1:])
+    return out.transpose([(keep + fold).index(i) for i in range(n)] + [n, n + 1])
+
+
 def _coherence_kernel(mp: MediumParams, omega, ss=None):
     """(generator prefactor, the kernel T M1'(omega)^-1, the generator),
     stacked; ``ss`` is the steady state of mp.atom if already known.
@@ -134,7 +151,7 @@ def _coherence_kernel(mp: MediumParams, omega, ss=None):
     poles beside it.
     """
     p = mp.atom
-    m1p, s1, t = build_coherence_system(p, steady_state(p) if ss is None else ss, omega)
+    m1p, s1, _ = build_coherence_system(p, steady_state(p) if ss is None else ss, omega)
     inv, poles = _inverse_and_poles(m1p)
     del m1p     # as large as inv: free it before the products
     if poles.any():
@@ -142,11 +159,12 @@ def _coherence_kernel(mp: MediumParams, omega, ss=None):
         at = float(np.broadcast_to(omega, poles.shape)[index])
         raise PoleError(f"coherence system singular at omega = {at:.6g} rad/us", omega=at,
                         nodes=np.flatnonzero(poles[index[:-1]]).tolist(), index=index)
-    # t @ inv: t keeps rows 0 and 1 of inv, the second negated; selecting
-    # them is 5x faster than a per-matrix product, and exact
-    kernel = inv[..., :2, :] * t[:, :2].diagonal()[:, None]
+    # t @ inv: t (FIELD_PROJECTOR) keeps rows 0 and 1 of inv, the second
+    # negated; selecting them is exact and far cheaper than a product
+    kernel = inv[..., :2, :].copy()
+    np.negative(kernel[..., 1, :], out=kernel[..., 1, :])
     prefactor = np.expand_dims(mp.optical_depth * p.gamma_e / 4.0, (-2, -1))
-    return prefactor, kernel, 1j * prefactor * (kernel @ s1)
+    return prefactor, kernel, 1j * prefactor * _folded_matmul(kernel, s1)
 
 
 def generator(mp: MediumParams, omega) -> np.ndarray:
@@ -173,7 +191,8 @@ def _noise_integral(weight, kernel, gens, dmat):
     F12 = int_0^1 e^{-G(1-s)} Q e^{G^+ s} ds, so F12 e^{-G^+} is the
     integral (Van Loan 1978).  All members make one stacked exponential.
     """
-    qs = np.broadcast_to(kernel @ dmat @ np.swapaxes(kernel.conj(), -1, -2), gens.shape)
+    qs = np.broadcast_to(_folded_matmul(kernel, dmat) @ np.swapaxes(kernel.conj(), -1, -2),
+                         gens.shape)
     f = expm(np.block([[-gens, qs], [np.zeros_like(gens), np.swapaxes(gens.conj(), -1, -2)]]))
     with np.errstate(over="ignore", invalid="ignore"):     # inf or NaN is flagged later
         return weight * (f[..., :2, 2:] @ np.swapaxes(f[..., :2, :2].conj(), -1, -2))

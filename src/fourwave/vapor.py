@@ -17,7 +17,7 @@ import numpy as np
 
 from .atom import preparation_probability
 from .errors import ConfigurationError, DomainError, PoleError, RangeWarning, first, require
-from .numkernel import DEFAULT_VELOCITY_ORDER, expm, gauss_hermite_nodes
+from .numkernel import DEFAULT_VELOCITY_ORDER, MAX_VELOCITY_ORDER, expm, gauss_hermite_nodes
 from .propagation import MediumParams, _coherence_kernel, generator
 from .units import (ATM_TO_PA, ATM_TO_TORR, KB, RB85_D1_WAVELENGTH_M,
                     RB85_MASS_KG, TWO_PI, celsius_to_kelvin)
@@ -88,8 +88,9 @@ def doppler_width(vp: VaporParams) -> float:
 def velocity_nodes(vp: VaporParams, order: int = DEFAULT_VELOCITY_ORDER):
     """(velocities in m/s, weights, delta1 shifts k*v in rad/us) of the
     Gauss-Hermite velocity nodes, on a last node axis."""
-    if order < 16:
-        raise ConfigurationError(f"doppler_generator: order must be >= 16, got {order}")
+    if not 16 <= order <= MAX_VELOCITY_ORDER:
+        raise ConfigurationError(f"doppler_generator: order must be from 16 to "
+                                 f"{MAX_VELOCITY_ORDER}, got {order}")
     velocities, weights = gauss_hermite_nodes(order, np.expand_dims(velocity_sigma(vp), -1))
     return velocities, weights, np.expand_dims(TWO_PI / vp.wavelength, -1) * velocities * 1e-6
 

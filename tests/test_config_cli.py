@@ -123,6 +123,12 @@ cross_section_cm2 = 1e-9
 """
 
 
+QUADRATURE = """cross_section_cm2 = 1e-9
+
+[quadrature]
+velocity_order = {order}"""
+
+
 def vapor_config(path, **kwargs):
     return cold_config(path, **kwargs).replace("model = cold",
                                                "model = vapor") + VAPOR_BLOCK
@@ -204,8 +210,10 @@ class TestValidation:
         ((("axis = delta2_mhz", "axis = rabi_mhz"), ("start = -100", "start = 10"),
           ("stop = 100", "stop = -2.5")),
          "atom.rabi_mhz: must be >= 0, got -2.5 (at rabi_mhz = -2.5)"),
+        ((("rabi_mhz = 300", "rabi_mhz = 1e200"),),
+         "atom.rabi_mhz: must be at most 1e+12 rad/us in magnitude, got 1e200"),
     ), ids=("negative-rabi", "nan-ground-decay", "negative-depth",
-            "swept-rabi-start", "swept-rabi-stop"))
+            "swept-rabi-start", "swept-rabi-stop", "overflowing-rabi"))
     def test_domain_error_names_key_and_value_as_written(self, tmp_path, capsys,
                                                           edits, message):
         text = cold_config(tmp_path / "o.csv")
@@ -265,12 +273,35 @@ class TestValidation:
         ("psa", (("gain = 3", "gain = 3\ntheta_deg = 30\nbig_theta_deg = 45"),), False),
         ("psa", (("gain = 3", "gain = 3\ntheta_deg = abc"),), True),
         ("psa", (("gain = 3", "gain = 3\nbig_theta_deg = abc"),), True),
+        ("cold", (("axis = delta2_mhz", "axis = omega_mhz"), ("start = -100", "start = nan")),
+         True),
+        ("cold", (("axis = delta2_mhz", "axis = omega_mhz"), ("start = -100", "start = inf")),
+         True),
+        ("vapor", (("omega_mhz = 1.0", "omega_mhz = nan"),), True),
+        ("cold", (("omega_mhz = 1.0", "omega_mhz = 1e200"),), True),
+        ("cold", (("rabi_mhz = 300", "rabi_mhz = 1e200"),), True),
+        ("vapor", (("cross_section_cm2 = 1e-9", QUADRATURE.format(order=100)),), False),
+        ("vapor", (("cross_section_cm2 = 1e-9", QUADRATURE.format(order=100000)),), True),
+        ("chain", (), False),
+        ("chain", (("n_slices = 4", "n_slices = nan"),), True),
+        ("chain", (("n_slices = 4", "n_slices = inf"),), True),
+        ("chain", (("n_slices = 4", "n_slices = 2.5"),), True),
+        ("chain", (("n_slices = 4", "n_slices = 0"),), True),
+        ("chain", (("axis = slice_transmission", "axis = n_slices"), ("start = 0.5", "start = 1"),
+                   ("stop = 0.9", "stop = 5")), False),
+        ("chain", (("axis = slice_transmission", "axis = n_slices"), ("start = 0.5", "start = 1"),
+                   ("stop = 0.9", "stop = 4")), True),
     ), ids=("cold", "negative-rabi", "zero-linewidth", "nan-depth",
             "negative-depth", "rabi-sweep-from-negative", "vapor",
             "probe-wider-than-pump", "temperature-sweep-below-zero-kelvin",
             "nan-atomic-mass", "zero-wavelength",
             "eit", "eit-negative-control", "eit-nan-ground-decay",
-            "psa", "psa-theta-not-a-number", "psa-big-theta-not-a-number"))
+            "psa", "psa-theta-not-a-number", "psa-big-theta-not-a-number",
+            "omega-sweep-from-nan", "omega-sweep-from-inf", "nan-analysis-frequency",
+            "overflowing-analysis-frequency", "overflowing-rabi", "velocity-order-at-bound",
+            "velocity-order-above-bound", "chain", "chain-nan-slices", "chain-infinite-slices",
+            "chain-fractional-slices", "chain-no-slices", "chain-whole-slice-sweep",
+            "chain-fractional-slice-sweep"))
     def test_validate_rejects_exactly_what_run_rejects(self, tmp_path, model,
                                                        edits, rejected):
         out = tmp_path / "o.csv"
@@ -278,6 +309,8 @@ class TestValidation:
                 "vapor": vapor_config(out, count=2, depth=1000),
                 "eit": EIT_CONFIG.format(path=out).replace("count = 81", "count = 2"),
                 "psa": REFERENCE_CONFIG.format(path=out).replace("kind = pia", "kind = psa"),
+                "chain": CHAIN_CONFIG.format(path=out).replace("start = -0.5", "start = 0.5")
+                                                      .replace("stop = 0.5", "stop = 0.9"),
                 }[model]
         for old, new in edits:
             assert old in text

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from fourwave.atom import AtomParams
 from fourwave.errors import PoleError
 from fourwave.propagation import (POLE_CONDITION_LIMIT, MediumParams,
-                                  _inverse_and_poles, calibrate_langevin_scale,
+                                  _folded_matmul, _inverse_and_poles,
+                                  calibrate_langevin_scale,
                                   commutator_defect, gains, generator,
                                   integrated_diffusion)
 from fourwave.numkernel import expm, gauss_hermite_nodes
@@ -179,6 +180,47 @@ class TestPoleScreen:
         vp = VaporParams.rb85_d1(temperature_c=120.0)
         assert doppler_generator(mp, vp, omegas).shape == (3, 2, 2)
         assert doppler_generator(mp, vp, w).shape == (2, 2)
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestFoldedProduct:
+    # per leading axis of a: both vary, b is broadcast (size 1) or a is;
+    # then b drops its leading size-1 axes or gains leading axes of its own
+    @given(seed=st.integers(0, 2**32 - 1),
+           axes=st.lists(st.tuples(st.integers(2, 4), st.sampled_from(("both", "b", "a"))),
+                         max_size=3),
+           rows=st.integers(1, 3), inner=st.integers(1, 4), cols=st.integers(1, 3),
+           b_axes=st.sampled_from(("same", "fewer", "more")))
+    @settings(max_examples=300)
+    def test_equals_matmul_byte_for_byte(self, seed, axes, rows, inner, cols, b_axes):
+        rng = np.random.default_rng(seed)
+        a_lead = [1 if who == "a" else n for n, who in axes]
+        b_lead = [1 if who == "b" else n for n, who in axes]
+        if b_axes == "fewer":
+            while b_lead and b_lead[0] == 1:
+                b_lead.pop(0)
+        elif b_axes == "more":
+            b_lead = [2] + b_lead
+        a = complex_normal(rng, (*a_lead, rows, inner))
+        b = complex_normal(rng, (*b_lead, inner, cols))
+        folded, plain = _folded_matmul(a, b), a @ b
+        assert folded.shape == plain.shape
+        assert folded.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("a_shape, b_shape", (
+        ((3, 61, 40, 2, 4), (40, 4, 2)),    # a vapor sweep's kernel @ s1
+        ((2, 61, 2, 4), (4, 4)),            # its noise kernel @ D
+        ((3, 61, 40, 1, 4), (40, 4, 2)),    # one-row operands stay unfolded
+    ))
+    def test_vapor_layouts(self, a_shape, b_shape):
+        rng = np.random.default_rng(7)
+        a, b = complex_normal(rng, a_shape), complex_normal(rng, b_shape)
+        a[..., 0, 0] = 0.0      # exact zeros and their signs pass through too
+        a[..., -1, 1] = -0.0
+        assert _folded_matmul(a, b).tobytes() == (a @ b).tobytes()
 
 
 class TestTransfer:

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourwave import cli
-from fourwave.cli import _sweep_values, main
-from fourwave.config import SWEEP_AXES, parse_config
+from fourwave.cli import main
+from fourwave.config import SWEEP_AXES, parse_config, sweep_values
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,7 +84,7 @@ def csv_rows(directory, name, model, axis, start, stop, count, **point):
                          path=out, **point)
     ini.write_text(text)
     assert main(["run", "--config", str(ini)]) == 0
-    return out.read_text().splitlines(), _sweep_values(parse_config(text))
+    return out.read_text().splitlines(), sweep_values(parse_config(text))
 
 
 def assert_stacked_equals_alone(directory, model, axis, start, stop, count, **point):
