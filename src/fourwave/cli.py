@@ -14,16 +14,13 @@ emitted with an empty value set and a 'pole' flag; the run still exits 0.
 import argparse
 import csv
 import io
-import json
 import math
 import sys
 
 import numpy as np
 
 from . import config as cfgmod
-from . import reference as refmod
 from . import spectra as spec
-from . import vapor as vapmod
 from .config import ConfigParseError, RunConfig
 from .errors import FourwaveError, PoleError
 from .units import mhz_to_rad_us
@@ -73,8 +70,10 @@ def _medium_rows(cfg: RunConfig, values: list[float]) -> list[dict]:
     vp = cfgmod.vapor_params_from(point) if cfg.model == "vapor" else None
     try:
         obs = spec.evaluate(mp, omega, langevin=cfg.langevin, vapor=vp, order=cfg.velocity_order)
-        prepared, front_loss = (None, 1.0) if vp is None \
-            else vapmod.residual_transmission(mp, vp)
+        prepared, front_loss = None, 1.0
+        if vp is not None:
+            from .vapor import residual_transmission
+            prepared, front_loss = residual_transmission(mp, vp)
     except FourwaveError as exc:
         if half:
             return _medium_rows(cfg, values[:half]) + _medium_rows(cfg, values[half:])
@@ -105,6 +104,7 @@ def _eit_row(cfg: RunConfig, axis: str, value: float) -> dict:
 
 
 def _reference_row(cfg: RunConfig, axis: str, value: float) -> dict:
+    from . import reference as refmod
     kind = cfg.reference.get("kind", "pia")
     try:
         if kind == "pia":
@@ -180,6 +180,7 @@ def _render_csv(labels, columns, rows) -> str:
 
 
 def _render_json(labels, columns, rows, cfg: RunConfig) -> str:
+    import json
     payload = {
         "schema": {"columns": labels},
         "meta": {"model": cfg.model, "sweep_axis": cfg.sweep_axis, "seed": cfg.seed},

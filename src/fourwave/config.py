@@ -43,7 +43,9 @@ Grammar (INI dialect, parsed by configparser):
 Frequencies are ordinary frequencies in MHz (converted to rad/us once,
 here), temperatures in Celsius, lengths in the units their key names say.
 The analysis frequency and the sweep bounds must be finite, and every
-frequency at most atom.FREQUENCY_LIMIT (1e12 rad/us) in magnitude.
+frequency at most atom.FREQUENCY_LIMIT (1e12 rad/us) in magnitude, delta1
+shifted to any velocity node of the vapor model included.  The optical
+depth is at most propagation.OPTICAL_DEPTH_LIMIT (1e100).
 """
 
 import configparser
@@ -54,6 +56,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .atom import FREQUENCY_LIMIT
+from .errors import DomainError
 from .numkernel import MAX_VELOCITY_ORDER
 from .units import (ATOMIC_MASS_KG, celsius_to_kelvin, mhz_to_rad_us)
 
@@ -250,19 +253,38 @@ def _parameter_diagnostics(cfg: RunConfig) -> list[Diagnostic]:
     They are built at both sweep endpoints: sweeps are linear and every
     parameter constraint is an interval, so the endpoints decide.
     """
-    from .errors import DomainError
     builders = {"atom": atom_params_from, "medium": medium_params_from,
                 "vapor": vapor_params_from, "eit": eit_params_from}
     ends = (cfg.sweep_start,) if cfg.sweep_count == 1 \
         else (cfg.sweep_start, cfg.sweep_stop)
     for value in ends:
-        point = at_sweep_value(cfg, value)
+        point, built = at_sweep_value(cfg, value), {}
         for section in _BLOCKS.get(cfg.model, ()):
             try:
-                builders[section](point)
+                built[section] = builders[section](point)
             except DomainError as exc:
                 return [_in_config_terms(cfg, section, value, exc)]
+        if cfg.model == "vapor" and (diag := _doppler_diagnostic(cfg, value, built["medium"],
+                                                                  built["vapor"])):
+            return [diag]
     return []
+
+
+def _doppler_diagnostic(cfg: RunConfig, value: float, medium, vapor):
+    """A diagnostic under vapor.temperature_c if run() could not shift delta1
+    by the Doppler shift of each velocity node within atom.FREQUENCY_LIMIT."""
+    from .vapor import velocity_nodes
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):     # inf and NaN fail below
+            medium.at_nodes(velocity_nodes(vapor, cfg.velocity_order)[2])
+    except DomainError:
+        swept = cfg.sweep_axis
+        written = f"{value:g}" if swept == "temperature_c" else cfg.vapor["temperature_c"]
+        at = f" (at {swept} = {value:g})" if swept in ("delta1_mhz", "temperature_c") else ""
+        return Diagnostic("vapor.temperature_c", f"must keep atom.delta1_mhz plus the Doppler "
+                          f"shift of each of the {cfg.velocity_order} velocity nodes at most "
+                          f"{FREQUENCY_LIMIT:g} rad/us in magnitude, got {written}{at}")
+    return None
 
 
 def _in_config_terms(cfg: RunConfig, section: str, value: float, exc) -> Diagnostic:

@@ -1,17 +1,14 @@
-"""Dense complex linear-algebra and quadrature kernels.
-
-Every matrix exponential and velocity-average node set used by the
-physics modules goes through here, so algorithmic constants live in one
-place.  The exponential takes whole stacks of matrices in one call.
+"""Dense complex linear-algebra kernels: every matrix exponential of the
+physics modules goes through here, a whole stack in one call.  The
+velocity-node sets live in vapor (with numpy.polynomial); their order
+limits stay here, so config and spectra need not load the vapor model.
 """
 
-import functools
 import math
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
-from .errors import ConfigurationError, DimensionError, NumericError, require
+from .errors import DimensionError, NumericError
 
 # Default node count for the velocity average; overridable per call.
 DEFAULT_VELOCITY_ORDER = 40
@@ -83,27 +80,3 @@ def expm(m) -> np.ndarray:
     if 0.0 in norm_list:
         r[norms == 0.0] = ident
     return r
-
-
-@functools.cache
-def _unit_gauss_hermite(order: int):
-    """Read-only unit-sigma nodes and normalized weights of one order."""
-    x, w = hermegauss(order)
-    w = w / w.sum()
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def gauss_hermite_nodes(order: int, sigma: float):
-    """Nodes and probability weights for a zero-mean Gaussian of std sigma.
-
-    Weights are renormalized to sum to one exactly, so a constant function
-    averages to itself regardless of order.  Weights are read-only.
-    """
-    if order < 4:
-        raise ConfigurationError(f"gauss-hermite order must be >= 4, got {order}")
-    require(np.greater(sigma, 0.0), "gauss-hermite sigma must be > 0", sigma,
-            ConfigurationError)
-    x, w = _unit_gauss_hermite(order)
-    return sigma * x, w
-

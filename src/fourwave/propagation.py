@@ -36,6 +36,11 @@ from .units import TWO_PI
 # condition number exceeds this, checked exactly unless a cheaper screen rules it out.
 POLE_CONDITION_LIMIT = 1e12
 
+# Largest optical depth: far above any cell's, and far from overflow.  No
+# generator entry exceeds about 1e12 * optical_depth, as |M1'| >= gamma_e / 2
+# and the pole screen bounds |M1'^-1| by POLE_CONDITION_LIMIT / |M1'|.
+OPTICAL_DEPTH_LIMIT = 1e100
+
 # Relative imaginary residue allowed when casting a diffusion coefficient
 # to a real number.
 DIFFUSION_IMAG_RTOL = 1e-8
@@ -54,6 +59,8 @@ class MediumParams:
     def __post_init__(self):
         require(np.isfinite(self.optical_depth) & ~np.less(self.optical_depth, 0),
                 "MediumParams: optical_depth must be finite and >= 0", self.optical_depth)
+        require(np.less_equal(self.optical_depth, OPTICAL_DEPTH_LIMIT), "MediumParams: "
+                f"optical_depth must be at most {OPTICAL_DEPTH_LIMIT:g}", self.optical_depth)
 
     @property
     def shape(self) -> tuple:

@@ -20,7 +20,6 @@ from .errors import NormalizationError, require
 from .numkernel import DEFAULT_VELOCITY_ORDER, expm
 from .propagation import (IntegratedDiffusion, MediumParams, _coherence_kernel,
                           _frequencies, _integrated_diffusion, _langevin_scale)
-from .vapor import doppler_generator, velocity_nodes
 
 NORMALIZATION_FLOOR = 1e-30
 
@@ -125,6 +124,7 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
     if vapor is None:
         ss = steady_state(mp.atom)
     else:
+        from .vapor import doppler_generator, velocity_nodes
         shifts = velocity_nodes(vapor, order)[2]
         shape = np.broadcast_shapes(shape, shifts.shape[:-1])
         rest = np.zeros(shifts.shape[:-1] + (1,))

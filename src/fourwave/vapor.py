@@ -10,14 +10,16 @@ not velocity averaged (the coefficients change very little); cold-atom
 diffusion is reused with the averaged transfer.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 
 from .atom import preparation_probability
 from .errors import ConfigurationError, DomainError, PoleError, RangeWarning, first, require
-from .numkernel import DEFAULT_VELOCITY_ORDER, MAX_VELOCITY_ORDER, expm, gauss_hermite_nodes
+from .numkernel import DEFAULT_VELOCITY_ORDER, MAX_VELOCITY_ORDER, expm
 from .propagation import MediumParams, _coherence_kernel, generator
 from .units import (ATM_TO_PA, ATM_TO_TORR, KB, RB85_D1_WAVELENGTH_M,
                     RB85_MASS_KG, TWO_PI, celsius_to_kelvin)
@@ -83,6 +85,29 @@ def doppler_width(vp: VaporParams) -> float:
     omega_line * sqrt(kB T / (m c^2)).
     """
     return (TWO_PI / vp.wavelength) * velocity_sigma(vp) * 1e-6
+
+
+@functools.cache
+def _unit_gauss_hermite(order: int):
+    """Read-only unit-sigma nodes and normalized weights of one order."""
+    x, w = hermegauss(order)
+    w = w / w.sum()
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_hermite_nodes(order: int, sigma: float):
+    """Nodes and probability weights for a zero-mean Gaussian of std sigma.
+
+    Weights are renormalized to sum to one exactly, so a constant function
+    averages to itself regardless of order.  Weights are read-only.
+    """
+    if order < 4:
+        raise ConfigurationError(f"gauss-hermite order must be >= 4, got {order}")
+    require(np.greater(sigma, 0.0), "gauss-hermite sigma must be > 0", sigma,
+            ConfigurationError)
+    x, w = _unit_gauss_hermite(order)
+    return sigma * x, w
 
 
 def velocity_nodes(vp: VaporParams, order: int = DEFAULT_VELOCITY_ORDER):

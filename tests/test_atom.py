@@ -11,6 +11,7 @@ from fourwave.atom import (AtomParams, build_coherence_system, build_drift_m0,
                            preparation_probability, slowest_relaxation,
                            steady_state)
 from fourwave.errors import DegenerateModelError, DomainError
+from fourwave.propagation import MediumParams, generator
 from fourwave.units import TWO_PI
 
 
@@ -207,6 +208,38 @@ class TestDiffusionSet:
         ds = diffusion_set(atom(gamma_e=2.0, gamma_g=0.1, delta1=1.0,
                                 omega0=4.0, rabi=1.5))
         assert np.array_equal(ds.dsym, (ds.d1 + ds.d2) / 2)
+
+
+class TestGeneratorIdentity:
+    """The generalized Einstein relation on the field pair: with
+    eta = diag(1, -1), the kernel K = T M1'^-1 and the generator prefactor
+    p = optical_depth * gamma_e / 4, the generator G obeys
+    G eta + eta G^+ + 2 p K (d1 - d2) K^+ = 0."""
+
+    @pytest.mark.parametrize("point", (
+        dict(gamma_g=0.01, delta1=2000.0, delta2=-217.0, rabi=2000.0, optical_depth=150.0),
+        dict(gamma_g=0.5, delta1=1000.0, delta2=np.linspace(-80.0, -20.0, 61), rabi=520.0,
+             optical_depth=300.0),
+        dict(gamma_g=0.01, delta1=1000.0, delta2=0.0, rabi=300.0, optical_depth=150.0),
+    ), ids=("readme-working-point", "qbs-delta2-sweep", "weak-pump-acceptance-point"))
+    def test_holds_from_0_2_to_10_mhz_at_both_signs(self, point):
+        point = dict(point)
+        depth = point.pop("optical_depth")
+        p = AtomParams.from_mhz(gamma_e=5.75, omega0=3036.0,
+                                **{k: np.expand_dims(v, -1) for k, v in point.items()})
+        freqs = np.linspace(0.2, 10.0, 50)
+        omega = TWO_PI * np.concatenate([-freqs, freqs])
+        m1p, _, t = build_coherence_system(p, steady_state(p), omega)
+        kernel = t @ np.linalg.inv(m1p)
+        ds = diffusion_set(p)
+        eta = np.diag([1.0, -1.0])
+        g = generator(MediumParams(atom=p, optical_depth=depth), omega)
+        drift = g @ eta + eta @ g.conj().swapaxes(-1, -2)
+        noise = np.expand_dims(depth * p.gamma_e / 4.0, (-2, -1)) \
+            * kernel @ (ds.d1 - ds.d2) @ kernel.conj().swapaxes(-1, -2)
+        residual = np.linalg.norm(drift + 2.0 * noise, axis=(-2, -1)) \
+            / np.linalg.norm(drift, axis=(-2, -1))
+        assert np.max(residual) < 1e-5
 
 
 class TestRelaxation:

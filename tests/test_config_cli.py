@@ -212,8 +212,10 @@ class TestValidation:
          "atom.rabi_mhz: must be >= 0, got -2.5 (at rabi_mhz = -2.5)"),
         ((("rabi_mhz = 300", "rabi_mhz = 1e200"),),
          "atom.rabi_mhz: must be at most 1e+12 rad/us in magnitude, got 1e200"),
+        ((("optical_depth = 150", "optical_depth = 1e300"),),
+         "medium.optical_depth: must be at most 1e+100, got 1e300"),
     ), ids=("negative-rabi", "nan-ground-decay", "negative-depth",
-            "swept-rabi-start", "swept-rabi-stop", "overflowing-rabi"))
+            "swept-rabi-start", "swept-rabi-stop", "overflowing-rabi", "huge-depth"))
     def test_domain_error_names_key_and_value_as_written(self, tmp_path, capsys,
                                                           edits, message):
         text = cold_config(tmp_path / "o.csv")
@@ -232,7 +234,10 @@ class TestValidation:
                 ("temperature_c = 120", "temperature_c = -300",
                  "vapor.temperature_c: must be finite and > -273.15, got -300"),
                 ("wavelength_nm = 795", "wavelength_nm = 0",
-                 "vapor.wavelength_nm: must be finite and > 0, got 0")):
+                 "vapor.wavelength_nm: must be finite and > 0, got 0"),
+                ("temperature_c = 120", "temperature_c = 1e300",
+                 "vapor.temperature_c: must keep atom.delta1_mhz plus the Doppler shift of "
+                 "each of the 40 velocity nodes at most 1e+12 rad/us in magnitude, got 1e300")):
             assert old in text
             diags = validate(parse_config(text.replace(old, new)))
             assert [str(d) for d in diags] == [message]
@@ -280,6 +285,11 @@ class TestValidation:
         ("vapor", (("omega_mhz = 1.0", "omega_mhz = nan"),), True),
         ("cold", (("omega_mhz = 1.0", "omega_mhz = 1e200"),), True),
         ("cold", (("rabi_mhz = 300", "rabi_mhz = 1e200"),), True),
+        ("cold", (("gamma_e_mhz = 5.75", "gamma_e_mhz = 1e11"),
+                  ("optical_depth = 150", "optical_depth = 1e300")), True),
+        ("vapor", (("temperature_c = 120", "temperature_c = 1e300"),), True),
+        ("vapor", (("axis = delta2_mhz", "axis = temperature_c"), ("start = -100", "start = 20"),
+                   ("stop = 100", "stop = 1e300")), True),
         ("vapor", (("cross_section_cm2 = 1e-9", QUADRATURE.format(order=100)),), False),
         ("vapor", (("cross_section_cm2 = 1e-9", QUADRATURE.format(order=100000)),), True),
         ("chain", (), False),
@@ -298,7 +308,9 @@ class TestValidation:
             "eit", "eit-negative-control", "eit-nan-ground-decay",
             "psa", "psa-theta-not-a-number", "psa-big-theta-not-a-number",
             "omega-sweep-from-nan", "omega-sweep-from-inf", "nan-analysis-frequency",
-            "overflowing-analysis-frequency", "overflowing-rabi", "velocity-order-at-bound",
+            "overflowing-analysis-frequency", "overflowing-rabi", "overflowing-generator-prefactor",
+            "doppler-shift-beyond-frequency-limit", "temperature-sweep-to-doppler-overflow",
+            "velocity-order-at-bound",
             "velocity-order-above-bound", "chain", "chain-nan-slices", "chain-infinite-slices",
             "chain-fractional-slices", "chain-no-slices", "chain-whole-slice-sweep",
             "chain-fractional-slice-sweep"))

@@ -1,0 +1,77 @@
+"""What importing the package loads: the core only.  The vapor, EIT and
+reference models, with numpy.polynomial for the velocity nodes, load on
+first use, and so does json for the JSON output."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fourwave
+
+ROOT = Path(__file__).resolve().parents[1]
+ON_FIRST_USE = ("fourwave.eit", "fourwave.reference", "fourwave.vapor", "json",
+                "numpy.polynomial")
+
+# fourwave.__all__ from before the models loaded on first use.
+PUBLIC_NAMES = [
+    "AtomParams", "DiffusionSet", "IntegratedDiffusion", "LambdaParams", "MeanFieldOut",
+    "MediumParams", "Observables", "SliceChainParams", "SteadyState", "VaporParams",
+    "absorption_spectrum", "atom", "build_coherence_system", "build_drift_m0",
+    "calibrate_langevin_scale", "commutator_defect", "detection_loss", "diffusion_set",
+    "doppler_absorption", "doppler_generator", "eit", "errors", "evaluate", "gains",
+    "generator", "ideal_pia_means", "ideal_pia_noise", "integrated_diffusion", "maxwell_pdf",
+    "nlo_pia_transfer", "nlo_psa_field", "numkernel", "observables",
+    "preparation_probability", "propagation", "psa_gain", "psa_noise", "reference",
+    "residual_transmission", "slice_consistency", "sliced_amp_loss", "slowest_relaxation",
+    "spectra", "steady_state", "susceptibility", "to_dB", "transit_time",
+    "transparency_window", "unbalanced_loss", "units", "vapor", "vapor_density",
+]
+
+
+def loaded_after(code: str) -> list[str]:
+    """The modules of ON_FIRST_USE that a fresh interpreter holds after code."""
+    src = os.path.dirname(os.path.dirname(fourwave.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = f"{code}\nimport sys\nprint([m for m in {ON_FIRST_USE!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def validating(config: str) -> str:
+    path = ROOT / "configs" / config
+    return ("import fourwave.cli\nfrom fourwave import config\n"
+            f"assert config.validate(config.parse_config(open({str(path)!r}).read())) == []")
+
+
+@pytest.mark.parametrize("code, loaded", (
+    (validating("entangled_pair.ini"), []),
+    ("from fourwave import AtomParams, MediumParams, evaluate", []),
+    (validating("vapor_gain_scan.ini"), ["fourwave.vapor", "numpy.polynomial"]),
+), ids=("cold-config-validated", "library-names", "vapor-config-validated"))
+def test_import_loads_only_what_is_used(code, loaded):
+    assert loaded_after(code) == loaded
+
+
+def test_cold_run_loads_no_model(tmp_path):
+    config, out = ROOT / "configs" / "entangled_pair.ini", tmp_path / "out.csv"
+    code = ("from fourwave.cli import main\n"
+            f"assert main(['run', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0")
+    assert loaded_after(code) == []
+
+
+def test_every_public_name_imports():
+    assert fourwave.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        namespace = {}
+        exec(f"from fourwave import {name}", namespace)
+        assert namespace[name] is getattr(fourwave, name)
+    assert fourwave.VaporParams is fourwave.vapor.VaporParams
+    assert fourwave.reference is sys.modules["fourwave.reference"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(fourwave, "no_such_name")

@@ -12,7 +12,8 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import solve_ivp
 
 from fourwave.errors import ConfigurationError, DimensionError, NumericError
-from fourwave.numkernel import expm, gauss_hermite_nodes
+from fourwave.numkernel import expm
+from fourwave.vapor import gauss_hermite_nodes
 
 
 def _random_complex(rng, shape, scale=1.0):

@@ -12,9 +12,9 @@ from fourwave.propagation import (POLE_CONDITION_LIMIT, MediumParams,
                                   calibrate_langevin_scale,
                                   commutator_defect, gains, generator,
                                   integrated_diffusion)
-from fourwave.numkernel import expm, gauss_hermite_nodes
+from fourwave.numkernel import expm
 from fourwave.units import TWO_PI
-from fourwave.vapor import VaporParams, doppler_generator, velocity_sigma
+from fourwave.vapor import VaporParams, doppler_generator, gauss_hermite_nodes, velocity_sigma
 
 
 def medium(gamma_e_mhz=5.75, gamma_g_mhz=0.01, omega0_mhz=3036.0,

@@ -11,10 +11,10 @@ from scipy.optimize import brentq
 from fourwave.atom import AtomParams
 from fourwave.config import medium_params_from, parse_config, vapor_params_from
 from fourwave.errors import ConfigurationError, DomainError, PoleError, RangeWarning
-from fourwave.numkernel import expm, gauss_hermite_nodes
+from fourwave.numkernel import expm
 from fourwave.propagation import MediumParams, generator
 from fourwave.vapor import (VaporParams, doppler_absorption, doppler_generator,
-                            doppler_width, maxwell_pdf,
+                            doppler_width, gauss_hermite_nodes, maxwell_pdf,
                             mean_speed, optical_depth, residual_transmission,
                             saturated_vapor_pressure_torr, slice_consistency,
                             transit_time, vapor_density, vapor_fraction,
@@ -79,7 +79,6 @@ class TestDopplerAveraging:
         mp = hot_medium()
         w = TWO_PI * 1.0
         forward = doppler_generator(mp, VP, w)
-        from fourwave.numkernel import gauss_hermite_nodes
         velocities, weights = gauss_hermite_nodes(40, velocity_sigma(VP))
         k = TWO_PI / VP.wavelength
         backward = sum(
