@@ -250,18 +250,22 @@ def decay_rates(p: AtomParams) -> np.ndarray:
 def slowest_relaxation(p: AtomParams) -> float:
     """Longest relaxation time T0 of the pump-dressed atom, in us.
 
-    Conserved directions (rates below ZERO_RATE_REL_TOL of the fastest)
-    are excluded; a growing mode or no decaying mode at all raises
+    Conserved directions (rates below ZERO_RATE_REL_TOL of the fastest, or
+    within the eigenvalue round-off 64 eps max|M0|) are excluded; a growing
+    mode beyond round-off, or no decaying mode at all, raises
     DegenerateModelError.
     """
-    rates = decay_rates(p)
+    m0 = build_drift_m0(p)
+    rates = np.sort(np.imag(np.linalg.eigvals(m0)))
     fastest = rates.max(axis=-1, initial=0.0)
     if np.any(fastest <= 0.0):
         raise DegenerateModelError("slowest_relaxation: no decaying mode")
-    if np.any(bad := rates[..., 0] < -1e-10 * fastest):
+    roundoff = 64 * np.finfo(float).eps * abs(m0).max(axis=(-2, -1))
+    if np.any(bad := rates[..., 0] < -np.maximum(1e-10 * fastest, roundoff)):
         raise DegenerateModelError(
             f"slowest_relaxation: unstable mode with rate {first(rates[..., 0], bad):.3e}")
-    slowest = np.where(rates > ZERO_RATE_REL_TOL * fastest[..., None], rates, np.inf).min(-1)
+    floor = np.maximum(ZERO_RATE_REL_TOL * fastest, roundoff)[..., None]
+    slowest = np.where(rates > floor, rates, np.inf).min(-1)
     if np.any(np.isinf(slowest)):
         raise DegenerateModelError("slowest_relaxation: all modes conserved")
     return 1.0 / slowest

@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from . import config as cfgmod
 from . import spectra as spec
 from .config import ConfigParseError, RunConfig
@@ -180,13 +181,15 @@ def _render_csv(labels, columns, rows) -> str:
 
 
 def _render_json(labels, columns, rows, cfg: RunConfig) -> str:
+    import hashlib
     import json
-    payload = {
-        "schema": {"columns": labels},
-        "meta": {"model": cfg.model, "sweep_axis": cfg.sweep_axis, "seed": cfg.seed},
-        "rows": [[row.get(c) if row.get(c) != "" else None for c in columns]
-                 for row in rows],
-    }
+    meta = {"model": cfg.model, "sweep_axis": cfg.sweep_axis, "seed": cfg.seed,
+            "version": __version__, "config_sha256": hashlib.sha256(cfg.text.encode()).hexdigest()}
+    if cfg.model == "vapor":
+        meta["velocity_order"] = cfg.velocity_order
+    payload = {"schema": {"columns": labels}, "meta": meta,
+               "rows": [[row.get(c) if row.get(c) != "" else None for c in columns]
+                        for row in rows]}
     return json.dumps(payload, indent=2) + "\n"
 
 

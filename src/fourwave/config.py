@@ -120,6 +120,7 @@ class RunConfig:
     output_path: str = "out.csv"
     output_format: str = "csv"
     velocity_order: int = 40
+    text: str = ""      # the config text as read, for the JSON provenance
 
 
 class ConfigParseError(Exception):
@@ -146,7 +147,7 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigParseError(str(exc)) from exc
 
-    cfg = RunConfig()
+    cfg = RunConfig(text=text)
     run = parser["run"] if parser.has_section("run") else {}
     cfg.model = run.get("model", "")
     cfg.seed = _number(parser, "run", "seed", "0", int)

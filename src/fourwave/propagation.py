@@ -9,9 +9,11 @@ matrix exponential of the generator:
     abcd(omega) = expm( i * (alphaL * Gamma / 4) * T M1'(omega)^-1 S1 ).
 
 Langevin noise enters the spectra through four z-integrated diffusion
-coefficients, each read off one block exponential (Van Loan, IEEE TAC 23
-(1978) 395).  Their overall normalization is computed with them, never
-stored: integrated_diffusion and commutator_defect scale by
+coefficients, read off block exponentials (Van Loan, IEEE TAC 23 (1978)
+395): _noise_block forms C = [[-G, K D K^+], [0, G^+]], the caller takes
+expm(C) (a whole stack in one call), and _noise_read reads the integral
+off it.  Their normalization is computed with them, never stored:
+integrated_diffusion and commutator_defect scale by
 calibrate_langevin_scale(mp), which requires the output field commutator
 to stay canonical at CALIBRATION_FREQ, rather than by microscopic
 coupling-constant bookkeeping.
@@ -188,19 +190,18 @@ def gains(mp: MediumParams) -> MeanFieldOut:
                         phase_a=np.angle(a0), phase_b=np.angle(c0))
 
 
-def _noise_integral(weight, kernel, gens, dmat):
-    """weight * int_0^1 e^{-Gz} K D K^+ e^{-G^+ z} dz; 2x2 per member.
-
-    The integral is the propagated second moment of the delta-correlated
-    coherence noise; with a Hermitian positive semidefinite D its diagonal
-    is real and nonnegative.  It is exact: for C = [[-G, Q], [0, G^+]]
-    with Q = K D K^+, expm(C) = [[e^{-G}, F12], [0, e^{G^+}]] where
-    F12 = int_0^1 e^{-G(1-s)} Q e^{G^+ s} ds, so F12 e^{-G^+} is the
-    integral (Van Loan 1978).  All members make one stacked exponential.
-    """
+def _noise_block(kernel, gens, dmat):
+    """The Van Loan block [[-G, Q], [0, G^+]], Q = K D K^+, of each member."""
     qs = np.broadcast_to(_folded_matmul(kernel, dmat) @ np.swapaxes(kernel.conj(), -1, -2),
                          gens.shape)
-    f = expm(np.block([[-gens, qs], [np.zeros_like(gens), np.swapaxes(gens.conj(), -1, -2)]]))
+    return np.block([[-gens, qs], [np.zeros_like(gens), np.swapaxes(gens.conj(), -1, -2)]])
+
+
+def _noise_read(weight, f):
+    """weight * int_0^1 e^{-Gz} Q e^{-G^+ z} dz, the propagated second moment
+    of the coherence noise (diagonal real and >= 0 for D >= 0), 2x2 per
+    member: f = expm(_noise_block) = [[e^{-G}, F12], [0, e^{G^+}]] with
+    F12 = int_0^1 e^{-G(1-s)} Q e^{G^+ s} ds, so it is exactly F12 e^{-G^+}."""
     with np.errstate(over="ignore", invalid="ignore"):     # inf or NaN is flagged later
         return weight * (f[..., :2, 2:] @ np.swapaxes(f[..., :2, :2].conj(), -1, -2))
 
@@ -213,17 +214,12 @@ def _cast_real(value, who: str):
     return value.real[()]
 
 
-def _integrated_diffusion(mp: MediumParams, scale, kernel) -> IntegratedDiffusion:
-    """integrated_diffusion at ``scale`` from the kernel at (+omega, -omega)."""
-    prefactor, k, gens = kernel
-    fwd, rev = _noise_integral(np.expand_dims(scale, (-2, -1)) * prefactor, k, gens,
-                               diffusion_set(mp.atom).dsym)
+def _diffusion(scale, prefactor, f) -> IntegratedDiffusion:
+    """The coefficients at ``scale`` from the dsym block exponentials at +-omega."""
+    fwd, rev = _noise_read(np.expand_dims(scale, (-2, -1)) * prefactor, f)
     return IntegratedDiffusion(
-        d_aa=_cast_real(fwd[..., 0, 0], "d_aa"),
-        d_aa_rev=_cast_real(rev[..., 0, 0], "d_aa_rev"),
-        d_bb=_cast_real(fwd[..., 1, 1], "d_bb"),
-        d_bb_rev=_cast_real(rev[..., 1, 1], "d_bb_rev"),
-    )
+        _cast_real(fwd[..., 0, 0], "d_aa"), _cast_real(rev[..., 0, 0], "d_aa_rev"),
+        _cast_real(fwd[..., 1, 1], "d_bb"), _cast_real(rev[..., 1, 1], "d_bb_rev"))
 
 
 def integrated_diffusion(mp: MediumParams, omega) -> IntegratedDiffusion:
@@ -235,14 +231,13 @@ def integrated_diffusion(mp: MediumParams, omega) -> IntegratedDiffusion:
     noise spectra.
     """
     scale = calibrate_langevin_scale(mp)
-    pm = _frequencies(mp.shape, omega, -np.asarray(omega))
-    return _integrated_diffusion(mp, scale, _coherence_kernel(mp, pm))
+    prefactor, k, gens = _coherence_kernel(mp, _frequencies(mp.shape, omega, -np.asarray(omega)))
+    return _diffusion(scale, prefactor, expm(_noise_block(k, gens, diffusion_set(mp.atom).dsym)))
 
 
-def _defect_integral(mp: MediumParams, kernel):
-    """The unnormalized d1 - d2 noise integral on the probe row, complex."""
-    ds = diffusion_set(mp.atom)
-    return _noise_integral(*kernel, ds.d1 - ds.d2)[..., 0, 0]
+def _defect(prefactor, f):
+    """The unnormalized d1 - d2 integral on the probe row from its block's f."""
+    return _cast_real(_noise_read(prefactor, f)[..., 0, 0], "commutator_defect")
 
 
 def commutator_defect(mp: MediumParams, omega) -> float:
@@ -254,19 +249,19 @@ def commutator_defect(mp: MediumParams, omega) -> float:
     CALIBRATION_FREQ.
     """
     scale = calibrate_langevin_scale(mp)
-    return scale * _cast_real(_defect_integral(mp, _coherence_kernel(mp, omega)),
-                              "commutator_defect")
+    prefactor, k, gens = _coherence_kernel(mp, omega)
+    ds = diffusion_set(mp.atom)
+    return scale * _defect(prefactor, expm(_noise_block(k, gens, ds.d1 - ds.d2)))
 
 
-def _langevin_scale(mp: MediumParams, ss=None):
-    """calibrate_langevin_scale(mp); ``ss`` is mp.atom's steady state if known."""
-    if not np.any(np.greater(mp.optical_depth, 0)):
-        return 1.0      # no member absorbs: exactly 1, and no kernel to hit a pole
-    kernel = _coherence_kernel(mp, CALIBRATION_FREQ, ss)
-    x = _defect_integral(mp, kernel)
-    abcd = expm(kernel[2])
+def _absorbs(mp: MediumParams) -> bool:
+    return bool(np.any(np.greater(mp.optical_depth, 0)))
+
+
+def _langevin_scale(prefactor, abcd, f):
+    """The scale from the reference transfer and d1 - d2 block; drops their length-1 axis."""
+    raw = _defect(prefactor, f)
     deficit = 1.0 - (abs(abcd[..., 0, 0])**2 - abs(abcd[..., 0, 1])**2)
-    raw = _cast_real(x, "commutator_defect")
     vanishing = abs(raw) < 1e-14
     if np.any(bad := vanishing & (abs(deficit) > 1e-9)):
         raise CalibrationError(
@@ -276,7 +271,7 @@ def _langevin_scale(mp: MediumParams, ss=None):
     if np.any(bad := ~(scale > 0)):     # NaN where the noise integral overflowed
         kind = "non-positive" if first(scale, bad) <= 0 else "non-finite"
         raise CalibrationError(f"calibration produced {kind} scale {first(scale, bad):.3e}")
-    return scale[()]
+    return scale[0]
 
 
 def calibrate_langevin_scale(mp: MediumParams) -> float:
@@ -286,6 +281,10 @@ def calibrate_langevin_scale(mp: MediumParams) -> float:
     Solves |A|^2 - |B|^2 + s * (d1 - d2 coefficient) = 1 at the reference
     frequency.  Returns 1 when the identity already holds and the Langevin
     term vanishes (a synthetic pure-gain medium), and exactly 1, forming
-    no kernel, when no member has optical depth.
+    no kernel, when no member has optical depth (_absorbs).
     """
-    return _langevin_scale(mp)
+    if not _absorbs(mp):
+        return 1.0
+    prefactor, k, gens = _coherence_kernel(mp, _frequencies(mp.shape, CALIBRATION_FREQ))
+    ds = diffusion_set(mp.atom)
+    return _langevin_scale(prefactor, expm(gens), expm(_noise_block(k, gens, ds.d1 - ds.d2)))

@@ -5,8 +5,9 @@ beam (SQL = 1).  Every observable is read off the same objects: the
 two-mode input-output (ABCD) matrix at 0, +omega and -omega and the four
 z-integrated Langevin coefficients at omega, normalized as in
 propagation.calibrate_langevin_scale.  ``evaluate`` builds those objects
-once for a stack of media and frequencies, normalization included, and
-returns all observables together as an ``Observables``; ``observables``
+once for a stack of media and frequencies, normalization included (its
+kernels in two stacks, per medium and per point; all exponentials in two
+calls), and returns all observables as an ``Observables``; ``observables``
 does the same for precomputed (e.g. synthetic) matrices.  The ``*_parts``
 functions are the single formulas both of them combine.
 """
@@ -15,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import steady_state
+from .atom import diffusion_set, steady_state
 from .errors import NormalizationError, require
 from .numkernel import DEFAULT_VELOCITY_ORDER, expm
-from .propagation import (IntegratedDiffusion, MediumParams, _coherence_kernel,
-                          _frequencies, _integrated_diffusion, _langevin_scale)
+from .propagation import (CALIBRATION_FREQ, IntegratedDiffusion, MediumParams, _absorbs,
+                          _coherence_kernel, _diffusion, _frequencies, _langevin_scale,
+                          _noise_block)
 
 NORMALIZATION_FLOOR = 1e-30
 
@@ -105,20 +107,27 @@ def observables(abcd0, abcd_w, abcd_mw, diff: IntegratedDiffusion) -> Observable
                        inseparability=0.5 * (snm + sphp), S_Na=sna)
 
 
+def _expm_each(stacks) -> list:
+    """expm of each (..., n, n) stack in one call; exact, per expm's contract."""
+    flat = expm(np.concatenate([s.reshape(-1, *s.shape[-2:]) for s in stacks]))
+    ends = np.cumsum([s.size // s.shape[-1]**2 for s in stacks])[:-1]
+    return [part.reshape(s.shape) for s, part in zip(stacks, np.split(flat, ends))]
+
+
 def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
              vapor=None, order: int = DEFAULT_VELOCITY_ORDER) -> Observables:
     """All observables of the media mp at analysis frequencies omega, stacked
     to their broadcast shape (and the vapor's).
 
-    One steady-state solve serves every kernel; for a VaporParams ``vapor``
-    it holds the ``order`` velocity nodes and, last, the atom at rest.  In
-    this order: with ``langevin`` the Langevin scale is found
-    (calibrate_langevin_scale: exactly 1 when no medium has optical depth);
-    the exponents at 0, +omega and -omega, velocity averaged for a vapor,
-    are formed and then exponentiated; the diffusion is integrated at that
-    scale from the kernel at +-omega of the atom at rest, which without
-    ``vapor`` is the transfer kernel.  Without ``langevin`` the diffusion
-    terms are zero.
+    Order of work: steady state (for a VaporParams ``vapor``, of its
+    ``order`` velocity nodes and, last, the atom at rest) -> every kernel,
+    each screened for poles -> one expm of every 2x2 exponent and one of
+    every 4x4 Van Loan block -> the normalization checks and scale -> the
+    diffusion read-off -> the observables.  The kernels form two stacks:
+    per medium, CALIBRATION_FREQ (with ``langevin``, if some member has
+    optical depth, else the scale is exactly 1) and 0; per point, +-omega.
+    A vapor has doppler_generator's exponents at 0 and +-omega, the atom at
+    rest's kernels elsewhere.  Without ``langevin`` the diffusion is zero.
     """
     shape = mp.shape
     if vapor is None:
@@ -130,19 +139,28 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
         rest = np.zeros(shifts.shape[:-1] + (1,))
         nodes = steady_state(mp.at_nodes(np.concatenate([shifts, rest], axis=-1)).atom)
         ss = nodes.take(-1)
-    scale = _langevin_scale(mp, ss) if langevin else None
-    omegas = _frequencies(shape, 0.0, omega, -np.asarray(omega))
+    ref = (CALIBRATION_FREQ,) if langevin and _absorbs(mp) else ()
+    pm = _frequencies(shape, omega, -np.asarray(omega))
     if vapor is None:
-        kernel = _coherence_kernel(mp, omegas, ss)
-        exponents = kernel[2]
+        medium = _coherence_kernel(mp, _frequencies(shape, *ref, 0.0), ss)
+        points = _coherence_kernel(mp, pm, ss)
+        gens = [medium[2], points[2]]
     else:
-        exponents = doppler_generator(mp, vapor, omegas, order, nodes.take(slice(-1)))
-    abcds = expm(exponents)
+        medium = _coherence_kernel(mp, _frequencies(shape, *ref), ss) if ref else None
+        gens = [medium[2]] if ref else []
+        gens.append(doppler_generator(mp, vapor, _frequencies(shape, 0.0, *pm), order,
+                                      nodes.take(slice(-1))))
+        points = _coherence_kernel(mp, pm, ss) if langevin else None
+    abcds = _expm_each(gens)
+    abcd0, abcd_w, abcd_mw = (abcds[0][-1], *abcds[1]) if vapor is None else abcds[-1]
+    abcd0 = np.broadcast_to(abcd0, abcd_w.shape)      # a view: one transfer per medium
     if not langevin:
-        return observables(*abcds, IntegratedDiffusion.zero())
-    pm = (kernel[0], kernel[1][1:], kernel[2][1:]) if vapor is None \
-        else _coherence_kernel(mp, omegas[1:], ss)
-    return observables(*abcds, _integrated_diffusion(mp, scale, pm))
+        return observables(abcd0, abcd_w, abcd_mw, IntegratedDiffusion.zero())
+    ds = diffusion_set(mp.atom)
+    blocks = [_noise_block(medium[1][:1], medium[2][:1], ds.d1 - ds.d2)] if ref else []
+    *f_ref, f_pm = _expm_each(blocks + [_noise_block(points[1], points[2], ds.dsym)])
+    scale = _langevin_scale(medium[0], abcds[0][:1], *f_ref) if ref else 1.0
+    return observables(abcd0, abcd_w, abcd_mw, _diffusion(scale, points[0], f_pm))
 
 
 def to_dB(s: float) -> float:

@@ -267,6 +267,13 @@ class TestRelaxation:
                 rates = decay_rates(atom(gamma_e=g, omega0=w0, delta1=dl, rabi=om))
                 assert rates.min() >= -1e-10 * rates.max()
 
+    def test_eigenvalue_round_off_at_far_detuning_is_no_instability(self):
+        # delta1 near FREQUENCY_LIMIT: the M0 eigenvalues carry a round-off of
+        # about 1e12 * eps, far above 1e-10 times the fastest decay rate
+        p = AtomParams.from_mhz(5.75, 1.0, 3036.0, 1.5913e11, 4.0, 330.0)
+        assert decay_rates(p)[0] < -1e-10 * decay_rates(p)[-1]
+        assert 0 < slowest_relaxation(p) < np.inf
+
     def test_preparation_probability_limits(self):
         p = atom(gamma_e=1.0, omega0=3.0, delta1=0.7, rabi=0.9)
         t0 = slowest_relaxation(p)

@@ -1,11 +1,13 @@
 """Configuration parsing, validation and the batch CLI."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+import fourwave
 from fourwave.cli import main
 from fourwave.config import parse_config, validate
 
@@ -431,6 +433,17 @@ class TestRun:
         assert payload["rows"][0][header.index("Ga")] == pytest.approx(
             float(rows[0]["Ga"]), rel=1e-12)
 
+    @pytest.mark.parametrize("name", ("entangled_pair", "vapor_gain_scan"))
+    def test_json_meta_holds_provenance(self, tmp_path, name):
+        config = ROOT / "configs" / f"{name}.ini"
+        out = tmp_path / "out.json"
+        assert main(["run", "--config", str(config), "--out", str(out),
+                     "--format", "json"]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["version"] == fourwave.__version__
+        assert meta["config_sha256"] == hashlib.sha256(config.read_bytes()).hexdigest()
+        assert meta.get("velocity_order") == (40 if name == "vapor_gain_scan" else None)
+
     def test_db_flag_adds_decibel_columns(self, tmp_path):
         out = tmp_path / "db.csv"
         ini = tmp_path / "cfg.ini"
@@ -495,6 +508,17 @@ class TestVaporModel:
         for row in rows:
             assert 0 < float(row["prepared_fraction"]) <= 1
             assert float(row["Ga"]) > 0
+
+
+    def test_one_photon_detuning_near_the_frequency_limit(self, tmp_path):
+        # the M0 eigenvalue round-off there once flagged every row unstable
+        text = (ROOT / "configs" / "vapor_gain_scan.ini").read_text()
+        ini, out = tmp_path / "far.ini", tmp_path / "far.csv"
+        ini.write_text(text.replace("delta1_mhz = 800", "delta1_mhz = 1.5913e11"))
+        assert main(["run", "--config", str(ini), "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 61
+        assert all(row["flag"] == "" for row in rows)
 
 
 class TestReferenceOutputs:

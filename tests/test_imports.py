@@ -1,6 +1,6 @@
 """What importing the package loads: the core only.  The vapor, EIT and
 reference models, with numpy.polynomial for the velocity nodes, load on
-first use, and so does json for the JSON output."""
+first use, and so do json and hashlib for the JSON output."""
 
 import ast
 import os
@@ -13,7 +13,7 @@ import pytest
 import fourwave
 
 ROOT = Path(__file__).resolve().parents[1]
-ON_FIRST_USE = ("fourwave.eit", "fourwave.reference", "fourwave.vapor", "json",
+ON_FIRST_USE = ("fourwave.eit", "fourwave.reference", "fourwave.vapor", "hashlib", "json",
                 "numpy.polynomial")
 
 # fourwave.__all__ from before the models loaded on first use.

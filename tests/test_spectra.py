@@ -1,8 +1,11 @@
 """Noise-spectra tests, including the synthetic ideal-amplifier oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fourwave import spectra
 from fourwave.atom import AtomParams
 from fourwave.errors import DomainError, NormalizationError, PoleError
 from fourwave.propagation import IntegratedDiffusion, MediumParams
@@ -112,7 +115,7 @@ class TestEvaluatePoles:
         with pytest.raises(PoleError) as err:
             evaluate(mp, TWO_PI * 1.0, langevin=False)
         assert err.value.omega == TWO_PI * 1.0
-        assert err.value.index == (1,)      # the stack is (0, +omega, -omega)
+        assert err.value.index == (0,)      # the per-point stack is (+omega, -omega)
 
 
 class TestHelpers:
@@ -161,3 +164,84 @@ class TestStackedEvaluate:
             for name in ("gain_a", "gain_b", *NOISE_FIELDS):
                 assert getattr(stacked, name)[i] == getattr(one, name)[0], (name, i)
                 assert getattr(scalar, name) == pytest.approx(getattr(one, name)[0], rel=1e-12)
+
+    @pytest.mark.parametrize("hot", (False, True), ids=("cold", "vapor"))
+    def test_frequency_stack_equals_each_frequency_alone(self, hot):
+        # the per-medium transfer at 0 serves every frequency of the stack;
+        # 1 MHz is the calibration frequency
+        vapor = VaporParams.rb85_d1(temperature_c=120.0) if hot else None
+        mp = medium(**self.POINT)
+        omegas = TWO_PI * np.array([0.3, 1.0, 2.5, 4.0])
+        stacked = evaluate(mp, omegas, vapor=vapor)
+        for i in range(len(omegas)):
+            one = evaluate(mp, omegas[i:i + 1], vapor=vapor)
+            for name in ("gain_a", "gain_b", *NOISE_FIELDS):
+                assert getattr(stacked, name)[i] == getattr(one, name)[0], (name, i)
+
+
+class TestWorkPerEvaluate:
+    """Each evaluate call forms the transfer at 0 once per medium, takes
+    every 2x2 and every 4x4 exponential in one call each and one diffusion
+    set."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"expm": [], "diffusion_set": 0, "kernel": 0}
+        expm, diffusion_set, kernel = (spectra.expm, spectra.diffusion_set,
+                                       spectra._coherence_kernel)
+
+        def count_expm(m):      # (matrix size, number of matrices)
+            calls["expm"].append((m.shape[-1], int(np.prod(m.shape[:-2]))))
+            return expm(m)
+
+        def count_diffusion_set(p):
+            calls["diffusion_set"] += 1
+            return diffusion_set(p)
+
+        def count_kernel(*args):
+            calls["kernel"] += 1
+            return kernel(*args)
+        monkeypatch.setattr(spectra, "expm", count_expm)
+        monkeypatch.setattr(spectra, "diffusion_set", count_diffusion_set)
+        monkeypatch.setattr(spectra, "_coherence_kernel", count_kernel)
+        monkeypatch.setattr("fourwave.vapor._coherence_kernel", count_kernel)
+        return calls
+
+    OMEGAS = TWO_PI * np.linspace(0.1, 5.0, 50)
+
+    def test_cold_medium_with_langevin_noise(self, counts):
+        evaluate(medium(), self.OMEGAS)
+        # 2x2: the reference, 0 and +-omega at 50 frequencies; 4x4: the
+        # d1 - d2 block at the reference and the dsym blocks at +-omega
+        assert counts == {"expm": [(2, 102), (4, 101)], "diffusion_set": 1, "kernel": 2}
+
+    def test_cold_medium_without_langevin_noise(self, counts):
+        evaluate(medium(), self.OMEGAS, langevin=False)
+        assert counts == {"expm": [(2, 101)], "diffusion_set": 0, "kernel": 2}
+
+    def test_transparent_medium_forms_no_reference(self, counts):
+        evaluate(medium(optical_depth=0.0), self.OMEGAS)
+        assert counts == {"expm": [(2, 101), (4, 100)], "diffusion_set": 1, "kernel": 2}
+
+    def test_vapor_medium(self, counts):
+        evaluate(medium(**TestStackedEvaluate.POINT), TWO_PI * 1.0,
+                 vapor=VaporParams.rb85_d1(temperature_c=120.0))
+        # 2x2: the reference on the atom at rest and the averages at 0, +-omega
+        assert counts == {"expm": [(2, 4), (4, 3)], "diffusion_set": 1, "kernel": 3}
+
+
+class TestVaporColdLimit:
+    # a vapor at 1e-8 K differs from the cold medium by about 1e-8 relative
+    POINTS = {"vapor-config": TestStackedEvaluate.POINT, "entangled": {},
+              "qbs": dict(gamma_g_mhz=0.5, rabi_mhz=520.0, delta1_mhz=1000.0,
+                          delta2_mhz=-52.0, optical_depth=300.0)}
+
+    @pytest.mark.parametrize("point", POINTS.values(), ids=POINTS.keys())
+    def test_agrees_with_the_cold_medium(self, point):
+        mp = medium(**point)
+        omegas = TWO_PI * np.array([0.3, 1.0, 4.0])
+        frozen = dataclasses.replace(VaporParams.rb85_d1(), temperature=1e-8)
+        hot, cold = evaluate(mp, omegas, vapor=frozen), evaluate(mp, omegas)
+        for name in ("gain_a", "gain_b", *NOISE_FIELDS):
+            np.testing.assert_allclose(getattr(hot, name), getattr(cold, name), rtol=1e-6,
+                                       err_msg=name)
