@@ -1,21 +1,27 @@
-"""Batch front-end: parameter sweeps emitting tabular spectra.
+# The help text: assigned rather than a docstring, so that python -OO keeps it.
+__doc__ = """Batch front-end: parameter sweeps emitting tabular spectra.
 
-Subcommands:
+usage: fourwave {run,validate,reference} --config PATH [--out PATH] [--format {csv,json}] [--db]
 
-    fourwave run --config cfg.ini [--out PATH] [--format csv|json] [--db]
-    fourwave validate --config cfg.ini
-    fourwave reference --config cfg.ini [...]      ; model=reference shortcut
+  run                  sweep the config's one axis and write a row per sweep value
+  validate             print every config problem that would stop run
+  reference            run a config with model = reference
+  -h, --help           print this help and exit
+  --config PATH        the run configuration (required)
+  --out PATH           write to PATH, not output.path      (run and reference only)
+  --format {csv,json}  override output.format              (run and reference only)
+  --db                 append decibel columns of the noise (run and reference only)
 
-Output is deterministic for a fixed config and seed; rows are written in
-sweep order.  Rows whose frequency point sits on a resonance pole are
-emitted with an empty value set and a 'pole' flag; the run still exits 0.
+Exit status: 0 ok, 1 run failed, 2 usage or config error.  Rows are written in
+sweep order, the same for a fixed config and seed; a row whose frequency sits
+on a resonance pole is written empty with flag 'pole', and the run exits 0.
 """
 
-import argparse
 import csv
 import io
 import math
 import sys
+from getopt import GetoptError, getopt
 
 import numpy as np
 
@@ -26,6 +32,9 @@ from .config import ConfigParseError, RunConfig
 from .errors import FourwaveError, PoleError
 from .units import mhz_to_rad_us
 
+USAGE = __doc__.split("\n\n")[1]
+COMMANDS = ("run", "validate", "reference")
+LONG_OPTIONS = ("help", "config=", "out=", "format=", "db")
 NOISE_COLUMNS = ("S_Nminus", "S_phiplus", "inseparability", "S_Na", "S_N")
 
 # Coherence matrices (rows x 3 frequencies x velocity nodes) in one stacked
@@ -194,47 +203,63 @@ def _render_json(labels, columns, rows, cfg: RunConfig) -> str:
 
 
 def _load(path: str) -> RunConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return cfgmod.parse_config(fh.read())
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="fourwave",
-        description="Gain and quantum-noise spectra of double-lambda four-wave mixing")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "validate", "reference"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to the run configuration")
-        if name != "validate":
-            p.add_argument("--out", default=None, help="override output.path")
-            p.add_argument("--format", default=None, choices=("csv", "json"))
-            p.add_argument("--db", action="store_true",
-                           help="append decibel columns for noise quantities")
-    args = parser.parse_args(argv)
+def _parse(argv) -> tuple[str, dict]:
+    """The command ("help" for -h) and the options, by name, of a command line."""
+    command, *rest = argv or [""]
+    pairs, words = getopt(rest, "h", LONG_OPTIONS)
+    options = {name.lstrip("-"): value for name, value in pairs}
+    if command in ("-h", "--help") or {"h", "help"} & options.keys():
+        return "help", options
+    if command not in COMMANDS or words:
+        got = " ".join([command, *words]) or "none"
+        raise GetoptError(f"expected one command of {', '.join(COMMANDS)}, got {got}")
+    if swallowed := [name for name, value in options.items() if value == "-h" or value[:2] == "--"
+                     and any(long.startswith(value[2:]) for long in LONG_OPTIONS)]:
+        raise GetoptError(f"option --{swallowed[0]} requires argument")    # got one as its value
+    if "config" not in options:
+        raise GetoptError("option --config is required")
+    if command == "validate" and (extra := sorted(options.keys() - {"config"})):
+        raise GetoptError(f"validate takes no option --{extra[0]}")
+    if options.get("format", "csv") not in cfgmod.FORMATS:
+        raise GetoptError(f"option --format must be csv or json, got {options['format']!r}")
+    return command, options
 
+
+def main(argv=None) -> int:
+    """Run the command line ``argv`` (default sys.argv[1:]); returns the exit status."""
     try:
-        cfg = _load(args.config)
-    except (OSError, ConfigParseError) as exc:
+        command, options = _parse(sys.argv[1:] if argv is None else argv)
+    except GetoptError as exc:
+        print(f"{USAGE}\nfourwave: error: {exc}", file=sys.stderr)
+        return 2
+    if command == "help":
+        print(__doc__, end="")
+        return 0
+    try:
+        cfg = _load(options["config"])
+    except (OSError, UnicodeDecodeError, ConfigParseError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "validate":
+    if command == "validate":
         problems = cfgmod.validate(cfg)
         for d in problems:
             print(str(d))
         return 0 if not problems else 2
 
-    if args.command == "reference" and cfg.model != "reference":
+    if command == "reference" and cfg.model != "reference":
         print("config error at run.model: the reference subcommand requires "
               f"model = reference, got {cfg.model!r}", file=sys.stderr)
         return 2
-    if args.out:
-        cfg.output_path = args.out
-    if args.format:
-        cfg.output_format = args.format
+    if options.get("out"):
+        cfg.output_path = options["out"]
+    cfg.output_format = options.get("format", cfg.output_format)
     try:
-        return run(cfg, with_db=args.db)
+        return run(cfg, with_db="db" in options)
     except FourwaveError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

@@ -30,7 +30,7 @@ Grammar (INI dialect, parsed by configparser):
     [sweep]
     axis = <parameter key>        ; exactly one sweep axis
     start, stop = <float>
-    count = <int >= 1>
+    count = <int>                 ; from 1 to SWEEP_COUNT_LIMIT = 10**6
 
     [output]
     path = <file>
@@ -86,6 +86,11 @@ _BLOCKS = {"cold": ("atom", "medium"), "vapor": ("atom", "medium", "vapor"),
            "eit": ("eit",)}
 _REQUIRED = {"atom": _ATOM_KEYS, "medium": ("optical_depth",),
              "vapor": _VAPOR_KEYS, "eit": _EIT_KEYS}
+
+# run holds every row until it writes the file, about 0.6 KB a row (a
+# 100000-row cold sweep peaked 55 MB above a 10000-row one), so 10**6 rows
+# take about 0.6 GB and ten times as many would take 6 GB.
+SWEEP_COUNT_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -213,8 +218,9 @@ def validate(cfg: RunConfig) -> list[Diagnostic]:
         diags.append(Diagnostic("sweep.axis",
                                 f"axis {cfg.sweep_axis!r} not valid for model "
                                 f"{cfg.model!r}; one of {axes}"))
-    if cfg.sweep_count < 1:
-        diags.append(Diagnostic("sweep.count", f"must be >= 1, got {cfg.sweep_count}"))
+    if not 1 <= cfg.sweep_count <= SWEEP_COUNT_LIMIT:
+        diags.append(Diagnostic("sweep.count", f"must be from 1 to {SWEEP_COUNT_LIMIT}, "
+                                f"got {cfg.sweep_count}"))
     for key, value in (("run.omega_mhz", cfg.omega_mhz), ("sweep.start", cfg.sweep_start),
                        ("sweep.stop", cfg.sweep_stop)):
         if not math.isfinite(value):

@@ -205,8 +205,10 @@ def residual_transmission(mp: MediumParams, vp: VaporParams,
     prepared = preparation_probability(mp.atom, transit_time(vp))
     unprepared = 1.0 - prepared
     detuning = mp.atom.delta1 if probe_detuning is None else probe_detuning
-    sig = doppler_width(vp)
-    profile = np.exp(-detuning**2 / (2.0 * sig**2))
+    two_var = 2.0 * doppler_width(vp)**2
+    # A width whose square underflows leaves the profile's limit: 1 on resonance, 0 off it.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        profile = np.where(two_var == 0.0, detuning == 0.0, np.exp(-detuning**2 / two_var))
     return prepared, np.exp(-unprepared * mp.optical_depth * profile)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import fourwave
 from fourwave.cli import main
-from fourwave.config import parse_config, validate
+from fourwave.config import SWEEP_COUNT_LIMIT, parse_config, validate
 
 COLD_TEMPLATE = """
 [run]
@@ -161,6 +161,15 @@ class TestValidation:
         diags = validate(parse_config(cold_config(tmp_path / "o.csv", count=-3)))
         assert any(d.key == "sweep.count" for d in diags)
 
+    def test_count_bounded_by_the_limit(self, tmp_path, capsys):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(cold_config(tmp_path / "o.csv", count=SWEEP_COUNT_LIMIT))
+        assert main(["validate", "--config", str(ini)]) == 0
+        ini.write_text(cold_config(tmp_path / "o.csv", count=SWEEP_COUNT_LIMIT + 1))
+        assert main(["validate", "--config", str(ini)]) == 2
+        assert capsys.readouterr().out == (f"sweep.count: must be from 1 to {SWEEP_COUNT_LIMIT}, "
+                                           f"got {SWEEP_COUNT_LIMIT + 1}\n")
+
     def test_wrong_axis_for_model(self, tmp_path):
         diags = validate(parse_config(cold_config(tmp_path / "o.csv",
                                       axis="temperature_c")))
@@ -192,6 +201,13 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "cannot read config" in err
         assert "run.seed" in err
+
+    @pytest.mark.parametrize("command", ("run", "validate"))
+    def test_config_not_utf8_is_a_read_error(self, tmp_path, capsys, command):
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(b"\xff\xfe[run]\n")
+        assert main([command, "--config", str(ini)]) == 2
+        assert capsys.readouterr().err.startswith("cannot read config: 'utf-8' codec can't decode")
 
     def test_percent_sign_in_a_value_is_literal(self, tmp_path):
         out = tmp_path / "out%.csv"
@@ -493,6 +509,62 @@ class TestRun:
         assert [len(row) for row in rows] == [len(header)] * 3
         assert rows[0][-1].startswith("error:slice_transmission")
         assert rows[2][-1] == ""
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", (
+        [], ["sweep", "--config", "{ini}"], ["run", "validate", "--config", "{ini}"],
+        ["run", "--out", "{out}"], ["run", "--config", "{ini}", "--out"],
+        ["run", "--config", "{ini}", "--out", "--db"], ["run", "--config"],
+        ["run", "--config", "{ini}", "--out", "{out}", "--seed", "3"],
+        ["run", "--config", "{ini}", "--out", "{out}", "-x"],
+        ["run", "--config", "{ini}", "--out", "{out}", "--format", "xml"],
+        ["run", "--config", "{ini}", "--out", "{out}", "--db=yes"],
+        ["validate", "--config", "{ini}", "--out", "{out}"],
+        ["validate", "--config", "{ini}", "--format", "csv"],
+        ["validate", "--config", "{ini}", "--db"],
+        ["--config", "{ini}", "run"], ["run", "--config", "{ini}", "--out", "--conf"],
+        ["run", "--config", "{ini}", "--out", "-h"], ["run", "--config", "{ini}", "extra"],
+    ), ids=("no-command", "unknown-command", "two-commands", "missing-config",
+            "missing-out-value", "option-as-out-value", "missing-config-value",
+            "unknown-option", "unknown-short-option", "bad-format", "flag-with-value",
+            "validate-out", "validate-format", "validate-db", "option-before-command",
+            "option-prefix-as-out-value", "help-as-out-value", "extra-word"))
+    def test_usage_error_exits_2_and_writes_nothing(self, tmp_path, capsys, argv):
+        ini, out, default = tmp_path / "cfg.ini", tmp_path / "out.csv", tmp_path / "o.csv"
+        ini.write_text(cold_config(default, count=2))
+        assert main([a.format(ini=ini, out=out) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: fourwave ")
+        assert "\nfourwave: error: " in captured.err
+        assert not out.exists() and not default.exists()
+
+    @pytest.mark.parametrize("argv", (["-h"], ["--help"], ["validate", "-h"]))
+    def test_help_names_every_command_and_option(self, capsys, argv):
+        assert main(argv) == 0
+        help_text = capsys.readouterr().out
+        for word in ("run", "validate", "reference", "--config", "--out", "--format", "--db"):
+            assert word in help_text
+
+    def test_option_forms_argparse_took(self, tmp_path, monkeypatch):
+        ini, out = tmp_path / "cfg.ini", tmp_path / "out.csv"
+        ini.write_text(cold_config(tmp_path / "o.csv", count=2))
+        assert main(["run", "--conf", str(ini), f"--out={out}", "--d"]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 2 and "S_Nminus_db" in rows[0]
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(ini), "--out", "-"]) == 0
+        assert main(["run", "--config", str(ini), "--out=-x.csv"]) == 0
+        assert read_rows(tmp_path / "-") == read_rows(tmp_path / "-x.csv")
+        assert len(read_rows(tmp_path / "-")[1]) == 2
+
+    def test_posixly_correct_changes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("POSIXLY_CORRECT", "1")
+        ini, out = tmp_path / "cfg.ini", tmp_path / "out.csv"
+        ini.write_text(cold_config(tmp_path / "o.csv", count=2))
+        assert main(["run", "--config", str(ini), "--out", str(out)]) == 0
+        assert len(read_rows(out)[1]) == 2
 
 
 class TestVaporModel:

@@ -1,0 +1,81 @@
+"""The shipped configs with one value replaced or one line deleted: the CLI
+answers every edit with an exit status, never an exception, and validate
+passes exactly the configs that run does not reject."""
+
+import csv
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fourwave.cli import main
+from fourwave.config import SWEEP_COUNT_LIMIT
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+TOKENS = ("", "nan", "inf", "-inf", "-1", "0", "1e400", "1e300", "1e-300",
+          "abc", "off", "json", "psa", "temperature_c")
+
+
+def edited(text: str):
+    """The config text with one key's value replaced by a token (that of
+    count also by SWEEP_COUNT_LIMIT + 1) or one line deleted."""
+    lines = text.splitlines()
+    keys = [i for i, line in enumerate(lines) if "=" in line and not line.startswith(";")]
+
+    def replaced(at, token):
+        return lines[:at] + [lines[at].split("=")[0] + "= " + token] + lines[at + 1:]
+
+    def tokens(at):
+        extra = (str(SWEEP_COUNT_LIMIT + 1),) if lines[at].startswith("count") else ()
+        return st.sampled_from(TOKENS + extra)
+
+    replace = st.sampled_from(keys).flatmap(
+        lambda at: st.builds(replaced, st.just(at), tokens(at)))
+    delete = st.integers(0, len(lines) - 1).map(lambda at: lines[:at] + lines[at + 1:])
+    return st.one_of(replace, delete).map(lambda kept: "\n".join(kept) + "\n")
+
+
+def rows_of(text: str) -> tuple[list, list]:
+    """The header and the rows of a CSV or JSON output."""
+    if text.startswith("{"):
+        payload = json.loads(text)
+        return payload["schema"]["columns"], payload["rows"]
+    header, *rows = csv.reader(io.StringIO(text))
+    return header, rows
+
+
+def check_exit_statuses(text: str, folder: Path):
+    ini, out = folder / "cfg.ini", folder / "out"
+    ini.write_text(text)
+    checked = main(["validate", "--config", str(ini)])
+    if f"count = {SWEEP_COUNT_LIMIT + 1}" in text:     # never run a sweep that long
+        assert checked == 2
+    status = main(["run", "--config", str(ini), "--out", str(out)])
+    assert checked in (0, 2) and status in (0, 1, 2)
+    assert (checked == 0) == (status != 2)
+    if status == 0:
+        header, rows = rows_of(out.read_text())
+        assert rows and all(len(row) == len(header) for row in rows)
+
+
+@pytest.mark.parametrize("name", ("entangled_pair", "reference_pia", "vapor_gain_scan"))
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(data=st.data())
+def test_edited_config_gets_an_exit_status(tmp_path_factory, name, data):
+    text = data.draw(edited((CONFIGS / f"{name}.ini").read_text()), label="config")
+    check_exit_statuses(text, tmp_path_factory.mktemp(name))
+
+
+# Edits that a draw of the test above once failed on.
+@pytest.mark.parametrize("name, key, token", (
+    ("vapor_gain_scan", "wavelength_nm", "1e300"),   # Doppler width squared underflowed to 0
+))
+def test_edit_a_draw_failed_on(tmp_path, name, key, token):
+    text = (CONFIGS / f"{name}.ini").read_text()
+    assert f"\n{key} = " in text
+    edit = "\n".join(f"{key} = {token}" if line.startswith(f"{key} =") else line
+                     for line in text.splitlines()) + "\n"
+    check_exit_statuses(edit, tmp_path)

@@ -1,6 +1,7 @@
 """What importing the package loads: the core only.  The vapor, EIT and
 reference models, with numpy.polynomial for the velocity nodes, load on
-first use, and so do json and hashlib for the JSON output."""
+first use, and so do json and hashlib for the JSON output.  A run never
+loads argparse, or locale, which its translated messages import."""
 
 import ast
 import os
@@ -15,6 +16,7 @@ import fourwave
 ROOT = Path(__file__).resolve().parents[1]
 ON_FIRST_USE = ("fourwave.eit", "fourwave.reference", "fourwave.vapor", "hashlib", "json",
                 "numpy.polynomial")
+NEVER_LOADED = ("argparse", "locale")
 
 # fourwave.__all__ from before the models loaded on first use.
 PUBLIC_NAMES = [
@@ -32,12 +34,12 @@ PUBLIC_NAMES = [
 ]
 
 
-def loaded_after(code: str) -> list[str]:
-    """The modules of ON_FIRST_USE that a fresh interpreter holds after code."""
+def loaded_after(code: str, modules=ON_FIRST_USE) -> list[str]:
+    """The modules of ``modules`` that a fresh interpreter holds after code."""
     src = os.path.dirname(os.path.dirname(fourwave.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    probe = f"{code}\nimport sys\nprint([m for m in {ON_FIRST_USE!r} if m in sys.modules])"
+    probe = f"{code}\nimport sys\nprint([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     return ast.literal_eval(out.splitlines()[-1])
@@ -62,7 +64,7 @@ def test_cold_run_loads_no_model(tmp_path):
     config, out = ROOT / "configs" / "entangled_pair.ini", tmp_path / "out.csv"
     code = ("from fourwave.cli import main\n"
             f"assert main(['run', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0")
-    assert loaded_after(code) == []
+    assert loaded_after(code, ON_FIRST_USE + NEVER_LOADED) == []
 
 
 def test_every_public_name_imports():

@@ -209,6 +209,18 @@ class TestResidualTransmission:
         assert (loss * g.gain_a) / (loss * g.gain_b) == pytest.approx(
             g.gain_a / g.gain_b, rel=1e-12)
 
+    def test_underflowed_doppler_width_leaves_the_profile_limit(self):
+        # a 1e291 m wavelength squares the Doppler width to 0: the profile is
+        # 1 on resonance and 0 off it, with no warning
+        mp, base = hot_medium(), VaporParams.rb85_d1()
+        vp = VaporParams(temperature=base.temperature, atomic_mass=base.atomic_mass,
+                         wavelength=1e291, pump_waist=base.pump_waist,
+                         probe_waist=base.probe_waist, cell_length=base.cell_length,
+                         cross_section=base.cross_section)
+        prepared, on = residual_transmission(mp, vp, probe_detuning=0.0)
+        assert on == np.exp(-(1.0 - prepared) * mp.optical_depth)
+        assert residual_transmission(mp, vp, probe_detuning=2.0)[1] == 1.0
+
 
 class TestVaporUtilities:
     def test_room_temperature_pressure(self):
