@@ -5,7 +5,7 @@ Grammar (INI dialect, parsed by configparser):
     [run]
     model = cold | vapor | eit | reference
     seed = <int>
-    langevin = on | off
+    langevin = on | off          ; or configparser's true/false, yes/no, 1/0, any case
     omega_mhz = <float>          ; analysis frequency when not swept
 
     [atom]                        ; cold and vapor models
@@ -111,7 +111,7 @@ class RunConfig:
 
     model: str = ""
     seed: int = 0
-    langevin: bool = True
+    langevin: bool | str = True     # the text as written if it is no boolean
     omega_mhz: float = 1.0
     atom: dict = field(default_factory=dict)
     medium: dict = field(default_factory=dict)
@@ -156,7 +156,8 @@ def parse_config(text: str) -> RunConfig:
     run = parser["run"] if parser.has_section("run") else {}
     cfg.model = run.get("model", "")
     cfg.seed = _number(parser, "run", "seed", "0", int)
-    cfg.langevin = run.get("langevin", "on").strip().lower() not in ("off", "0", "false", "no")
+    langevin = run.get("langevin", "on")
+    cfg.langevin = parser.BOOLEAN_STATES.get(langevin.lower(), langevin)
     cfg.omega_mhz = _number(parser, "run", "omega_mhz", "1.0", float)
 
     for name in ("atom", "medium", "vapor", "eit", "reference"):
@@ -199,6 +200,9 @@ def validate(cfg: RunConfig) -> list[Diagnostic]:
         diags.append(Diagnostic("run.model", f"must be one of {MODELS}, got {cfg.model!r}"))
         return diags
 
+    if isinstance(cfg.langevin, str):
+        diags.append(Diagnostic("run.langevin", "must be on or off (or true/false, yes/no, "
+                                f"1/0), got {cfg.langevin!r}"))
     for section in _BLOCKS.get(cfg.model, ()):
         _require_floats(diags, getattr(cfg, section), _REQUIRED[section], section)
     axes = SWEEP_AXES[cfg.model]

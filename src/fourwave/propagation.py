@@ -8,11 +8,12 @@ matrix exponential of the generator:
 
     abcd(omega) = expm( i * (alphaL * Gamma / 4) * T M1'(omega)^-1 S1 ).
 
-Langevin noise enters the spectra through four z-integrated diffusion
-coefficients, read off block exponentials (Van Loan, IEEE TAC 23 (1978)
-395): _noise_block forms C = [[-G, K D K^+], [0, G^+]], the caller takes
-expm(C) (a whole stack in one call), and _noise_read reads the integral
-off it.  Their normalization is computed with them, never stored:
+Langevin noise enters the spectra through one array of z-integrated
+diffusion weights w[+-omega, ..., mode a/b]: the diagonal of the propagated
+noise at +omega and at -omega, read off block exponentials (Van Loan, IEEE
+TAC 23 (1978) 395): _noise_block forms C = [[-G, K D K^+], [0, G^+]], the
+caller takes expm(C) (a whole stack in one call), and _noise_read reads the
+integral off it.  Their normalization is computed with them, never stored:
 integrated_diffusion and commutator_defect scale by
 calibrate_langevin_scale(mp), which requires the output field commutator
 to stay canonical at CALIBRATION_FREQ, rather than by microscopic
@@ -43,8 +44,8 @@ POLE_CONDITION_LIMIT = 1e12
 # and the pole screen bounds |M1'^-1| by POLE_CONDITION_LIMIT / |M1'|.
 OPTICAL_DEPTH_LIMIT = 1e100
 
-# Relative imaginary residue allowed when casting a diffusion coefficient
-# to a real number.
+# Relative imaginary residue allowed when casting a diffusion weight to a
+# real number.
 DIFFUSION_IMAG_RTOL = 1e-8
 
 # The reference frequency of the Langevin normalization, rad/us.
@@ -78,25 +79,6 @@ class MediumParams:
         atom = {name: np.expand_dims(value, -1) for name, value in vars(self.atom).items()}
         atom["delta1"] = atom["delta1"] + shifts
         return MediumParams(AtomParams(**atom), np.expand_dims(self.optical_depth, -1))
-
-
-@dataclass(frozen=True)
-class IntegratedDiffusion:
-    """The four z-integrated Langevin coefficients entering each spectrum.
-
-    d_aa and d_bb weight the |A(omega)|^2 and |B(omega)|^2 terms; the _rev
-    partners weight the matrix evaluated at -omega.  All real, >= 0 up to
-    roundoff.
-    """
-
-    d_aa: float
-    d_aa_rev: float
-    d_bb: float
-    d_bb_rev: float
-
-    @classmethod
-    def zero(cls):
-        return cls(0.0, 0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -214,21 +196,20 @@ def _cast_real(value, who: str):
     return value.real[()]
 
 
-def _diffusion(scale, prefactor, f) -> IntegratedDiffusion:
-    """The coefficients at ``scale`` from the dsym block exponentials at +-omega."""
-    fwd, rev = _noise_read(np.expand_dims(scale, (-2, -1)) * prefactor, f)
-    return IntegratedDiffusion(
-        _cast_real(fwd[..., 0, 0], "d_aa"), _cast_real(rev[..., 0, 0], "d_aa_rev"),
-        _cast_real(fwd[..., 1, 1], "d_bb"), _cast_real(rev[..., 1, 1], "d_bb_rev"))
+def _diffusion(scale, prefactor, f):
+    """The real weights w[+-omega, ..., mode a/b] at ``scale``: the diagonal
+    of the dsym read-off of the block exponentials f at +-omega."""
+    read = _noise_read(np.expand_dims(scale, (-2, -1)) * prefactor, f)
+    return _cast_real(np.diagonal(read, axis1=-2, axis2=-1), "integrated diffusion")
 
 
-def integrated_diffusion(mp: MediumParams, omega) -> IntegratedDiffusion:
-    """Symmetric-order z-integrated Langevin coefficients at omega,
-    normalized by calibrate_langevin_scale.
+def integrated_diffusion(mp: MediumParams, omega):
+    """Symmetric-order z-integrated Langevin weights w[+-omega, ..., mode]
+    at omega, normalized by calibrate_langevin_scale.
 
-    The forward pair uses the kernel at +omega, the _rev pair the kernel
-    at -omega, matching how they weight the transfer-matrix entries in the
-    noise spectra.
+    w[0] uses the kernel at +omega and w[1] the kernel at -omega; the last
+    axis holds the weights of mode a and mode b, matching how they weight
+    the columns of the transfer matrices in the noise spectra.
     """
     scale = calibrate_langevin_scale(mp)
     prefactor, k, gens = _coherence_kernel(mp, _frequencies(mp.shape, omega, -np.asarray(omega)))
@@ -261,7 +242,8 @@ def _absorbs(mp: MediumParams) -> bool:
 def _langevin_scale(prefactor, abcd, f):
     """The scale from the reference transfer and d1 - d2 block; drops their length-1 axis."""
     raw = _defect(prefactor, f)
-    deficit = 1.0 - (abs(abcd[..., 0, 0])**2 - abs(abcd[..., 0, 1])**2)
+    with np.errstate(over="ignore", invalid="ignore"):     # a non-finite scale is flagged below
+        deficit = 1.0 - (abs(abcd[..., 0, 0])**2 - abs(abcd[..., 0, 1])**2)
     vanishing = abs(raw) < 1e-14
     if np.any(bad := vanishing & (abs(deficit) > 1e-9)):
         raise CalibrationError(

@@ -2,14 +2,25 @@
 
 All spectra are normalized to the standard quantum limit of a coherent
 beam (SQL = 1).  Every observable is read off the same objects: the
-two-mode input-output (ABCD) matrix at 0, +omega and -omega and the four
-z-integrated Langevin coefficients at omega, normalized as in
-propagation.calibrate_langevin_scale.  ``evaluate`` builds those objects
-once for a stack of media and frequencies, normalization included (its
-kernels in two stacks, per medium and per point; all exponentials in two
-calls), and returns all observables as an ``Observables``; ``observables``
-does the same for precomputed (e.g. synthetic) matrices.  The ``*_parts``
-functions are the single formulas both of them combine.
+two-mode input-output (ABCD) matrix M at 0, +omega and -omega and the
+z-integrated Langevin weights w[+-omega, mode] at omega, normalized as in
+propagation.calibrate_langevin_scale.  Each noise spectrum is the noise of
+one output combination c of the two modes (a, b+), one quadratic form
+
+    S = sum over modes k in (a, b) and over +-omega of
+        |c . M[:, k]|^2 (1 + w[k]) / denom,
+
+with, from the transfer at 0 (a0 = A(0), c0 = C(0)):
+
+    S_Na       c = (1, 0)                over 2
+    S_Nminus   c = (conj a0, -conj c0)   over 2 (|a0|^2 + |c0|^2)
+    S_phiplus  c = (-c0, a0)             over 2 (|a0|^2 + |c0|^2)
+
+``evaluate`` builds those objects once for a stack of media and
+frequencies, normalization included (its kernels in two stacks, per medium
+and per point; all exponentials in two calls), and returns all observables
+as an ``Observables``; ``observables`` does the same for precomputed (e.g.
+synthetic) matrices.
 """
 
 from dataclasses import dataclass
@@ -19,63 +30,17 @@ import numpy as np
 from .atom import diffusion_set, steady_state
 from .errors import NormalizationError, require
 from .numkernel import DEFAULT_VELOCITY_ORDER, expm
-from .propagation import (CALIBRATION_FREQ, IntegratedDiffusion, MediumParams, _absorbs,
-                          _coherence_kernel, _diffusion, _frequencies, _langevin_scale,
-                          _noise_block)
+from .propagation import (CALIBRATION_FREQ, MediumParams, _absorbs, _coherence_kernel,
+                          _diffusion, _frequencies, _langevin_scale, _noise_block)
 
 NORMALIZATION_FLOOR = 1e-30
 
 
-def _entries(abcd):
-    return abcd[..., 0, 0], abcd[..., 0, 1], abcd[..., 1, 0], abcd[..., 1, 1]
-
-
-def probe_intensity_noise_parts(abcd0, abcd_w, abcd_mw,
-                                diff: IntegratedDiffusion) -> float:
-    """Single-mode intensity noise of the probe, SQL = 1.
-
-    One half of the diffusion-weighted sum of |A|^2 and |B|^2 at both
-    signs of the analysis frequency; the output photon number used for
-    normalization cancels, so only the SQL reference remains.
-    """
-    if np.any(abs(abcd0[..., 0, 0])**2 < NORMALIZATION_FLOOR):
-        raise NormalizationError("probe noise undefined at zero probe gain")
-    aw, bw, _, _ = _entries(abcd_w)
-    am, bm, _, _ = _entries(abcd_mw)
-    return 0.5 * (abs(aw)**2 * (1.0 + diff.d_aa)
-                  + abs(am)**2 * (1.0 + diff.d_aa_rev)
-                  + abs(bw)**2 * (1.0 + diff.d_bb)
-                  + abs(bm)**2 * (1.0 + diff.d_bb_rev))
-
-
-def intensity_difference_noise_parts(abcd0, abcd_w, abcd_mw,
-                                     diff: IntegratedDiffusion) -> float:
-    """Normalized noise of the probe/conjugate intensity difference."""
-    a0, _, c0, _ = _entries(abcd0)
-    aw, bw, cw, dw = _entries(abcd_w)
-    am, bm, cm, dm = _entries(abcd_mw)
-    denom = 2.0 * (abs(a0)**2 + abs(c0)**2)
-    if np.any(denom < NORMALIZATION_FLOOR):
-        raise NormalizationError("intensity-difference noise undefined: zero total gain")
-    return (abs(np.conj(a0)*aw - np.conj(c0)*cw)**2 * (1.0 + diff.d_aa)
-            + abs(a0*np.conj(am) - c0*np.conj(cm))**2 * (1.0 + diff.d_aa_rev)
-            + abs(np.conj(a0)*bw - np.conj(c0)*dw)**2 * (1.0 + diff.d_bb)
-            + abs(a0*np.conj(bm) - c0*np.conj(dm))**2 * (1.0 + diff.d_bb_rev)) / denom
-
-
-def phase_sum_noise_parts(abcd0, abcd_w, abcd_mw,
-                          diff: IntegratedDiffusion) -> float:
-    """Normalized noise of the probe/conjugate phase sum."""
-    a0, _, c0, _ = _entries(abcd0)
-    aw, bw, cw, dw = _entries(abcd_w)
-    am, bm, cm, dm = _entries(abcd_mw)
-    denom = 2.0 * (abs(a0)**2 + abs(c0)**2)
-    if np.any(denom < NORMALIZATION_FLOOR):
-        raise NormalizationError("phase-sum noise undefined: zero total gain")
-    return (abs(a0*cw - c0*aw)**2 * (1.0 + diff.d_aa)
-            + abs(a0*cm - c0*am)**2 * (1.0 + diff.d_aa_rev)
-            + abs(a0*dw - c0*bw)**2 * (1.0 + diff.d_bb)
-            + abs(a0*dm - c0*bm)**2 * (1.0 + diff.d_bb_rev)) / denom
+def _read_off(c, abcd_w, abcd_mw, weights, denom):
+    """The noise of the output combination c: |c . M[:, k]|^2 (1 + w[k]) over
+    denom, summed over the modes k and, inside, over +omega and -omega."""
+    return sum(abs(c[0] * m[..., 0, k] + c[1] * m[..., 1, k])**2 * (1.0 + w[..., k])
+               for k in (0, 1) for m, w in zip((abcd_w, abcd_mw), weights)) / denom
 
 
 @dataclass(frozen=True)
@@ -95,16 +60,24 @@ class Observables:
 NOISE_FIELDS = ("S_Nminus", "S_phiplus", "inseparability", "S_Na")
 
 
-def observables(abcd0, abcd_w, abcd_mw, diff: IntegratedDiffusion) -> Observables:
+@np.errstate(over="ignore", invalid="ignore")     # a blow-up ends as a flagged non-finite value
+def observables(abcd0, abcd_w, abcd_mw, weights) -> Observables:
     """All observables from the transfer matrices at 0, +omega, -omega and
-    the integrated diffusion at omega."""
-    parts = (abcd0, abcd_w, abcd_mw, diff)
-    snm = intensity_difference_noise_parts(*parts)
-    sphp = phase_sum_noise_parts(*parts)
-    sna = probe_intensity_noise_parts(*parts)
-    return Observables(gain_a=abs(abcd0[..., 0, 0])**2, gain_b=abs(abcd0[..., 1, 0])**2,
-                       S_Nminus=snm, S_phiplus=sphp,
-                       inseparability=0.5 * (snm + sphp), S_Na=sna)
+    the real diffusion weights w[+-omega, ..., mode a/b] at omega (all zero,
+    e.g. np.zeros((2, 2)), without Langevin noise)."""
+    a0, c0 = abcd0[..., 0, 0], abcd0[..., 1, 0]
+    gain_a, gain_b = abs(a0)**2, abs(c0)**2
+    denom = 2.0 * (gain_a + gain_b)
+    if np.any(denom < NORMALIZATION_FLOOR):
+        raise NormalizationError("intensity-difference noise undefined: zero total gain")
+    if np.any(gain_a < NORMALIZATION_FLOOR):
+        raise NormalizationError("probe noise undefined at zero probe gain")
+    parts = (abcd_w, abcd_mw, weights)
+    snm = _read_off((np.conj(a0), -np.conj(c0)), *parts, denom)
+    sphp = _read_off((-c0, a0), *parts, denom)
+    return Observables(gain_a=gain_a, gain_b=gain_b, S_Nminus=snm, S_phiplus=sphp,
+                       inseparability=0.5 * (snm + sphp),
+                       S_Na=_read_off((1.0, 0.0), *parts, 2.0))
 
 
 def _expm_each(stacks) -> list:
@@ -155,7 +128,7 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
     abcd0, abcd_w, abcd_mw = (abcds[0][-1], *abcds[1]) if vapor is None else abcds[-1]
     abcd0 = np.broadcast_to(abcd0, abcd_w.shape)      # a view: one transfer per medium
     if not langevin:
-        return observables(abcd0, abcd_w, abcd_mw, IntegratedDiffusion.zero())
+        return observables(abcd0, abcd_w, abcd_mw, np.zeros((2, 2)))
     ds = diffusion_set(mp.atom)
     blocks = [_noise_block(medium[1][:1], medium[2][:1], ds.d1 - ds.d2)] if ref else []
     *f_ref, f_pm = _expm_each(blocks + [_noise_block(points[1], points[2], ds.dsym)])

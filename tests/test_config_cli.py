@@ -203,6 +203,23 @@ class TestValidation:
         assert "run.seed" in err
 
     @pytest.mark.parametrize("command", ("run", "validate"))
+    def test_unknown_langevin_value_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "o.csv"
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(cold_config(out, langevin="of"))
+        assert main([command, "--config", str(ini)]) == 2
+        assert "run.langevin: must be on or off" in "".join(capsys.readouterr())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spelling, on", (
+        ("on", True), ("On", True), ("TRUE", True), ("yes", True), ("1", True),
+        ("off", False), ("Off", False), ("false", False), ("NO", False), ("0", False)))
+    def test_langevin_takes_the_configparser_booleans(self, spelling, on):
+        cfg = parse_config(cold_config("o.csv", langevin=spelling))
+        assert cfg.langevin is on
+        assert validate(cfg) == []
+
+    @pytest.mark.parametrize("command", ("run", "validate"))
     def test_config_not_utf8_is_a_read_error(self, tmp_path, capsys, command):
         ini = tmp_path / "bad.ini"
         ini.write_bytes(b"\xff\xfe[run]\n")

@@ -5,6 +5,7 @@ passes exactly the configs that run does not reject."""
 import csv
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -69,13 +70,32 @@ def test_edited_config_gets_an_exit_status(tmp_path_factory, name, data):
     check_exit_statuses(text, tmp_path_factory.mktemp(name))
 
 
-# Edits that a draw of the test above once failed on.
-@pytest.mark.parametrize("name, key, token", (
-    ("vapor_gain_scan", "wavelength_nm", "1e300"),   # Doppler width squared underflowed to 0
-))
-def test_edit_a_draw_failed_on(tmp_path, name, key, token):
+def with_value(name: str, key: str, token: str) -> str:
+    """The shipped config ``name`` with the value of ``key`` replaced by token."""
     text = (CONFIGS / f"{name}.ini").read_text()
     assert f"\n{key} = " in text
-    edit = "\n".join(f"{key} = {token}" if line.startswith(f"{key} =") else line
+    return "\n".join(f"{key} = {token}" if line.startswith(f"{key} =") else line
                      for line in text.splitlines()) + "\n"
-    check_exit_statuses(edit, tmp_path)
+
+
+# Edits that a draw of the test above, or a scripted probe of the same kind, once
+# failed on.
+@pytest.mark.parametrize("name, key, token", (
+    ("vapor_gain_scan", "wavelength_nm", "1e300"),   # Doppler width squared underflowed to 0
+    # noise terms, and the calibration deficit, overflowed with a numpy warning
+    ("vapor_gain_scan", "optical_depth", "5e5"),
+    ("vapor_gain_scan", "optical_depth", "1000001"),
+    ("vapor_gain_scan", "optical_depth", "2e6"),
+))
+def test_edit_a_draw_failed_on(tmp_path, name, key, token):
+    check_exit_statuses(with_value(name, key, token), tmp_path)
+
+
+def test_dense_vapor_rows_keep_their_flags(tmp_path):
+    # overflowing exponentials, NaN calibration scales and overflowing noise
+    # terms, each flagged
+    check_exit_statuses(with_value("vapor_gain_scan", "optical_depth", "1000001"), tmp_path)
+    _, rows = rows_of((tmp_path / "out").read_text())
+    assert Counter(row[-1] for row in rows) == {
+        "": 17, "error:calibration produced non-finite scale nan": 16,
+        "error:expm: overflow during squaring phase": 14, "error:non-finite S_Nminus": 14}

@@ -18,9 +18,9 @@ ON_FIRST_USE = ("fourwave.eit", "fourwave.reference", "fourwave.vapor", "hashlib
                 "numpy.polynomial")
 NEVER_LOADED = ("argparse", "locale")
 
-# fourwave.__all__ from before the models loaded on first use.
+# fourwave.__all__: the core names and those loaded on first use.
 PUBLIC_NAMES = [
-    "AtomParams", "DiffusionSet", "IntegratedDiffusion", "LambdaParams", "MeanFieldOut",
+    "AtomParams", "DiffusionSet", "LambdaParams", "MeanFieldOut",
     "MediumParams", "Observables", "SliceChainParams", "SteadyState", "VaporParams",
     "absorption_spectrum", "atom", "build_coherence_system", "build_drift_m0",
     "calibrate_langevin_scale", "commutator_defect", "detection_loss", "diffusion_set",

@@ -4,13 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from fourwave import spectra
 from fourwave.atom import AtomParams
 from fourwave.errors import DomainError, NormalizationError, PoleError
-from fourwave.propagation import IntegratedDiffusion, MediumParams
-from fourwave.spectra import (NOISE_FIELDS, evaluate, intensity_difference_noise_parts,
-                              observables, probe_intensity_noise_parts, to_dB)
+from fourwave.propagation import MediumParams
+from fourwave.spectra import NOISE_FIELDS, evaluate, observables, to_dB
 from fourwave.units import TWO_PI
 from fourwave.vapor import VaporParams
 
@@ -29,7 +30,7 @@ def bogoliubov(gain: float):
     return np.array([[c, s], [s, c]], dtype=complex)
 
 
-NO_DIFFUSION = IntegratedDiffusion.zero()
+NO_DIFFUSION = np.zeros((2, 2))     # w[+-omega, mode]
 
 
 class TestIdealAmplifierOracle:
@@ -47,6 +48,44 @@ class TestIdealAmplifierOracle:
         abcd = bogoliubov(gain)
         sna = observables(abcd, abcd, abcd, NO_DIFFUSION).S_Na
         assert sna == pytest.approx(2.0 * gain - 1.0, abs=1e-12)
+
+
+class TestReadOffOracle:
+    """observables against the formulas of each spectrum written out term by
+    term, on random complex transfer matrices and random non-negative
+    diffusion weights: bit for bit, which pins each output combination and
+    its signs."""
+
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    def test_equals_the_written_out_formulas(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (3, 50)
+        abcd0, abcd_w, abcd_mw = (
+            10.0 ** rng.uniform(-3, 3, (*shape, 1, 1))
+            * (rng.normal(size=(*shape, 2, 2)) + 1j * rng.normal(size=(*shape, 2, 2)))
+            for _ in range(3))
+        w = rng.exponential(size=(2, *shape, 2)) * 10.0 ** rng.uniform(-6, 2, (2, *shape, 1))
+        d_aa, d_bb, d_aa_rev, d_bb_rev = w[0, ..., 0], w[0, ..., 1], w[1, ..., 0], w[1, ..., 1]
+        a0, c0 = abcd0[..., 0, 0], abcd0[..., 1, 0]
+        (aw, bw), (cw, dw) = np.moveaxis(abcd_w, (-2, -1), (0, 1))
+        (am, bm), (cm, dm) = np.moveaxis(abcd_mw, (-2, -1), (0, 1))
+        denom = 2.0 * (abs(a0)**2 + abs(c0)**2)
+        s_nminus = (abs(np.conj(a0)*aw - np.conj(c0)*cw)**2 * (1.0 + d_aa)
+                    + abs(a0*np.conj(am) - c0*np.conj(cm))**2 * (1.0 + d_aa_rev)
+                    + abs(np.conj(a0)*bw - np.conj(c0)*dw)**2 * (1.0 + d_bb)
+                    + abs(a0*np.conj(bm) - c0*np.conj(dm))**2 * (1.0 + d_bb_rev)) / denom
+        s_phiplus = (abs(a0*cw - c0*aw)**2 * (1.0 + d_aa)
+                     + abs(a0*cm - c0*am)**2 * (1.0 + d_aa_rev)
+                     + abs(a0*dw - c0*bw)**2 * (1.0 + d_bb)
+                     + abs(a0*dm - c0*bm)**2 * (1.0 + d_bb_rev)) / denom
+        s_na = 0.5 * (abs(aw)**2 * (1.0 + d_aa) + abs(am)**2 * (1.0 + d_aa_rev)
+                      + abs(bw)**2 * (1.0 + d_bb) + abs(bm)**2 * (1.0 + d_bb_rev))
+        obs = observables(abcd0, abcd_w, abcd_mw, w)
+        expected = {"gain_a": abs(a0)**2, "gain_b": abs(c0)**2, "S_Nminus": s_nminus,
+                    "S_phiplus": s_phiplus, "inseparability": 0.5 * (s_nminus + s_phiplus),
+                    "S_Na": s_na}
+        for name, value in expected.items():
+            assert np.array_equal(getattr(obs, name), value), name
 
 
 class TestTransparentMedium:
@@ -72,6 +111,23 @@ class TestMicroscopicSpectra:
             for name in NOISE_FIELDS:
                 assert getattr(plus, name) == pytest.approx(getattr(minus, name),
                                                             abs=1e-10)
+
+    # the cold working points of the configs and scripts, and around them;
+    # the noise spectra are even in the analysis frequency
+    @given(gamma_g=st.floats(0.01, 1.0), delta1=st.floats(700.0, 2000.0),
+           delta2=st.floats(-217.0, 30.0), rabi=st.floats(100.0, 2000.0),
+           depth=st.floats(1.0, 5000.0), freq=st.floats(0.2, 10.0))
+    @settings(max_examples=300)
+    def test_parity_over_the_cold_ranges(self, gamma_g, delta1, delta2, rabi, depth, freq):
+        mp = medium(gamma_g_mhz=gamma_g, delta1_mhz=delta1, delta2_mhz=delta2,
+                    rabi_mhz=rabi, optical_depth=depth)
+        try:
+            plus, minus = evaluate(mp, TWO_PI * freq), evaluate(mp, -TWO_PI * freq)
+        except PoleError:
+            reject()
+        for name in NOISE_FIELDS:
+            np.testing.assert_allclose(getattr(minus, name), getattr(plus, name), rtol=1e-12,
+                                       err_msg=name)
 
     def test_inseparability_is_half_sum(self, mp):
         obs = evaluate(mp, TWO_PI * 1.5)
@@ -134,10 +190,11 @@ class TestHelpers:
 
     def test_zero_gain_rejected(self):
         abcd0 = np.zeros((2, 2), dtype=complex)
-        with pytest.raises(NormalizationError):
-            probe_intensity_noise_parts(abcd0, np.eye(2), np.eye(2), NO_DIFFUSION)
-        with pytest.raises(NormalizationError):
-            intensity_difference_noise_parts(abcd0, np.eye(2), np.eye(2), NO_DIFFUSION)
+        with pytest.raises(NormalizationError, match="zero total gain"):
+            observables(abcd0, np.eye(2), np.eye(2), NO_DIFFUSION)
+        abcd0[1, 0] = 1.0       # conjugate gain only
+        with pytest.raises(NormalizationError, match="zero probe gain"):
+            observables(abcd0, np.eye(2), np.eye(2), NO_DIFFUSION)
 
 
 class TestStackedEvaluate:
