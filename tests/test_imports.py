@@ -1,7 +1,7 @@
 """What importing the package loads: the core only.  The vapor, EIT and
 reference models, with numpy.polynomial for the velocity nodes, load on
-first use, and so do json and hashlib for the JSON output.  A run never
-loads argparse, or locale, which its translated messages import."""
+first use, and so do json and hashlib for the JSON output.  No command or
+script run loads argparse, or locale, which its translated messages import."""
 
 import ast
 import os
@@ -65,6 +65,19 @@ def test_cold_run_loads_no_model(tmp_path):
     code = ("from fourwave.cli import main\n"
             f"assert main(['run', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0")
     assert loaded_after(code, ON_FIRST_USE + NEVER_LOADED) == []
+
+
+@pytest.mark.parametrize("script", ("entanglement_spectrum", "qbs_two_photon_scan",
+                                    "hot_cold_gain_comparison"))
+def test_script_run_loads_neither_argparse_nor_locale(tmp_path, script):
+    path, out = ROOT / "scripts" / f"{script}.py", tmp_path / "out.csv"
+    code = ("import importlib.util\n"
+            f"spec = importlib.util.spec_from_file_location('script', {str(path)!r})\n"
+            "module = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(module)\n"
+            f"module.main(['--out', {str(out)!r}])")
+    assert loaded_after(code, NEVER_LOADED) == []
+    assert out.exists()
 
 
 def test_every_public_name_imports():

@@ -1,13 +1,14 @@
 """Noise-spectra tests, including the synthetic ideal-amplifier oracle."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from fourwave import spectra
+from fourwave import config, spectra
 from fourwave.atom import AtomParams
 from fourwave.errors import DomainError, NormalizationError, PoleError
 from fourwave.propagation import MediumParams
@@ -302,3 +303,21 @@ class TestVaporColdLimit:
         for name in ("gain_a", "gain_b", *NOISE_FIELDS):
             np.testing.assert_allclose(getattr(hot, name), getattr(cold, name), rtol=1e-6,
                                        err_msg=name)
+
+
+class TestVaporParity:
+    def test_parity_over_the_shipped_vapor_sweep(self):
+        # the vapor model's gains and noise spectra are even in the analysis
+        # frequency, as the cold model's are, on every row of the sweep
+        path = Path(__file__).resolve().parents[1] / "configs" / "vapor_gain_scan.ini"
+        cfg = config.parse_config(path.read_text(encoding="utf-8"))
+        point = config.at_sweep_value(cfg, np.array(config.sweep_values(cfg)))
+        mp, vp = config.medium_params_from(point), config.vapor_params_from(point)
+        omegas = TWO_PI * np.array([[0.3], [1.0], [4.0]])       # x the 61 rows
+        plus = evaluate(mp, omegas, vapor=vp, order=cfg.velocity_order)
+        minus = evaluate(mp, -omegas, vapor=vp, order=cfg.velocity_order)
+        for name in ("gain_a", "gain_b", *NOISE_FIELDS):
+            p, m = getattr(plus, name), getattr(minus, name)
+            finite = np.isfinite(p) & np.isfinite(m)
+            assert p.shape == (3, 61) and finite.any(), name
+            np.testing.assert_allclose(m[finite], p[finite], rtol=1e-12, err_msg=name)
