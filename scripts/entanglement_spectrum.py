@@ -69,7 +69,7 @@ def main(argv=None):
             raise GetoptError(f"unexpected argument {words[0]!r}")
         fmax_mhz = float(options.get("--fmax-mhz", 5.0))
         points = int(options.get("--points", 50))
-        if not math.isfinite(fmax_mhz):     # evaluate does not check its frequencies
+        if not math.isfinite(fmax_mhz):     # an option error, not evaluate's DomainError (exit 1)
             raise GetoptError(f"--fmax-mhz must be finite, got {fmax_mhz}")
         if points < 1:
             raise GetoptError(f"--points must be at least 1, got {points}")

@@ -52,12 +52,12 @@ class AtomParams:
     def __post_init__(self):
         for name, value in vars(self).items():
             if not np.less_equal(abs(value), FREQUENCY_LIMIT).all():     # also on a NaN
-                require(np.isfinite(value), f"AtomParams: {name} must be finite", value)
-                require(abs(value) <= FREQUENCY_LIMIT, f"AtomParams: {name} must be at most "
+                require(np.isfinite(value), "AtomParams", name, "must be finite", value)
+                require(abs(value) <= FREQUENCY_LIMIT, "AtomParams", name, "must be at most "
                         f"{FREQUENCY_LIMIT:g} rad/us in magnitude", value)
-        require(np.greater(self.gamma_e, 0), "AtomParams: gamma_e must be > 0", self.gamma_e)
-        require(~np.less(self.gamma_g, 0), "AtomParams: gamma_g must be >= 0", self.gamma_g)
-        require(~np.less(self.rabi, 0), "AtomParams: rabi must be >= 0", self.rabi)
+        require(np.greater(self.gamma_e, 0), "AtomParams", "gamma_e", "must be > 0", self.gamma_e)
+        require(~np.less(self.gamma_g, 0), "AtomParams", "gamma_g", "must be >= 0", self.gamma_g)
+        require(~np.less(self.rabi, 0), "AtomParams", "rabi", "must be >= 0", self.rabi)
 
     @classmethod
     def from_mhz(cls, gamma_e, gamma_g, omega0, delta1, delta2, rabi):
@@ -273,5 +273,5 @@ def slowest_relaxation(p: AtomParams) -> float:
 
 def preparation_probability(p: AtomParams, t: float) -> float:
     """Probability that an atom has reached the stationary state after t us."""
-    require(~np.less(t, 0), "preparation_probability: t must be >= 0", t)
+    require(~np.less(t, 0), "preparation_probability", "t", "must be >= 0", t)
     return -np.expm1(-t / slowest_relaxation(p))

@@ -40,8 +40,10 @@ Grammar (INI dialect, parsed by configparser):
     velocity_order = <int>        ; default 40, from 16 to MAX_VELOCITY_ORDER = 100
     z_nodes = <int>               ; accepted and ignored: the z-integral is exact
 
-Frequencies are ordinary frequencies in MHz (converted to rad/us once,
-here), temperatures in Celsius, lengths in the units their key names say.
+Frequencies are ordinary frequencies in MHz, temperatures in Celsius, lengths
+in the units their key names say.  One table, PARAMETER_KEYS, maps each key of
+[atom], [medium], [vapor] and [eit] to its parameter field and the conversion
+from that unit (MHz to rad/us once, here); validate names a bad value by its key.
 The analysis frequency and the sweep bounds must be finite, and every
 frequency at most atom.FREQUENCY_LIMIT (1e12 rad/us) in magnitude, delta1
 shifted to any velocity node of the vapor model included.  The optical
@@ -50,14 +52,13 @@ depth is at most propagation.OPTICAL_DEPTH_LIMIT (1e100).
 
 import configparser
 import math
-import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .atom import FREQUENCY_LIMIT
 from .errors import DomainError
-from .numkernel import MAX_VELOCITY_ORDER
+from .numkernel import DEFAULT_VELOCITY_ORDER, MAX_VELOCITY_ORDER
 from .units import (ATOMIC_MASS_KG, celsius_to_kelvin, mhz_to_rad_us)
 
 MODELS = ("cold", "vapor", "eit", "reference")
@@ -75,17 +76,26 @@ SWEEP_AXES = {
     "reference": ("gain", "slice_gain", "slice_transmission", "n_slices"),
 }
 
-_ATOM_KEYS = ("gamma_e_mhz", "gamma_g_mhz", "omega0_mhz",
-              "delta1_mhz", "delta2_mhz", "rabi_mhz")
-_VAPOR_KEYS = ("temperature_c", "atomic_mass_u", "wavelength_nm", "pump_waist_um",
-               "probe_waist_um", "cell_length_mm", "cross_section_cm2")
-_EIT_KEYS = ("gamma_e_mhz", "gamma_g_mhz", "delta1_mhz", "rabi_c_mhz")
+# Each parameter block: config key -> (field of its parameter object, the
+# conversion from the config unit).  Every key of a block is required.
+PARAMETER_KEYS = {
+    "atom": {f"{name}_mhz": (name, mhz_to_rad_us) for name in
+             ("gamma_e", "gamma_g", "omega0", "delta1", "delta2", "rabi")},
+    "medium": {"optical_depth": ("optical_depth", lambda depth: depth)},
+    "vapor": {"temperature_c": ("temperature", celsius_to_kelvin),
+              "atomic_mass_u": ("atomic_mass", lambda u: u * ATOMIC_MASS_KG),
+              "wavelength_nm": ("wavelength", lambda nm: nm * 1e-9),
+              "pump_waist_um": ("pump_waist", lambda um: um * 1e-6),
+              "probe_waist_um": ("probe_waist", lambda um: um * 1e-6),
+              "cell_length_mm": ("cell_length", lambda mm: mm * 1e-3),
+              "cross_section_cm2": ("cross_section", lambda cm2: cm2 * 1e-4)},
+    "eit": {f"{name}_mhz": (name, mhz_to_rad_us) for name in
+            ("gamma_e", "gamma_g", "delta1", "rabi_c")},
+}
 
-# Parameter blocks each model reads, in build order, and their required keys.
+# Parameter blocks each model reads, in build order.
 _BLOCKS = {"cold": ("atom", "medium"), "vapor": ("atom", "medium", "vapor"),
            "eit": ("eit",)}
-_REQUIRED = {"atom": _ATOM_KEYS, "medium": ("optical_depth",),
-             "vapor": _VAPOR_KEYS, "eit": _EIT_KEYS}
 
 # run holds every row until it writes the file, about 0.6 KB a row (a
 # 100000-row cold sweep peaked 55 MB above a 10000-row one), so 10**6 rows
@@ -95,8 +105,7 @@ SWEEP_COUNT_LIMIT = 10**6
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One configuration problem, addressed by section.key, or by section
-    for a block whose values lie outside the model's domain."""
+    """One configuration problem, addressed by section.key."""
 
     key: str
     reason: str
@@ -124,7 +133,7 @@ class RunConfig:
     sweep_count: int = 0
     output_path: str = "out.csv"
     output_format: str = "csv"
-    velocity_order: int = 40
+    velocity_order: int = DEFAULT_VELOCITY_ORDER
     text: str = ""      # the config text as read, for the JSON provenance
 
 
@@ -150,7 +159,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigParseError(str(exc)) from exc
+        raise ConfigParseError(exc) from exc
 
     cfg = RunConfig(text=text)
     run = parser["run"] if parser.has_section("run") else {}
@@ -204,7 +213,7 @@ def validate(cfg: RunConfig) -> list[Diagnostic]:
         diags.append(Diagnostic("run.langevin", "must be on or off (or true/false, yes/no, "
                                 f"1/0), got {cfg.langevin!r}"))
     for section in _BLOCKS.get(cfg.model, ()):
-        _require_floats(diags, getattr(cfg, section), _REQUIRED[section], section)
+        _require_floats(diags, getattr(cfg, section), PARAMETER_KEYS[section], section)
     axes = SWEEP_AXES[cfg.model]
     if cfg.model == "reference":
         kind = cfg.reference.get("kind", "")
@@ -299,29 +308,20 @@ def _doppler_diagnostic(cfg: RunConfig, value: float, medium, vapor):
 
 
 def _in_config_terms(cfg: RunConfig, section: str, value: float, exc) -> Diagnostic:
-    """exc, a "Class: field must ..., got v" DomainError, under the config key
-    of that field with the value as written (a swept key: the sweep endpoint);
-    another field named in the rule as "field (v)" reads "section.key =
-    written".  Any other message stays under the block."""
-    block, swept = getattr(cfg, section), cfg.sweep_axis
-    at = f" (at {swept} = {value:g})"
-
-    def key_of(name):
-        return next((k for k in _REQUIRED[section] if re.fullmatch(rf"{name}(_[^_]+)?", k)), None)
+    """exc, the DomainError of a parameter field, under the config key of
+    that field with the value as written (a swept key: the sweep endpoint);
+    a second field the rule compares with reads "section.key = written"."""
+    key_of = {name: key for key, (name, _) in PARAMETER_KEYS[section].items()}
 
     def written(key):
-        return f"{value:g}{at}" if key == swept else block[key]
+        return f"{value:g} (at {key} = {value:g})" if key == cfg.sweep_axis \
+            else getattr(cfg, section)[key]
 
-    def other_field(match):
-        other = key_of(match[1])
-        return f"{section}.{other} = {written(other)}" if other else match[0]
-
-    rule = re.match(r"\w+: (\w+) (must .*), got ", str(exc))
-    if rule and (key := key_of(rule[1])):
-        must = "must be finite and > -273.15" if key == "temperature_c" \
-            else re.sub(r"(\w+) \(.*?\)", other_field, rule[2])
-        return Diagnostic(f"{section}.{key}", f"{must}, got {written(key)}")
-    return Diagnostic(section, f"{exc}{at if swept in block else ''}")
+    key = key_of[exc.field]
+    rule = "must be finite and > -273.15" if key == "temperature_c" else exc.rule
+    if exc.other:
+        rule += f" {section}.{key_of[exc.other]} = {written(key_of[exc.other])}"
+    return Diagnostic(f"{section}.{key}", f"{rule}, got {written(key)}")
 
 
 def at_sweep_value(cfg: RunConfig, value) -> RunConfig:
@@ -335,45 +335,30 @@ def at_sweep_value(cfg: RunConfig, value) -> RunConfig:
     return cfg
 
 
-def _floats(block: dict, keys) -> dict:
-    """The values of ``keys``: a float each, a swept key's array as it is."""
-    return {k: float(block[k]) if np.ndim(block[k]) == 0 else block[k] for k in keys}
+def _fields(cfg: RunConfig, section: str) -> dict:
+    """The parameter fields of a block, each converted from its config unit:
+    a float each, a swept key's array as it is."""
+    block = getattr(cfg, section)
+    return {name: convert(float(block[key]) if np.ndim(block[key]) == 0 else block[key])
+            for key, (name, convert) in PARAMETER_KEYS[section].items()}
 
 
 def atom_params_from(cfg: RunConfig):
-    """AtomParams from the [atom] block; boundary MHz -> rad/us conversion."""
     from .atom import AtomParams
-    a = _floats(cfg.atom, _ATOM_KEYS)
-    return AtomParams(**{key.removesuffix("_mhz"): mhz_to_rad_us(a[key]) for key in _ATOM_KEYS})
+    return AtomParams(**_fields(cfg, "atom"))
 
 
 def medium_params_from(cfg: RunConfig):
     """MediumParams from the [atom] and [medium] blocks."""
     from .propagation import MediumParams
-    return MediumParams(atom=atom_params_from(cfg),
-                        optical_depth=_floats(cfg.medium, ("optical_depth",))["optical_depth"])
+    return MediumParams(atom=atom_params_from(cfg), **_fields(cfg, "medium"))
 
 
 def vapor_params_from(cfg: RunConfig):
     from .vapor import VaporParams
-    v = _floats(cfg.vapor, _VAPOR_KEYS)
-    return VaporParams(
-        temperature=celsius_to_kelvin(v["temperature_c"]),
-        atomic_mass=v["atomic_mass_u"] * ATOMIC_MASS_KG,
-        wavelength=v["wavelength_nm"] * 1e-9,
-        pump_waist=v["pump_waist_um"] * 1e-6,
-        probe_waist=v["probe_waist_um"] * 1e-6,
-        cell_length=v["cell_length_mm"] * 1e-3,
-        cross_section=v["cross_section_cm2"] * 1e-4,
-    )
+    return VaporParams(**_fields(cfg, "vapor"))
 
 
 def eit_params_from(cfg: RunConfig):
     from .eit import LambdaParams
-    e = {k: float(cfg.eit[k]) for k in _EIT_KEYS}
-    return LambdaParams(
-        gamma_e=mhz_to_rad_us(e["gamma_e_mhz"]),
-        gamma_g=mhz_to_rad_us(e["gamma_g_mhz"]),
-        delta1=mhz_to_rad_us(e["delta1_mhz"]),
-        rabi_c=mhz_to_rad_us(e["rabi_c_mhz"]),
-    )
+    return LambdaParams(**_fields(cfg, "eit"))

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, require
 
 POLE_ABS_TOL = 1e-15
 
@@ -25,16 +25,12 @@ class LambdaParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not np.isfinite(value):
-                raise DomainError(f"LambdaParams: {name} must be finite, got {value}")
-        if not self.gamma_e > 0:
-            raise DomainError(f"LambdaParams: gamma_e must be > 0, got {self.gamma_e}")
-        if self.gamma_g < 0:
-            raise DomainError(f"LambdaParams: gamma_g must be >= 0, got {self.gamma_g}")
-        if self.rabi_c < 0:
-            raise DomainError(f"LambdaParams: rabi_c must be >= 0, got {self.rabi_c}")
-        if not self.chi_scale > 0:
-            raise DomainError(f"LambdaParams: chi_scale must be > 0, got {self.chi_scale}")
+            require(np.isfinite(value), "LambdaParams", name, "must be finite", value)
+        require(np.greater(self.gamma_e, 0), "LambdaParams", "gamma_e", "must be > 0", self.gamma_e)
+        require(~np.less(self.gamma_g, 0), "LambdaParams", "gamma_g", "must be >= 0", self.gamma_g)
+        require(~np.less(self.rabi_c, 0), "LambdaParams", "rabi_c", "must be >= 0", self.rabi_c)
+        require(np.greater(self.chi_scale, 0), "LambdaParams", "chi_scale", "must be > 0",
+                self.chi_scale)
 
 
 def susceptibility(lp: LambdaParams, delta2: float) -> complex:

@@ -40,7 +40,17 @@ class PoleError(FourwaveError, ArithmeticError):
 
 
 class DomainError(FourwaveError, ValueError):
-    """Scalar argument outside the mathematical domain of the formula."""
+    """Scalar argument outside the mathematical domain of the formula.
+
+    The error of a parameter check carries the ``field`` it checks, the
+    ``rule`` that field breaks ("must be >= 0"), the offending ``value`` and,
+    for a rule that compares with a second field, that field's name in
+    ``other``.  Each is None where it does not apply.
+    """
+
+    def __init__(self, message, field=None, rule=None, value=None, other=None):
+        super().__init__(message)
+        self.field, self.rule, self.value, self.other = field, rule, value, other
 
 
 class NormalizationError(FourwaveError, ArithmeticError):
@@ -60,7 +70,9 @@ def first(value, bad):
     return np.broadcast_to(value, np.shape(bad))[bad][0]
 
 
-def require(ok, message: str, value, error=DomainError):
-    """Raise error("message, got v") for the first v of ``value`` not ``ok``."""
+def require(ok, owner: str, field: str, rule: str, value):
+    """Raise DomainError("owner: field rule, got v"), which carries field,
+    rule and v, for the first v of ``value`` not ``ok``."""
     if not (ok := np.asarray(ok)).all():
-        raise error(f"{message}, got {first(value, ~ok)}")
+        v = first(value, ~ok)
+        raise DomainError(f"{owner}: {field} {rule}, got {v}", field, rule, v)

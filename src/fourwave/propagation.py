@@ -60,10 +60,10 @@ class MediumParams:
     optical_depth: float
 
     def __post_init__(self):
-        require(np.isfinite(self.optical_depth) & ~np.less(self.optical_depth, 0),
-                "MediumParams: optical_depth must be finite and >= 0", self.optical_depth)
-        require(np.less_equal(self.optical_depth, OPTICAL_DEPTH_LIMIT), "MediumParams: "
-                f"optical_depth must be at most {OPTICAL_DEPTH_LIMIT:g}", self.optical_depth)
+        require(np.isfinite(self.optical_depth) & ~np.less(self.optical_depth, 0), "MediumParams",
+                "optical_depth", "must be finite and >= 0", self.optical_depth)
+        require(np.less_equal(self.optical_depth, OPTICAL_DEPTH_LIMIT), "MediumParams",
+                "optical_depth", f"must be at most {OPTICAL_DEPTH_LIMIT:g}", self.optical_depth)
 
     @property
     def shape(self) -> tuple:
@@ -137,10 +137,11 @@ def _coherence_kernel(mp: MediumParams, omega, ss=None):
     """(generator prefactor, the kernel T M1'(omega)^-1, the generator),
     stacked; ``ss`` is the steady state of mp.atom if already known.
 
-    A pole raises PoleError naming the omega of the first pole in stack
-    order, its stack index and the last-axis (velocity node) indices of the
-    poles beside it.
+    A non-finite omega raises DomainError.  A pole raises PoleError naming
+    the omega of the first pole in stack order, its stack index and the
+    last-axis (velocity node) indices of the poles beside it.
     """
+    require(np.isfinite(omega), "coherence system", "omega", "must be finite", omega)
     p = mp.atom
     m1p, s1, _ = build_coherence_system(p, steady_state(p) if ss is None else ss, omega)
     inv, poles = _inverse_and_poles(m1p)

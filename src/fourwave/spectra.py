@@ -138,5 +138,5 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
 
 def to_dB(s: float) -> float:
     """Power-convention decibels, 10*log10(s)."""
-    require(np.greater(s, 0), "to_dB: value must be > 0", s)
+    require(np.greater(s, 0), "to_dB", "value", "must be > 0", s)
     return 10.0 * np.log10(s)

@@ -45,12 +45,13 @@ class VaporParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            require(np.isfinite(value) & np.greater(value, 0),
-                    f"VaporParams: {name} must be finite and > 0", value)
+            require(np.isfinite(value) & np.greater(value, 0), "VaporParams", name,
+                    "must be finite and > 0", value)
         if np.any(bad := ~np.greater(self.pump_waist, self.probe_waist)):
+            pump = first(self.pump_waist, bad)
             raise DomainError(f"VaporParams: pump_waist must be > probe_waist "
-                              f"({first(self.probe_waist, bad)}), "
-                              f"got {first(self.pump_waist, bad)}")
+                              f"({first(self.probe_waist, bad)}), got {pump}",
+                              "pump_waist", "must be >", pump, other="probe_waist")
 
     @classmethod
     def rb85_d1(cls, temperature_c: float = 120.0, pump_waist: float = 600e-6,
@@ -104,8 +105,8 @@ def gauss_hermite_nodes(order: int, sigma: float):
     """
     if order < 4:
         raise ConfigurationError(f"gauss-hermite order must be >= 4, got {order}")
-    require(np.greater(sigma, 0.0), "gauss-hermite sigma must be > 0", sigma,
-            ConfigurationError)
+    if not (positive := np.greater(sigma, 0.0)).all():
+        raise ConfigurationError(f"gauss-hermite sigma must be > 0, got {first(sigma, ~positive)}")
     x, w = _unit_gauss_hermite(order)
     return sigma * x, w
 
@@ -260,6 +261,6 @@ def doppler_absorption(vp: VaporParams, detuning: float, peak_od: float) -> floa
     width sigma_nu = omega_0 * sqrt(kB T / (m c^2)) expressed in rad/us,
     the unit of ``detuning``.
     """
-    require(~np.less(peak_od, 0), "doppler_absorption: peak_od must be >= 0", peak_od)
+    require(~np.less(peak_od, 0), "doppler_absorption", "peak_od", "must be >= 0", peak_od)
     sig = doppler_width(vp)
     return np.exp(-peak_od * np.exp(-detuning**2 / (2.0 * sig**2)))

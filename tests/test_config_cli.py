@@ -9,7 +9,7 @@ import pytest
 
 import fourwave
 from fourwave.cli import main
-from fourwave.config import SWEEP_COUNT_LIMIT, parse_config, validate
+from fourwave.config import PARAMETER_KEYS, SWEEP_COUNT_LIMIT, parse_config, validate
 
 COLD_TEMPLATE = """
 [run]
@@ -262,6 +262,39 @@ class TestValidation:
         ini.write_text(text)
         assert main(["validate", "--config", str(ini)]) == 2
         assert capsys.readouterr().out == message + "\n"
+
+    @pytest.mark.parametrize("model, section, key", [
+        (model, section, key) for model, sections in (("cold", ("atom", "medium")),
+                                                      ("vapor", ("atom", "medium", "vapor")),
+                                                      ("eit", ("eit",)))
+        for section in sections for key in PARAMETER_KEYS[section] if key != "delta2_mhz"])
+    def test_every_parameter_key_named_by_its_diagnostic(self, model, section, key):
+        text = {"cold": cold_config("o.csv"), "vapor": vapor_config("o.csv"),
+                "eit": EIT_CONFIG.format(path="o.csv")}[model]
+        assert f"\n{key} = " in text
+        text = "\n".join(f"{key} = nan" if line.startswith(f"{key} =") else line
+                         for line in text.splitlines())
+        diags = [str(d) for d in validate(parse_config(text))]
+        assert len(diags) == 1
+        assert diags[0].startswith(f"{section}.{key}: must be ")
+        assert diags[0].endswith(", got nan")
+
+    @pytest.mark.parametrize("text, message", (
+        (EIT_CONFIG.format(path="o.csv").replace("rabi_c_mhz = 5.75", "rabi_c_mhz = -1"),
+         "eit.rabi_c_mhz: must be >= 0, got -1"),
+        (EIT_CONFIG.format(path="o.csv").replace("gamma_g_mhz = 0", "gamma_g_mhz = nan"),
+         "eit.gamma_g_mhz: must be finite, got nan"),
+        (cold_config("o.csv", axis="optical_depth", start=-5),
+         "medium.optical_depth: must be finite and >= 0, got -5 (at optical_depth = -5)"),
+        (vapor_config("o.csv", axis="temperature_c", start=-300),
+         "vapor.temperature_c: must be finite and > -273.15, got -300 (at temperature_c = -300)"),
+        (cold_config("o.csv", axis="delta1_mhz", start=1e300),
+         "atom.delta1_mhz: must be at most 1e+12 rad/us in magnitude, got 1e+300 "
+         "(at delta1_mhz = 1e+300)"),
+    ), ids=("eit-negative-rabi", "eit-nan-ground-decay", "swept-depth", "swept-temperature",
+            "swept-overflowing-delta1"))
+    def test_parameter_diagnostic_text(self, text, message):
+        assert [str(d) for d in validate(parse_config(text))] == [message]
 
     def test_vapor_domain_errors_in_config_units(self, tmp_path):
         text = vapor_config(tmp_path / "o.csv", count=2, depth=1000)

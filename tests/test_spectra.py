@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fourwave import config, spectra
 from fourwave.atom import AtomParams
 from fourwave.errors import DomainError, NormalizationError, PoleError
-from fourwave.propagation import MediumParams
+from fourwave.propagation import MediumParams, generator
 from fourwave.spectra import NOISE_FIELDS, evaluate, observables, to_dB
 from fourwave.units import TWO_PI
 from fourwave.vapor import VaporParams
@@ -173,6 +173,20 @@ class TestEvaluatePoles:
             evaluate(mp, TWO_PI * 1.0, langevin=False)
         assert err.value.omega == TWO_PI * 1.0
         assert err.value.index == (0,)      # the per-point stack is (+omega, -omega)
+
+
+class TestNonFiniteOmega:
+    @pytest.mark.parametrize("omega", (np.nan, np.inf, -np.inf, [1.0, np.nan]))
+    @pytest.mark.parametrize("compute", (
+        evaluate, generator,
+        lambda mp, omega: evaluate(mp, omega, vapor=VaporParams.rb85_d1())),
+        ids=("evaluate", "generator", "evaluate-vapor"))
+    def test_is_a_domain_error_naming_omega(self, mp, capfd, compute, omega):
+        with pytest.raises(DomainError, match="omega must be finite, got") as err:
+            compute(mp, omega)
+        assert err.value.field == "omega"
+        np.testing.assert_equal(err.value.value, np.ravel(omega)[-1])     # NaN equals NaN
+        assert capfd.readouterr().err == ""
 
 
 class TestHelpers:
