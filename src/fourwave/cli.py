@@ -13,8 +13,8 @@ usage: fourwave {run,validate,reference} --config PATH [--out PATH] [--format {c
   --db                 append decibel columns of the noise (run and reference only)
 
 Exit status: 0 ok, 1 run failed, 2 usage or config error.  Rows are written in
-sweep order, the same for a fixed config and seed; a row whose frequency sits
-on a resonance pole is written empty with flag 'pole', and the run exits 0.
+sweep order, the same for a fixed config; a row whose frequency sits on a
+resonance pole is written empty with flag 'pole', and the run exits 0.
 """
 
 import csv
@@ -30,6 +30,7 @@ from . import config as cfgmod
 from . import spectra as spec
 from .config import ConfigParseError, RunConfig
 from .errors import FourwaveError, PoleError
+from .numkernel import VELOCITY_NODES
 from .units import mhz_to_rad_us
 
 USAGE = __doc__.split("\n\n")[1]
@@ -70,7 +71,7 @@ def _medium_rows(cfg: RunConfig, values: list[float]) -> list[dict]:
     raises, is split in halves down to single values, so every row gets
     the flag it gets alone."""
     half = len(values) // 2
-    nodes = cfg.velocity_order if cfg.model == "vapor" else 1
+    nodes = VELOCITY_NODES if cfg.model == "vapor" else 1
     if half and len(values) * 3 * nodes > BLOCK_MATRICES:
         return _medium_rows(cfg, values[:half]) + _medium_rows(cfg, values[half:])
     swept = np.array(values)
@@ -79,7 +80,7 @@ def _medium_rows(cfg: RunConfig, values: list[float]) -> list[dict]:
     omega = mhz_to_rad_us(swept if cfg.sweep_axis == "omega_mhz" else cfg.omega_mhz)
     vp = cfgmod.vapor_params_from(point) if cfg.model == "vapor" else None
     try:
-        obs = spec.evaluate(mp, omega, langevin=cfg.langevin, vapor=vp, order=cfg.velocity_order)
+        obs = spec.evaluate(mp, omega, langevin=cfg.langevin, vapor=vp)
         prepared, front_loss = None, 1.0
         if vp is not None:
             from .vapor import residual_transmission
@@ -195,7 +196,7 @@ def _render_json(labels, columns, rows, cfg: RunConfig) -> str:
     meta = {"model": cfg.model, "sweep_axis": cfg.sweep_axis, "seed": cfg.seed,
             "version": __version__, "config_sha256": hashlib.sha256(cfg.text.encode()).hexdigest()}
     if cfg.model == "vapor":
-        meta["velocity_order"] = cfg.velocity_order
+        meta["velocity_order"] = VELOCITY_NODES
     payload = {"schema": {"columns": labels}, "meta": meta,
                "rows": [[row.get(c) if row.get(c) != "" else None for c in columns]
                         for row in rows]}

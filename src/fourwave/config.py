@@ -4,7 +4,7 @@ Grammar (INI dialect, parsed by configparser):
 
     [run]
     model = cold | vapor | eit | reference
-    seed = <int>
+    seed = <int>                  ; echoed in JSON meta only: no model is random
     langevin = on | off          ; or configparser's true/false, yes/no, 1/0, any case
     omega_mhz = <float>          ; analysis frequency when not swept
 
@@ -37,7 +37,7 @@ Grammar (INI dialect, parsed by configparser):
     format = csv | json
 
     [quadrature]                  ; optional
-    velocity_order = <int>        ; default 40, from 16 to MAX_VELOCITY_ORDER = 100
+    velocity_order = 40           ; the fixed VELOCITY_NODES; any other value is an error
     z_nodes = <int>               ; accepted and ignored: the z-integral is exact
 
 Frequencies are ordinary frequencies in MHz, temperatures in Celsius, lengths
@@ -58,7 +58,7 @@ import numpy as np
 
 from .atom import FREQUENCY_LIMIT
 from .errors import DomainError
-from .numkernel import DEFAULT_VELOCITY_ORDER, MAX_VELOCITY_ORDER
+from .numkernel import VELOCITY_NODES
 from .units import (ATOMIC_MASS_KG, celsius_to_kelvin, mhz_to_rad_us)
 
 MODELS = ("cold", "vapor", "eit", "reference")
@@ -133,7 +133,7 @@ class RunConfig:
     sweep_count: int = 0
     output_path: str = "out.csv"
     output_format: str = "csv"
-    velocity_order: int = DEFAULT_VELOCITY_ORDER
+    velocity_order: int = VELOCITY_NODES
     text: str = ""      # the config text as read, for the JSON provenance
 
 
@@ -245,9 +245,9 @@ def validate(cfg: RunConfig) -> list[Diagnostic]:
     if cfg.output_format not in FORMATS:
         diags.append(Diagnostic("output.format",
                                 f"must be one of {FORMATS}, got {cfg.output_format!r}"))
-    if not 16 <= cfg.velocity_order <= MAX_VELOCITY_ORDER:
-        diags.append(Diagnostic("quadrature.velocity_order", f"must be from 16 to "
-                                f"{MAX_VELOCITY_ORDER}, got {cfg.velocity_order}"))
+    if cfg.velocity_order != VELOCITY_NODES:
+        diags.append(Diagnostic("quadrature.velocity_order", f"must be {VELOCITY_NODES}, "
+                                f"the fixed node count, got {cfg.velocity_order}"))
     if not diags and cfg.model == "reference" and cfg.reference.get("kind") == "chain":
         swept = cfg.sweep_axis == "n_slices"
         slices = sweep_values(cfg) if swept else [float(cfg.reference["n_slices"])]
@@ -296,13 +296,13 @@ def _doppler_diagnostic(cfg: RunConfig, value: float, medium, vapor):
     from .vapor import velocity_nodes
     try:
         with np.errstate(over="ignore", invalid="ignore"):     # inf and NaN fail below
-            medium.at_nodes(velocity_nodes(vapor, cfg.velocity_order)[2])
+            medium.at_nodes(velocity_nodes(vapor)[2])
     except DomainError:
         swept = cfg.sweep_axis
         written = f"{value:g}" if swept == "temperature_c" else cfg.vapor["temperature_c"]
         at = f" (at {swept} = {value:g})" if swept in ("delta1_mhz", "temperature_c") else ""
         return Diagnostic("vapor.temperature_c", f"must keep atom.delta1_mhz plus the Doppler "
-                          f"shift of each of the {cfg.velocity_order} velocity nodes at most "
+                          f"shift of each of the {VELOCITY_NODES} velocity nodes at most "
                           f"{FREQUENCY_LIMIT:g} rad/us in magnitude, got {written}{at}")
     return None
 

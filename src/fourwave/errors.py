@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the checks that raise them."""
+"""Exception types shared across the package, and the checks that raise them:
+a parameter or setting outside its domain is a DomainError naming its field."""
 
 import numpy as np
 
@@ -13,10 +14,6 @@ class DimensionError(FourwaveError, ValueError):
 
 class NumericError(FourwaveError, ArithmeticError):
     """A kernel produced overflow or non-finite intermediate results."""
-
-
-class ConfigurationError(FourwaveError, ValueError):
-    """Invalid numerical settings (node counts, quadrature orders)."""
 
 
 class DegenerateModelError(FourwaveError, ValueError):

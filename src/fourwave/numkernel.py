@@ -1,7 +1,7 @@
 """Dense complex linear-algebra kernels: every matrix exponential of the
 physics modules goes through here, a whole stack in one call.  The
-velocity-node sets live in vapor (with numpy.polynomial); their order
-limits stay here, so config and spectra need not load the vapor model.
+velocity nodes live in vapor (with numpy.polynomial); their count stays
+here, so config and cli need not load the vapor model.
 """
 
 import math
@@ -10,11 +10,8 @@ import numpy as np
 
 from .errors import DimensionError, NumericError
 
-# Default node count for the velocity average; overridable per call.
-DEFAULT_VELOCITY_ORDER = 40
-# Largest velocity-average order: numpy documents hermegauss as tested up to
-# degree 100, and its companion matrix grows as the order squared.
-MAX_VELOCITY_ORDER = 100
+# Gauss-Hermite node count of the velocity average, the one rule it uses.
+VELOCITY_NODES = 40
 
 # Pade-13 numerator coefficients for the scaling-and-squaring exponential
 # (Higham's method; same constants as scipy and expm ports elsewhere).

@@ -29,7 +29,7 @@ import numpy as np
 
 from .atom import diffusion_set, steady_state
 from .errors import NormalizationError, require
-from .numkernel import DEFAULT_VELOCITY_ORDER, expm
+from .numkernel import expm
 from .propagation import (CALIBRATION_FREQ, MediumParams, _absorbs, _coherence_kernel,
                           _diffusion, _frequencies, _langevin_scale, _noise_block)
 
@@ -88,12 +88,12 @@ def _expm_each(stacks) -> list:
 
 
 def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
-             vapor=None, order: int = DEFAULT_VELOCITY_ORDER) -> Observables:
+             vapor=None) -> Observables:
     """All observables of the media mp at analysis frequencies omega, stacked
     to their broadcast shape (and the vapor's).
 
     Order of work: steady state (for a VaporParams ``vapor``, of its
-    ``order`` velocity nodes and, last, the atom at rest) -> every kernel,
+    velocity nodes and, last, the atom at rest) -> every kernel,
     each screened for poles -> one expm of every 2x2 exponent and one of
     every 4x4 Van Loan block -> the normalization checks and scale -> the
     diffusion read-off -> the observables.  The kernels form two stacks:
@@ -107,7 +107,7 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
         ss = steady_state(mp.atom)
     else:
         from .vapor import doppler_generator, velocity_nodes
-        shifts = velocity_nodes(vapor, order)[2]
+        shifts = velocity_nodes(vapor)[2]
         shape = np.broadcast_shapes(shape, shifts.shape[:-1])
         rest = np.zeros(shifts.shape[:-1] + (1,))
         nodes = steady_state(mp.at_nodes(np.concatenate([shifts, rest], axis=-1)).atom)
@@ -121,7 +121,7 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
     else:
         medium = _coherence_kernel(mp, _frequencies(shape, *ref), ss) if ref else None
         gens = [medium[2]] if ref else []
-        gens.append(doppler_generator(mp, vapor, _frequencies(shape, 0.0, *pm), order,
+        gens.append(doppler_generator(mp, vapor, _frequencies(shape, 0.0, *pm),
                                       nodes.take(slice(-1))))
         points = _coherence_kernel(mp, pm, ss) if langevin else None
     abcds = _expm_each(gens)

@@ -4,10 +4,12 @@ The cold-atom propagation generator is averaged over the Maxwell-Boltzmann
 velocity distribution by shifting the one-photon detuning per velocity
 class, delta1 -> delta1 + k*v, on a last (node) axis of the medium, in one
 stacked generator call; the leading axes come from the medium, omega and
-the VaporParams, whose fields may be arrays too.  The distribution is
-symmetric, so the sign of the shift is immaterial.  Langevin diffusion is
-not velocity averaged (the coefficients change very little); cold-atom
-diffusion is reused with the averaged transfer.
+the VaporParams, whose fields may be arrays too.  The velocity classes are
+one fixed rule, the numkernel.VELOCITY_NODES = 40 Gauss-Hermite nodes of
+the distribution.  The distribution is symmetric, so the sign of the shift
+is immaterial.  Langevin diffusion is not velocity averaged (the
+coefficients change very little); cold-atom diffusion is reused with the
+averaged transfer.
 """
 
 import functools
@@ -18,8 +20,8 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from .atom import preparation_probability
-from .errors import ConfigurationError, DomainError, PoleError, RangeWarning, first, require
-from .numkernel import DEFAULT_VELOCITY_ORDER, MAX_VELOCITY_ORDER, expm
+from .errors import DomainError, PoleError, RangeWarning, first, require
+from .numkernel import VELOCITY_NODES, expm
 from .propagation import MediumParams, _coherence_kernel, generator
 from .units import (ATM_TO_PA, ATM_TO_TORR, KB, RB85_D1_WAVELENGTH_M,
                     RB85_MASS_KG, TWO_PI, celsius_to_kelvin)
@@ -89,40 +91,26 @@ def doppler_width(vp: VaporParams) -> float:
 
 
 @functools.cache
-def _unit_gauss_hermite(order: int):
-    """Read-only unit-sigma nodes and normalized weights of one order."""
-    x, w = hermegauss(order)
+def _unit_nodes():
+    """Read-only unit-sigma Gauss-Hermite nodes and weights, computed once;
+    the weights are renormalized to sum to one, so a constant averages to
+    itself."""
+    x, w = hermegauss(VELOCITY_NODES)
     w = w / w.sum()
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
-def gauss_hermite_nodes(order: int, sigma: float):
-    """Nodes and probability weights for a zero-mean Gaussian of std sigma.
-
-    Weights are renormalized to sum to one exactly, so a constant function
-    averages to itself regardless of order.  Weights are read-only.
-    """
-    if order < 4:
-        raise ConfigurationError(f"gauss-hermite order must be >= 4, got {order}")
-    if not (positive := np.greater(sigma, 0.0)).all():
-        raise ConfigurationError(f"gauss-hermite sigma must be > 0, got {first(sigma, ~positive)}")
-    x, w = _unit_gauss_hermite(order)
-    return sigma * x, w
-
-
-def velocity_nodes(vp: VaporParams, order: int = DEFAULT_VELOCITY_ORDER):
+def velocity_nodes(vp: VaporParams):
     """(velocities in m/s, weights, delta1 shifts k*v in rad/us) of the
-    Gauss-Hermite velocity nodes, on a last node axis."""
-    if not 16 <= order <= MAX_VELOCITY_ORDER:
-        raise ConfigurationError(f"doppler_generator: order must be from 16 to "
-                                 f"{MAX_VELOCITY_ORDER}, got {order}")
-    velocities, weights = gauss_hermite_nodes(order, np.expand_dims(velocity_sigma(vp), -1))
+    Gauss-Hermite velocity nodes, on a last node axis.  A velocity sigma
+    that underflows to 0 puts every node at rest: the cold limit."""
+    x, weights = _unit_nodes()
+    velocities = np.expand_dims(velocity_sigma(vp), -1) * x
     return velocities, weights, np.expand_dims(TWO_PI / vp.wavelength, -1) * velocities * 1e-6
 
 
-def doppler_generator(mp: MediumParams, vp: VaporParams, omega,
-                      order: int = DEFAULT_VELOCITY_ORDER, ss=None) -> np.ndarray:
+def doppler_generator(mp: MediumParams, vp: VaporParams, omega, ss=None) -> np.ndarray:
     """Velocity-averaged propagation exponent, stacked to the broadcast
     shape of the medium, omega and the vapor.
 
@@ -131,7 +119,7 @@ def doppler_generator(mp: MediumParams, vp: VaporParams, omega,
     Any node sitting on a Raman pole aborts the average; the error lists
     the offending velocities at the first such omega.
     """
-    velocities, weights, shifts = velocity_nodes(vp, order)
+    velocities, weights, shifts = velocity_nodes(vp)
     try:
         gens = _coherence_kernel(mp.at_nodes(shifts), np.expand_dims(omega, -1), ss)[2]
     except PoleError as exc:
@@ -163,8 +151,7 @@ def slice_consistency(mp: MediumParams, vp: VaporParams, omega: float,
     exponential of the summed exponents.  Also reports the deviation under
     a random reshuffle of the slice order.
     """
-    if n_slices < 100:
-        raise ConfigurationError(f"slice_consistency: need n_slices >= 100, got {n_slices}")
+    require(n_slices >= 100, "slice_consistency", "n_slices", "must be >= 100", n_slices)
     rng = np.random.default_rng(seed)
     k = TWO_PI / vp.wavelength
     velocities = rng.normal(0.0, velocity_sigma(vp), n_slices)

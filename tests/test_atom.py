@@ -223,12 +223,27 @@ class TestGeneratorIdentity:
         dict(gamma_g=0.01, delta1=1000.0, delta2=0.0, rabi=300.0, optical_depth=150.0),
     ), ids=("readme-working-point", "qbs-delta2-sweep", "weak-pump-acceptance-point"))
     def test_holds_from_0_2_to_10_mhz_at_both_signs(self, point):
+        freqs = np.linspace(0.2, 10.0, 50)
+        assert np.max(self.residual(point, TWO_PI * np.concatenate([-freqs, freqs]))) < 1e-5
+
+    @pytest.mark.xfail(strict=True, reason="known defect: the identity fails at these "
+                       "points of the config and script ranges, cause not yet found")
+    @pytest.mark.parametrize("point, omega_mhz", (
+        (dict(gamma_g=0.04, delta1=1528.0, delta2=99.0, rabi=1535.0, optical_depth=150.0),
+         -9.5),
+        (dict(gamma_g=0.6, delta1=-1528.0, delta2=52.0, rabi=1821.0, optical_depth=150.0),
+         -1.16),
+    ), ids=("residual-7.8e-5", "residual-2.1e-2"))
+    def test_holds_at_known_counterexamples(self, point, omega_mhz):
+        assert np.max(self.residual(point, TWO_PI * np.array([omega_mhz]))) < 1e-5
+
+    @staticmethod
+    def residual(point, omega):
+        """Relative Frobenius residual of the identity at each frequency."""
         point = dict(point)
         depth = point.pop("optical_depth")
         p = AtomParams.from_mhz(gamma_e=5.75, omega0=3036.0,
                                 **{k: np.expand_dims(v, -1) for k, v in point.items()})
-        freqs = np.linspace(0.2, 10.0, 50)
-        omega = TWO_PI * np.concatenate([-freqs, freqs])
         m1p, _, t = build_coherence_system(p, steady_state(p), omega)
         kernel = t @ np.linalg.inv(m1p)
         ds = diffusion_set(p)
@@ -237,9 +252,8 @@ class TestGeneratorIdentity:
         drift = g @ eta + eta @ g.conj().swapaxes(-1, -2)
         noise = np.expand_dims(depth * p.gamma_e / 4.0, (-2, -1)) \
             * kernel @ (ds.d1 - ds.d2) @ kernel.conj().swapaxes(-1, -2)
-        residual = np.linalg.norm(drift + 2.0 * noise, axis=(-2, -1)) \
+        return np.linalg.norm(drift + 2.0 * noise, axis=(-2, -1)) \
             / np.linalg.norm(drift, axis=(-2, -1))
-        assert np.max(residual) < 1e-5
 
 
 class TestRelaxation:

@@ -310,6 +310,19 @@ class TestValidation:
             diags = validate(parse_config(text.replace(old, new)))
             assert [str(d) for d in diags] == [message]
 
+    @pytest.mark.parametrize("command, stream, prefix", (
+        ("validate", "out", ""), ("run", "err", "config error at ")))
+    def test_velocity_order_other_than_the_fixed_node_count(self, tmp_path, capsys,
+                                                            command, stream, prefix):
+        out = tmp_path / "o.csv"
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(vapor_config(out, count=2, depth=1000).replace(
+            "cross_section_cm2 = 1e-9", QUADRATURE.format(order=80)))
+        assert main([command, "--config", str(ini)]) == 2
+        assert getattr(capsys.readouterr(), stream) == (
+            f"{prefix}quadrature.velocity_order: must be 40, the fixed node count, got 80\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("old, new, message", (
         ("pump_waist_um = 600", "pump_waist_um = inf",
          "vapor.pump_waist_um: must be finite and > 0, got inf"),
@@ -358,7 +371,8 @@ class TestValidation:
         ("vapor", (("temperature_c = 120", "temperature_c = 1e300"),), True),
         ("vapor", (("axis = delta2_mhz", "axis = temperature_c"), ("start = -100", "start = 20"),
                    ("stop = 100", "stop = 1e300")), True),
-        ("vapor", (("cross_section_cm2 = 1e-9", QUADRATURE.format(order=100)),), False),
+        ("vapor", (("cross_section_cm2 = 1e-9", QUADRATURE.format(order=40)),), False),
+        ("vapor", (("cross_section_cm2 = 1e-9", QUADRATURE.format(order=80)),), True),
         ("vapor", (("cross_section_cm2 = 1e-9", QUADRATURE.format(order=100000)),), True),
         ("chain", (), False),
         ("chain", (("n_slices = 4", "n_slices = nan"),), True),
@@ -378,8 +392,8 @@ class TestValidation:
             "omega-sweep-from-nan", "omega-sweep-from-inf", "nan-analysis-frequency",
             "overflowing-analysis-frequency", "overflowing-rabi", "overflowing-generator-prefactor",
             "doppler-shift-beyond-frequency-limit", "temperature-sweep-to-doppler-overflow",
-            "velocity-order-at-bound",
-            "velocity-order-above-bound", "chain", "chain-nan-slices", "chain-infinite-slices",
+            "velocity-order-fixed", "velocity-order-80",
+            "velocity-order-100000", "chain", "chain-nan-slices", "chain-infinite-slices",
             "chain-fractional-slices", "chain-no-slices", "chain-whole-slice-sweep",
             "chain-fractional-slice-sweep"))
     def test_validate_rejects_exactly_what_run_rejects(self, tmp_path, model,

@@ -1,4 +1,4 @@
-"""Kernel tests: matrix exponential, Gauss-Hermite quadrature."""
+"""Kernel tests: the matrix exponential."""
 
 import os
 import subprocess
@@ -8,12 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import solve_ivp
 
-from fourwave.errors import ConfigurationError, DimensionError, NumericError
+from fourwave.errors import DimensionError, NumericError
 from fourwave.numkernel import expm
-from fourwave.vapor import gauss_hermite_nodes
 
 
 def _random_complex(rng, shape, scale=1.0):
@@ -149,38 +147,3 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
-
-
-class TestGaussHermite:
-    def test_weight_normalization(self):
-        _, w = gauss_hermite_nodes(8, 2.0)
-        assert w.sum() == pytest.approx(1.0, abs=1e-14)
-
-    def test_second_moment(self):
-        sigma = 1.7
-        v, w = gauss_hermite_nodes(12, sigma)
-        assert w @ v**2 == pytest.approx(sigma**2, rel=1e-12)
-
-    def test_characteristic_function(self):
-        # E[cos(k v)] = exp(-(k sigma)^2 / 2); k sigma = 1 here
-        sigma, k = 2.0, 0.5
-        v, w = gauss_hermite_nodes(40, sigma)
-        assert w @ np.cos(k * v) == pytest.approx(np.exp(-0.5), abs=1e-6)
-
-    def test_order_too_small(self):
-        with pytest.raises(ConfigurationError):
-            gauss_hermite_nodes(3, 1.0)
-
-    def test_nodes_symmetric(self):
-        v, w = gauss_hermite_nodes(16, 1.0)
-        assert np.allclose(v, -v[::-1])
-        assert np.allclose(w, w[::-1])
-        assert w.sum() == pytest.approx(1.0, abs=1e-15)
-
-    def test_unit_nodes_computed_once_per_order(self):
-        x, w = hermegauss(40)
-        x1, w1 = gauss_hermite_nodes(40, 1.0)
-        x2, w2 = gauss_hermite_nodes(40, 2.5)
-        assert w2 is w1 and not w1.flags.writeable
-        assert np.array_equal(w1, w / w.sum())
-        assert np.array_equal(x2, 2.5 * x)

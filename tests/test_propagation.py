@@ -14,7 +14,7 @@ from fourwave.propagation import (POLE_CONDITION_LIMIT, MediumParams,
                                   integrated_diffusion)
 from fourwave.numkernel import expm
 from fourwave.units import TWO_PI
-from fourwave.vapor import VaporParams, doppler_generator, gauss_hermite_nodes, velocity_sigma
+from fourwave.vapor import VaporParams, doppler_generator, velocity_nodes
 
 
 def medium(gamma_e_mhz=5.75, gamma_g_mhz=0.01, omega0_mhz=3036.0,
@@ -69,11 +69,9 @@ VAPOR_POINT = dict(gamma_g_mhz=1.0, rabi_mhz=330.0, delta1_mhz=800.0,
                    delta2_mhz=4.0, optical_depth=4500.0)
 
 
-def doppler_shifts(order=40):
+def doppler_shifts():
     """The delta1 shifts k*v of a hot-rubidium Doppler average, rad/us."""
-    vp = VaporParams.rb85_d1(temperature_c=120.0)
-    velocities, _ = gauss_hermite_nodes(order, velocity_sigma(vp))
-    return TWO_PI / vp.wavelength * velocities * 1e-6
+    return velocity_nodes(VaporParams.rb85_d1(temperature_c=120.0))[2]
 
 
 class TestStackedGenerator:

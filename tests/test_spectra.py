@@ -318,6 +318,17 @@ class TestVaporColdLimit:
             np.testing.assert_allclose(getattr(hot, name), getattr(cold, name), rtol=1e-6,
                                        err_msg=name)
 
+    @pytest.mark.parametrize("point", POINTS.values(), ids=POINTS.keys())
+    def test_underflowed_temperature_is_the_cold_medium(self, point):
+        # k_B T underflows to 0 at 5e-324 K: every velocity node is at rest
+        mp = medium(**point)
+        omegas = TWO_PI * np.array([0.3, 1.0, 4.0])
+        frozen = dataclasses.replace(VaporParams.rb85_d1(), temperature=5e-324)
+        hot, cold = evaluate(mp, omegas, vapor=frozen), evaluate(mp, omegas)
+        for name in ("gain_a", "gain_b", *NOISE_FIELDS):
+            np.testing.assert_allclose(getattr(hot, name), getattr(cold, name), rtol=1e-13,
+                                       err_msg=name)
+
 
 class TestVaporParity:
     def test_parity_over_the_shipped_vapor_sweep(self):
@@ -328,8 +339,8 @@ class TestVaporParity:
         point = config.at_sweep_value(cfg, np.array(config.sweep_values(cfg)))
         mp, vp = config.medium_params_from(point), config.vapor_params_from(point)
         omegas = TWO_PI * np.array([[0.3], [1.0], [4.0]])       # x the 61 rows
-        plus = evaluate(mp, omegas, vapor=vp, order=cfg.velocity_order)
-        minus = evaluate(mp, -omegas, vapor=vp, order=cfg.velocity_order)
+        plus = evaluate(mp, omegas, vapor=vp)
+        minus = evaluate(mp, -omegas, vapor=vp)
         for name in ("gain_a", "gain_b", *NOISE_FIELDS):
             p, m = getattr(plus, name), getattr(minus, name)
             finite = np.isfinite(p) & np.isfinite(m)

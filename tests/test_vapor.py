@@ -1,24 +1,26 @@
 """Hot-vapor tests: velocity averaging, transit time, vapor utilities."""
 
+import dataclasses
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from fourwave.atom import AtomParams
-from fourwave.config import medium_params_from, parse_config, vapor_params_from
-from fourwave.errors import ConfigurationError, DomainError, PoleError, RangeWarning
-from fourwave.numkernel import expm
+from fourwave.config import (at_sweep_value, medium_params_from, parse_config,
+                             sweep_values, vapor_params_from)
+from fourwave.errors import DomainError, PoleError, RangeWarning
+from fourwave.numkernel import VELOCITY_NODES, expm
 from fourwave.propagation import MediumParams, generator
 from fourwave.vapor import (VaporParams, doppler_absorption, doppler_generator,
-                            doppler_width, gauss_hermite_nodes, maxwell_pdf,
-                            mean_speed, optical_depth, residual_transmission,
-                            saturated_vapor_pressure_torr, slice_consistency,
-                            transit_time, vapor_density, vapor_fraction,
-                            velocity_sigma)
+                            doppler_width, maxwell_pdf, mean_speed, optical_depth,
+                            residual_transmission, saturated_vapor_pressure_torr,
+                            slice_consistency, transit_time, vapor_density,
+                            vapor_fraction, velocity_nodes, velocity_sigma)
 from fourwave.units import TWO_PI
 
 
@@ -30,6 +32,7 @@ def hot_medium(rabi_mhz=300.0, delta1_mhz=700.0, delta2_mhz=4.0,
 
 
 VP = VaporParams.rb85_d1(temperature_c=120.0)
+VAPOR_CONFIG = Path(__file__).parents[1] / "configs" / "vapor_gain_scan.ini"
 
 
 class TestMaxwell:
@@ -56,6 +59,48 @@ class TestMaxwell:
         assert mean_speed(t4) == pytest.approx(2 * v1, rel=1e-12)
 
 
+class TestGaussHermite:
+    """The fixed VELOCITY_NODES-node rule of the velocity average."""
+
+    def test_weight_normalization(self):
+        _, w, _ = velocity_nodes(VP)
+        assert w.shape == (VELOCITY_NODES,)
+        assert w.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_second_moment(self):
+        v, w, _ = velocity_nodes(VP)
+        assert w @ v**2 == pytest.approx(velocity_sigma(VP)**2, rel=1e-12)
+
+    def test_characteristic_function(self):
+        # E[cos(k v)] = exp(-(k sigma)^2 / 2); k sigma = 1 here
+        v, w, _ = velocity_nodes(VP)
+        assert w @ np.cos(v / velocity_sigma(VP)) == pytest.approx(np.exp(-0.5), abs=1e-6)
+
+    def test_nodes_symmetric(self):
+        v, w, _ = velocity_nodes(VP)
+        assert np.allclose(v, -v[::-1])
+        assert np.allclose(w, w[::-1])
+
+    def test_stacked_vapor_equals_its_members(self):
+        temperatures = VP.temperature * np.array([0.5, 1.0, 4.0])
+        stacked = velocity_nodes(dataclasses.replace(VP, temperature=temperatures))
+        assert stacked[0].shape == stacked[2].shape == (3, VELOCITY_NODES)
+        for i, t in enumerate(temperatures):
+            alone = velocity_nodes(dataclasses.replace(VP, temperature=t))
+            assert stacked[1] is alone[1]
+            assert np.array_equal(stacked[0][i], alone[0])
+            assert np.array_equal(stacked[2][i], alone[2])
+
+    def test_unit_nodes_computed_once(self):
+        x, w = hermegauss(VELOCITY_NODES)
+        hot = dataclasses.replace(VP, temperature=4 * VP.temperature)
+        _, w1, _ = velocity_nodes(VP)
+        v2, w2, _ = velocity_nodes(hot)
+        assert w2 is w1 and not w1.flags.writeable
+        assert np.array_equal(w1, w / w.sum())
+        assert np.array_equal(v2, velocity_sigma(hot) * x)
+
+
 class TestDopplerAveraging:
     def test_cold_limit(self):
         frozen = VaporParams(temperature=1e-9, atomic_mass=VP.atomic_mass,
@@ -68,18 +113,21 @@ class TestDopplerAveraging:
         cold = generator(mp, w)
         assert np.max(np.abs(hot - cold)) < 1e-10
 
-    def test_order_doubling_converged(self):
+    def test_underflowed_velocity_sigma_is_the_cold_limit(self):
+        # k_B T underflows to 0 at 5e-324 K: every node at rest
+        frozen = dataclasses.replace(VP, temperature=5e-324)
+        assert velocity_sigma(frozen) == 0.0
         mp = hot_medium()
-        t40 = expm(doppler_generator(mp, VP, TWO_PI * 1.0, order=40))
-        t80 = expm(doppler_generator(mp, VP, TWO_PI * 1.0, order=80))
-        assert np.max(np.abs(t40 - t80)) < 1e-6
+        for w in (0.0, TWO_PI * 1.0, -TWO_PI * 3.7):
+            hot, cold = doppler_generator(mp, frozen, w), generator(mp, w)
+            assert np.max(np.abs(hot - cold)) < 1e-14 * np.max(np.abs(cold))
 
     def test_velocity_sign_flip_invariant(self):
         # averaging with the shift applied as -k*v gives the same generator
         mp = hot_medium()
         w = TWO_PI * 1.0
         forward = doppler_generator(mp, VP, w)
-        velocities, weights = gauss_hermite_nodes(40, velocity_sigma(VP))
+        velocities, weights, _ = velocity_nodes(VP)
         k = TWO_PI / VP.wavelength
         backward = sum(
             wt * generator(mp.with_atom(delta1=mp.atom.delta1 - k * v * 1e-6), w)
@@ -104,23 +152,21 @@ class TestDopplerAveraging:
     def test_pole_on_every_node_reports_all_velocities(self):
         # no pump, no ground decay: each node is singular at omega = delta2 = 0
         mp = hot_medium(rabi_mhz=0.0, gamma_g_mhz=0.0, delta2_mhz=0.0)
-        velocities, _ = gauss_hermite_nodes(40, velocity_sigma(VP))
+        velocities = velocity_nodes(VP)[0]
         with pytest.raises(PoleError) as err:
             doppler_generator(mp, VP, 0.0)
         assert err.value.omega == 0.0
         assert np.array_equal(err.value.velocities, velocities)
 
-    @pytest.mark.parametrize("order", (16, 40, 64))
     @pytest.mark.parametrize("pump", ("config", "off"))
-    def test_node_sum_is_the_in_order_running_sum(self, order, pump):
+    def test_node_sum_is_the_in_order_running_sum(self, pump):
         # the golden outputs were summed node by node in node order; the
         # average must match that loop bit for bit, signed zeros included
-        cfg = parse_config((Path(__file__).parents[1] / "configs"
-                            / "vapor_gain_scan.ini").read_text())
+        cfg = parse_config(VAPOR_CONFIG.read_text())
         mp, vp = medium_params_from(cfg), vapor_params_from(cfg)
         if pump == "off":
             mp = mp.with_atom(rabi=0.0)
-        velocities, weights = gauss_hermite_nodes(order, velocity_sigma(vp))
+        velocities, weights, _ = velocity_nodes(vp)
         w = TWO_PI * 1.0
         for omega in (0.0, w, -w, TWO_PI * 3.7, np.array([0.0, w, -w, TWO_PI * 3.7])):
             gens = generator(mp.at_nodes(TWO_PI / vp.wavelength * velocities * 1e-6),
@@ -128,13 +174,9 @@ class TestDopplerAveraging:
             acc = np.zeros(np.shape(omega) + (2, 2), dtype=complex)
             for j, wt in enumerate(weights):
                 acc += wt * gens[..., j, :, :]
-            hot = doppler_generator(mp, vp, omega, order)
+            hot = doppler_generator(mp, vp, omega)
             assert np.array_equal(hot, acc)
             assert hot.tobytes() == acc.tobytes()
-
-    def test_minimum_order_enforced(self):
-        with pytest.raises(ConfigurationError):
-            doppler_generator(hot_medium(), VP, 0.0, order=8)
 
     def test_hot_vs_cold_difference_changes_sign_in_detuning_scan(self):
         mp0 = hot_medium()
@@ -150,6 +192,39 @@ def gains_of(exponent):
     return abs(expm(exponent)[0, 0])**2
 
 
+class TestDenseOracle:
+    """The fixed rule against an 801-node trapezoid rule over +-8 sigma (its
+    own error below 1e-12) on the 61 rows of configs/vapor_gain_scan.ini
+    at omega = 0."""
+
+    @pytest.fixture(scope="class")
+    def probe_gains(self):
+        """(delta2 in MHz, Ga of the fixed rule, Ga of the oracle)."""
+        cfg = parse_config(VAPOR_CONFIG.read_text())
+        delta2 = np.array(sweep_values(cfg))
+        point = at_sweep_value(cfg, delta2)
+        mp, vp = medium_params_from(point), vapor_params_from(point)
+        sigma = velocity_sigma(vp)
+        v = np.linspace(-8.0 * sigma, 8.0 * sigma, 801)
+        w = maxwell_pdf(vp, v) * (v[1] - v[0])
+        w[[0, -1]] /= 2.0
+        gens = generator(mp.at_nodes(TWO_PI / vp.wavelength * v * 1e-6), 0.0)
+        dense = np.einsum("j,...jab->...ab", w, gens)
+        fixed = doppler_generator(mp, vp, 0.0)
+        return delta2, *(np.abs(expm(g)[..., 0, 0])**2 for g in (fixed, dense))
+
+    def test_agrees_from_minus_8_mhz_up(self, probe_gains):
+        delta2, fixed, dense = probe_gains
+        up = delta2 >= -8.0
+        np.testing.assert_allclose(fixed[up], dense[up], rtol=1e-6, atol=0)
+
+    @pytest.mark.xfail(strict=True, reason="40 nodes under-resolve the average below "
+                       "-8 MHz: 22 rows off by more than 1e-6, 17% at -30 MHz")
+    def test_agrees_on_every_row(self, probe_gains):
+        _, fixed, dense = probe_gains
+        np.testing.assert_allclose(fixed, dense, rtol=1e-6, atol=0)
+
+
 class TestSliceConsistency:
     def test_commuting_slices(self):
         mp = hot_medium(rabi_mhz=0.0, delta2_mhz=700.0, optical_depth=100.0)
@@ -163,8 +238,9 @@ class TestSliceConsistency:
         assert dev.reshuffled <= 10 * max(dev.product_vs_sum, 1e-15)
 
     def test_too_few_slices(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError, match="n_slices must be >= 100, got 10") as err:
             slice_consistency(hot_medium(), VP, 0.0, n_slices=10, seed=0)
+        assert err.value.field == "n_slices"
 
 
 class TestTransit:
