@@ -21,8 +21,8 @@ coupling-constant bookkeeping.
 
 MediumParams fields may be arrays.  Results are stacked to the broadcast
 shape of the medium and omega (leading axes), the velocity nodes of a
-Doppler average last (MediumParams.at_nodes), then the matrix axes; one
-batched inverse per call builds the kernel and screens it for poles.
+Doppler average last (MediumParams.at_nodes), then the matrix axes; the
+kernel T M1'^-1 is a closed form over det M1' (_coherence_kernel).
 """
 
 import dataclasses
@@ -98,65 +98,71 @@ def _frequencies(shape, *omegas) -> np.ndarray:
     return np.stack([np.broadcast_to(w, shape) for w in omegas])
 
 
-def _inverse_and_poles(m):
-    """(m^-1, mask cond(m) > POLE_CONDITION_LIMIT) of a stack; m^-1 is None
-    where inv fails on a pole.  kappa_2 <= kappa_F = |m|_F |m^-1|_F, so if
-    every kappa_F is within limit / 2 (2 for rounding in m^-1) there is no
-    pole and the SVD of cond is skipped."""
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError:
-        if not (poles := np.linalg.cond(m) > POLE_CONDITION_LIMIT).any():
-            raise
-        return None, poles
-    kappa2 = np.prod([np.einsum("...ij,...ij->...", v, v) for v in
-                      (np.ascontiguousarray(x).view(float) for x in (m, inv))], axis=0)
-    if np.all(kappa2 <= (POLE_CONDITION_LIMIT / 2) ** 2):     # False on a NaN
-        return inv, np.zeros(m.shape[:-2], dtype=bool)
-    return inv, np.linalg.cond(m) > POLE_CONDITION_LIMIT
-
-
-def _folded_matmul(a, b):
-    """a @ b, bit for bit, with the axes along which b is broadcast folded
-    into the rows of a: one BLAS product per distinct b.  A one-row a is not
-    folded: numpy's vector kernel rounds it differently."""
-    n = max(a.ndim, b.ndim) - 2
-    a_lead, b_lead = ((1,) * (n + 2 - x.ndim) + x.shape[:-2] for x in (a, b))
-    fold = [i for i in range(n) if b_lead[i] == 1]
-    if a.shape[-2] < 2 or not fold:
-        return a @ b
-    keep = [i for i in range(n) if b_lead[i] != 1]
-    rows = a.reshape(a_lead + a.shape[-2:]).transpose(keep + fold + [n, n + 1])
-    out = rows.reshape([a_lead[i] for i in keep] + [-1, a.shape[-1]]) \
-        @ b.reshape([b_lead[i] for i in keep] + list(b.shape[-2:]))
-    out = out.reshape(out.shape[:-2] + rows.shape[len(keep):-1] + b.shape[-1:])
-    return out.transpose([(keep + fold).index(i) for i in range(n)] + [n, n + 1])
-
-
 def _coherence_kernel(mp: MediumParams, omega, ss=None):
     """(generator prefactor, the kernel T M1'(omega)^-1, the generator),
-    stacked; ``ss`` is the steady state of mp.atom if already known.
+    stacked to the broadcast shape of the medium, omega and ``ss`` (the
+    steady state of mp.atom, if known), in closed form.
 
-    A non-finite omega raises DomainError.  A pole raises PoleError naming
-    the omega of the first pole in stack order, its stack index and the
-    last-axis (velocity node) indices of the poles beside it.
+    M1' = [[A, -h uu^T], [-h uu^T, C]] with A = diag(a, b), C = diag(c, d),
+    u = (1, -1), h = rabi/2 and build_coherence_system's diagonal a, b, c, d.
+    The Schur complement C - h^2 (u^T A^-1 u) uu^T is a rank-one update of C,
+    so Sherman & Morrison (Ann. Math. Stat. 21 (1950) 124) give
+    det M1' = D = ab cd - h^2 (a+b)(c+d) and the symmetric D M1'^-1: rows
+    [bcd - h^2(c+d), -h^2(c+d), hbd, -hbc], [-h^2(c+d), acd - h^2(c+d), -had, hac];
+    (2,2) abd - h^2(a+b), (2,3) -h^2(a+b), (3,3) abc - h^2(a+b).  T takes row
+    0 and minus row 1; the generator is i (optical_depth g/4) T M1'^-1 s1.
+
+    A pole is cond_2(M1') > POLE_CONDITION_LIMIT: kappa_F = |M1'|_F |M1'^-1|_F
+    >= kappa_2 within limit / 2 (2 for rounding) everywhere rules poles out,
+    else np.linalg.cond of the built M1' decides.  PoleError names the omega
+    of the first pole in stack order, its stack index and the last-axis (velocity
+    node) indices of the poles beside it; a non-finite omega raises DomainError.
     """
     require(np.isfinite(omega), "coherence system", "omega", "must be finite", omega)
     p = mp.atom
-    m1p, s1, _ = build_coherence_system(p, steady_state(p) if ss is None else ss, omega)
-    inv, poles = _inverse_and_poles(m1p)
-    del m1p     # as large as inv: free it before the products
-    if poles.any():
-        index = np.unravel_index(poles.argmax(), poles.shape)
-        at = float(np.broadcast_to(omega, poles.shape)[index])
-        raise PoleError(f"coherence system singular at omega = {at:.6g} rad/us", omega=at,
-                        nodes=np.flatnonzero(poles[index[:-1]]).tolist(), index=index)
-    # t @ inv: t (FIELD_PROJECTOR) keeps rows 0 and 1 of inv, the second
-    # negated; selecting them is exact and far cheaper than a product
-    kernel = inv[..., :2, :].copy()
-    np.negative(kernel[..., 1, :], out=kernel[..., 1, :])
-    prefactor = np.expand_dims(mp.optical_depth * p.gamma_e / 4.0, (-2, -1))
-    return prefactor, kernel, 1j * prefactor * _folded_matmul(kernel, s1)
+    ss = steady_state(p) if ss is None else ss
+    g, gam, w0, dl, d2, w, i = p.gamma_e, p.gamma_g, p.omega0, p.delta1, p.delta2, omega, 1j
+    pref = mp.optical_depth * g / 4.0
+    rows = (w + (i*g/2 + (dl - d2)), w + (i*g/2 - (dl + d2 + w0)), w + (i*g - (d2 + w0)),
+            w + (i*gam - d2), p.rabi / 2.0, *ss.coh[::2], i * pref, ss.pops[2] - ss.pops[1],
+            ss.pops[0] - ss.pops[3])
+    shape = np.broadcast(*rows).shape
+    # every operand on the whole stack, flat and contiguous (numpy's contiguous
+    # complex multiply fuses multiply-adds, its other loops do not); M1' scaled
+    # by a power of two t ~ 1/|entries| (exact) so that D cannot underflow
+    m = np.empty((len(rows),) + (shape or (1,)), dtype=complex)
+    for row, x in zip(m, rows):
+        row[...] = x
+    a, b, c, d, h, s31, s42, ipref, n0, n1 = m = m.reshape(len(rows), -1)
+    t = np.ldexp(1.0, -np.frexp(abs(m[:5]).sum(0))[1])
+    m[:5] *= t
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # the screen flags D = 0
+        ab, cd, h2 = a * b, c * d, h * h
+        h2ab, h2cd = h2 * (a + b), h2 * (c + d)
+        r = 1.0 / (ab * cd - h2cd * (a + b))
+        h2cdr, cdr, hdr, hcr = h2cd * r, cd * r, h * d * r, h * c * r
+        kernel = np.ascontiguousarray(np.array([b * cdr - h2cdr, -h2cdr, b * hdr, -(b * hcr),
+                                                h2cdr, h2cdr - a * cdr, a * hdr, -(a * hcr)]).T)
+        kf = kernel.view(float)     # M1' is symmetric: columns 2, 3 recur as rows 2, 3
+        kappa = ([1.0, 1.0, 1.0, 1.0, 8.0] @ abs(m[:5])**2) * (
+            np.square(kf) @ (([1.0] * 4 + [2.0] * 4) * 2)
+            + [1.0, 2.0, 1.0] @ abs(np.array([ab * d - h2ab, h2ab, ab * c - h2ab]))**2 * abs(r)**2)
+        # K s1, s1 = [[s33 - s22, 0], [0, s11 - s44], [-s42, s13], [s31, -s24]]
+        u0, u1 = hdr * s42 + hcr * s31, hdr * s31.conj() + hcr * s42.conj()
+        gens = np.ascontiguousarray(np.array([
+            (b * cdr - h2cdr) * n0 - b * u0, b * u1 - h2cdr * n1, h2cdr * n0 - a * u0,
+            (h2cdr - a * cdr) * n1 + a * u1]).T)
+        gens *= (ipref * t)[:, None]
+    if not (kappa <= (POLE_CONDITION_LIMIT / 2) ** 2).all():     # also on a NaN
+        poles = np.linalg.cond(build_coherence_system(p, ss, omega)[0]) > POLE_CONDITION_LIMIT
+        if poles.any():
+            index = np.unravel_index(poles.argmax(), poles.shape)
+            at = float(np.broadcast_to(omega, poles.shape)[index])
+            raise PoleError(f"coherence system singular at omega = {at:.6g} rad/us", omega=at,
+                            nodes=np.flatnonzero(poles[index[:-1]]).tolist(), index=index)
+    kernel *= t[:, None]        # T M1'^-1 of the unscaled M1'
+    return (np.asarray(pref)[..., None, None], kernel.reshape(shape + (2, 4)),
+            gens.reshape(shape + (2, 2)))
 
 
 def generator(mp: MediumParams, omega) -> np.ndarray:
@@ -175,8 +181,7 @@ def gains(mp: MediumParams) -> MeanFieldOut:
 
 def _noise_block(kernel, gens, dmat):
     """The Van Loan block [[-G, Q], [0, G^+]], Q = K D K^+, of each member."""
-    qs = np.broadcast_to(_folded_matmul(kernel, dmat) @ np.swapaxes(kernel.conj(), -1, -2),
-                         gens.shape)
+    qs = kernel @ dmat @ np.swapaxes(kernel.conj(), -1, -2)
     return np.block([[-gens, qs], [np.zeros_like(gens), np.swapaxes(gens.conj(), -1, -2)]])
 
 

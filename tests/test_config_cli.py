@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -658,27 +659,43 @@ class TestVaporModel:
 
 
 class TestReferenceOutputs:
-    """The shipped configs reproduce the stored benchmark reference CSV."""
+    """The shipped configs reproduce the stored benchmark reference CSV: the
+    header, sweep values and flags exactly, every other cell to
+    REFERENCE_RTOL."""
+
+    # The references were written with a LAPACK inverse of M1'; the closed
+    # form rounds differently, and moves printed digits by up to 9.6e-12.
+    REFERENCE_RTOL = 1e-10
 
     def run_shipped(self, tmp_path, name):
         out = tmp_path / f"{name}.csv"
         assert main(["run", "--config", str(ROOT / "configs" / f"{name}.ini"),
                      "--out", str(out)]) == 0
-        return out.read_bytes().splitlines(keepends=True)
+        return list(csv.reader(out.open()))
 
-    def test_entangled_pair_byte_identical(self, tmp_path):
+    def assert_matches(self, got, reference):
+        assert got[0] == reference[0]
+        for g, r in zip(got[1:], reference[1:]):
+            assert (len(g), g[0], g[-1]) == (len(r), r[0], r[-1])
+            for x, y in zip(g[1:-1], r[1:-1]):
+                close = x == y if "" in (x, y) else math.isclose(float(x), float(y),
+                                                                 rel_tol=self.REFERENCE_RTOL)
+                assert close, (r[0], x, y)
+
+    def test_entangled_pair_matches(self, tmp_path):
         got = self.run_shipped(tmp_path, "entangled_pair")
         reference = ROOT / "benchmarks/reference/cold_omega_sweep/entangled_pair.csv"
-        assert b"".join(got) == reference.read_bytes()
+        reference = list(csv.reader(reference.open()))
+        assert len(got) == len(reference) == 51
+        self.assert_matches(got, reference)
 
-    def test_vapor_gain_scan_byte_identical_off_the_known_defect_rows(self, tmp_path):
+    def test_vapor_gain_scan_matches_off_the_known_defect_rows(self, tmp_path):
         # the noise columns at delta2 = -28 ... -26 MHz run to 1e46 ... 1e120
         # and already differ from the reference in the 4th to 10th digit
-        defect = (b"-28,", b"-27,", b"-26,")
         got = self.run_shipped(tmp_path, "vapor_gain_scan")
-        reference = (ROOT / "benchmarks/reference/vapor_delta2_scan/"
-                     "vapor_gain_scan.csv").read_bytes().splitlines(keepends=True)
+        reference = list(csv.reader((ROOT / "benchmarks/reference/vapor_delta2_scan/"
+                                     "vapor_gain_scan.csv").open()))
         assert len(got) == len(reference) == 62
-        kept = [(g, r) for g, r in zip(got, reference) if not r.startswith(defect)]
+        kept = [(g, r) for g, r in zip(got, reference) if r[0] not in ("-28", "-27", "-26")]
         assert len(kept) == 59
-        assert all(g == r for g, r in kept)
+        self.assert_matches(*zip(*kept))

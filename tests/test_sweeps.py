@@ -139,6 +139,27 @@ def test_pole_row_costs_a_logarithmic_number_of_calls(tmp_path, evaluate_calls):
     assert stacked[0] == (61,) and len(stacked) <= 2 * math.ceil(math.log2(61)) + 1
 
 
+# gamma_g = 0 delta2 sweeps at omega = 2 MHz: across the Raman resonances of
+# the kernels at -omega, 0, the 1 MHz calibration frequency and +omega, and
+# within 1.6e-8 MHz of +omega, where the condition number of the coherence
+# system crosses POLE_CONDITION_LIMIT.  Without the pump the entry
+# d = omega + i gamma_g - delta2 of the diagonal M1' reaches 0 there; with it,
+# det M1' stays away from 0.  The flags are those of the LAPACK-inverse kernel.
+RAMAN_SWEEPS = ((-3.0, 3.0, 13), (2.0 - 1.6e-8, 2.0 + 1.6e-8, 9))
+RAMAN_FLAGS = {0.0: (["", "", "pole", "", "", "", "pole", "", "pole", "", "pole", "", ""],
+                     [""] * 3 + ["pole"] * 3 + [""] * 3),
+               300.0: ([""] * 13, [""] * 9)}
+
+
+@pytest.mark.parametrize("model", ("cold", "vapor"))
+@pytest.mark.parametrize("rabi_mhz", (0.0, 300.0), ids=("pump-off", "pump-on"))
+def test_raman_pole_flags(tmp_path, model, rabi_mhz):
+    point = {**POINT[model], "gamma_g_mhz": 0.0, "omega_mhz": 2.0, "rabi_mhz": rabi_mhz}
+    for sweep, flags in zip(RAMAN_SWEEPS, RAMAN_FLAGS[rabi_mhz]):
+        rows = assert_stacked_equals_alone(tmp_path, model, "delta2_mhz", *sweep, **point)
+        assert [row.split(",")[-1] for row in rows] == flags
+
+
 def test_zero_depth_has_unit_langevin_scale(tmp_path):
     # the only pole sits at the 1 MHz calibration frequency; a medium without
     # optical depth has Langevin scale 1 and never meets it
