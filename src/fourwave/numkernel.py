@@ -1,7 +1,9 @@
 """Dense complex linear-algebra kernels: every matrix exponential of the
-physics modules goes through here, a whole stack in one call.  The
-velocity nodes live in vapor (with numpy.polynomial); their count stays
-here, so config and cli need not load the vapor model.
+physics modules goes through here, a whole stack in one call.  A 2x2
+exponential (every transfer matrix) is a closed form; any other size (the
+4x4 Van Loan noise blocks) is scaling and squaring with a Pade-13 core.
+The velocity nodes live in vapor (with numpy.polynomial); their count
+stays here, so config and cli need not load the vapor model.
 """
 
 import math
@@ -26,13 +28,46 @@ _THETA_13 = 5.371920351148152
 _MAX_SQUARINGS = 64
 
 
+def _expm2(a) -> np.ndarray:
+    """Closed-form exponential of a finite (..., 2, 2) stack (Cayley-Hamilton;
+    Bernstein & So, IEEE TAC 38 (1993) 1228).  With mu = (m00 + m11)/2,
+    h = (m00 - m11)/2 and s the principal root of h^2 + m01 m10,
+    e^M = c I + sigma (M - mu I), c = e^mu cosh s, sigma = e^mu sinh(s)/s.
+    For |s| >= 1, c and sigma come from e^(mu +- s), so nothing overflows
+    before the result does; for |s| < 1, from e^mu, cosh s and sinh(s)/s
+    (1 at s = 0), so nothing cancels as s -> 0.  Every operand is flat and
+    contiguous, so each member rounds as it does alone."""
+    m00, m01, m10, m11 = np.ascontiguousarray(a.reshape(-1, 4).T)
+    with np.errstate(over="ignore", invalid="ignore"):     # an overflow raises below
+        mu, h = (m00 + m11) * 0.5, (m00 - m11) * 0.5
+        s = np.sqrt(h * h + m01 * m10)
+        c, sigma = np.empty_like(s), np.empty_like(s)
+        big = abs(s) >= 1.0
+        if big.any():
+            sb, mb = s[big], mu[big]
+            up, down = np.exp(mb + sb), np.exp(mb - sb)
+            c[big] = (up + down) * 0.5
+            sigma[big] = (up - down) / (sb + sb)
+        if not big.all():
+            small = ~big
+            ss, e = s[small], np.exp(mu[small])
+            c[small] = e * np.cosh(ss)
+            sigma[small] = e * np.divide(np.sinh(ss), ss, out=np.ones_like(ss), where=ss != 0)
+        sh = sigma * h
+        r = np.array([c + sh, sigma * m01, sigma * m10, c - sh])
+    if not np.all(np.isfinite(r)):
+        raise NumericError("expm: overflow in the 2x2 closed form")
+    return np.ascontiguousarray(r.T).reshape(a.shape)
+
+
 def expm(m) -> np.ndarray:
-    """Exponential of each matrix of a (..., n, n) stack: scaling and
-    squaring with a Pade-13 core.  Each matrix has its own squaring count,
-    so expm(stack)[i] equals expm(stack[i]) bit for bit; a zero matrix
-    gives the exact identity.  A non-finite entry, a norm needing over
-    _MAX_SQUARINGS squarings, a singular Pade denominator or an overflow
-    anywhere in the stack raises NumericError."""
+    """Exponential of each matrix of a (..., n, n) stack.  n = 2 is the
+    closed form of _expm2; any other n is scaling and squaring with a
+    Pade-13 core, each matrix with its own squaring count.  Either way
+    expm(stack)[i] equals expm(stack[i]) bit for bit and a zero matrix
+    gives the exact identity.  A non-finite entry or an overflow anywhere
+    in the stack raises NumericError; for n != 2 so do a norm needing over
+    _MAX_SQUARINGS squarings and a singular Pade denominator."""
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expm: expected a stack of square matrices, got shape {a.shape}")
@@ -40,6 +75,8 @@ def expm(m) -> np.ndarray:
         raise NumericError("expm: input has non-finite entries")
     if a.size == 0:
         return a.copy()
+    if a.shape[-1] == 2:
+        return _expm2(a)
     norms = np.linalg.norm(a, 1, axis=(-2, -1))
     norm_list = norms.ravel().tolist()
     if max(norm_list) > _THETA_13 * 2.0 ** _MAX_SQUARINGS:

@@ -98,10 +98,12 @@ def _frequencies(shape, *omegas) -> np.ndarray:
     return np.stack([np.broadcast_to(w, shape) for w in omegas])
 
 
-def _coherence_kernel(mp: MediumParams, omega, ss=None):
-    """(generator prefactor, the kernel T M1'(omega)^-1, the generator),
-    stacked to the broadcast shape of the medium, omega and ``ss`` (the
-    steady state of mp.atom, if known), in closed form.
+def _screened_generator(mp: MediumParams, omega, ss=None):
+    """(generator prefactor, the eight entries of T M1'^-1 for M1' scaled
+    by t as an (8, N) array, the scale t (N,), the generator), stacked to
+    the broadcast shape of the medium, omega and ``ss`` (the steady state of
+    mp.atom, if known), in closed form, every member screened for poles.
+    Only _coherence_kernel assembles the kernel from the entries and t.
 
     M1' = [[A, -h uu^T], [-h uu^T, C]] with A = diag(a, b), C = diag(c, d),
     u = (1, -1), h = rabi/2 and build_coherence_system's diagonal a, b, c, d.
@@ -141,17 +143,19 @@ def _coherence_kernel(mp: MediumParams, omega, ss=None):
         h2ab, h2cd = h2 * (a + b), h2 * (c + d)
         r = 1.0 / (ab * cd - h2cd * (a + b))
         h2cdr, cdr, hdr, hcr = h2cd * r, cd * r, h * d * r, h * c * r
-        kernel = np.ascontiguousarray(np.array([b * cdr - h2cdr, -h2cdr, b * hdr, -(b * hcr),
-                                                h2cdr, h2cdr - a * cdr, a * hdr, -(a * hcr)]).T)
-        kf = kernel.view(float)     # M1' is symmetric: columns 2, 3 recur as rows 2, 3
-        kappa = ([1.0, 1.0, 1.0, 1.0, 8.0] @ abs(m[:5])**2) * (
-            np.square(kf) @ (([1.0] * 4 + [2.0] * 4) * 2)
-            + [1.0, 2.0, 1.0] @ abs(np.array([ab * d - h2ab, h2ab, ab * c - h2ab]))**2 * abs(r)**2)
+        entries = np.array([b * cdr - h2cdr, -h2cdr, b * hdr, -(b * hcr),
+                            h2cdr, h2cdr - a * cdr, a * hdr, -(a * hcr)])
+        # |M1'^-1|_F^2: M1' is symmetric, so columns 2, 3 recur as rows 2, 3
+        inv2 = [1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0] @ np.square(entries.view(float))
+        inv2 = (inv2[::2] + inv2[1::2]     # real and imaginary parts
+                + [1.0, 2.0, 1.0] @ abs(np.array([ab * d - h2ab, h2ab, ab * c - h2ab]))**2
+                * abs(r)**2)
+        kappa = ([1.0, 1.0, 1.0, 1.0, 8.0] @ abs(m[:5])**2) * inv2
         # K s1, s1 = [[s33 - s22, 0], [0, s11 - s44], [-s42, s13], [s31, -s24]]
         u0, u1 = hdr * s42 + hcr * s31, hdr * s31.conj() + hcr * s42.conj()
         gens = np.ascontiguousarray(np.array([
-            (b * cdr - h2cdr) * n0 - b * u0, b * u1 - h2cdr * n1, h2cdr * n0 - a * u0,
-            (h2cdr - a * cdr) * n1 + a * u1]).T)
+            entries[0] * n0 - b * u0, b * u1 - h2cdr * n1, h2cdr * n0 - a * u0,
+            entries[5] * n1 + a * u1]).T)
         gens *= (ipref * t)[:, None]
     if not (kappa <= (POLE_CONDITION_LIMIT / 2) ** 2).all():     # also on a NaN
         poles = np.linalg.cond(build_coherence_system(p, ss, omega)[0]) > POLE_CONDITION_LIMIT
@@ -160,15 +164,22 @@ def _coherence_kernel(mp: MediumParams, omega, ss=None):
             at = float(np.broadcast_to(omega, poles.shape)[index])
             raise PoleError(f"coherence system singular at omega = {at:.6g} rad/us", omega=at,
                             nodes=np.flatnonzero(poles[index[:-1]]).tolist(), index=index)
+    return np.asarray(pref)[..., None, None], entries, t, gens.reshape(shape + (2, 2))
+
+
+def _coherence_kernel(mp: MediumParams, omega, ss=None):
+    """(generator prefactor, the kernel T M1'(omega)^-1, the generator) of
+    _screened_generator, stacked the same way."""
+    pref, entries, t, gens = _screened_generator(mp, omega, ss)
+    kernel = np.ascontiguousarray(entries.T)
     kernel *= t[:, None]        # T M1'^-1 of the unscaled M1'
-    return (np.asarray(pref)[..., None, None], kernel.reshape(shape + (2, 4)),
-            gens.reshape(shape + (2, 2)))
+    return pref, kernel.reshape(gens.shape[:-2] + (2, 4)), gens
 
 
 def generator(mp: MediumParams, omega) -> np.ndarray:
     """Full 2x2 propagation exponent over normalized z in [0, 1], stacked
     to the broadcast shape of the medium and omega."""
-    return _coherence_kernel(mp, omega)[2]
+    return _screened_generator(mp, omega)[3]
 
 
 def gains(mp: MediumParams) -> MeanFieldOut:

@@ -22,7 +22,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from .atom import preparation_probability
 from .errors import DomainError, PoleError, RangeWarning, first, require
 from .numkernel import VELOCITY_NODES, expm
-from .propagation import MediumParams, _coherence_kernel, generator
+from .propagation import MediumParams, _screened_generator, generator
 from .units import (ATM_TO_PA, ATM_TO_TORR, KB, RB85_D1_WAVELENGTH_M,
                     RB85_MASS_KG, TWO_PI, celsius_to_kelvin)
 
@@ -121,7 +121,7 @@ def doppler_generator(mp: MediumParams, vp: VaporParams, omega, ss=None) -> np.n
     """
     velocities, weights, shifts = velocity_nodes(vp)
     try:
-        gens = _coherence_kernel(mp.at_nodes(shifts), np.expand_dims(omega, -1), ss)[2]
+        gens = _screened_generator(mp.at_nodes(shifts), np.expand_dims(omega, -1), ss)[3]
     except PoleError as exc:
         row = velocities[exc.index[len(exc.index) - velocities.ndim:-1]]
         raise PoleError(

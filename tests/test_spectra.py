@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from fourwave import config, spectra
+from fourwave import config, propagation, spectra
 from fourwave.atom import AtomParams
 from fourwave.errors import DomainError, NormalizationError, PoleError
 from fourwave.propagation import MediumParams, generator
@@ -163,12 +163,14 @@ class TestEvaluatePoles:
             evaluate(mp, TWO_PI * omega_mhz)
         assert err.value.omega == TWO_PI * pole_mhz
 
-    def test_exponents_at_all_three_frequencies_precede_any_exponential(self):
-        # expm of the exponent at 0 would fail (norm beyond 2^64 squarings);
-        # the pole at +omega is reported first.  Without Langevin noise: the
-        # pole is also at the calibration frequency
-        mp = medium(rabi_mhz=0.0, gamma_g_mhz=0.0, delta2_mhz=1.0,
-                    optical_depth=1e30)
+    def test_exponents_at_all_three_frequencies_precede_any_exponential(self, monkeypatch):
+        # every kernel is screened before any exponential is taken, so the
+        # pole at +omega is reported and expm is never called.  Without
+        # Langevin noise: the pole is also at the calibration frequency
+        def no_expm(m):
+            raise AssertionError("an exponential was taken before every kernel was screened")
+        monkeypatch.setattr(spectra, "expm", no_expm)
+        mp = medium(rabi_mhz=0.0, gamma_g_mhz=0.0, delta2_mhz=1.0)
         with pytest.raises(PoleError) as err:
             evaluate(mp, TWO_PI * 1.0, langevin=False)
         assert err.value.omega == TWO_PI * 1.0
@@ -270,13 +272,17 @@ class TestWorkPerEvaluate:
             calls["diffusion_set"] += 1
             return diffusion_set(p)
 
-        def count_kernel(*args):
-            calls["kernel"] += 1
-            return kernel(*args)
+        def counted(solve):
+            def count_solve(*args):
+                calls["kernel"] += 1
+                return solve(*args)
+            return count_solve
         monkeypatch.setattr(spectra, "expm", count_expm)
         monkeypatch.setattr(spectra, "diffusion_set", count_diffusion_set)
-        monkeypatch.setattr(spectra, "_coherence_kernel", count_kernel)
-        monkeypatch.setattr("fourwave.vapor._coherence_kernel", count_kernel)
+        monkeypatch.setattr(spectra, "_coherence_kernel", counted(kernel))
+        # the Doppler average solves the coherence system for its generator only
+        monkeypatch.setattr("fourwave.vapor._screened_generator",
+                            counted(propagation._screened_generator))
         return calls
 
     OMEGAS = TWO_PI * np.linspace(0.1, 5.0, 50)
