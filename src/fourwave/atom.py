@@ -160,14 +160,13 @@ def steady_state(p: AtomParams) -> SteadyState:
     s42 = -om * (2.0 * (dl + w0) + 1j * g) / (2.0 * denom)
 
     s13, s24 = np.conj(s31), np.conj(s42)
-    # M0 x - S0 column by column: the 7x7 stack of a swept Doppler medium
-    # would be the largest array of its run
-    src = drift_source(p)
-    rows, residual = _drift_rows(p), -src
-    for c, x in enumerate((s11, s22, s33, s31, s13, s42, s24)):
-        residual = residual + _matrix([[row[c]] for row in rows])[..., 0] * np.expand_dims(x, -1)
-    norms = np.linalg.norm(residual, axis=-1)
-    bad = norms > STEADY_STATE_RESIDUAL_TOL * np.maximum(np.linalg.norm(src, axis=-1), 1.0)
+    # |M0 x - S0| from a flat sum per row: a 7x7 stack of a swept Doppler
+    # medium would be the largest array of its run
+    x, src = (s11, s22, s33, s31, s13, s42, s24), (0.5j * g, 0.5j * g, 0, 0, 0, -om / 2, om / 2)
+    residual = (sum((e * xc for e, xc in zip(row, x) if not (isinstance(e, int) and e == 0)), -s)
+                for row, s in zip(_drift_rows(p), src))
+    norms = np.sqrt(sum(abs(r)**2 for r in residual))
+    bad = norms > STEADY_STATE_RESIDUAL_TOL * np.maximum(np.sqrt(sum(abs(s)**2 for s in src)), 1.0)
     if bad.any():
         raise DegenerateModelError(
             f"steady_state: closed form fails the linear system, "

@@ -1,43 +1,60 @@
-"""Dense complex linear-algebra kernels: every matrix exponential of the
-physics modules goes through here, a whole stack in one call.  A 2x2
-exponential (every transfer matrix) is a closed form; any other size (the
-4x4 Van Loan noise blocks) is scaling and squaring with a Pade-13 core.
-The velocity nodes live in vapor (with numpy.polynomial); their count
-stays here, so config and cli need not load the vapor model.
+"""Dense complex kernels over stacks of 2x2 matrices, each in closed form
+and a whole stack in one call: the exponential of every transfer matrix
+(expm) and the z-integrated Langevin noise (noise_integral).
+
+noise_integral is the diagonal of X = int_0^1 e^{Bu} Q e^{B^+ u} du for
+Hermitian Q, which Van Loan (IEEE TAC 23 (1978) 395) reads off a 4x4 block
+exponential.  Write B = mu I + N with N^2 = s^2 I, as expm does, so that
+e^{Bu} = e^{mu u} (cosh(su) I + sinh(su) N/s); let a = 2 Re mu, p = Re s,
+q = Im s and phi(z) = (e^z - 1)/z = int_0^1 e^{zu} du.  As |cosh su|^2 =
+(cosh 2pu + cos 2qu)/2, sinh(su) cosh(conj(s) u) = (sinh 2pu + sinh 2iqu)/2
+and |sinh su|^2 = (cosh 2pu - cos 2qu)/2,
+    X_kk = I1 Q_kk + 2 Re(I2 (N Q)_kk) + I3 (N Q N^+)_kk,  I1 = [C(2p) + C(2iq)]/2,
+    I2 = [p S1(2p) + i q S1(2iq)]/s,  I3 = [p^2 S2(2p) + q^2 S2(2iq)]/|s|^2,
+with C(b) = int e^{au} cosh(bu) du = [phi(a+b) + phi(a-b)]/2,
+S1(b) = int e^{au} sinh(bu)/b du = [phi(a+b) - phi(a-b)]/(2b) and
+S2(b) = int e^{au} 2 (cosh(bu) - 1)/b^2 du = [phi(a+b) + phi(a-b) - 2 phi(a)]/b^2,
+real for b = 2p and b = 2iq.  For |b| < _SMALL_B, where the differences
+cancel, S1 and S2 are Taylor series in b^2 over the moments
+M_n(a) = int_0^1 u^n e^{au} du (_moments).  At s = 0, I2 = M_1 and I3 = M_2.
 """
 
-import math
+import functools
 
 import numpy as np
 
 from .errors import DimensionError, NumericError
 
-# Gauss-Hermite node count of the velocity average, the one rule it uses.
+# Gauss-Hermite node count of the velocity average, the one rule it uses: the
+# nodes live in vapor, the count here, so config and cli need not load vapor.
 VELOCITY_NODES = 40
 
-# Pade-13 numerator coefficients for the scaling-and-squaring exponential
-# (Higham's method; same constants as scipy and expm ports elsewhere).
-_PADE13_B = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0,
-)
-# 1-norm threshold below which Pade-13 is accurate without scaling.
-_THETA_13 = 5.371920351148152
-_MAX_SQUARINGS = 64
+# _TAYLOR_TERMS terms (moments M_1 .. M_N_MAX) reach 2^-54 relative below _SMALL_B;
+# the differences above lose 4/b^2 <= 16, S2 a^2/b^2 more for a << 0 (1e-13 of |X|).
+_SMALL_B, _TAYLOR_TERMS = 0.5, 7
+_N_MAX = 2 * _TAYLOR_TERMS
 
 
-def _expm2(a) -> np.ndarray:
-    """Closed-form exponential of a finite (..., 2, 2) stack (Cayley-Hamilton;
-    Bernstein & So, IEEE TAC 38 (1993) 1228).  With mu = (m00 + m11)/2,
-    h = (m00 - m11)/2 and s the principal root of h^2 + m01 m10,
-    e^M = c I + sigma (M - mu I), c = e^mu cosh s, sigma = e^mu sinh(s)/s.
-    For |s| >= 1, c and sigma come from e^(mu +- s), so nothing overflows
-    before the result does; for |s| < 1, from e^mu, cosh s and sinh(s)/s
-    (1 at s = 0), so nothing cancels as s -> 0.  Every operand is flat and
-    contiguous, so each member rounds as it does alone."""
-    m00, m01, m10, m11 = np.ascontiguousarray(a.reshape(-1, 4).T)
+def _rows(m, who: str) -> np.ndarray:
+    """m00, m01, m10, m11 of a finite (..., 2, 2) stack as four flat contiguous
+    rows: numpy's contiguous loops round each member as it does alone."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-2:] != (2, 2):
+        raise DimensionError(f"{who}: expected a stack of 2x2 matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise NumericError(f"{who}: input has non-finite entries")
+    return np.ascontiguousarray(a.reshape(-1, 4).T)
+
+
+def expm(m) -> np.ndarray:
+    """Exponential of each matrix of a (..., 2, 2) stack (Bernstein & So, IEEE
+    TAC 38 (1993) 1228): with mu = (m00 + m11)/2, h = (m00 - m11)/2 and s the
+    principal root of h^2 + m01 m10, e^M = e^mu (cosh s I + sinh(s)/s (M - mu I)),
+    from e^(mu +- s) for |s| >= 1 (no early overflow), else from e^mu, cosh s
+    and sinh(s)/s (no cancellation).  expm(stack)[i] is expm(stack[i]) bit for
+    bit; a zero matrix gives the exact identity.  Another size raises
+    DimensionError; a non-finite entry or an overflow, NumericError."""
+    m00, m01, m10, m11 = _rows(m, "expm")
     with np.errstate(over="ignore", invalid="ignore"):     # an overflow raises below
         mu, h = (m00 + m11) * 0.5, (m00 - m11) * 0.5
         s = np.sqrt(h * h + m01 * m10)
@@ -57,60 +74,80 @@ def _expm2(a) -> np.ndarray:
         r = np.array([c + sh, sigma * m01, sigma * m10, c - sh])
     if not np.all(np.isfinite(r)):
         raise NumericError("expm: overflow in the 2x2 closed form")
-    return np.ascontiguousarray(r.T).reshape(a.shape)
+    return np.ascontiguousarray(r.T).reshape(np.shape(m))
 
 
-def expm(m) -> np.ndarray:
-    """Exponential of each matrix of a (..., n, n) stack.  n = 2 is the
-    closed form of _expm2; any other n is scaling and squaring with a
-    Pade-13 core, each matrix with its own squaring count.  Either way
-    expm(stack)[i] equals expm(stack[i]) bit for bit and a zero matrix
-    gives the exact identity.  A non-finite entry or an overflow anywhere
-    in the stack raises NumericError; for n != 2 so do a norm needing over
-    _MAX_SQUARINGS squarings and a singular Pade denominator."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionError(f"expm: expected a stack of square matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NumericError("expm: input has non-finite entries")
-    if a.size == 0:
-        return a.copy()
-    if a.shape[-1] == 2:
-        return _expm2(a)
-    norms = np.linalg.norm(a, 1, axis=(-2, -1))
-    norm_list = norms.ravel().tolist()
-    if max(norm_list) > _THETA_13 * 2.0 ** _MAX_SQUARINGS:
-        raise NumericError(f"expm: norm {max(norm_list):.3e} needs more than "
-                           f"{_MAX_SQUARINGS} squarings")
-    # Higham's count ceil(log2(norm / theta)), at least 0, per matrix.  The
-    # counts are plain Python: numpy's per-call overhead on these tiny
-    # arrays made a one-matrix call measurably slower.
-    counts = [math.ceil(math.log2(x / _THETA_13)) if x > _THETA_13 else 0
-              for x in norm_list]
-    least, most = min(counts), max(counts)
-    a_scaled = a / np.reshape([2.0 ** c for c in counts], norms.shape + (1, 1))
+@functools.cache
+def _weights():
+    """(w, t): M_n(a) = e^min(a, 0) sum_k |a|^k w[a < 0][k, n - 1], n <= N_MAX,
+    from 1/(k! (n + k + 1)) (a >= 0) and n!/(n + k + 1)! (a < 0); t[n - 1] M_n
+    is the b^2 Taylor coefficient of S1 (odd n: 1/n!) or S2 (even n: 2/n!)."""
+    k, n = np.arange(22.0 + 3 * _N_MAX)[:, None], np.arange(1.0, _N_MAX + 1)
+    inv, factorial = 1.0 / (n + k + 1.0), np.cumprod(np.maximum(k, 1.0), axis=0)
+    return (np.array([inv / factorial, np.cumprod(inv, axis=0)]),
+            np.where(n % 2 == 0, 2.0, 1.0)[:, None] / factorial[1:_N_MAX + 1])
 
-    b = _PADE13_B
-    ident = np.eye(a.shape[-1], dtype=complex)
-    a2 = a_scaled @ a_scaled
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a_scaled @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                    + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    try:
-        r = np.linalg.solve(v - u, v + u)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"expm: Pade denominator is singular ({exc})") from exc
-    with np.errstate(over="ignore", invalid="ignore"):     # an overflow raises below
-        for _ in range(least):
-            r = r @ r
-        for k in range(least, most):
-            more = np.reshape(counts, norms.shape) > k
-            r[more] = r[more] @ r[more]
-    if not np.all(np.isfinite(r)):
-        raise NumericError("expm: overflow during squaring phase")
-    if 0.0 in norm_list:
-        r[norms == 0.0] = ident
-    return r
+
+def _moments(a) -> np.ndarray:
+    """M_1 .. M_N_MAX of each a, (N_MAX, len(a)): for |a| > N_MAX the forward
+    recurrence M_n = (e^a - n M_(n-1))/a from M_0 = phi(a), which damps errors
+    there; else 22 + floor(3|a|) terms of _weights' series (2^-56 relative) and
+    exact zeros, summed in order, so that each member rounds as it does alone."""
+    out, far = np.empty((_N_MAX, a.size)), abs(a) > _N_MAX
+    if far.any():
+        af = a[far]
+        e, m = np.exp(af), np.expm1(af) / af
+        for n in range(_N_MAX):
+            out[n, far] = m = (e - (n + 1) * m) / af
+    for sign, members in enumerate((~far & (a >= 0), ~far & (a < 0))):
+        if members.any():
+            x = abs(a[members])
+            terms = 22 + (3.0 * x).astype(int)
+            k = np.arange(terms.max())[:, None]
+            powers = np.where(k < terms, np.cumprod(np.where(k > 0, x, 1.0), axis=0), 0.0)
+            sums = (powers[:, None] * _weights()[0][sign, :len(k), :, None]).sum(0)
+            out[:, members] = sums * np.exp(np.minimum(a[members], 0.0))
+    return out
+
+
+def noise_integral(b, qm) -> np.ndarray:
+    """The real diagonal of X = int_0^1 e^{Bu} Q e^{B^+ u} du, (..., 2), for each
+    member of a (..., 2, 2) stack b and the Hermitian stack qm broadcast to it
+    (its diagonal and upper corner read), in the module docstring's closed
+    form.  out[i] is noise_integral(b[i], qm[i]) bit for bit.  A non-finite
+    entry or an overflow anywhere in the stack raises NumericError."""
+    m00, m01, m10, m11 = _rows(b, "noise_integral")
+    q00, q01, _, q11 = _rows(np.broadcast_to(qm, np.shape(b)), "noise_integral")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):    # raises below
+        mu, h = (m00 + m11) * 0.5, (m00 - m11) * 0.5
+        s = np.sqrt(h * h + m01 * m10)
+        a, p, q = 2.0 * mu.real, s.real, s.imag
+        # phi at a, a + 2p, a - 2p and a + 2iq; C, S1 and S2 at b = 2p (column 0), 2iq
+        z, zq = np.array([a, a + 2.0 * p, a - 2.0 * p]), a + 2j * q
+        (f0, fp, fm), fq = phi = np.expm1(z) / z, np.expm1(zq) / zq
+        for arg, value in zip((z, zq), phi):
+            value[arg == 0] = 1.0
+        bb = np.array([2.0 * p, 2.0 * q])
+        s12 = np.array([[fp - fm, 2.0 * fq.imag], [fp + fm - 2.0 * f0, 2.0 * (f0 - fq.real)]])
+        s12 /= np.array([2.0 * bb, bb * bb])
+        if (small := abs(bb) < _SMALL_B).any():
+            cols = np.flatnonzero(small.any(0))
+            coef = (_moments(a[cols]) * _weights()[1]).reshape(_TAYLOR_TERMS, 2, 1, -1)
+            k, b2 = np.arange(_TAYLOR_TERMS)[:, None, None], bb[:, cols]**2 * [[1.0], [-1.0]]
+            taylor = (coef * np.cumprod(np.where(k > 0, b2, 1.0), axis=0)[:, None]).sum(0)
+            s12[:, small] = taylor[:, small[:, cols]]
+        # I1, and I2 = i2r + i i2i, I3 over (u, v) = (p, q)/|s|, (1, 0) at s = 0
+        uv = np.array([p, q]) / (r := abs(s))
+        uv[:, r == 0] = [[1.0], [0.0]]
+        i1, (i2r, i3) = 0.25 * (fp + fm) + 0.5 * fq.real, (uv * uv * s12).sum(1)
+        i2i = uv[0] * uv[1] * (s12[0, 1] - s12[0, 0])
+        # rows k = 0, 1 of N = [[h, m01], [m10, -h]] and of Q; a complex product
+        # of a broadcast operand rounds differently, so those are taken in reals
+        n0, n1, qd = np.array([h, m10]), np.array([m01, -h]), np.array([q00.real, q11.real])
+        nq, w = n0 * np.array([qd[0], q01]) + n1 * np.array([q01.conj(), qd[1]]), n0 * n1.conj()
+        nqn = ((n0 * n0.conj()).real * qd[0] + (n1 * n1.conj()).real * qd[1]
+               + 2.0 * (w.real * q01.real - w.imag * q01.imag))
+        x = i1 * qd + 2.0 * (i2r * nq.real - i2i * nq.imag) + i3 * nqn
+    if not np.all(np.isfinite(x)):
+        raise NumericError("noise_integral: overflow in the closed form")
+    return np.ascontiguousarray(x.T).reshape(np.shape(b)[:-1])

@@ -10,14 +10,12 @@ matrix exponential of the generator:
 
 Langevin noise enters the spectra through one array of z-integrated
 diffusion weights w[+-omega, ..., mode a/b]: the diagonal of the propagated
-noise at +omega and at -omega, read off block exponentials (Van Loan, IEEE
-TAC 23 (1978) 395): _noise_block forms C = [[-G, K D K^+], [0, G^+]], the
-caller takes expm(C) (a whole stack in one call), and _noise_read reads the
-integral off it.  Their normalization is computed with them, never stored:
-integrated_diffusion and commutator_defect scale by
-calibrate_langevin_scale(mp), which requires the output field commutator
-to stay canonical at CALIBRATION_FREQ, rather than by microscopic
-coupling-constant bookkeeping.
+noise int_0^1 e^{-Gz} K D K^+ e^{-G^+ z} dz at +-omega, the closed form
+numkernel.noise_integral(-G, K D K^+), real by construction.  Their
+normalization is computed with them, never stored: integrated_diffusion and
+commutator_defect scale by calibrate_langevin_scale(mp), which requires the
+output field commutator to stay canonical at CALIBRATION_FREQ, rather than
+by microscopic coupling-constant bookkeeping.
 
 MediumParams fields may be arrays.  Results are stacked to the broadcast
 shape of the medium and omega (leading axes), the velocity nodes of a
@@ -31,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atom import AtomParams, build_coherence_system, diffusion_set, steady_state
-from .errors import CalibrationError, NormalizationError, PoleError, first, require
-from .numkernel import expm
+from .errors import CalibrationError, PoleError, first, require
+from .numkernel import expm, noise_integral
 from .units import TWO_PI
 
 # Resonance pole (row flagged, excluded from spectra): the coherence system's 2-norm
@@ -43,10 +41,6 @@ POLE_CONDITION_LIMIT = 1e12
 # generator entry exceeds about 1e12 * optical_depth, as |M1'| >= gamma_e / 2
 # and the pole screen bounds |M1'^-1| by POLE_CONDITION_LIMIT / |M1'|.
 OPTICAL_DEPTH_LIMIT = 1e100
-
-# Relative imaginary residue allowed when casting a diffusion weight to a
-# real number.
-DIFFUSION_IMAG_RTOL = 1e-8
 
 # The reference frequency of the Langevin normalization, rad/us.
 CALIBRATION_FREQ = TWO_PI * 1.0
@@ -190,75 +184,43 @@ def gains(mp: MediumParams) -> MeanFieldOut:
                         phase_a=np.angle(a0), phase_b=np.angle(c0))
 
 
-def _noise_block(kernel, gens, dmat):
-    """The Van Loan block [[-G, Q], [0, G^+]], Q = K D K^+, of each member."""
-    qs = kernel @ dmat @ np.swapaxes(kernel.conj(), -1, -2)
-    return np.block([[-gens, qs], [np.zeros_like(gens), np.swapaxes(gens.conj(), -1, -2)]])
-
-
-def _noise_read(weight, f):
-    """weight * int_0^1 e^{-Gz} Q e^{-G^+ z} dz, the propagated second moment
-    of the coherence noise (diagonal real and >= 0 for D >= 0), 2x2 per
-    member: f = expm(_noise_block) = [[e^{-G}, F12], [0, e^{G^+}]] with
-    F12 = int_0^1 e^{-G(1-s)} Q e^{G^+ s} ds, so it is exactly F12 e^{-G^+}."""
-    with np.errstate(over="ignore", invalid="ignore"):     # inf or NaN is flagged later
-        return weight * (f[..., :2, 2:] @ np.swapaxes(f[..., :2, :2].conj(), -1, -2))
-
-
-def _cast_real(value, who: str):
-    tol = DIFFUSION_IMAG_RTOL * np.maximum(abs(value), 1.0)
-    if np.any(bad := abs(value.imag) > tol):
-        raise NormalizationError(f"{who}: imaginary residue {first(value.imag, bad):.3e} "
-                                 f"exceeds {first(tol, bad):.3e}")
-    return value.real[()]
-
-
-def _diffusion(scale, prefactor, f):
-    """The real weights w[+-omega, ..., mode a/b] at ``scale``: the diagonal
-    of the dsym read-off of the block exponentials f at +-omega."""
-    read = _noise_read(np.expand_dims(scale, (-2, -1)) * prefactor, f)
-    return _cast_real(np.diagonal(read, axis1=-2, axis2=-1), "integrated diffusion")
+def _noise_operands(kernel, gens, dmat):
+    """(B, Q) = (-G, K D K^+) of each member, whose noise_integral is the
+    propagated second moment of the coherence noise (>= 0 for D >= 0)."""
+    return -gens, kernel @ dmat @ np.swapaxes(kernel.conj(), -1, -2)
 
 
 def integrated_diffusion(mp: MediumParams, omega):
-    """Symmetric-order z-integrated Langevin weights w[+-omega, ..., mode]
-    at omega, normalized by calibrate_langevin_scale.
-
-    w[0] uses the kernel at +omega and w[1] the kernel at -omega; the last
-    axis holds the weights of mode a and mode b, matching how they weight
-    the columns of the transfer matrices in the noise spectra.
-    """
+    """Symmetric-order z-integrated Langevin weights w[+-omega, ..., mode] at
+    omega, normalized by calibrate_langevin_scale: w[0] from the kernel at
+    +omega, w[1] at -omega, and on the last axis mode a and mode b, as they
+    weight the columns of the transfer matrices in the noise spectra."""
     scale = calibrate_langevin_scale(mp)
     prefactor, k, gens = _coherence_kernel(mp, _frequencies(mp.shape, omega, -np.asarray(omega)))
-    return _diffusion(scale, prefactor, expm(_noise_block(k, gens, diffusion_set(mp.atom).dsym)))
-
-
-def _defect(prefactor, f):
-    """The unnormalized d1 - d2 integral on the probe row from its block's f."""
-    return _cast_real(_noise_read(prefactor, f)[..., 0, 0], "commutator_defect")
+    x = noise_integral(*_noise_operands(k, gens, diffusion_set(mp.atom).dsym))
+    return np.expand_dims(scale, -1) * prefactor[..., 0] * x
 
 
 def commutator_defect(mp: MediumParams, omega) -> float:
-    """Langevin contribution to the output commutator of mode a.
-
-    Uses the antisymmetric combination d1 - d2 projected on the probe row
-    at +omega, normalized by calibrate_langevin_scale, so that
-    |A(omega)|^2 - |B(omega)|^2 + commutator_defect(omega) = 1 holds at
-    CALIBRATION_FREQ.
-    """
+    """Langevin contribution to the output commutator of mode a: the d1 - d2
+    weight on the probe row at +omega, normalized by calibrate_langevin_scale,
+    so that |A(omega)|^2 - |B(omega)|^2 + commutator_defect(omega) = 1 holds
+    at CALIBRATION_FREQ."""
     scale = calibrate_langevin_scale(mp)
     prefactor, k, gens = _coherence_kernel(mp, omega)
     ds = diffusion_set(mp.atom)
-    return scale * _defect(prefactor, expm(_noise_block(k, gens, ds.d1 - ds.d2)))
+    x = noise_integral(*_noise_operands(k, gens, ds.d1 - ds.d2))
+    return scale * (prefactor[..., 0, 0] * x[..., 0])
 
 
 def _absorbs(mp: MediumParams) -> bool:
     return bool(np.any(np.greater(mp.optical_depth, 0)))
 
 
-def _langevin_scale(prefactor, abcd, f):
-    """The scale from the reference transfer and d1 - d2 block; drops their length-1 axis."""
-    raw = _defect(prefactor, f)
+def _langevin_scale(prefactor, abcd, x):
+    """The scale from the reference transfer and d1 - d2 noise integral x; drops
+    their length-1 axis."""
+    raw = prefactor[..., 0, 0] * x[..., 0]     # the unnormalized probe-row weight
     with np.errstate(over="ignore", invalid="ignore"):     # a non-finite scale is flagged below
         deficit = 1.0 - (abs(abcd[..., 0, 0])**2 - abs(abcd[..., 0, 1])**2)
     vanishing = abs(raw) < 1e-14
@@ -267,23 +229,21 @@ def _langevin_scale(prefactor, abcd, f):
             f"calibration impossible: commutator deficit {first(deficit, bad):.3e} "
             f"with vanishing diffusion")
     scale = np.where(vanishing, 1.0, deficit / np.where(vanishing, 1.0, raw))
-    if np.any(bad := ~(scale > 0)):     # NaN where the noise integral overflowed
+    if np.any(bad := ~(scale > 0)):     # true for a NaN too
         kind = "non-positive" if first(scale, bad) <= 0 else "non-finite"
         raise CalibrationError(f"calibration produced {kind} scale {first(scale, bad):.3e}")
     return scale[0]
 
 
 def calibrate_langevin_scale(mp: MediumParams) -> float:
-    """Positive scale of the Langevin noise of each medium: the one that
-    restores the canonical commutator at CALIBRATION_FREQ.
-
-    Solves |A|^2 - |B|^2 + s * (d1 - d2 coefficient) = 1 at the reference
-    frequency.  Returns 1 when the identity already holds and the Langevin
-    term vanishes (a synthetic pure-gain medium), and exactly 1, forming
-    no kernel, when no member has optical depth (_absorbs).
-    """
+    """Positive scale s of the Langevin noise of each medium, the one that
+    restores the canonical commutator: |A|^2 - |B|^2 + s (d1 - d2 weight) = 1
+    at CALIBRATION_FREQ.  It is 1 when the identity already holds and the
+    Langevin term vanishes (a synthetic pure-gain medium), and exactly 1,
+    forming no kernel, when no member has optical depth (_absorbs)."""
     if not _absorbs(mp):
         return 1.0
     prefactor, k, gens = _coherence_kernel(mp, _frequencies(mp.shape, CALIBRATION_FREQ))
     ds = diffusion_set(mp.atom)
-    return _langevin_scale(prefactor, expm(gens), expm(_noise_block(k, gens, ds.d1 - ds.d2)))
+    x = noise_integral(*_noise_operands(k, gens, ds.d1 - ds.d2))
+    return _langevin_scale(prefactor, expm(gens), x)

@@ -18,9 +18,9 @@ with, from the transfer at 0 (a0 = A(0), c0 = C(0)):
 
 ``evaluate`` builds those objects once for a stack of media and
 frequencies, normalization included (its kernels in two stacks, per medium
-and per point; all exponentials in two calls), and returns all observables
-as an ``Observables``; ``observables`` does the same for precomputed (e.g.
-synthetic) matrices.
+and per point; one expm and one noise_integral call), and returns all
+observables as an ``Observables``; ``observables`` does the same for
+precomputed (e.g. synthetic) matrices.
 """
 
 from dataclasses import dataclass
@@ -29,9 +29,9 @@ import numpy as np
 
 from .atom import diffusion_set, steady_state
 from .errors import NormalizationError, require
-from .numkernel import expm
+from .numkernel import expm, noise_integral
 from .propagation import (CALIBRATION_FREQ, MediumParams, _absorbs, _coherence_kernel,
-                          _diffusion, _frequencies, _langevin_scale, _noise_block)
+                          _frequencies, _langevin_scale, _noise_operands)
 
 NORMALIZATION_FLOOR = 1e-30
 
@@ -80,11 +80,13 @@ def observables(abcd0, abcd_w, abcd_mw, weights) -> Observables:
                        S_Na=_read_off((1.0, 0.0), *parts, 2.0))
 
 
-def _expm_each(stacks) -> list:
-    """expm of each (..., n, n) stack in one call; exact, per expm's contract."""
-    flat = expm(np.concatenate([s.reshape(-1, *s.shape[-2:]) for s in stacks]))
-    ends = np.cumsum([s.size // s.shape[-1]**2 for s in stacks])[:-1]
-    return [part.reshape(s.shape) for s, part in zip(stacks, np.split(flat, ends))]
+def _in_one_call(kernel, parts) -> list:
+    """kernel (expm or noise_integral) of each part's (..., 2, 2) operand stacks
+    in one call, exact as kernel(stack)[i] is kernel(stack[i])."""
+    flat = kernel(*(np.concatenate([x.reshape(-1, 2, 2) for x in xs]) for xs in zip(*parts)))
+    ends = np.cumsum([part[0].size // 4 for part in parts])[:-1]
+    return [out.reshape(part[0].shape[:-2] + out.shape[1:])
+            for part, out in zip(parts, np.split(flat, ends))]
 
 
 def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
@@ -94,9 +96,9 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
 
     Order of work: steady state (for a VaporParams ``vapor``, of its
     velocity nodes and, last, the atom at rest) -> every kernel,
-    each screened for poles -> one expm of every 2x2 exponent and one of
-    every 4x4 Van Loan block -> the normalization checks and scale -> the
-    diffusion read-off -> the observables.  The kernels form two stacks:
+    each screened for poles -> one expm of every exponent and one
+    noise_integral of every Langevin source -> the normalization checks and
+    scale -> the diffusion weights -> the observables.  Two kernel stacks:
     per medium, CALIBRATION_FREQ (with ``langevin``, if some member has
     optical depth, else the scale is exactly 1) and 0; per point, +-omega.
     A vapor has doppler_generator's exponents at 0 and +-omega, the atom at
@@ -124,16 +126,18 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
         gens.append(doppler_generator(mp, vapor, _frequencies(shape, 0.0, *pm),
                                       nodes.take(slice(-1))))
         points = _coherence_kernel(mp, pm, ss) if langevin else None
-    abcds = _expm_each(gens)
+    abcds = _in_one_call(expm, [(g,) for g in gens])
     abcd0, abcd_w, abcd_mw = (abcds[0][-1], *abcds[1]) if vapor is None else abcds[-1]
     abcd0 = np.broadcast_to(abcd0, abcd_w.shape)      # a view: one transfer per medium
     if not langevin:
         return observables(abcd0, abcd_w, abcd_mw, np.zeros((2, 2)))
     ds = diffusion_set(mp.atom)
-    blocks = [_noise_block(medium[1][:1], medium[2][:1], ds.d1 - ds.d2)] if ref else []
-    *f_ref, f_pm = _expm_each(blocks + [_noise_block(points[1], points[2], ds.dsym)])
-    scale = _langevin_scale(medium[0], abcds[0][:1], *f_ref) if ref else 1.0
-    return observables(abcd0, abcd_w, abcd_mw, _diffusion(scale, points[0], f_pm))
+    parts = [_noise_operands(medium[1][:1], medium[2][:1], ds.d1 - ds.d2)] if ref else []
+    *x_ref, x_pm = _in_one_call(noise_integral,
+                                parts + [_noise_operands(points[1], points[2], ds.dsym)])
+    scale = _langevin_scale(medium[0], abcds[0][:1], *x_ref) if ref else 1.0
+    weights = np.expand_dims(scale, -1) * points[0][..., 0] * x_pm
+    return observables(abcd0, abcd_w, abcd_mw, weights)
 
 
 def to_dB(s: float) -> float:

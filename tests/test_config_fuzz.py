@@ -92,10 +92,9 @@ def test_edit_a_draw_failed_on(tmp_path, name, key, token):
 
 
 def test_dense_vapor_rows_keep_their_flags(tmp_path):
-    # overflowing exponentials, NaN calibration scales and overflowing noise
-    # terms, each flagged
+    # overflowing noise integrals and overflowing noise terms, each flagged
     check_exit_statuses(with_value("vapor_gain_scan", "optical_depth", "1000001"), tmp_path)
     _, rows = rows_of((tmp_path / "out").read_text())
     assert Counter(row[-1] for row in rows) == {
-        "": 17, "error:calibration produced non-finite scale nan": 16,
-        "error:expm: overflow during squaring phase": 14, "error:non-finite S_Nminus": 14}
+        "": 17, "error:noise_integral: overflow in the closed form": 32,
+        "error:non-finite S_Nminus": 12}

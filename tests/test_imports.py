@@ -1,7 +1,9 @@
 """What importing the package loads: the core only.  The vapor, EIT and
 reference models, with numpy.polynomial for the velocity nodes, load on
 first use, and so do json and hashlib for the JSON output.  No command or
-script run loads argparse, or locale, which its translated messages import."""
+script run loads argparse, or locale, which its translated messages import,
+or scipy, a test dependency only (its import alone costs twice a run's
+set-up)."""
 
 import ast
 import os
@@ -16,7 +18,7 @@ import fourwave
 ROOT = Path(__file__).resolve().parents[1]
 ON_FIRST_USE = ("fourwave.eit", "fourwave.reference", "fourwave.vapor", "hashlib", "json",
                 "numpy.polynomial")
-NEVER_LOADED = ("argparse", "locale")
+NEVER_LOADED = ("argparse", "locale", "scipy")
 
 # fourwave.__all__: the core names and those loaded on first use.
 PUBLIC_NAMES = [
@@ -60,16 +62,26 @@ def test_import_loads_only_what_is_used(code, loaded):
     assert loaded_after(code) == loaded
 
 
+def running(config: str, out) -> str:
+    path = ROOT / "configs" / config
+    return ("from fourwave.cli import main\n"
+            f"assert main(['run', '--config', {str(path)!r}, '--out', {str(out)!r}]) == 0")
+
+
 def test_cold_run_loads_no_model(tmp_path):
-    config, out = ROOT / "configs" / "entangled_pair.ini", tmp_path / "out.csv"
-    code = ("from fourwave.cli import main\n"
-            f"assert main(['run', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0")
+    code = running("entangled_pair.ini", tmp_path / "out.csv")
     assert loaded_after(code, ON_FIRST_USE + NEVER_LOADED) == []
+
+
+def test_vapor_run_loads_only_the_vapor_model(tmp_path):
+    code = running("vapor_gain_scan.ini", tmp_path / "out.csv")
+    assert loaded_after(code, ON_FIRST_USE + NEVER_LOADED) == ["fourwave.vapor",
+                                                               "numpy.polynomial"]
 
 
 @pytest.mark.parametrize("script", ("entanglement_spectrum", "qbs_two_photon_scan",
                                     "hot_cold_gain_comparison"))
-def test_script_run_loads_neither_argparse_nor_locale(tmp_path, script):
+def test_script_run_loads_no_unused_module(tmp_path, script):
     path, out = ROOT / "scripts" / f"{script}.py", tmp_path / "out.csv"
     code = ("import importlib.util\n"
             f"spec = importlib.util.spec_from_file_location('script', {str(path)!r})\n"

@@ -255,18 +255,23 @@ class TestStackedEvaluate:
 
 class TestWorkPerEvaluate:
     """Each evaluate call forms the transfer at 0 once per medium, takes
-    every 2x2 and every 4x4 exponential in one call each and one diffusion
-    set."""
+    every exponential in one expm call and every noise integral in one
+    noise_integral call, and one diffusion set."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         calls = {"expm": [], "diffusion_set": 0, "kernel": 0}
-        expm, diffusion_set, kernel = (spectra.expm, spectra.diffusion_set,
-                                       spectra._coherence_kernel)
+        expm, noise_integral, diffusion_set, kernel = (
+            spectra.expm, spectra.noise_integral, spectra.diffusion_set,
+            spectra._coherence_kernel)
 
         def count_expm(m):      # (matrix size, number of matrices)
             calls["expm"].append((m.shape[-1], int(np.prod(m.shape[:-2]))))
             return expm(m)
+
+        def count_noise_integral(b, q):     # number of members; a key once called
+            calls.setdefault("noise_integral", []).append(int(np.prod(b.shape[:-2])))
+            return noise_integral(b, q)
 
         def count_diffusion_set(p):
             calls["diffusion_set"] += 1
@@ -278,6 +283,7 @@ class TestWorkPerEvaluate:
                 return solve(*args)
             return count_solve
         monkeypatch.setattr(spectra, "expm", count_expm)
+        monkeypatch.setattr(spectra, "noise_integral", count_noise_integral)
         monkeypatch.setattr(spectra, "diffusion_set", count_diffusion_set)
         monkeypatch.setattr(spectra, "_coherence_kernel", counted(kernel))
         # the Doppler average solves the coherence system for its generator only
@@ -289,9 +295,10 @@ class TestWorkPerEvaluate:
 
     def test_cold_medium_with_langevin_noise(self, counts):
         evaluate(medium(), self.OMEGAS)
-        # 2x2: the reference, 0 and +-omega at 50 frequencies; 4x4: the
-        # d1 - d2 block at the reference and the dsym blocks at +-omega
-        assert counts == {"expm": [(2, 102), (4, 101)], "diffusion_set": 1, "kernel": 2}
+        # expm: the reference, 0 and +-omega at 50 frequencies; noise
+        # integrals: d1 - d2 at the reference and dsym at +-omega
+        assert counts == {"expm": [(2, 102)], "noise_integral": [101], "diffusion_set": 1,
+                          "kernel": 2}
 
     def test_cold_medium_without_langevin_noise(self, counts):
         evaluate(medium(), self.OMEGAS, langevin=False)
@@ -299,13 +306,15 @@ class TestWorkPerEvaluate:
 
     def test_transparent_medium_forms_no_reference(self, counts):
         evaluate(medium(optical_depth=0.0), self.OMEGAS)
-        assert counts == {"expm": [(2, 101), (4, 100)], "diffusion_set": 1, "kernel": 2}
+        assert counts == {"expm": [(2, 101)], "noise_integral": [100], "diffusion_set": 1,
+                          "kernel": 2}
 
     def test_vapor_medium(self, counts):
         evaluate(medium(**TestStackedEvaluate.POINT), TWO_PI * 1.0,
                  vapor=VaporParams.rb85_d1(temperature_c=120.0))
-        # 2x2: the reference on the atom at rest and the averages at 0, +-omega
-        assert counts == {"expm": [(2, 4), (4, 3)], "diffusion_set": 1, "kernel": 3}
+        # expm: the reference on the atom at rest and the averages at 0, +-omega
+        assert counts == {"expm": [(2, 4)], "noise_integral": [3], "diffusion_set": 1,
+                          "kernel": 3}
 
 
 class TestVaporColdLimit:

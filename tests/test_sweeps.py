@@ -173,7 +173,7 @@ def test_zero_depth_has_unit_langevin_scale(tmp_path):
 
 
 def test_error_row_mid_block(tmp_path):
-    # at delta2 = -17.5 MHz the transfer exponential of this dense medium
+    # at delta2 = -17.5 MHz the noise integral of this dense medium
     # overflows; its neighbours evaluate
     point = {**POINT["cold"], "optical_depth": 4500.0}
     with warnings.catch_warnings():
@@ -181,12 +181,12 @@ def test_error_row_mid_block(tmp_path):
         rows = assert_stacked_equals_alone(tmp_path, "cold", "delta2_mhz", -22.5, -12.5, 5,
                                            **point)
     assert [row.split(",")[-1] for row in rows] == [
-        "", "", "error:expm: overflow during squaring phase", "", ""]
+        "", "", "error:noise_integral: overflow in the closed form", "", ""]
 
 
 def test_blow_ups_are_flagged_silently(tmp_path):
-    # overflowing exponentials, a NaN noise integral and a NaN calibration
-    # scale, side by side; no numpy warning reaches stderr
+    # overflowing noise integrals at +-omega and at the calibration frequency,
+    # between rows that evaluate; no numpy warning reaches stderr
     point = {**POINT["cold"], "delta1_mhz": 700.0, "rabi_mhz": 520.0,
              "optical_depth": 4500.0}
     with warnings.catch_warnings():
@@ -196,14 +196,12 @@ def test_blow_ups_are_flagged_silently(tmp_path):
         ini = tmp_path / "stacked.ini"
         assert main(["run", "--config", str(ini), "--format", "json",
                      "--out", str(tmp_path / "out.json")]) == 0
-    overflow = "error:expm: overflow during squaring phase"
-    non_finite = "error:non-finite S_Nminus"
-    no_scale = "error:calibration produced non-finite scale nan"
+    overflow = "error:noise_integral: overflow in the closed form"
     assert [row.split(",")[-1] for row in rows] == [
-        "", non_finite, overflow, non_finite, "", no_scale, overflow, no_scale, "", "", ""]
+        "", overflow, overflow, overflow, "", overflow, overflow, overflow, "", "", ""]
     assert all(row.split(",")[1:-1] == [""] * 6 for row in rows if row.split(",")[-1])
 
     def reject(token):
         raise ValueError(f"not strict JSON: {token}")
     payload = json.loads((tmp_path / "out.json").read_text(), parse_constant=reject)
-    assert [row[-1] for row in payload["rows"]][1:3] == [non_finite, overflow]
+    assert [row[-1] for row in payload["rows"]][1:3] == [overflow, overflow]
