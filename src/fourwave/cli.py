@@ -40,8 +40,8 @@ NOISE_COLUMNS = ("S_Nminus", "S_phiplus", "inseparability", "S_Na", "S_N")
 
 # Coherence matrices (rows x 3 frequencies x velocity nodes) in one stacked
 # evaluation of a cold or vapor sweep; a larger sweep is split in halves.  A
-# full stack (68 vapor rows) peaks 3.5 MB above one row at a time (37.0 vs
-# 33.5 MB resident); configs/vapor_gain_scan.ini (7320 matrices) is one stack.
+# full stack (68 vapor rows) peaks 2.6 MB above one row at a time (35.0 vs
+# 32.4 MB resident); configs/vapor_gain_scan.ini (7320 matrices) is one stack.
 BLOCK_MATRICES = 8192
 
 

@@ -35,12 +35,19 @@ _SMALL_B, _TAYLOR_TERMS = 0.5, 7
 _N_MAX = 2 * _TAYLOR_TERMS
 
 
-def _rows(m, who: str) -> np.ndarray:
-    """m00, m01, m10, m11 of a finite (..., 2, 2) stack as four flat contiguous
-    rows: numpy's contiguous loops round each member as it does alone."""
+def _rows(m, who: str, shape=None) -> np.ndarray:
+    """m00, m01, m10, m11 of a finite (..., 2, 2) stack, broadcast to ``shape``
+    if given, as four flat contiguous rows: numpy's contiguous loops round
+    each member as it does alone."""
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-2:] != (2, 2):
         raise DimensionError(f"{who}: expected a stack of 2x2 matrices, got shape {a.shape}")
+    if shape is not None:
+        try:
+            a = np.broadcast_to(a, shape)
+        except ValueError:
+            raise DimensionError(f"{who}: a stack of 2x2 matrices of shape {a.shape} does not "
+                                 f"broadcast to shape {shape}") from None
     if not np.all(np.isfinite(a)):
         raise NumericError(f"{who}: input has non-finite entries")
     return np.ascontiguousarray(a.reshape(-1, 4).T)
@@ -114,10 +121,11 @@ def noise_integral(b, qm) -> np.ndarray:
     """The real diagonal of X = int_0^1 e^{Bu} Q e^{B^+ u} du, (..., 2), for each
     member of a (..., 2, 2) stack b and the Hermitian stack qm broadcast to it
     (its diagonal and upper corner read), in the module docstring's closed
-    form.  out[i] is noise_integral(b[i], qm[i]) bit for bit.  A non-finite
-    entry or an overflow anywhere in the stack raises NumericError."""
+    form.  out[i] is noise_integral(b[i], qm[i]) bit for bit.  A b or qm of
+    another shape raises DimensionError; a non-finite entry or an overflow
+    anywhere in the stack, NumericError."""
     m00, m01, m10, m11 = _rows(b, "noise_integral")
-    q00, q01, _, q11 = _rows(np.broadcast_to(qm, np.shape(b)), "noise_integral")
+    q00, q01, _, q11 = _rows(qm, "noise_integral", np.shape(b))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):    # raises below
         mu, h = (m00 + m11) * 0.5, (m00 - m11) * 0.5
         s = np.sqrt(h * h + m01 * m10)

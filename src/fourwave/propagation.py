@@ -19,8 +19,9 @@ by microscopic coupling-constant bookkeeping.
 
 MediumParams fields may be arrays.  Results are stacked to the broadcast
 shape of the medium and omega (leading axes), the velocity nodes of a
-Doppler average last (MediumParams.at_nodes), then the matrix axes; the
-kernel T M1'^-1 is a closed form over det M1' (_coherence_kernel).
+Doppler average last (MediumParams.at_nodes), then the matrix axes.  The
+generator is a closed form over det M1' (_screened_generator); only
+_coherence_kernel, for the Langevin noise, assembles the kernel T M1'^-1.
 """
 
 import dataclasses
@@ -93,11 +94,11 @@ def _frequencies(shape, *omegas) -> np.ndarray:
 
 
 def _screened_generator(mp: MediumParams, omega, ss=None):
-    """(generator prefactor, the eight entries of T M1'^-1 for M1' scaled
-    by t as an (8, N) array, the scale t (N,), the generator), stacked to
-    the broadcast shape of the medium, omega and ``ss`` (the steady state of
-    mp.atom, if known), in closed form, every member screened for poles.
-    Only _coherence_kernel assembles the kernel from the entries and t.
+    """(generator prefactor, the generator as rows m00, m01, m10, m11 (4, ...),
+    the scale t (N,), the flat factors a, b, h2cdr, hdr, hcr, e0, e5 of T M1'^-1
+    for M1' scaled by t), stacked to the broadcast shape of the medium, omega
+    and ``ss`` (the steady state of mp.atom, if known), in closed form, every
+    member screened for poles.  No kernel is formed: _coherence_kernel does that.
 
     M1' = [[A, -h uu^T], [-h uu^T, C]] with A = diag(a, b), C = diag(c, d),
     u = (1, -1), h = rabi/2 and build_coherence_system's diagonal a, b, c, d.
@@ -109,8 +110,8 @@ def _screened_generator(mp: MediumParams, omega, ss=None):
     0 and minus row 1; the generator is i (optical_depth g/4) T M1'^-1 s1.
 
     A pole is cond_2(M1') > POLE_CONDITION_LIMIT: kappa_F = |M1'|_F |M1'^-1|_F
-    >= kappa_2 within limit / 2 (2 for rounding) everywhere rules poles out,
-    else np.linalg.cond of the built M1' decides.  PoleError names the omega
+    (_kappa2) >= kappa_2 within limit / 2 (2 for rounding) everywhere rules poles
+    out, else np.linalg.cond of the built M1' decides.  PoleError names the omega
     of the first pole in stack order, its stack index and the last-axis (velocity
     node) indices of the poles beside it; a non-finite omega raises DomainError.
     """
@@ -133,47 +134,73 @@ def _screened_generator(mp: MediumParams, omega, ss=None):
     t = np.ldexp(1.0, -np.frexp(abs(m[:5]).sum(0))[1])
     m[:5] *= t
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # the screen flags D = 0
-        ab, cd, h2 = a * b, c * d, h * h
-        h2ab, h2cd = h2 * (a + b), h2 * (c + d)
-        r = 1.0 / (ab * cd - h2cd * (a + b))
+        ab, cd, h2, apb = a * b, c * d, h * h, a + b
+        h2ab, h2cd = h2 * apb, h2 * (c + d)
+        r = 1.0 / (ab * cd - h2cd * apb)
         h2cdr, cdr, hdr, hcr = h2cd * r, cd * r, h * d * r, h * c * r
-        entries = np.array([b * cdr - h2cdr, -h2cdr, b * hdr, -(b * hcr),
-                            h2cdr, h2cdr - a * cdr, a * hdr, -(a * hcr)])
-        # |M1'^-1|_F^2: M1' is symmetric, so columns 2, 3 recur as rows 2, 3
-        inv2 = [1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0] @ np.square(entries.view(float))
-        inv2 = (inv2[::2] + inv2[1::2]     # real and imaginary parts
-                + [1.0, 2.0, 1.0] @ abs(np.array([ab * d - h2ab, h2ab, ab * c - h2ab]))**2
-                * abs(r)**2)
-        kappa = ([1.0, 1.0, 1.0, 1.0, 8.0] @ abs(m[:5])**2) * inv2
+        e0, e5 = b * cdr - h2cdr, h2cdr - a * cdr
+        del cd, h2, apb, h2cd, cdr      # dead: a lower peak on big stacks
+        kappa2 = _kappa2(m[:5], ab, h2ab, r, e0, e5, h2cdr)
         # K s1, s1 = [[s33 - s22, 0], [0, s11 - s44], [-s42, s13], [s31, -s24]]
         u0, u1 = hdr * s42 + hcr * s31, hdr * s31.conj() + hcr * s42.conj()
-        gens = np.ascontiguousarray(np.array([
-            entries[0] * n0 - b * u0, b * u1 - h2cdr * n1, h2cdr * n0 - a * u0,
-            entries[5] * n1 + a * u1]).T)
-        gens *= (ipref * t)[:, None]
-    if not (kappa <= (POLE_CONDITION_LIMIT / 2) ** 2).all():     # also on a NaN
+        gens = np.array([e0 * n0 - b * u0, b * u1 - h2cdr * n1,
+                         h2cdr * n0 - a * u0, e5 * n1 + a * u1])
+        gens *= ipref * t
+    if not (kappa2 <= (POLE_CONDITION_LIMIT / 2) ** 2).all():     # also on a NaN
         poles = np.linalg.cond(build_coherence_system(p, ss, omega)[0]) > POLE_CONDITION_LIMIT
         if poles.any():
             index = np.unravel_index(poles.argmax(), poles.shape)
             at = float(np.broadcast_to(omega, poles.shape)[index])
             raise PoleError(f"coherence system singular at omega = {at:.6g} rad/us", omega=at,
                             nodes=np.flatnonzero(poles[index[:-1]]).tolist(), index=index)
-    return np.asarray(pref)[..., None, None], entries, t, gens.reshape(shape + (2, 2))
+    return (np.asarray(pref)[..., None, None], gens.reshape((4,) + shape), t,
+            (a, b, h2cdr, hdr, hcr, e0, e5))
+
+
+# Weights of the squares of (a, b, c, d, h, abc - h2ab, abd - h2ab, e0, e5,
+# h2cdr, h2ab, r) in _kappa2's sums, one row each.
+_KAPPA_TERMS = np.array([[1, 1, 1, 1, 8, 0, 0, 0, 0, 0, 0, 0],     # |M1'|_F^2
+                         [0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 0, 0],     # upper block
+                         [0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 2, 0],     # lower block |D|^2
+                         [2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],     # 2(|a|^2 + |b|^2)
+                         [0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]], dtype=float)
+
+
+def _kappa2(m1p, ab, h2ab, r, e0, e5, h2cdr):
+    """kappa_F^2 = |M1'|_F^2 |M1'^-1|_F^2 of each member from rows a, b, c, d, h of
+    M1' (``m1p``; 8 entries are +-h) and _screened_generator's flat factors:
+    |M1'^-1|_F^2 = |e0|^2 + |e5|^2 + 2|h2cdr|^2 (upper block) + (|abc - h2ab|^2 +
+    |abd - h2ab|^2 + 2|h2ab|^2)|r|^2 (lower) + 2(|a|^2 + |b|^2)|h|^2(|c|^2 + |d|^2)|r|^2
+    (the off-diagonal blocks, M1'^-1 being symmetric); squares in one real block."""
+    sq = np.empty((12, m1p.shape[1]))
+    np.abs(m1p, out=sq[:5])
+    np.abs(ab * m1p[2:4] - h2ab, out=sq[5:7])
+    for x, out in zip((e0, e5, h2cdr, h2ab, r), sq[7:]):
+        np.abs(x, out=out)
+    sq *= sq
+    frob, upper, lower, sab, scd = _KAPPA_TERMS @ sq
+    return frob * (upper + (lower + sab * scd * sq[4]) * sq[11])
+
+
+def _matrices(rows) -> np.ndarray:
+    """The (..., 2, k) matrices whose 2k entries, row-major, are ``rows`` (2k, ...)."""
+    return np.ascontiguousarray(rows.reshape(len(rows), -1).T).reshape(rows.shape[1:] + (2, -1))
 
 
 def _coherence_kernel(mp: MediumParams, omega, ss=None):
     """(generator prefactor, the kernel T M1'(omega)^-1, the generator) of
-    _screened_generator, stacked the same way."""
-    pref, entries, t, gens = _screened_generator(mp, omega, ss)
-    kernel = np.ascontiguousarray(entries.T)
-    kernel *= t[:, None]        # T M1'^-1 of the unscaled M1'
-    return pref, kernel.reshape(gens.shape[:-2] + (2, 4)), gens
+    _screened_generator as (..., 2, 4) and (..., 2, 2) stacks.  The one place
+    that assembles T M1'^-1: rows 0 and minus 1 of D M1'^-1 over D, times t."""
+    pref, gens, t, (a, b, h2cdr, hdr, hcr, e0, e5) = _screened_generator(mp, omega, ss)
+    kernel = np.array([e0, -h2cdr, b * hdr, -(b * hcr), h2cdr, e5, a * hdr, -(a * hcr)])
+    kernel *= t         # T M1'^-1 of the unscaled M1'
+    return pref, _matrices(kernel.reshape((8,) + gens.shape[1:])), _matrices(gens)
 
 
 def generator(mp: MediumParams, omega) -> np.ndarray:
     """Full 2x2 propagation exponent over normalized z in [0, 1], stacked
     to the broadcast shape of the medium and omega."""
-    return _screened_generator(mp, omega)[3]
+    return _matrices(_screened_generator(mp, omega)[1])
 
 
 def gains(mp: MediumParams) -> MeanFieldOut:

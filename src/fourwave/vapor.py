@@ -22,7 +22,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from .atom import preparation_probability
 from .errors import DomainError, PoleError, RangeWarning, first, require
 from .numkernel import VELOCITY_NODES, expm
-from .propagation import MediumParams, _screened_generator, generator
+from .propagation import MediumParams, _matrices, _screened_generator, generator
 from .units import (ATM_TO_PA, ATM_TO_TORR, KB, RB85_D1_WAVELENGTH_M,
                     RB85_MASS_KG, TWO_PI, celsius_to_kelvin)
 
@@ -116,12 +116,15 @@ def doppler_generator(mp: MediumParams, vp: VaporParams, omega, ss=None) -> np.n
 
     Gauss-Hermite average of the cold generator with the detuning shifted
     by k*v per node; ``ss`` is the steady state of those nodes if known.
-    Any node sitting on a Raman pole aborts the average; the error lists
-    the offending velocities at the first such omega.
+    The nodes are the last, contiguous axis of _screened_generator's rows
+    (4, ..., node): they are weighted in place and summed along it, and only
+    the averaged rows become 2x2 matrices.  Any node sitting on a Raman pole
+    aborts the average; the error lists the offending velocities at the
+    first such omega.
     """
     velocities, weights, shifts = velocity_nodes(vp)
     try:
-        gens = _screened_generator(mp.at_nodes(shifts), np.expand_dims(omega, -1), ss)[3]
+        rows = _screened_generator(mp.at_nodes(shifts), np.expand_dims(omega, -1), ss)[1]
     except PoleError as exc:
         row = velocities[exc.index[len(exc.index) - velocities.ndim:-1]]
         raise PoleError(
@@ -130,7 +133,8 @@ def doppler_generator(mp: MediumParams, vp: VaporParams, omega, ss=None) -> np.n
             velocities=list(row[exc.nodes])) from exc
     # a running sum adds node by node in node order (a pairwise np.sum may
     # round differently); + 0.0 turns an all -0.0 sum into the loop's +0.0
-    return np.cumsum(weights[:, None, None] * gens, axis=-3)[..., -1, :, :] + 0.0
+    rows *= weights
+    return _matrices(np.cumsum(rows, axis=-1)[..., -1] + 0.0)
 
 
 @dataclass(frozen=True)

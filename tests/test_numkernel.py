@@ -371,6 +371,13 @@ class TestNoiseIntegral:
         with pytest.raises(DimensionError, match="2x2"):
             noise_integral(np.zeros(shape), np.zeros(shape))
 
+    @pytest.mark.parametrize("q_shape", ((3, 3), (5, 2, 2), (2,)))
+    def test_q_that_does_not_broadcast_to_b_raises(self, q_shape):
+        # neither (3, 3) nor (5, 2, 2) broadcasts to (4, 2, 2); (2,) does, but
+        # is no stack of 2x2 matrices
+        with pytest.raises(DimensionError, match="2x2"):
+            noise_integral(np.zeros((4, 2, 2)), np.zeros(q_shape))
+
 
 def test_import_loads_no_scipy():
     # scipy is a test dependency only: importing scipy.linalg would add

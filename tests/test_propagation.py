@@ -1,12 +1,14 @@
 """Propagation tests: generator, transfer, gains, Langevin coefficients."""
 
 import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fourwave import propagation
 from fourwave.atom import AtomParams, build_coherence_system, steady_state
 from fourwave.errors import PoleError
 from fourwave.propagation import (POLE_CONDITION_LIMIT, MediumParams, _coherence_kernel,
@@ -165,6 +167,29 @@ class TestClosedFormKernel:
         _, tiny_kernel, tiny_gens = _coherence_kernel(tiny, s * w)
         assert np.array_equal(tiny_gens, gens)
         assert np.array_equal(s * tiny_kernel, kernel)
+
+
+class TestScreenConditionNumber:
+    # the kappa_F that the pole screen compares, against |M1'|_F |M1'^-1|_F
+    # with M1' and its inverse from numpy, over TestClosedFormKernel's draws
+    @given(gamma_e=st.floats(0.5, 20.0), gamma_g=st.floats(1e-3, 5.0),
+           omega0=st.floats(500.0, 7000.0), delta1=st.floats(-3000.0, 3000.0),
+           delta2=st.floats(-300.0, 300.0), rabi=st.floats(0.0, 2000.0),
+           depth=st.floats(0.0, 5000.0),
+           omegas=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_is_the_frobenius_condition_number(self, gamma_e, gamma_g, omega0, delta1, delta2,
+                                               rabi, depth, omegas):
+        p = AtomParams.from_mhz(gamma_e, gamma_g, omega0, delta1, delta2, rabi)
+        w = TWO_PI * np.array(omegas)
+        m = build_coherence_system(p, steady_state(p), w)[0]
+        assume(np.all(np.linalg.cond(m) <= POLE_CONDITION_LIMIT))
+        screened, kappa2 = [], propagation._kappa2
+        with mock.patch.object(propagation, "_kappa2",
+                               lambda *args: screened.append(kappa2(*args)) or screened[-1]):
+            _coherence_kernel(MediumParams(p, depth), w)
+        np.testing.assert_allclose(np.sqrt(screened[0]), frobenius(m) * frobenius(np.linalg.inv(m)),
+                                   rtol=1e-12, atol=0.0)
 
 
 def pump_free_stack(log10_conds):

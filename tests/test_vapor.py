@@ -1,6 +1,7 @@
 """Hot-vapor tests: velocity averaging, transit time, vapor utilities."""
 
 import dataclasses
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,12 +11,12 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from fourwave.atom import AtomParams
+from fourwave.atom import AtomParams, steady_state
 from fourwave.config import (at_sweep_value, medium_params_from, parse_config,
                              sweep_values, vapor_params_from)
 from fourwave.errors import DomainError, PoleError, RangeWarning
 from fourwave.numkernel import VELOCITY_NODES, expm
-from fourwave.propagation import MediumParams, generator
+from fourwave.propagation import MediumParams, _frequencies, generator
 from fourwave.vapor import (VaporParams, doppler_absorption, doppler_generator,
                             doppler_width, maxwell_pdf, mean_speed, optical_depth,
                             residual_transmission, saturated_vapor_pressure_torr,
@@ -177,6 +178,30 @@ class TestDopplerAveraging:
             hot = doppler_generator(mp, vp, omega)
             assert np.array_equal(hot, acc)
             assert hot.tobytes() == acc.tobytes()
+
+    # tracemalloc peak of the average above its start on the (3, 61, 40) stack
+    # of a configs/vapor_gain_scan.ini run, 3.48 MiB with numpy 2.4; an (8, N)
+    # kernel-entry block and two more copies of the generator make it 4.65 MiB
+    PEAK_MIB = 3.7
+
+    def test_peak_memory_of_the_config_stack(self):
+        cfg = parse_config(VAPOR_CONFIG.read_text())
+        point = at_sweep_value(cfg, np.array(sweep_values(cfg)))
+        mp, vp = medium_params_from(point), vapor_params_from(point)
+        shifts = velocity_nodes(vp)[2]
+        nodes = steady_state(mp.at_nodes(shifts).atom)
+        w = TWO_PI * cfg.omega_mhz
+        omegas = _frequencies(mp.shape, 0.0, w, -w)
+        assert doppler_generator(mp, vp, omegas, nodes).shape == (3, 61, 2, 2)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            doppler_generator(mp, vp, omegas, nodes)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < self.PEAK_MIB * 2**20
 
     def test_hot_vs_cold_difference_changes_sign_in_detuning_scan(self):
         mp0 = hot_medium()
