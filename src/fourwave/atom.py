@@ -73,10 +73,6 @@ class SteadyState:
     pops: tuple      # (s11, s22, s33, s44), real probabilities
     coh: tuple       # (s31, s13, s42, s24), complex
 
-    def take(self, index) -> "SteadyState":
-        """The members at ``index`` of the last (velocity node) axis."""
-        return SteadyState(*(tuple(x[..., index] for x in part) for part in (self.pops, self.coh)))
-
 
 @dataclass(frozen=True)
 class DiffusionSet:

@@ -157,15 +157,6 @@ def _screened_generator(mp: MediumParams, omega, ss=None):
             (a, b, h2cdr, hdr, hcr, e0, e5))
 
 
-# Weights of the squares of (a, b, c, d, h, abc - h2ab, abd - h2ab, e0, e5,
-# h2cdr, h2ab, r) in _kappa2's sums, one row each.
-_KAPPA_TERMS = np.array([[1, 1, 1, 1, 8, 0, 0, 0, 0, 0, 0, 0],     # |M1'|_F^2
-                         [0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 0, 0],     # upper block
-                         [0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 2, 0],     # lower block |D|^2
-                         [2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],     # 2(|a|^2 + |b|^2)
-                         [0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]], dtype=float)
-
-
 def _kappa2(m1p, ab, h2ab, r, e0, e5, h2cdr):
     """kappa_F^2 = |M1'|_F^2 |M1'^-1|_F^2 of each member from rows a, b, c, d, h of
     M1' (``m1p``; 8 entries are +-h) and _screened_generator's flat factors:
@@ -178,8 +169,11 @@ def _kappa2(m1p, ab, h2ab, r, e0, e5, h2cdr):
     for x, out in zip((e0, e5, h2cdr, h2ab, r), sq[7:]):
         np.abs(x, out=out)
     sq *= sq
-    frob, upper, lower, sab, scd = _KAPPA_TERMS @ sq
-    return frob * (upper + (lower + sab * scd * sq[4]) * sq[11])
+    sa, sb, sc, sd, sh, sabc, sabd, se0, se5, sh2cdr, sh2ab, sr = sq
+    frob = sa + sb + sc + sd + 8.0 * sh
+    upper = se0 + se5 + 2.0 * sh2cdr
+    lower = sabc + sabd + 2.0 * sh2ab
+    return frob * (upper + (lower + 2.0 * (sa + sb) * (sc + sd) * sh) * sr)
 
 
 def _matrices(rows) -> np.ndarray:
@@ -187,11 +181,11 @@ def _matrices(rows) -> np.ndarray:
     return np.ascontiguousarray(rows.reshape(len(rows), -1).T).reshape(rows.shape[1:] + (2, -1))
 
 
-def _coherence_kernel(mp: MediumParams, omega, ss=None):
+def _coherence_kernel(mp: MediumParams, omega):
     """(generator prefactor, the kernel T M1'(omega)^-1, the generator) of
     _screened_generator as (..., 2, 4) and (..., 2, 2) stacks.  The one place
     that assembles T M1'^-1: rows 0 and minus 1 of D M1'^-1 over D, times t."""
-    pref, gens, t, (a, b, h2cdr, hdr, hcr, e0, e5) = _screened_generator(mp, omega, ss)
+    pref, gens, t, (a, b, h2cdr, hdr, hcr, e0, e5) = _screened_generator(mp, omega)
     kernel = np.array([e0, -h2cdr, b * hdr, -(b * hcr), h2cdr, e5, a * hdr, -(a * hcr)])
     kernel *= t         # T M1'^-1 of the unscaled M1'
     return pref, _matrices(kernel.reshape((8,) + gens.shape[1:])), _matrices(gens)

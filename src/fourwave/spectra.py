@@ -17,17 +17,16 @@ with, from the transfer at 0 (a0 = A(0), c0 = C(0)):
     S_phiplus  c = (-c0, a0)             over 2 (|a0|^2 + |c0|^2)
 
 ``evaluate`` builds those objects once for a stack of media and
-frequencies, normalization included (its kernels in two stacks, per medium
-and per point; one expm and one noise_integral call), and returns all
-observables as an ``Observables``; ``observables`` does the same for
-precomputed (e.g. synthetic) matrices.
+frequencies, normalization included (one kernel stack, one expm and one
+noise_integral call), and returns all observables as an ``Observables``;
+``observables`` does the same for precomputed (e.g. synthetic) matrices.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import diffusion_set, steady_state
+from .atom import diffusion_set
 from .errors import NormalizationError, require
 from .numkernel import expm, noise_integral
 from .propagation import (CALIBRATION_FREQ, MediumParams, _absorbs, _coherence_kernel,
@@ -80,64 +79,45 @@ def observables(abcd0, abcd_w, abcd_mw, weights) -> Observables:
                        S_Na=_read_off((1.0, 0.0), *parts, 2.0))
 
 
-def _in_one_call(kernel, parts) -> list:
-    """kernel (expm or noise_integral) of each part's (..., 2, 2) operand stacks
-    in one call, exact as kernel(stack)[i] is kernel(stack[i])."""
-    flat = kernel(*(np.concatenate([x.reshape(-1, 2, 2) for x in xs]) for xs in zip(*parts)))
-    ends = np.cumsum([part[0].size // 4 for part in parts])[:-1]
-    return [out.reshape(part[0].shape[:-2] + out.shape[1:])
-            for part, out in zip(parts, np.split(flat, ends))]
-
-
 def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
              vapor=None) -> Observables:
     """All observables of the media mp at analysis frequencies omega, stacked
     to their broadcast shape (and the vapor's).
 
-    Order of work: steady state (for a VaporParams ``vapor``, of its
-    velocity nodes and, last, the atom at rest) -> every kernel,
-    each screened for poles -> one expm of every exponent and one
-    noise_integral of every Langevin source -> the normalization checks and
-    scale -> the diffusion weights -> the observables.  Two kernel stacks:
-    per medium, CALIBRATION_FREQ (with ``langevin``, if some member has
-    optical depth, else the scale is exactly 1) and 0; per point, +-omega.
-    A vapor has doppler_generator's exponents at 0 and +-omega, the atom at
-    rest's kernels elsewhere.  Without ``langevin`` the diffusion is zero.
+    Order of work: one kernel stack at (CALIBRATION_FREQ, 0, +omega, -omega)
+    of every point, each member screened for poles -> for a VaporParams
+    ``vapor``, doppler_generator's exponents at (0, +-omega) in a copy of
+    the generators (the noise keeps the atom at rest) -> one expm of every
+    exponent and one noise_integral of the reference (d1 - d2) and +-omega
+    (dsym) rows -> the normalization checks and scale -> the diffusion
+    weights -> the observables.  The reference is in the stack only with
+    ``langevin`` and if some member has optical depth (else the scale is
+    exactly 1); without ``langevin`` the diffusion is zero.
     """
     shape = mp.shape
-    if vapor is None:
-        ss = steady_state(mp.atom)
-    else:
-        from .vapor import doppler_generator, velocity_nodes
-        shifts = velocity_nodes(vapor)[2]
-        shape = np.broadcast_shapes(shape, shifts.shape[:-1])
-        rest = np.zeros(shifts.shape[:-1] + (1,))
-        nodes = steady_state(mp.at_nodes(np.concatenate([shifts, rest], axis=-1)).atom)
-        ss = nodes.take(-1)
+    if vapor is not None:
+        from .vapor import doppler_generator, doppler_width
+        shape = np.broadcast_shapes(shape, np.shape(doppler_width(vapor)))
     ref = (CALIBRATION_FREQ,) if langevin and _absorbs(mp) else ()
-    pm = _frequencies(shape, omega, -np.asarray(omega))
-    if vapor is None:
-        medium = _coherence_kernel(mp, _frequencies(shape, *ref, 0.0), ss)
-        points = _coherence_kernel(mp, pm, ss)
-        gens = [medium[2], points[2]]
-    else:
-        medium = _coherence_kernel(mp, _frequencies(shape, *ref), ss) if ref else None
-        gens = [medium[2]] if ref else []
-        gens.append(doppler_generator(mp, vapor, _frequencies(shape, 0.0, *pm),
-                                      nodes.take(slice(-1))))
-        points = _coherence_kernel(mp, pm, ss) if langevin else None
-    abcds = _in_one_call(expm, [(g,) for g in gens])
-    abcd0, abcd_w, abcd_mw = (abcds[0][-1], *abcds[1]) if vapor is None else abcds[-1]
-    abcd0 = np.broadcast_to(abcd0, abcd_w.shape)      # a view: one transfer per medium
+    r = len(ref)
+    freqs = _frequencies(shape, *ref, 0.0, omega, -np.asarray(omega))
+    pref, kernel, gens = _coherence_kernel(mp, freqs)
+    exps = gens
+    if vapor is not None:
+        exps = gens.copy()
+        exps[r:] = doppler_generator(mp, vapor, freqs[r:])
+    abcds = expm(exps)
     if not langevin:
-        return observables(abcd0, abcd_w, abcd_mw, np.zeros((2, 2)))
+        return observables(*abcds, np.zeros((2, 2)))
     ds = diffusion_set(mp.atom)
-    parts = [_noise_operands(medium[1][:1], medium[2][:1], ds.d1 - ds.d2)] if ref else []
-    *x_ref, x_pm = _in_one_call(noise_integral,
-                                parts + [_noise_operands(points[1], points[2], ds.dsym)])
-    scale = _langevin_scale(medium[0], abcds[0][:1], *x_ref) if ref else 1.0
-    weights = np.expand_dims(scale, -1) * points[0][..., 0] * x_pm
-    return observables(abcd0, abcd_w, abcd_mw, weights)
+    noise = [*range(r), r + 1, r + 2]       # the reference and +-omega rows
+    dmats = np.stack([ds.d1 - ds.d2] * r + [ds.dsym] * 2)
+    # the atom's axes are the trailing point axes of each row
+    dmats = np.expand_dims(dmats, tuple(range(1, 1 + freqs.ndim + 2 - dmats.ndim)))
+    x = noise_integral(*_noise_operands(kernel[noise], gens[noise], dmats))
+    scale = _langevin_scale(pref, abcds[:r], x[:r]) if r else 1.0
+    weights = np.expand_dims(scale, -1) * pref[..., 0] * x[r:]
+    return observables(*abcds[r:], weights)
 
 
 def to_dB(s: float) -> float:

@@ -117,7 +117,7 @@ def doppler_generator(mp: MediumParams, vp: VaporParams, omega, ss=None) -> np.n
     Gauss-Hermite average of the cold generator with the detuning shifted
     by k*v per node; ``ss`` is the steady state of those nodes if known.
     The nodes are the last, contiguous axis of _screened_generator's rows
-    (4, ..., node): they are weighted in place and summed along it, and only
+    (4, ..., node): they are weighted and summed along it in place, and only
     the averaged rows become 2x2 matrices.  Any node sitting on a Raman pole
     aborts the average; the error lists the offending velocities at the
     first such omega.
@@ -132,9 +132,9 @@ def doppler_generator(mp: MediumParams, vp: VaporParams, omega, ss=None) -> np.n
             f"omega = {exc.omega:.6g}", omega=exc.omega,
             velocities=list(row[exc.nodes])) from exc
     # a running sum adds node by node in node order (a pairwise np.sum may
-    # round differently); + 0.0 turns an all -0.0 sum into the loop's +0.0
+    # round differently), in place; + 0.0 turns an all -0.0 sum into +0.0
     rows *= weights
-    return _matrices(np.cumsum(rows, axis=-1)[..., -1] + 0.0)
+    return _matrices(np.cumsum(rows, axis=-1, out=rows)[..., -1] + 0.0)
 
 
 @dataclass(frozen=True)

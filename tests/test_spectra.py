@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from fourwave import config, propagation, spectra
 from fourwave.atom import AtomParams
 from fourwave.errors import DomainError, NormalizationError, PoleError
+from fourwave.numkernel import expm
 from fourwave.propagation import MediumParams, generator
 from fourwave.spectra import NOISE_FIELDS, evaluate, observables, to_dB
 from fourwave.units import TWO_PI
-from fourwave.vapor import VaporParams
+from fourwave.vapor import VaporParams, doppler_generator
 
 
 def medium(gamma_e_mhz=5.75, gamma_g_mhz=0.01, omega0_mhz=3036.0,
@@ -174,7 +175,7 @@ class TestEvaluatePoles:
         with pytest.raises(PoleError) as err:
             evaluate(mp, TWO_PI * 1.0, langevin=False)
         assert err.value.omega == TWO_PI * 1.0
-        assert err.value.index == (0,)      # the per-point stack is (+omega, -omega)
+        assert err.value.index == (1,)      # the stack is (0, +omega, -omega)
 
 
 class TestNonFiniteOmega:
@@ -241,7 +242,6 @@ class TestStackedEvaluate:
 
     @pytest.mark.parametrize("hot", (False, True), ids=("cold", "vapor"))
     def test_frequency_stack_equals_each_frequency_alone(self, hot):
-        # the per-medium transfer at 0 serves every frequency of the stack;
         # 1 MHz is the calibration frequency
         vapor = VaporParams.rb85_d1(temperature_c=120.0) if hot else None
         mp = medium(**self.POINT)
@@ -253,10 +253,35 @@ class TestStackedEvaluate:
                 assert getattr(stacked, name)[i] == getattr(one, name)[0], (name, i)
 
 
+class TestWithoutLangevinNoise:
+    """Without Langevin noise evaluate reads the same transfers at 0 and
+    +-omega as with it, past the reference row that only the noise has, and
+    zero diffusion weights."""
+
+    OMEGAS = TWO_PI * np.array([0.3, 1.0, 4.0])
+    MEDIA = {"cold": (medium(), None),
+             "transparent": (medium(optical_depth=0.0), None),     # no reference row
+             "vapor": (medium(**TestStackedEvaluate.POINT),
+                       VaporParams.rb85_d1(temperature_c=120.0))}
+
+    @pytest.mark.parametrize("mp, vapor", MEDIA.values(), ids=MEDIA.keys())
+    def test_gains_as_with_noise_and_the_zero_weight_read_off(self, mp, vapor):
+        clean = evaluate(mp, self.OMEGAS, langevin=False, vapor=vapor)
+        noisy = evaluate(mp, self.OMEGAS, vapor=vapor)
+        for name in ("gain_a", "gain_b"):
+            assert getattr(clean, name).tobytes() == getattr(noisy, name).tobytes(), name
+        freqs = propagation._frequencies(mp.shape, 0.0, self.OMEGAS, -self.OMEGAS)
+        exps = generator(mp, freqs) if vapor is None else doppler_generator(mp, vapor, freqs)
+        read_off = observables(*expm(exps), NO_DIFFUSION)
+        for name in ("gain_a", "gain_b", *NOISE_FIELDS):
+            assert getattr(clean, name).tobytes() == getattr(read_off, name).tobytes(), name
+
+
 class TestWorkPerEvaluate:
-    """Each evaluate call forms the transfer at 0 once per medium, takes
-    every exponential in one expm call and every noise integral in one
-    noise_integral call, and one diffusion set."""
+    """Each evaluate call forms one kernel stack, at the reference, 0 and
+    +-omega of every point, takes every exponential in one expm call and
+    every noise integral in one noise_integral call, and one diffusion set;
+    a vapor adds one _screened_generator call for the Doppler average."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -297,24 +322,25 @@ class TestWorkPerEvaluate:
         evaluate(medium(), self.OMEGAS)
         # expm: the reference, 0 and +-omega at 50 frequencies; noise
         # integrals: d1 - d2 at the reference and dsym at +-omega
-        assert counts == {"expm": [(2, 102)], "noise_integral": [101], "diffusion_set": 1,
-                          "kernel": 2}
+        assert counts == {"expm": [(2, 200)], "noise_integral": [150], "diffusion_set": 1,
+                          "kernel": 1}
 
     def test_cold_medium_without_langevin_noise(self, counts):
         evaluate(medium(), self.OMEGAS, langevin=False)
-        assert counts == {"expm": [(2, 101)], "diffusion_set": 0, "kernel": 2}
+        assert counts == {"expm": [(2, 150)], "diffusion_set": 0, "kernel": 1}
 
     def test_transparent_medium_forms_no_reference(self, counts):
         evaluate(medium(optical_depth=0.0), self.OMEGAS)
-        assert counts == {"expm": [(2, 101)], "noise_integral": [100], "diffusion_set": 1,
-                          "kernel": 2}
+        assert counts == {"expm": [(2, 150)], "noise_integral": [100], "diffusion_set": 1,
+                          "kernel": 1}
 
     def test_vapor_medium(self, counts):
         evaluate(medium(**TestStackedEvaluate.POINT), TWO_PI * 1.0,
                  vapor=VaporParams.rb85_d1(temperature_c=120.0))
-        # expm: the reference on the atom at rest and the averages at 0, +-omega
+        # expm: the reference on the atom at rest and the averages at 0, +-omega;
+        # kernels: the stack at rest and the Doppler average
         assert counts == {"expm": [(2, 4)], "noise_integral": [3], "diffusion_set": 1,
-                          "kernel": 3}
+                          "kernel": 2}
 
 
 class TestVaporColdLimit:
