@@ -9,8 +9,8 @@ from importlib import import_module as _import_module
 from .atom import (AtomParams, DiffusionSet, SteadyState, build_coherence_system,
                    build_drift_m0, diffusion_set, preparation_probability,
                    slowest_relaxation, steady_state)
-from .propagation import (MeanFieldOut, MediumParams, calibrate_langevin_scale,
-                          commutator_defect, gains, generator, integrated_diffusion)
+from .propagation import (MeanFieldOut, MediumParams, commutator_defect, gains, generator,
+                          integrated_diffusion)
 from .spectra import Observables, evaluate, observables, to_dB
 
 # The module of each name loaded on first use; a module names itself.

@@ -38,10 +38,12 @@ COMMANDS = ("run", "validate", "reference")
 LONG_OPTIONS = ("help", "config=", "out=", "format=", "db")
 NOISE_COLUMNS = ("S_Nminus", "S_phiplus", "inseparability", "S_Na", "S_N")
 
-# Coherence matrices (rows x 3 frequencies x velocity nodes) in one stacked
-# evaluation of a cold or vapor sweep; a larger sweep is split in halves.  A
-# full stack (68 vapor rows) peaks 2.6 MB above one row at a time (35.0 vs
-# 32.4 MB resident); configs/vapor_gain_scan.ini (7320 matrices) is one stack.
+# Coherence matrices in one stacked evaluation of a cold or vapor sweep, at most
+# 4 per cold row (the reference, 0, +omega and -omega) and 3 x VELOCITY_NODES
+# more per vapor row (the Doppler nodes at 0, +-omega); a larger sweep is split
+# in halves.  A stack of 68 vapor rows peaked 2.6 MB above one row at a time
+# (35.0 vs 32.4 MB resident); configs/vapor_gain_scan.ini (7564 matrices) is
+# one stack.
 BLOCK_MATRICES = 8192
 
 
@@ -71,8 +73,8 @@ def _medium_rows(cfg: RunConfig, values: list[float]) -> list[dict]:
     raises, is split in halves down to single values, so every row gets
     the flag it gets alone."""
     half = len(values) // 2
-    nodes = VELOCITY_NODES if cfg.model == "vapor" else 1
-    if half and len(values) * 3 * nodes > BLOCK_MATRICES:
+    members = 4 + (3 * VELOCITY_NODES if cfg.model == "vapor" else 0)
+    if half and len(values) * members > BLOCK_MATRICES:
         return _medium_rows(cfg, values[:half]) + _medium_rows(cfg, values[half:])
     swept = np.array(values)
     point = cfgmod.at_sweep_value(cfg, swept)

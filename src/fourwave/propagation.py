@@ -11,11 +11,12 @@ matrix exponential of the generator:
 Langevin noise enters the spectra through one array of z-integrated
 diffusion weights w[+-omega, ..., mode a/b]: the diagonal of the propagated
 noise int_0^1 e^{-Gz} K D K^+ e^{-G^+ z} dz at +-omega, the closed form
-numkernel.noise_integral(-G, K D K^+), real by construction.  Their
-normalization is computed with them, never stored: integrated_diffusion and
-commutator_defect scale by calibrate_langevin_scale(mp), which requires the
-output field commutator to stay canonical at CALIBRATION_FREQ, rather than
-by microscopic coupling-constant bookkeeping.
+numkernel.noise_integral(-G, K D K^+), real by construction.  _langevin
+forms them for spectra.evaluate, integrated_diffusion and commutator_defect,
+with their normalization, never stored: the scale requires the output field
+commutator to stay canonical at CALIBRATION_FREQ, the leading row of each
+caller's kernel stack (_reference), rather than microscopic coupling-constant
+bookkeeping.
 
 MediumParams fields may be arrays.  Results are stacked to the broadcast
 shape of the medium and omega (leading axes), the velocity nodes of a
@@ -205,66 +206,61 @@ def gains(mp: MediumParams) -> MeanFieldOut:
                         phase_a=np.angle(a0), phase_b=np.angle(c0))
 
 
-def _noise_operands(kernel, gens, dmat):
-    """(B, Q) = (-G, K D K^+) of each member, whose noise_integral is the
-    propagated second moment of the coherence noise (>= 0 for D >= 0)."""
-    return -gens, kernel @ dmat @ np.swapaxes(kernel.conj(), -1, -2)
+def _reference(mp: MediumParams) -> tuple:
+    """The reference frequency of the Langevin normalization, as the leading
+    row of a kernel stack: CALIBRATION_FREQ if some member has optical depth,
+    else none, as the scale of a transparent stack is exactly 1."""
+    return (CALIBRATION_FREQ,) if np.any(np.greater(mp.optical_depth, 0)) else ()
+
+
+def _langevin(mp: MediumParams, pref, kernel, gens, abcd_ref, defect: bool = False):
+    """The normalized Langevin weights scale * pref * x of the rows of the kernel
+    and generator stacks (rows, ..., 2, 4) and (rows, ..., 2, 2) past the first
+    len(abcd_ref), the reference rows of transfer abcd_ref: x = noise_integral(-G,
+    K D K^+), D = d1 - d2 on the reference rows and dsym on the others (d1 - d2
+    with ``defect``).  The scale makes |A|^2 - |B|^2 + scale (the d1 - d2 probe-row
+    weight) = 1 at the reference; it is 1 with no reference row, and where that
+    identity holds with no Langevin term (a synthetic pure-gain medium)."""
+    r = len(abcd_ref)
+    ds = diffusion_set(mp.atom)
+    d12 = ds.d1 - ds.d2
+    dmats = np.stack([d12] * r + [d12 if defect else ds.dsym] * (len(kernel) - r))
+    # the atom's axes are the trailing point axes of each row
+    dmats = np.expand_dims(dmats, tuple(range(1, 1 + kernel.ndim - dmats.ndim)))
+    x = noise_integral(-gens, kernel @ dmats @ np.swapaxes(kernel.conj(), -1, -2))
+    scale = 1.0
+    if r:
+        raw = pref[..., 0, 0] * x[:r, ..., 0]     # the unnormalized probe-row weight
+        with np.errstate(over="ignore", invalid="ignore"):     # a non-finite scale raises below
+            deficit = 1.0 - (abs(abcd_ref[..., 0, 0])**2 - abs(abcd_ref[..., 0, 1])**2)
+        vanishing = abs(raw) < 1e-14
+        if np.any(bad := vanishing & (abs(deficit) > 1e-9)):
+            raise CalibrationError(
+                f"calibration impossible: commutator deficit {first(deficit, bad):.3e} "
+                f"with vanishing diffusion")
+        scale = np.where(vanishing, 1.0, deficit / np.where(vanishing, 1.0, raw))
+        if np.any(bad := ~(scale > 0)):     # true for a NaN too
+            kind = "non-positive" if first(scale, bad) <= 0 else "non-finite"
+            raise CalibrationError(f"calibration produced {kind} scale {first(scale, bad):.3e}")
+        scale = scale[0]
+    return np.expand_dims(scale, -1) * pref[..., 0] * x[r:]
 
 
 def integrated_diffusion(mp: MediumParams, omega):
     """Symmetric-order z-integrated Langevin weights w[+-omega, ..., mode] at
-    omega, normalized by calibrate_langevin_scale: w[0] from the kernel at
-    +omega, w[1] at -omega, and on the last axis mode a and mode b, as they
-    weight the columns of the transfer matrices in the noise spectra."""
-    scale = calibrate_langevin_scale(mp)
-    prefactor, k, gens = _coherence_kernel(mp, _frequencies(mp.shape, omega, -np.asarray(omega)))
-    x = noise_integral(*_noise_operands(k, gens, diffusion_set(mp.atom).dsym))
-    return np.expand_dims(scale, -1) * prefactor[..., 0] * x
+    omega, normalized by _langevin: w[0] from the kernel at +omega, w[1] at
+    -omega, and on the last axis mode a and mode b, as they weight the columns
+    of the transfer matrices in the noise spectra."""
+    ref = _reference(mp)
+    pref, k, gens = _coherence_kernel(mp, _frequencies(mp.shape, *ref, omega, -np.asarray(omega)))
+    return _langevin(mp, pref, k, gens, expm(gens[:len(ref)]))
 
 
 def commutator_defect(mp: MediumParams, omega) -> float:
     """Langevin contribution to the output commutator of mode a: the d1 - d2
-    weight on the probe row at +omega, normalized by calibrate_langevin_scale,
-    so that |A(omega)|^2 - |B(omega)|^2 + commutator_defect(omega) = 1 holds
-    at CALIBRATION_FREQ."""
-    scale = calibrate_langevin_scale(mp)
-    prefactor, k, gens = _coherence_kernel(mp, omega)
-    ds = diffusion_set(mp.atom)
-    x = noise_integral(*_noise_operands(k, gens, ds.d1 - ds.d2))
-    return scale * (prefactor[..., 0, 0] * x[..., 0])
-
-
-def _absorbs(mp: MediumParams) -> bool:
-    return bool(np.any(np.greater(mp.optical_depth, 0)))
-
-
-def _langevin_scale(prefactor, abcd, x):
-    """The scale from the reference transfer and d1 - d2 noise integral x; drops
-    their length-1 axis."""
-    raw = prefactor[..., 0, 0] * x[..., 0]     # the unnormalized probe-row weight
-    with np.errstate(over="ignore", invalid="ignore"):     # a non-finite scale is flagged below
-        deficit = 1.0 - (abs(abcd[..., 0, 0])**2 - abs(abcd[..., 0, 1])**2)
-    vanishing = abs(raw) < 1e-14
-    if np.any(bad := vanishing & (abs(deficit) > 1e-9)):
-        raise CalibrationError(
-            f"calibration impossible: commutator deficit {first(deficit, bad):.3e} "
-            f"with vanishing diffusion")
-    scale = np.where(vanishing, 1.0, deficit / np.where(vanishing, 1.0, raw))
-    if np.any(bad := ~(scale > 0)):     # true for a NaN too
-        kind = "non-positive" if first(scale, bad) <= 0 else "non-finite"
-        raise CalibrationError(f"calibration produced {kind} scale {first(scale, bad):.3e}")
-    return scale[0]
-
-
-def calibrate_langevin_scale(mp: MediumParams) -> float:
-    """Positive scale s of the Langevin noise of each medium, the one that
-    restores the canonical commutator: |A|^2 - |B|^2 + s (d1 - d2 weight) = 1
-    at CALIBRATION_FREQ.  It is 1 when the identity already holds and the
-    Langevin term vanishes (a synthetic pure-gain medium), and exactly 1,
-    forming no kernel, when no member has optical depth (_absorbs)."""
-    if not _absorbs(mp):
-        return 1.0
-    prefactor, k, gens = _coherence_kernel(mp, _frequencies(mp.shape, CALIBRATION_FREQ))
-    ds = diffusion_set(mp.atom)
-    x = noise_integral(*_noise_operands(k, gens, ds.d1 - ds.d2))
-    return _langevin_scale(prefactor, expm(gens), x)
+    weight on the probe row at +omega, normalized by _langevin, so that
+    |A(omega)|^2 - |B(omega)|^2 + commutator_defect(omega) = 1 holds at
+    CALIBRATION_FREQ."""
+    ref = _reference(mp)
+    pref, k, gens = _coherence_kernel(mp, _frequencies(mp.shape, *ref, omega))
+    return _langevin(mp, pref, k, gens, expm(gens[:len(ref)]), defect=True)[0, ..., 0]

@@ -3,8 +3,8 @@
 All spectra are normalized to the standard quantum limit of a coherent
 beam (SQL = 1).  Every observable is read off the same objects: the
 two-mode input-output (ABCD) matrix M at 0, +omega and -omega and the
-z-integrated Langevin weights w[+-omega, mode] at omega, normalized as in
-propagation.calibrate_langevin_scale.  Each noise spectrum is the noise of
+z-integrated Langevin weights w[+-omega, mode] at omega, normalized by
+propagation._langevin.  Each noise spectrum is the noise of
 one output combination c of the two modes (a, b+), one quadratic form
 
     S = sum over modes k in (a, b) and over +-omega of
@@ -26,11 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import diffusion_set
 from .errors import NormalizationError, require
-from .numkernel import expm, noise_integral
-from .propagation import (CALIBRATION_FREQ, MediumParams, _absorbs, _coherence_kernel,
-                          _frequencies, _langevin_scale, _noise_operands)
+from .numkernel import expm
+from .propagation import MediumParams, _coherence_kernel, _frequencies, _langevin, _reference
 
 NORMALIZATION_FLOOR = 1e-30
 
@@ -88,17 +86,17 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
     of every point, each member screened for poles -> for a VaporParams
     ``vapor``, doppler_generator's exponents at (0, +-omega) in a copy of
     the generators (the noise keeps the atom at rest) -> one expm of every
-    exponent and one noise_integral of the reference (d1 - d2) and +-omega
-    (dsym) rows -> the normalization checks and scale -> the diffusion
+    exponent -> propagation._langevin on the reference and +-omega rows:
+    one noise_integral, the normalization checks and scale, the diffusion
     weights -> the observables.  The reference is in the stack only with
-    ``langevin`` and if some member has optical depth (else the scale is
-    exactly 1); without ``langevin`` the diffusion is zero.
+    ``langevin`` and if some member has optical depth (propagation._reference;
+    else the scale is exactly 1); without ``langevin`` the diffusion is zero.
     """
     shape = mp.shape
     if vapor is not None:
         from .vapor import doppler_generator, doppler_width
         shape = np.broadcast_shapes(shape, np.shape(doppler_width(vapor)))
-    ref = (CALIBRATION_FREQ,) if langevin and _absorbs(mp) else ()
+    ref = _reference(mp) if langevin else ()
     r = len(ref)
     freqs = _frequencies(shape, *ref, 0.0, omega, -np.asarray(omega))
     pref, kernel, gens = _coherence_kernel(mp, freqs)
@@ -109,15 +107,8 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
     abcds = expm(exps)
     if not langevin:
         return observables(*abcds, np.zeros((2, 2)))
-    ds = diffusion_set(mp.atom)
     noise = [*range(r), r + 1, r + 2]       # the reference and +-omega rows
-    dmats = np.stack([ds.d1 - ds.d2] * r + [ds.dsym] * 2)
-    # the atom's axes are the trailing point axes of each row
-    dmats = np.expand_dims(dmats, tuple(range(1, 1 + freqs.ndim + 2 - dmats.ndim)))
-    x = noise_integral(*_noise_operands(kernel[noise], gens[noise], dmats))
-    scale = _langevin_scale(pref, abcds[:r], x[:r]) if r else 1.0
-    weights = np.expand_dims(scale, -1) * pref[..., 0] * x[r:]
-    return observables(*abcds[r:], weights)
+    return observables(*abcds[r:], _langevin(mp, pref, kernel[noise], gens[noise], abcds[:r]))
 
 
 def to_dB(s: float) -> float:

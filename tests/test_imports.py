@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
     "AtomParams", "DiffusionSet", "LambdaParams", "MeanFieldOut",
     "MediumParams", "Observables", "SliceChainParams", "SteadyState", "VaporParams",
     "absorption_spectrum", "atom", "build_coherence_system", "build_drift_m0",
-    "calibrate_langevin_scale", "commutator_defect", "detection_loss", "diffusion_set",
+    "commutator_defect", "detection_loss", "diffusion_set",
     "doppler_absorption", "doppler_generator", "eit", "errors", "evaluate", "gains",
     "generator", "ideal_pia_means", "ideal_pia_noise", "integrated_diffusion", "maxwell_pdf",
     "nlo_pia_transfer", "nlo_psa_field", "numkernel", "observables",
@@ -102,3 +102,17 @@ def test_every_public_name_imports():
     assert fourwave.reference is sys.modules["fourwave.reference"]
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(fourwave, "no_such_name")
+
+
+@pytest.mark.parametrize("path", sorted(
+    [p for p in (ROOT / "src" / "fourwave").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "scripts").glob("*.py"))), ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_import(path):
+    # a name bound by an import anywhere in the file (lazy imports in function
+    # bodies too) is read somewhere in it; __init__ imports to re-export
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).partition(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fourwave import propagation
+from fourwave import propagation, spectra
 from fourwave.atom import AtomParams, build_coherence_system, steady_state
-from fourwave.errors import PoleError
-from fourwave.propagation import (POLE_CONDITION_LIMIT, MediumParams, _coherence_kernel,
-                                  calibrate_langevin_scale,
-                                  commutator_defect, gains, generator,
+from fourwave.errors import CalibrationError, PoleError
+from fourwave.propagation import (CALIBRATION_FREQ, POLE_CONDITION_LIMIT, MediumParams,
+                                  _coherence_kernel, commutator_defect, gains, generator,
                                   integrated_diffusion)
 from fourwave.numkernel import expm
 from fourwave.units import TWO_PI
@@ -313,6 +312,8 @@ class TestIntegratedDiffusion:
         assert w.shape == (2, 2)
         for val in w.flat:
             assert val >= -1e-10
+        # the mode-a weights, and with them the normalization scale, are positive
+        assert (w[:, 0] > 0).all()
 
     def test_no_pump_keeps_conjugate_uncoupled(self):
         # with the pump off the mode coupling vanishes, so the b-channel
@@ -331,34 +332,56 @@ class TestIntegratedDiffusion:
                                                  (ENTANGLED, 4.8)),
                              ids=("fig2-1MHz", "qbs-1MHz", "entangled-4.8MHz"))
     def test_matches_midpoint_riemann_sum(self, point, freq_mhz, sign, mode):
-        # independent quadrature route for the z-integral; e^{-G z} at the
-        # midpoints z_k = (k + 1/2)/n by repeated multiplication
+        # independent quadrature route for the z-integral and for its scale,
+        # (1 - (|A|^2 - |B|^2)) over the d1 - d2 probe weight at the reference
         from fourwave.atom import diffusion_set
         mp = medium(**point)
+        ds = diffusion_set(mp.atom)
+        abcd, raw = self.riemann_weight(mp, CALIBRATION_FREQ, 0, ds.d1 - ds.d2)
+        scale = (1.0 - (abs(abcd[0, 0])**2 - abs(abcd[0, 1])**2)) / raw
         w = TWO_PI * freq_mhz
-        omega = -w if sign else w
+        oracle = scale * self.riemann_weight(mp, -w if sign else w, mode, ds.dsym)[1]
+        got = integrated_diffusion(mp, w)[sign, mode]
+        assert got == pytest.approx(oracle, rel=1e-6)
+
+    @staticmethod
+    def riemann_weight(mp, omega, mode, dmat, n=20000):
+        """The transfer at omega and pref times the midpoint Riemann sum of
+        (e^{-Gz} K D K^+ e^{-G^+ z})[mode, mode], e^{-Gz} at the midpoints
+        z_k = (k + 1/2)/n by repeated multiplication."""
         p = mp.atom
         m1p, s1, t = build_coherence_system(p, steady_state(p), omega)
         kernel = t @ np.linalg.inv(m1p)
         pref = mp.optical_depth * p.gamma_e / 4.0
-        gen_w = 1j * pref * (kernel @ s1)
-        dsym = diffusion_set(p).dsym
-        n = 20000
-        step = expm(-gen_w / n)
+        gen = 1j * pref * (kernel @ s1)
+        step = expm(-gen / n)
         ez = np.empty((n, 2, 2), dtype=complex)
-        ez[0] = expm(-gen_w / (2 * n))
+        ez[0] = expm(-gen / (2 * n))
         for k in range(1, n):
             ez[k] = ez[k - 1] @ step
         u = ez[:, mode, :] @ kernel
-        oracle = (calibrate_langevin_scale(mp) * pref
-                  * np.einsum("ki,ij,kj->", u, dsym, u.conj()).real / n)
-        got = integrated_diffusion(mp, w)[sign, mode]
-        assert got == pytest.approx(oracle, rel=1e-6)
+        return expm(gen), pref * np.einsum("ki,ij,kj->", u, dmat, u.conj()).real / n
+
+    @pytest.mark.parametrize("optical_depth", (np.linspace(0.0, 300.0, 61)[:, None], 0.0),
+                             ids=("stack", "transparent"))
+    def test_equals_the_weights_evaluate_uses(self, monkeypatch, optical_depth):
+        seen = []
+        read_off = spectra.observables
+        monkeypatch.setattr(spectra, "observables",
+                            lambda *args: seen.append(args[-1]) or read_off(*args))
+        mp = medium(**{**QBS, "optical_depth": optical_depth})
+        omega = TWO_PI * np.linspace(0.5, 4.5, 5)
+        spectra.evaluate(mp, omega)
+        assert integrated_diffusion(mp, omega).tobytes() == seen[0].tobytes()
 
 
 class TestCalibration:
-    def test_zero_depth_returns_unity(self):
-        assert calibrate_langevin_scale(medium(optical_depth=0.0)) == 1.0
+    # the only pole of this medium sits at omega = delta2 = the 1 MHz reference
+    RAMAN_AT_REFERENCE = dict(rabi_mhz=0.0, gamma_g_mhz=0.0, delta2_mhz=1.0)
+
+    def test_transparent_medium_forms_no_reference(self):
+        mp = medium(**self.RAMAN_AT_REFERENCE, optical_depth=0.0)
+        assert commutator_defect(mp, TWO_PI * 2.0) == 0.0
 
     def test_commutator_identity_across_frequencies(self):
         mp = medium(**FIG2)
@@ -375,12 +398,20 @@ class TestCalibration:
         lhs = abs(abcd[0, 0])**2 - abs(abcd[0, 1])**2 + commutator_defect(mp, w)
         assert lhs == pytest.approx(1.0, abs=1e-6)
 
-    def test_scale_positive(self):
-        assert calibrate_langevin_scale(medium(**FIG2)) > 0
-
     def test_errors_are_not_cached(self):
-        # pole at omega = delta2 = the 1 MHz reference frequency
-        mp = medium(rabi_mhz=0.0, gamma_g_mhz=0.0, delta2_mhz=1.0)
+        mp = medium(**self.RAMAN_AT_REFERENCE)
         with pytest.raises(PoleError) as err:
-            calibrate_langevin_scale(mp)
+            integrated_diffusion(mp, TWO_PI * 2.0)
         assert err.value.omega == TWO_PI * 1.0
+
+    # a dense medium whose scale comes out negative: the d1 - d2 probe
+    # weight at the reference has the sign opposite to the commutator deficit
+    NEGATIVE_SCALE = dict(gamma_g_mhz=0.58, delta1_mhz=-1678.3, delta2_mhz=-54.0,
+                          rabi_mhz=778.65, optical_depth=5000.0)
+
+    @pytest.mark.parametrize("call", (integrated_diffusion, spectra.evaluate),
+                             ids=("integrated_diffusion", "evaluate"))
+    def test_non_positive_scale_raises(self, call):
+        with pytest.raises(CalibrationError,
+                           match=r"^calibration produced non-positive scale -3\.417e\+00$"):
+            call(medium(**self.NEGATIVE_SCALE), TWO_PI * 2.0)

@@ -287,7 +287,7 @@ class TestWorkPerEvaluate:
     def counts(self, monkeypatch):
         calls = {"expm": [], "diffusion_set": 0, "kernel": 0}
         expm, noise_integral, diffusion_set, kernel = (
-            spectra.expm, spectra.noise_integral, spectra.diffusion_set,
+            spectra.expm, propagation.noise_integral, propagation.diffusion_set,
             spectra._coherence_kernel)
 
         def count_expm(m):      # (matrix size, number of matrices)
@@ -308,8 +308,9 @@ class TestWorkPerEvaluate:
                 return solve(*args)
             return count_solve
         monkeypatch.setattr(spectra, "expm", count_expm)
-        monkeypatch.setattr(spectra, "noise_integral", count_noise_integral)
-        monkeypatch.setattr(spectra, "diffusion_set", count_diffusion_set)
+        # the noise integrals and diffusion set of propagation._langevin
+        monkeypatch.setattr(propagation, "noise_integral", count_noise_integral)
+        monkeypatch.setattr(propagation, "diffusion_set", count_diffusion_set)
         monkeypatch.setattr(spectra, "_coherence_kernel", counted(kernel))
         # the Doppler average solves the coherence system for its generator only
         monkeypatch.setattr("fourwave.vapor._screened_generator",

@@ -107,7 +107,7 @@ def test_stacked_sweep_equals_each_value_alone(tmp_path_factory, model, axis, da
     count = data.draw(st.integers(3, 12))
     # a budget of two rows: every sweep is split, and stacks of two remain
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "BLOCK_MATRICES", 2 * 3 * (40 if model == "vapor" else 1))
+        patch.setattr(cli, "BLOCK_MATRICES", 2 * (124 if model == "vapor" else 4))
         assert_stacked_equals_alone(tmp_path_factory.mktemp("sweep"), model, axis,
                                     start, stop, count, **POINT[model])
 
@@ -119,7 +119,7 @@ def test_shipped_vapor_sweep_is_one_stack(tmp_path, evaluate_calls):
 
 
 def test_budget_splits_in_halves(tmp_path, monkeypatch, evaluate_calls):
-    monkeypatch.setattr(cli, "BLOCK_MATRICES", 4 * 3)
+    monkeypatch.setattr(cli, "BLOCK_MATRICES", 4 * 4)
     csv_rows(tmp_path, "stacked", "cold", "delta2_mhz", -5.0, 5.0, 11, **POINT["cold"])
     assert evaluate_calls == [(2,), (3,), (3,), (3,)]
 
@@ -170,6 +170,14 @@ def test_zero_depth_has_unit_langevin_scale(tmp_path):
     for row in rows[1:]:
         *values, flag = row.split(",")
         assert flag == "" and all(math.isfinite(float(v)) for v in values), row
+
+
+def test_calibration_failure_is_flagged(tmp_path):
+    # a dense medium whose Langevin scale comes out negative
+    point = {**POINT["cold"], "gamma_g_mhz": 0.58, "delta1_mhz": -1678.3, "delta2_mhz": -54.0,
+             "rabi_mhz": 778.65, "optical_depth": 5000.0}
+    rows, _ = csv_rows(tmp_path, "negative", "cold", "omega_mhz", 2.0, 2.0, 1, **point)
+    assert rows[1] == "2,,,,,,,error:calibration produced non-positive scale -3.417e+00"
 
 
 def test_error_row_mid_block(tmp_path):
