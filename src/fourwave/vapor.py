@@ -6,22 +6,21 @@ class, delta1 -> delta1 + k*v, on a last (node) axis of the medium, in one
 stacked generator call; the leading axes come from the medium, omega and
 the VaporParams, whose fields may be arrays too.  The velocity classes are
 one fixed rule, the numkernel.VELOCITY_NODES = 40 Gauss-Hermite nodes of
-the distribution.  The distribution is symmetric, so the sign of the shift
-is immaterial.  Langevin diffusion is not velocity averaged (the
-coefficients change very little); cold-atom diffusion is reused with the
-averaged transfer.
+the distribution, stored below as constants: numpy's hermegauss(40), which
+the tests check them against, is not called at run time.  The distribution
+is symmetric, so the sign of the shift is immaterial.  Langevin diffusion
+is not velocity averaged (the coefficients change very little); cold-atom
+diffusion is reused with the averaged transfer.
 """
 
-import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
 from .atom import preparation_probability
 from .errors import DomainError, PoleError, RangeWarning, first, require
-from .numkernel import VELOCITY_NODES, expm
+from .numkernel import expm
 from .propagation import MediumParams, _matrices, _screened_generator, generator
 from .units import (ATM_TO_PA, ATM_TO_TORR, KB, RB85_D1_WAVELENGTH_M,
                     RB85_MASS_KG, TWO_PI, celsius_to_kelvin)
@@ -90,24 +89,38 @@ def doppler_width(vp: VaporParams) -> float:
     return (TWO_PI / vp.wavelength) * velocity_sigma(vp) * 1e-6
 
 
-@functools.cache
-def _unit_nodes():
-    """Read-only unit-sigma Gauss-Hermite nodes and weights, computed once;
-    the weights are renormalized to sum to one, so a constant averages to
-    itself."""
-    x, w = hermegauss(VELOCITY_NODES)
-    w = w / w.sum()
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+# The positive half of the unit-sigma 40-node Gauss-Hermite rule: numpy's
+# hermegauss(40) with the weights divided by their sum, so a constant averages
+# to itself.  That rule is exactly symmetric, so mirroring the half rebuilds
+# all 40 nodes bit for bit; the velocity average reads them read-only.
+_HALF_NODES = np.array((
+    0.24683289602272435, 0.7408707252859305, 1.2360320047991582, 1.7330905906317213,
+    2.232859218634872, 2.736208340465431, 3.24408873299987, 3.757559776168986,
+    4.2778261563627495, 4.8062871920938735, 5.344605445720086, 5.894805675372018,
+    6.459423377583767, 7.041738406453829, 7.646163764541462, 8.278940623659476,
+    8.949504543855554, 9.673556366934031, 10.481560534674266, 11.45337784154873))
+_HALF_WEIGHTS = np.array((
+    0.19105900966199035, 0.14992111176357076, 0.09217657917006077, 0.04427455520227685,
+    0.016537844142569407, 0.004773544881823359, 0.0010558790169018133,
+    0.00017707292879924041, 2.221177143247588e-05, 2.0488974360814553e-06,
+    1.360342421574878e-07, 6.32589718854888e-09, 1.9891185260277719e-10,
+    4.037638581695203e-12, 4.968088529197764e-14, 3.3898534432483364e-16,
+    1.12227520682712e-18, 1.4486094315515697e-21, 4.820467940200815e-25,
+    1.461839873869401e-29))
+_UNIT_NODES = np.concatenate((-_HALF_NODES[::-1], _HALF_NODES))
+_UNIT_WEIGHTS = np.concatenate((_HALF_WEIGHTS[::-1], _HALF_WEIGHTS))
+_UNIT_NODES.flags.writeable = _UNIT_WEIGHTS.flags.writeable = False
 
 
 def velocity_nodes(vp: VaporParams):
     """(velocities in m/s, weights, delta1 shifts k*v in rad/us) of the
-    Gauss-Hermite velocity nodes, on a last node axis.  A velocity sigma
-    that underflows to 0 puts every node at rest: the cold limit."""
-    x, weights = _unit_nodes()
-    velocities = np.expand_dims(velocity_sigma(vp), -1) * x
-    return velocities, weights, np.expand_dims(TWO_PI / vp.wavelength, -1) * velocities * 1e-6
+    Gauss-Hermite velocity nodes, on a last node axis: the stored unit-sigma
+    rule scaled by the velocity sigma, with the weights as that one
+    read-only array.  A velocity sigma that underflows to 0 puts every node
+    at rest: the cold limit."""
+    velocities = np.expand_dims(velocity_sigma(vp), -1) * _UNIT_NODES
+    shifts = np.expand_dims(TWO_PI / vp.wavelength, -1) * velocities * 1e-6
+    return velocities, _UNIT_WEIGHTS, shifts
 
 
 def doppler_generator(mp: MediumParams, vp: VaporParams, omega, ss=None) -> np.ndarray:
@@ -182,6 +195,15 @@ def transit_time(vp: VaporParams) -> float:
     return (vp.pump_waist - vp.probe_waist) / mean_speed(vp) * 1e6
 
 
+def _doppler_profile(vp: VaporParams, detuning):
+    """Gaussian Doppler absorption line exp(-detuning^2 / (2 sigma_nu^2)),
+    1 at its peak.  A width whose square underflows leaves the profile's
+    limit: 1 on resonance, 0 off it."""
+    two_var = 2.0 * doppler_width(vp)**2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(two_var == 0.0, detuning == 0.0, np.exp(-detuning**2 / two_var))
+
+
 def residual_transmission(mp: MediumParams, vp: VaporParams,
                           probe_detuning: float | None = None):
     """(prepared fraction, front loss factor) for a transiting vapor.
@@ -197,11 +219,7 @@ def residual_transmission(mp: MediumParams, vp: VaporParams,
     prepared = preparation_probability(mp.atom, transit_time(vp))
     unprepared = 1.0 - prepared
     detuning = mp.atom.delta1 if probe_detuning is None else probe_detuning
-    two_var = 2.0 * doppler_width(vp)**2
-    # A width whose square underflows leaves the profile's limit: 1 on resonance, 0 off it.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        profile = np.where(two_var == 0.0, detuning == 0.0, np.exp(-detuning**2 / two_var))
-    return prepared, np.exp(-unprepared * mp.optical_depth * profile)
+    return prepared, np.exp(-unprepared * mp.optical_depth * _doppler_profile(vp, detuning))
 
 
 def saturated_vapor_pressure_atm(temperature: float) -> float:
@@ -250,8 +268,8 @@ def doppler_absorption(vp: VaporParams, detuning: float, peak_od: float) -> floa
 
     T = exp(-peak_od * exp(-detuning^2 / (2 sigma_nu^2))) with the Doppler
     width sigma_nu = omega_0 * sqrt(kB T / (m c^2)) expressed in rad/us,
-    the unit of ``detuning``.
+    the unit of ``detuning``.  A width whose square underflows gives the
+    limit: exp(-peak_od) on resonance and 1 off it.
     """
     require(~np.less(peak_od, 0), "doppler_absorption", "peak_od", "must be >= 0", peak_od)
-    sig = doppler_width(vp)
-    return np.exp(-peak_od * np.exp(-detuning**2 / (2.0 * sig**2)))
+    return np.exp(-peak_od * _doppler_profile(vp, detuning))

@@ -1,9 +1,10 @@
 """What importing the package loads: the core only.  The vapor, EIT and
-reference models, with numpy.polynomial for the velocity nodes, load on
-first use, and so do json and hashlib for the JSON output.  No command or
-script run loads argparse, or locale, which its translated messages import,
-or scipy, a test dependency only (its import alone costs twice a run's
-set-up)."""
+reference models load on first use, and so do json and hashlib for the
+JSON output.  No command or script run loads argparse, or locale, which
+its translated messages import, or scipy, a test dependency only (its
+import alone costs twice a run's set-up), or numpy.polynomial: the
+velocity nodes are stored constants.  No source file or script imports
+scipy or numpy.polynomial at all, not even lazily in a function body."""
 
 import ast
 import os
@@ -16,9 +17,9 @@ import pytest
 import fourwave
 
 ROOT = Path(__file__).resolve().parents[1]
-ON_FIRST_USE = ("fourwave.eit", "fourwave.reference", "fourwave.vapor", "hashlib", "json",
-                "numpy.polynomial")
-NEVER_LOADED = ("argparse", "locale", "scipy")
+ON_FIRST_USE = ("fourwave.eit", "fourwave.reference", "fourwave.vapor", "hashlib", "json")
+NEVER_LOADED = ("argparse", "locale", "numpy.polynomial", "scipy")
+NEVER_IMPORTED = ("numpy.polynomial", "scipy")
 
 # fourwave.__all__: the core names and those loaded on first use.
 PUBLIC_NAMES = [
@@ -56,10 +57,10 @@ def validating(config: str) -> str:
 @pytest.mark.parametrize("code, loaded", (
     (validating("entangled_pair.ini"), []),
     ("from fourwave import AtomParams, MediumParams, evaluate", []),
-    (validating("vapor_gain_scan.ini"), ["fourwave.vapor", "numpy.polynomial"]),
+    (validating("vapor_gain_scan.ini"), ["fourwave.vapor"]),
 ), ids=("cold-config-validated", "library-names", "vapor-config-validated"))
 def test_import_loads_only_what_is_used(code, loaded):
-    assert loaded_after(code) == loaded
+    assert loaded_after(code, ON_FIRST_USE + NEVER_LOADED) == loaded
 
 
 def running(config: str, out) -> str:
@@ -75,8 +76,7 @@ def test_cold_run_loads_no_model(tmp_path):
 
 def test_vapor_run_loads_only_the_vapor_model(tmp_path):
     code = running("vapor_gain_scan.ini", tmp_path / "out.csv")
-    assert loaded_after(code, ON_FIRST_USE + NEVER_LOADED) == ["fourwave.vapor",
-                                                               "numpy.polynomial"]
+    assert loaded_after(code, ON_FIRST_USE + NEVER_LOADED) == ["fourwave.vapor"]
 
 
 @pytest.mark.parametrize("script", ("entanglement_spectrum", "qbs_two_photon_scan",
@@ -104,9 +104,15 @@ def test_every_public_name_imports():
         getattr(fourwave, "no_such_name")
 
 
-@pytest.mark.parametrize("path", sorted(
-    [p for p in (ROOT / "src" / "fourwave").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "scripts").glob("*.py"))), ids=lambda p: f"{p.parent.name}/{p.name}")
+SOURCES = sorted(list((ROOT / "src" / "fourwave").glob("*.py"))
+                 + list((ROOT / "scripts").glob("*.py")))
+
+
+def source_id(path):
+    return f"{path.parent.name}/{path.name}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=source_id)
 def test_no_unused_import(path):
     # a name bound by an import anywhere in the file (lazy imports in function
     # bodies too) is read somewhere in it; __init__ imports to re-export
@@ -116,3 +122,15 @@ def test_no_unused_import(path):
                 for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=source_id)
+def test_imports_no_test_only_module(path):
+    # covers the code paths no config or script run reaches, lazy imports too
+    tree = ast.parse(path.read_text())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0 for alias in node.names]
+    assert [name for name in names
+            if any(name == m or name.startswith(m + ".") for m in NEVER_IMPORTED)] == []

@@ -1,6 +1,7 @@
 """Hot-vapor tests: velocity averaging, transit time, vapor utilities."""
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -17,9 +18,9 @@ from fourwave.config import (at_sweep_value, medium_params_from, parse_config,
 from fourwave.errors import DomainError, PoleError, RangeWarning
 from fourwave.numkernel import VELOCITY_NODES, expm
 from fourwave.propagation import MediumParams, _frequencies, generator
-from fourwave.vapor import (VaporParams, doppler_absorption, doppler_generator,
-                            doppler_width, maxwell_pdf, mean_speed, optical_depth,
-                            residual_transmission, saturated_vapor_pressure_torr,
+from fourwave.vapor import (_UNIT_NODES, _UNIT_WEIGHTS, VaporParams, doppler_absorption,
+                            doppler_generator, doppler_width, maxwell_pdf, mean_speed,
+                            optical_depth, residual_transmission, saturated_vapor_pressure_torr,
                             slice_consistency, transit_time, vapor_density,
                             vapor_fraction, velocity_nodes, velocity_sigma)
 from fourwave.units import TWO_PI
@@ -79,8 +80,19 @@ class TestGaussHermite:
 
     def test_nodes_symmetric(self):
         v, w, _ = velocity_nodes(VP)
-        assert np.allclose(v, -v[::-1])
-        assert np.allclose(w, w[::-1])
+        assert np.array_equal(v, -v[::-1])
+        assert np.array_equal(w, w[::-1])
+
+    def test_stored_rule_integrates_even_moments_exactly(self):
+        # E[x^2j] = (2j - 1)!! for unit sigma: a 40-node rule is exact up to
+        # degree 79, so j = 0 .. 39 hold to rounding and degree 80 does not
+        def relative_error(j):
+            double_factorial = math.prod(range(1, 2 * j, 2))
+            return abs(_UNIT_WEIGHTS @ _UNIT_NODES**(2 * j) / double_factorial - 1.0)
+
+        assert _UNIT_NODES.shape == _UNIT_WEIGHTS.shape == (VELOCITY_NODES,)
+        assert max(relative_error(j) for j in range(VELOCITY_NODES)) < 1e-13
+        assert relative_error(VELOCITY_NODES) > 1e-12
 
     def test_stacked_vapor_equals_its_members(self):
         temperatures = VP.temperature * np.array([0.5, 1.0, 4.0])
@@ -363,6 +375,14 @@ class TestVaporUtilities:
     def test_absorption_peak_and_wings(self):
         assert doppler_absorption(VP, 0.0, 2.5) == pytest.approx(np.exp(-2.5), rel=1e-12)
         assert doppler_absorption(VP, 1e9, 2.5) == pytest.approx(1.0, abs=1e-12)
+
+    def test_absorption_with_underflowed_doppler_width_is_the_profile_limit(self):
+        # k_B T underflows to 0 at 5e-324 K: the line is exp(-peak_od) on
+        # resonance and 1 off it, with no 0/0 (a RuntimeWarning fails here)
+        frozen = dataclasses.replace(VP, temperature=5e-324)
+        assert doppler_width(frozen) == 0.0
+        assert doppler_absorption(frozen, 0.0, 1.0) == np.exp(-1.0)
+        assert doppler_absorption(frozen, 1.0, 1.0) == 1.0
 
     def test_absorption_coefficient_fwhm(self):
         sig = doppler_width(VP)
