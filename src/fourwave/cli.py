@@ -41,9 +41,9 @@ NOISE_COLUMNS = ("S_Nminus", "S_phiplus", "inseparability", "S_Na", "S_N")
 # Coherence matrices in one stacked evaluation of a cold or vapor sweep, at most
 # 4 per cold row (the reference, 0, +omega and -omega) and 3 x VELOCITY_NODES
 # more per vapor row (the Doppler nodes at 0, +-omega); a larger sweep is split
-# in halves.  A stack of 68 vapor rows peaked 2.6 MB above one row at a time
-# (35.0 vs 32.4 MB resident); configs/vapor_gain_scan.ini (7564 matrices) is
-# one stack.
+# in halves.  A stack of 68 vapor rows peaked within 0.1 MB of one row at a
+# time (31.3 MB resident); configs/vapor_gain_scan.ini (7564 matrices) is one
+# stack.
 BLOCK_MATRICES = 8192
 
 

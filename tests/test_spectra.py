@@ -281,7 +281,8 @@ class TestWorkPerEvaluate:
     """Each evaluate call forms one kernel stack, at the reference, 0 and
     +-omega of every point, takes every exponential in one expm call and
     every noise integral in one noise_integral call, and one diffusion set;
-    a vapor adds one _screened_generator call for the Doppler average."""
+    a vapor adds one _screened_generator call per block of rows of the Doppler
+    average, one on a stack within vapor._BLOCK_MEMBERS."""
 
     @pytest.fixture
     def counts(self, monkeypatch):

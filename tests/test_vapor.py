@@ -12,6 +12,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from fourwave import propagation, vapor
 from fourwave.atom import AtomParams, steady_state
 from fourwave.config import (at_sweep_value, medium_params_from, parse_config,
                              sweep_values, vapor_params_from)
@@ -23,7 +24,7 @@ from fourwave.vapor import (_UNIT_NODES, _UNIT_WEIGHTS, VaporParams, doppler_abs
                             optical_depth, residual_transmission, saturated_vapor_pressure_torr,
                             slice_consistency, transit_time, vapor_density,
                             vapor_fraction, velocity_nodes, velocity_sigma)
-from fourwave.units import TWO_PI
+from fourwave.units import TWO_PI, celsius_to_kelvin
 
 
 def hot_medium(rabi_mhz=300.0, delta1_mhz=700.0, delta2_mhz=4.0,
@@ -191,19 +192,91 @@ class TestDopplerAveraging:
             assert np.array_equal(hot, acc)
             assert hot.tobytes() == acc.tobytes()
 
-    # tracemalloc peak of the average above its start on the (3, 61, 40) stack
-    # of a configs/vapor_gain_scan.ini run, 3.48 MiB with numpy 2.4; an (8, N)
-    # kernel-entry block and two more copies of the generator make it 4.65 MiB
-    PEAK_MIB = 3.7
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        """The omega shape of each _screened_generator call of the Doppler average."""
+        calls = []
 
-    def test_peak_memory_of_the_config_stack(self):
+        def count(*args):
+            calls.append(np.shape(args[1]))
+            return propagation._screened_generator(*args)
+        monkeypatch.setattr(vapor, "_screened_generator", count)
+        return calls
+
+    @staticmethod
+    def config_stack():
+        """The swept medium and vapor of configs/vapor_gain_scan.ini and its
+        (0, +omega, -omega) stack, as spectra.evaluate averages it."""
         cfg = parse_config(VAPOR_CONFIG.read_text())
         point = at_sweep_value(cfg, np.array(sweep_values(cfg)))
         mp, vp = medium_params_from(point), vapor_params_from(point)
-        shifts = velocity_nodes(vp)[2]
-        nodes = steady_state(mp.at_nodes(shifts).atom)
         w = TWO_PI * cfg.omega_mhz
-        omegas = _frequencies(mp.shape, 0.0, w, -w)
+        return mp, vp, _frequencies(mp.shape, 0.0, w, -w)
+
+    def test_blocked_config_stack_is_the_in_order_node_loop(self, blocks):
+        # 3 x 61 x 40 members are above the block budget: one block per row
+        mp, vp, omegas = self.config_stack()
+        assert omegas.size * VELOCITY_NODES > vapor._BLOCK_MEMBERS
+        velocities, weights, shifts = velocity_nodes(vp)
+        gens = generator(mp.at_nodes(shifts), np.expand_dims(omegas, -1))
+        acc = np.zeros(omegas.shape + (2, 2), dtype=complex)
+        for j, wt in enumerate(weights):
+            acc += wt * gens[..., j, :, :]
+        hot = doppler_generator(mp, vp, omegas)
+        assert blocks == [(1, 61, 1)] * 3
+        assert np.array_equal(hot, acc)
+        assert hot.tobytes() == acc.tobytes()
+
+    def test_blocked_temperature_sweep_equals_its_rows_alone(self, blocks):
+        # 41 temperatures x (0, +-omega) x 40 nodes: blocks of two rows and one
+        cfg = parse_config(VAPOR_CONFIG.read_text())
+        mp = medium_params_from(cfg)
+        vp = dataclasses.replace(vapor_params_from(cfg),
+                                 temperature=celsius_to_kelvin(np.linspace(80.0, 160.0, 41)))
+        w = TWO_PI * cfg.omega_mhz
+        omegas = _frequencies((41,), 0.0, w, -w)
+        hot = doppler_generator(mp, vp, omegas)
+        assert blocks == [(2, 41, 1), (1, 41, 1)]
+        for i, omega in enumerate(omegas):
+            alone = doppler_generator(mp, vp, omega)
+            assert hot[i].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("row", (1, 2), ids=("+omega", "-omega"))
+    def test_pole_in_a_later_block_is_the_pole_of_its_row_alone(self, blocks, row):
+        # no pump, no ground decay: each node is singular at omega = delta2 only,
+        # the row of (0, +omega, -omega) in the block after ``row`` clean ones
+        mp = hot_medium(rabi_mhz=0.0, gamma_g_mhz=0.0,
+                        delta1_mhz=np.linspace(500.0, 1100.0, 61))
+        pole = mp.atom.delta2
+        with pytest.raises(PoleError) as alone:
+            doppler_generator(mp, VP, pole)
+        blocks.clear()
+        omega = pole if row == 1 else -pole
+        with pytest.raises(PoleError) as stacked:
+            doppler_generator(mp, VP, _frequencies(mp.shape, 0.0, omega, -omega))
+        assert len(blocks) == row + 1
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.omega == alone.value.omega == pole
+        assert stacked.value.velocities == alone.value.velocities
+        assert len(alone.value.velocities) == VELOCITY_NODES
+
+    def test_non_finite_omega_in_a_later_block_precedes_a_pole(self, blocks):
+        # as in one call, omega is checked on the whole stack before any block
+        mp = hot_medium(rabi_mhz=0.0, gamma_g_mhz=0.0,
+                        delta1_mhz=np.linspace(500.0, 1100.0, 61))
+        omegas = _frequencies(mp.shape, mp.atom.delta2, 0.0, np.nan)
+        with pytest.raises(DomainError, match="omega must be finite, got nan"):
+            doppler_generator(mp, VP, omegas)
+        assert blocks == []
+
+    # tracemalloc peak of the average above its start on the (3, 61, 40) stack
+    # of a configs/vapor_gain_scan.ini run, 1.38 MiB with numpy 2.4 in blocks
+    # of one frequency row; the whole stack in one call peaked at 3.48 MiB
+    PEAK_MIB = 1.6
+
+    def test_peak_memory_of_the_config_stack(self):
+        mp, vp, omegas = self.config_stack()
+        nodes = steady_state(mp.at_nodes(velocity_nodes(vp)[2]).atom)
         assert doppler_generator(mp, vp, omegas, nodes).shape == (3, 61, 2, 2)
         tracemalloc.start()
         try:
