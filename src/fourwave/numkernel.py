@@ -2,6 +2,17 @@
 and a whole stack in one call: the exponential of every transfer matrix
 (expm) and the z-integrated Langevin noise (noise_integral).
 
+Each wraps a private core on flat contiguous rows, the entries m00, m01,
+m10, m11 (and q00, q01, q11 of Q) over the members: _expm_rows returns
+rows (4, n), _noise_integral_rows rows (2, n).  propagation passes its
+generator rows to the cores directly, with no matrices in between.
+
+Rounding contract: member i of a stack of any size rounds exactly as it
+does alone.  Every complex product takes flat contiguous rows (numpy's
+contiguous complex multiply fuses multiply-adds, its other loops do not)
+and named operands (numpy reuses an unnamed temporary of 256 KiB or more in
+place, which swaps the operands and rounds the imaginary part otherwise).
+
 noise_integral is the diagonal of X = int_0^1 e^{Bu} Q e^{B^+ u} du for
 Hermitian Q, which Van Loan (IEEE TAC 23 (1978) 395) reads off a 4x4 block
 exponential.  Write B = mu I + N with N^2 = s^2 I, as expm does, so that
@@ -17,6 +28,10 @@ S2(b) = int e^{au} 2 (cosh(bu) - 1)/b^2 du = [phi(a+b) + phi(a-b) - 2 phi(a)]/b^
 real for b = 2p and b = 2iq.  For |b| < _SMALL_B, where the differences
 cancel, S1 and S2 are Taylor series in b^2 over the moments
 M_n(a) = int_0^1 u^n e^{au} du (_moments).  At s = 0, I2 = M_1 and I3 = M_2.
+_moments adds the terms of its series in k order into one running sum:
+no (terms, N_MAX, members) product (0.3-0.4 MB in a noise pass, most of a
+fresh process's page faults) and no sum over a terms axis (pairwise for a
+single member).
 """
 
 import functools
@@ -61,7 +76,13 @@ def expm(m) -> np.ndarray:
     and sinh(s)/s (no cancellation).  expm(stack)[i] is expm(stack[i]) bit for
     bit; a zero matrix gives the exact identity.  Another size raises
     DimensionError; a non-finite entry or an overflow, NumericError."""
-    m00, m01, m10, m11 = _rows(m, "expm")
+    return np.ascontiguousarray(_expm_rows(*_rows(m, "expm")).T).reshape(np.shape(m))
+
+
+def _expm_rows(m00, m01, m10, m11) -> np.ndarray:
+    """expm's closed form on the finite flat contiguous rows m00, m01, m10, m11
+    of a stack: the rows (4, n) of the exponentials.  An overflow raises
+    NumericError."""
     with np.errstate(over="ignore", invalid="ignore"):     # an overflow raises below
         mu, h = (m00 + m11) * 0.5, (m00 - m11) * 0.5
         s = np.sqrt(h * h + m01 * m10)
@@ -75,13 +96,13 @@ def expm(m) -> np.ndarray:
         if not big.all():
             small = ~big
             ss, e = s[small], np.exp(mu[small])
-            c[small] = e * np.cosh(ss)
-            sigma[small] = e * np.divide(np.sinh(ss), ss, out=np.ones_like(ss), where=ss != 0)
+            ch, sinc = np.cosh(ss), np.divide(np.sinh(ss), ss, out=np.ones_like(ss), where=ss != 0)
+            c[small], sigma[small] = e * ch, e * sinc   # named factors: the rounding contract
         sh = sigma * h
         r = np.array([c + sh, sigma * m01, sigma * m10, c - sh])
     if not np.all(np.isfinite(r)):
         raise NumericError("expm: overflow in the 2x2 closed form")
-    return np.ascontiguousarray(r.T).reshape(np.shape(m))
+    return r
 
 
 @functools.cache
@@ -99,7 +120,8 @@ def _moments(a) -> np.ndarray:
     """M_1 .. M_N_MAX of each a, (N_MAX, len(a)): for |a| > N_MAX the forward
     recurrence M_n = (e^a - n M_(n-1))/a from M_0 = phi(a), which damps errors
     there; else 22 + floor(3|a|) terms of _weights' series (2^-56 relative) and
-    exact zeros, summed in order, so that each member rounds as it does alone."""
+    exact zeros, added term by term in k order, so that each member rounds as
+    it does alone."""
     out, far = np.empty((_N_MAX, a.size)), abs(a) > _N_MAX
     if far.any():
         af = a[far]
@@ -112,7 +134,10 @@ def _moments(a) -> np.ndarray:
             terms = 22 + (3.0 * x).astype(int)
             k = np.arange(terms.max())[:, None]
             powers = np.where(k < terms, np.cumprod(np.where(k > 0, x, 1.0), axis=0), 0.0)
-            sums = (powers[:, None] * _weights()[0][sign, :len(k), :, None]).sum(0)
+            weights = _weights()[0][sign, :len(k), :, None]
+            sums = powers[0] * weights[0]
+            for power, weight in zip(powers[1:], weights[1:]):
+                sums += power * weight
             out[:, members] = sums * np.exp(np.minimum(a[members], 0.0))
     return out
 
@@ -124,8 +149,16 @@ def noise_integral(b, qm) -> np.ndarray:
     form.  out[i] is noise_integral(b[i], qm[i]) bit for bit.  A b or qm of
     another shape raises DimensionError; a non-finite entry or an overflow
     anywhere in the stack, NumericError."""
-    m00, m01, m10, m11 = _rows(b, "noise_integral")
+    b_rows = _rows(b, "noise_integral")
     q00, q01, _, q11 = _rows(qm, "noise_integral", np.shape(b))
+    x = _noise_integral_rows(*b_rows, q00, q01, q11)
+    return np.ascontiguousarray(x.T).reshape(np.shape(b)[:-1])
+
+
+def _noise_integral_rows(m00, m01, m10, m11, q00, q01, q11) -> np.ndarray:
+    """noise_integral's closed form on the finite flat rows m00, m01, m10, m11
+    (contiguous) of B and q00, q01, q11 of Q: the rows (2, n) of the diagonal.
+    An overflow raises NumericError."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):    # raises below
         mu, h = (m00 + m11) * 0.5, (m00 - m11) * 0.5
         s = np.sqrt(h * h + m01 * m10)
@@ -150,12 +183,15 @@ def noise_integral(b, qm) -> np.ndarray:
         i1, (i2r, i3) = 0.25 * (fp + fm) + 0.5 * fq.real, (uv * uv * s12).sum(1)
         i2i = uv[0] * uv[1] * (s12[0, 1] - s12[0, 0])
         # rows k = 0, 1 of N = [[h, m01], [m10, -h]] and of Q; a complex product
-        # of a broadcast operand rounds differently, so those are taken in reals
+        # of a broadcast operand rounds differently, so those are taken in reals,
+        # and each complex factor is named (the rounding contract)
         n0, n1, qd = np.array([h, m10]), np.array([m01, -h]), np.array([q00.real, q11.real])
-        nq, w = n0 * np.array([qd[0], q01]) + n1 * np.array([q01.conj(), qd[1]]), n0 * n1.conj()
-        nqn = ((n0 * n0.conj()).real * qd[0] + (n1 * n1.conj()).real * qd[1]
+        q0, q1 = np.array([qd[0], q01]), np.array([q01.conj(), qd[1]])
+        n0c, n1c = n0.conj(), n1.conj()
+        nq, w = n0 * q0 + n1 * q1, n0 * n1c
+        nqn = ((n0 * n0c).real * qd[0] + (n1 * n1c).real * qd[1]
                + 2.0 * (w.real * q01.real - w.imag * q01.imag))
         x = i1 * qd + 2.0 * (i2r * nq.real - i2i * nq.imag) + i3 * nqn
     if not np.all(np.isfinite(x)):
         raise NumericError("noise_integral: overflow in the closed form")
-    return np.ascontiguousarray(x.T).reshape(np.shape(b)[:-1])
+    return x

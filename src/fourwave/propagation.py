@@ -15,14 +15,20 @@ numkernel.noise_integral(-G, K D K^+), real by construction.  _langevin
 forms them for spectra.evaluate, integrated_diffusion and commutator_defect,
 with their normalization, never stored: the scale requires the output field
 commutator to stay canonical at CALIBRATION_FREQ, the leading row of each
-caller's kernel stack (_reference), rather than microscopic coupling-constant
-bookkeeping.
+caller's generator stack (_reference), rather than microscopic
+coupling-constant bookkeeping.  It assembles the kernel K only on the rows
+of _screened_generator's stack that carry noise (_kernel), for one batched
+product Q = K D K^+, and passes the flat rows of -G and of Q to numkernel's
+noise core; transfers are views of the exponential core's rows (_transfers).
 
 MediumParams fields may be arrays.  Results are stacked to the broadcast
 shape of the medium and omega (leading axes), the velocity nodes of a
 Doppler average last (MediumParams.at_nodes), then the matrix axes.  The
 generator is a closed form over det M1' (_screened_generator); only
-_coherence_kernel, for the Langevin noise, assembles the kernel T M1'^-1.
+_kernel, for the Langevin noise, assembles the kernel T M1'^-1.  Member i
+of a stack of any size rounds exactly as it does alone (numkernel's
+rounding contract): every complex product takes flat contiguous rows and
+named operands.
 """
 
 import dataclasses
@@ -32,7 +38,7 @@ import numpy as np
 
 from .atom import AtomParams, build_coherence_system, diffusion_set, steady_state
 from .errors import CalibrationError, PoleError, first, require
-from .numkernel import expm, noise_integral
+from .numkernel import _expm_rows, _noise_integral_rows, expm
 from .units import TWO_PI
 
 # Resonance pole (row flagged, excluded from spectra): the coherence system's 2-norm
@@ -99,7 +105,7 @@ def _screened_generator(mp: MediumParams, omega, ss=None):
     the scale t (N,), the flat factors a, b, h2cdr, hdr, hcr, e0, e5 of T M1'^-1
     for M1' scaled by t), stacked to the broadcast shape of the medium, omega
     and ``ss`` (the steady state of mp.atom, if known), in closed form, every
-    member screened for poles.  No kernel is formed: _coherence_kernel does that.
+    member screened for poles.  No kernel is formed: _kernel does that.
 
     M1' = [[A, -h uu^T], [-h uu^T, C]] with A = diag(a, b), C = diag(c, d),
     u = (1, -1), h = rabi/2 and build_coherence_system's diagonal a, b, c, d.
@@ -142,8 +148,10 @@ def _screened_generator(mp: MediumParams, omega, ss=None):
         e0, e5 = b * cdr - h2cdr, h2cdr - a * cdr
         del cd, h2, apb, h2cd, cdr      # dead: a lower peak on big stacks
         kappa2 = _kappa2(m[:5], ab, h2ab, r, e0, e5, h2cdr)
-        # K s1, s1 = [[s33 - s22, 0], [0, s11 - s44], [-s42, s13], [s31, -s24]]
-        u0, u1 = hdr * s42 + hcr * s31, hdr * s31.conj() + hcr * s42.conj()
+        # K s1, s1 = [[s33 - s22, 0], [0, s11 - s44], [-s42, s13], [s31, -s24]],
+        # the conjugates named (numkernel's rounding contract)
+        s13, s24 = s31.conj(), s42.conj()
+        u0, u1 = hdr * s42 + hcr * s31, hdr * s13 + hcr * s24
         gens = np.array([e0 * n0 - b * u0, b * u1 - h2cdr * n1,
                          h2cdr * n0 - a * u0, e5 * n1 + a * u1])
         gens *= ipref * t
@@ -182,14 +190,24 @@ def _matrices(rows) -> np.ndarray:
     return np.ascontiguousarray(rows.reshape(len(rows), -1).T).reshape(rows.shape[1:] + (2, -1))
 
 
-def _coherence_kernel(mp: MediumParams, omega):
-    """(generator prefactor, the kernel T M1'(omega)^-1, the generator) of
-    _screened_generator as (..., 2, 4) and (..., 2, 2) stacks.  The one place
-    that assembles T M1'^-1: rows 0 and minus 1 of D M1'^-1 over D, times t."""
-    pref, gens, t, (a, b, h2cdr, hdr, hcr, e0, e5) = _screened_generator(mp, omega)
+def _kernel(screened, rows=slice(None)) -> np.ndarray:
+    """The kernel T M1'(omega)^-1 of rows ``rows`` (leading-axis indices) of
+    the _screened_generator stack ``screened``, from its scale t and flat
+    factors, as (..., 2, 4) matrices.  The one place that assembles T M1'^-1:
+    rows 0 and minus 1 of D M1'^-1 over D, times t."""
+    _, gens, t, factors = screened
+    shape = gens.shape[1:]
+    t, a, b, h2cdr, hdr, hcr, e0, e5 = (x.reshape(shape[0], -1)[rows].ravel()
+                                        for x in (t, *factors))
     kernel = np.array([e0, -h2cdr, b * hdr, -(b * hcr), h2cdr, e5, a * hdr, -(a * hcr)])
     kernel *= t         # T M1'^-1 of the unscaled M1'
-    return pref, _matrices(kernel.reshape((8,) + gens.shape[1:])), _matrices(gens)
+    return _matrices(kernel.reshape((8, -1) + shape[1:]))
+
+
+def _transfers(gens) -> np.ndarray:
+    """The transfer matrices e^G of generator rows (4, ...), as (..., 2, 2)
+    views of the rows of one _expm_rows call."""
+    return _expm_rows(*gens.reshape(4, -1)).T.reshape(gens.shape[1:] + (2, 2))
 
 
 def generator(mp: MediumParams, omega) -> np.ndarray:
@@ -213,21 +231,29 @@ def _reference(mp: MediumParams) -> tuple:
     return (CALIBRATION_FREQ,) if np.any(np.greater(mp.optical_depth, 0)) else ()
 
 
-def _langevin(mp: MediumParams, pref, kernel, gens, abcd_ref, defect: bool = False):
-    """The normalized Langevin weights scale * pref * x of the rows of the kernel
-    and generator stacks (rows, ..., 2, 4) and (rows, ..., 2, 2) past the first
-    len(abcd_ref), the reference rows of transfer abcd_ref: x = noise_integral(-G,
-    K D K^+), D = d1 - d2 on the reference rows and dsym on the others (d1 - d2
-    with ``defect``).  The scale makes |A|^2 - |B|^2 + scale (the d1 - d2 probe-row
-    weight) = 1 at the reference; it is 1 with no reference row, and where that
-    identity holds with no Langevin term (a synthetic pure-gain medium)."""
+def _langevin(mp: MediumParams, screened, abcd_ref, rows=slice(None),
+              defect: bool = False):
+    """The normalized Langevin weights scale * pref * x of rows ``rows``
+    (leading-axis indices, all by default) of the _screened_generator stack
+    ``screened``, past the first len(abcd_ref), the reference rows of transfer
+    abcd_ref: x = noise_integral(-G, K D K^+) from the flat rows of -G and Q,
+    D = d1 - d2 on the reference rows and dsym on the others (d1 - d2 with
+    ``defect``); the kernel is assembled on these rows only.  The scale makes
+    |A|^2 - |B|^2 + scale (the d1 - d2 probe-row weight) = 1 at the reference;
+    it is 1 with no reference row, and where that identity holds with no
+    Langevin term (a synthetic pure-gain medium)."""
+    pref, gens = screened[:2]
+    kernel = _kernel(screened, rows)
     r = len(abcd_ref)
     ds = diffusion_set(mp.atom)
     d12 = ds.d1 - ds.d2
     dmats = np.stack([d12] * r + [d12 if defect else ds.dsym] * (len(kernel) - r))
     # the atom's axes are the trailing point axes of each row
     dmats = np.expand_dims(dmats, tuple(range(1, 1 + kernel.ndim - dmats.ndim)))
-    x = noise_integral(-gens, kernel @ dmats @ np.swapaxes(kernel.conj(), -1, -2))
+    qm = kernel @ dmats @ np.swapaxes(kernel.conj(), -1, -2)
+    b = -gens[:, rows].reshape(4, -1)
+    x = _noise_integral_rows(*b, *(qm[..., i, j].reshape(-1) for i, j in ((0, 0), (0, 1), (1, 1))))
+    x = x.T.reshape(kernel.shape[:-1])      # (rows, ..., mode)
     scale = 1.0
     if r:
         raw = pref[..., 0, 0] * x[:r, ..., 0]     # the unnormalized probe-row weight
@@ -252,8 +278,8 @@ def integrated_diffusion(mp: MediumParams, omega):
     -omega, and on the last axis mode a and mode b, as they weight the columns
     of the transfer matrices in the noise spectra."""
     ref = _reference(mp)
-    pref, k, gens = _coherence_kernel(mp, _frequencies(mp.shape, *ref, omega, -np.asarray(omega)))
-    return _langevin(mp, pref, k, gens, expm(gens[:len(ref)]))
+    screened = _screened_generator(mp, _frequencies(mp.shape, *ref, omega, -np.asarray(omega)))
+    return _langevin(mp, screened, _transfers(screened[1][:, :len(ref)]))
 
 
 def commutator_defect(mp: MediumParams, omega) -> float:
@@ -262,5 +288,5 @@ def commutator_defect(mp: MediumParams, omega) -> float:
     |A(omega)|^2 - |B(omega)|^2 + commutator_defect(omega) = 1 holds at
     CALIBRATION_FREQ."""
     ref = _reference(mp)
-    pref, k, gens = _coherence_kernel(mp, _frequencies(mp.shape, *ref, omega))
-    return _langevin(mp, pref, k, gens, expm(gens[:len(ref)]), defect=True)[0, ..., 0]
+    screened = _screened_generator(mp, _frequencies(mp.shape, *ref, omega))
+    return _langevin(mp, screened, _transfers(screened[1][:, :len(ref)]), defect=True)[0, ..., 0]

@@ -17,9 +17,10 @@ with, from the transfer at 0 (a0 = A(0), c0 = C(0)):
     S_phiplus  c = (-c0, a0)             over 2 (|a0|^2 + |c0|^2)
 
 ``evaluate`` builds those objects once for a stack of media and
-frequencies, normalization included (one kernel stack, one expm and one
-noise_integral call), and returns all observables as an ``Observables``;
-``observables`` does the same for precomputed (e.g. synthetic) matrices.
+frequencies, normalization included (one generator stack, one call of the
+exponential core and one of the noise core), and returns all observables
+as an ``Observables``; ``observables`` does the same for precomputed (e.g.
+synthetic) matrices.
 """
 
 from dataclasses import dataclass
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalizationError, require
-from .numkernel import expm
-from .propagation import MediumParams, _coherence_kernel, _frequencies, _langevin, _reference
+from .propagation import (MediumParams, _frequencies, _langevin, _reference, _screened_generator,
+                          _transfers)
 
 NORMALIZATION_FLOOR = 1e-30
 
@@ -82,15 +83,17 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
     """All observables of the media mp at analysis frequencies omega, stacked
     to their broadcast shape (and the vapor's).
 
-    Order of work: one kernel stack at (CALIBRATION_FREQ, 0, +omega, -omega)
-    of every point, each member screened for poles -> for a VaporParams
-    ``vapor``, doppler_generator's exponents at (0, +-omega) in a copy of
-    the generators (the noise keeps the atom at rest) -> one expm of every
-    exponent -> propagation._langevin on the reference and +-omega rows:
-    one noise_integral, the normalization checks and scale, the diffusion
-    weights -> the observables.  The reference is in the stack only with
-    ``langevin`` and if some member has optical depth (propagation._reference;
-    else the scale is exactly 1); without ``langevin`` the diffusion is zero.
+    Order of work: one generator stack at (CALIBRATION_FREQ, 0, +omega,
+    -omega) of every point as flat rows, each member screened for poles ->
+    for a VaporParams ``vapor``, doppler_generator's exponents at (0,
+    +-omega) in a copy of the rows (the noise keeps the atom at rest) -> one
+    exponential-core call on every exponent, whose rows the observables read
+    as (..., 2, 2) views -> propagation._langevin on the reference and
+    +-omega rows: the kernel of those rows only, one noise-core call, the
+    normalization checks and scale, the diffusion weights -> the
+    observables.  The reference is in the stack only with ``langevin`` and
+    if some member has optical depth (propagation._reference; else the scale
+    is exactly 1); without ``langevin`` the diffusion is zero.
     """
     shape = mp.shape
     if vapor is not None:
@@ -99,16 +102,17 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
     ref = _reference(mp) if langevin else ()
     r = len(ref)
     freqs = _frequencies(shape, *ref, 0.0, omega, -np.asarray(omega))
-    pref, kernel, gens = _coherence_kernel(mp, freqs)
-    exps = gens
+    screened = _screened_generator(mp, freqs)
+    exps = screened[1]
     if vapor is not None:
-        exps = gens.copy()
-        exps[r:] = doppler_generator(mp, vapor, freqs[r:])
-    abcds = expm(exps)
+        exps = exps.copy()
+        averages = doppler_generator(mp, vapor, freqs[r:])
+        exps[:, r:] = np.moveaxis(averages.reshape(averages.shape[:-2] + (4,)), -1, 0)
+    abcds = _transfers(exps)
     if not langevin:
         return observables(*abcds, np.zeros((2, 2)))
     noise = [*range(r), r + 1, r + 2]       # the reference and +-omega rows
-    return observables(*abcds[r:], _langevin(mp, pref, kernel[noise], gens[noise], abcds[:r]))
+    return observables(*abcds[r:], _langevin(mp, screened, abcds[:r], noise))
 
 
 def to_dB(s: float) -> float:

@@ -379,6 +379,54 @@ class TestNoiseIntegral:
             noise_integral(np.zeros((4, 2, 2)), np.zeros(q_shape))
 
 
+def _moments_oracle(a):
+    """numkernel._moments with its series summed as one (terms, N_MAX, members)
+    product over the leading axis, which numpy adds in order."""
+    out, far = np.empty((numkernel._N_MAX, a.size)), abs(a) > numkernel._N_MAX
+    out[:, far] = numkernel._moments(a[far])
+    for sign, members in enumerate((~far & (a >= 0), ~far & (a < 0))):
+        if members.any():
+            x = abs(a[members])
+            terms = 22 + (3.0 * x).astype(int)
+            k = np.arange(terms.max())[:, None]
+            powers = np.where(k < terms, np.cumprod(np.where(k > 0, x, 1.0), axis=0), 0.0)
+            w = numkernel._weights()[0][sign, :len(k)]
+            sums = (powers[:, None] * w[..., None]).sum(0)
+            out[:, members] = sums * np.exp(np.minimum(a[members], 0.0))
+    return out
+
+
+class TestMoments:
+    """_moments adds its series in order, as the whole product summed over its
+    leading axis does, for every stack size: one member too, where a sum over
+    a (terms, 1) block would be pairwise."""
+
+    # both signs, inside the series range and beyond it (|a| > N_MAX = 14)
+    VALUES = (0.0, 1e-300, -1e-300, 0.3, -0.3, 1.0, -2.5, 7.7, -9.99, 13.9, -13.9, 14.0, -14.0,
+              14.1, -14.1, 40.0, -60.0)
+
+    @pytest.mark.parametrize("a", VALUES)
+    def test_one_member_equals_the_oracle(self, a):
+        a = np.array([a])
+        assert numkernel._moments(a).tobytes() == _moments_oracle(a).tobytes()
+
+    @pytest.mark.parametrize("members", (2, 300, 700))
+    def test_stack_equals_the_oracle_and_each_member_alone(self, members):
+        rng = np.random.default_rng(members)
+        a = np.concatenate([self.VALUES, rng.uniform(-20.0, 20.0, members)])
+        a = rng.permutation(a)[:members]
+        got = numkernel._moments(a)
+        assert got.tobytes() == _moments_oracle(a).tobytes()
+        for i in range(members):
+            assert got[:, i].tobytes() == numkernel._moments(a[i:i + 1])[:, 0].tobytes(), i
+
+    def test_one_sign_stacks_equal_the_oracle(self):
+        # a stack whose members all take the same series, as in a cold noise pass
+        a = np.linspace(-0.33, 0.0, 153)
+        for stack in (a, -a, a[:1], -a[-1:]):
+            assert numkernel._moments(stack).tobytes() == _moments_oracle(stack).tobytes()
+
+
 def test_import_loads_no_scipy():
     # scipy is a test dependency only: importing scipy.linalg would add
     # 0.3 to 0.6 s to the start-up of every run

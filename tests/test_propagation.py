@@ -8,13 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fourwave import propagation, spectra
+from fourwave import numkernel, propagation, spectra
 from fourwave.atom import AtomParams, build_coherence_system, steady_state
 from fourwave.errors import CalibrationError, PoleError
 from fourwave.propagation import (CALIBRATION_FREQ, POLE_CONDITION_LIMIT, MediumParams,
-                                  _coherence_kernel, commutator_defect, gains, generator,
+                                  _screened_generator, commutator_defect, gains, generator,
                                   integrated_diffusion)
-from fourwave.numkernel import expm
+from fourwave.numkernel import expm, noise_integral
 from fourwave.units import TWO_PI
 from fourwave.vapor import VaporParams, doppler_generator, velocity_nodes
 
@@ -128,6 +128,13 @@ def frobenius(m):
     return np.linalg.norm(m, axis=(-2, -1))
 
 
+def coherence_kernel(mp, omega):
+    """(generator prefactor, the kernel T M1'(omega)^-1, the generator) of
+    _screened_generator at a 1-D omega, as (..., 2, 4) and (..., 2, 2) stacks."""
+    screened = _screened_generator(mp, omega)
+    return screened[0], propagation._kernel(screened), propagation._matrices(screened[1])
+
+
 class TestClosedFormKernel:
     # against T M1'^-1 by LAPACK over the ranges of the configs and scripts
     # (a draw within reach of a pole is skipped), to 1e-12 kappa_F relative:
@@ -147,7 +154,7 @@ class TestClosedFormKernel:
         assume(np.all(np.linalg.cond(m) <= POLE_CONDITION_LIMIT))
         inv = np.linalg.inv(m)
         tol = 1e-12 * frobenius(m) * frobenius(inv)
-        prefactor, kernel, gens = _coherence_kernel(MediumParams(p, depth), w)
+        prefactor, kernel, gens = coherence_kernel(MediumParams(p, depth), w)
         assert np.all(frobenius(kernel - t @ inv) <= tol * frobenius(t @ inv))
         exact = 1j * prefactor * (t @ inv @ s1)
         scale = abs(prefactor[..., 0, 0]) * frobenius(t @ inv) * frobenius(s1)
@@ -162,8 +169,8 @@ class TestClosedFormKernel:
         tiny = MediumParams(AtomParams(*(s * v for v in vars(mp.atom).values())),
                             mp.optical_depth)
         w = TWO_PI * np.array([0.0, 1.0, -4.8])
-        _, kernel, gens = _coherence_kernel(mp, w)
-        _, tiny_kernel, tiny_gens = _coherence_kernel(tiny, s * w)
+        _, kernel, gens = coherence_kernel(mp, w)
+        _, tiny_kernel, tiny_gens = coherence_kernel(tiny, s * w)
         assert np.array_equal(tiny_gens, gens)
         assert np.array_equal(s * tiny_kernel, kernel)
 
@@ -186,7 +193,7 @@ class TestScreenConditionNumber:
         screened, kappa2 = [], propagation._kappa2
         with mock.patch.object(propagation, "_kappa2",
                                lambda *args: screened.append(kappa2(*args)) or screened[-1]):
-            _coherence_kernel(MediumParams(p, depth), w)
+            _screened_generator(MediumParams(p, depth), w)
         np.testing.assert_allclose(np.sqrt(screened[0]), frobenius(m) * frobenius(np.linalg.inv(m)),
                                    rtol=1e-12, atol=0.0)
 
@@ -220,10 +227,10 @@ class TestPoleScreen:
         assert poles.tolist() == [False, pole]
         if pole:
             with pytest.raises(PoleError) as err:
-                _coherence_kernel(mp, 0.0)
+                _screened_generator(mp, 0.0)
             assert err.value.nodes == np.flatnonzero(poles).tolist()
         else:
-            _coherence_kernel(mp, 0.0)
+            _screened_generator(mp, 0.0)
 
     @pytest.mark.parametrize("log10_cond, svd, pole", CASES)
     def test_svd_runs_only_where_the_screen_cannot_decide(self, monkeypatch, log10_cond, svd,
@@ -231,7 +238,7 @@ class TestPoleScreen:
         calls, exact = [], np.linalg.cond
         monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(m) or exact(m))
         with contextlib.suppress(PoleError):     # the mask test checks which
-            _coherence_kernel(pump_free_stack([3.0, log10_cond]), 0.0)
+            _screened_generator(pump_free_stack([3.0, log10_cond]), 0.0)
         assert bool(calls) == svd
 
     def test_well_conditioned_stacks_never_reach_the_svd(self, monkeypatch):
@@ -415,3 +422,61 @@ class TestCalibration:
         with pytest.raises(CalibrationError,
                            match=r"^calibration produced non-positive scale -3\.417e\+00$"):
             call(medium(**self.NEGATIVE_SCALE), TWO_PI * 2.0)
+
+
+class TestRoundingContract:
+    """A member rounds the same in a stack of any size: a 20000-member stack,
+    past the 16384 complex members (256 KiB) from which numpy may reuse a
+    temporary operand in place, equals its members run in chunks of at most
+    1000, bit for bit."""
+
+    MEMBERS, CHUNK = 20000, 1000
+
+    @classmethod
+    def assert_chunks_agree(cls, compute, *stacks):
+        """compute on the whole stacks (members leading) against CHUNK members at a time."""
+        whole = compute(*stacks)
+        parts = np.concatenate([compute(*(s[k:k + cls.CHUNK] for s in stacks))
+                                for k in range(0, cls.MEMBERS, cls.CHUNK)])
+        assert whole.shape == parts.shape
+        assert whole.tobytes() == parts.tobytes()
+
+    def test_screened_generator_and_generator(self):
+        mp = medium(**ENTANGLED)
+        omega = TWO_PI * np.linspace(-5.0, 5.0, self.MEMBERS)
+
+        def screened(w):        # the generator rows, the scale and the flat factors
+            _, gens, t, factors = _screened_generator(mp, w)
+            return np.vstack([gens, t, *factors]).T
+        self.assert_chunks_agree(screened, omega)
+        self.assert_chunks_agree(lambda w: generator(mp, w), omega)
+
+    # log10 of the entry scale of B: |s| < 1 and the noise integral's Taylor
+    # series for most members, |s| >= 1 for most, and both with |a| past _N_MAX
+    @pytest.fixture(scope="class", params=((-4.0, -1.5), (0.5, 1.8), (-3.0, 1.3)),
+                    ids=("small", "large", "mixed"))
+    def stack(self, request):
+        """A (MEMBERS, 2, 2) stack B and a Hermitian stack Q."""
+        rng = np.random.default_rng(26)
+        n = self.MEMBERS
+        b = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        b *= 10.0 ** rng.uniform(*request.param, (n, 1, 1))
+        k = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+        return b, k @ np.swapaxes(k.conj(), -1, -2)
+
+    @staticmethod
+    def rows(m):
+        """The flat contiguous rows m00, m01, m10, m11 of a (n, 2, 2) stack."""
+        return np.ascontiguousarray(m.reshape(-1, 4).T)
+
+    def test_expm(self, stack):
+        self.assert_chunks_agree(expm, stack[0])
+        self.assert_chunks_agree(lambda b: numkernel._expm_rows(*self.rows(b)).T, stack[0])
+
+    def test_noise_integral(self, stack):
+        self.assert_chunks_agree(noise_integral, *stack)
+
+        def core(b, q):
+            q00, q01, _, q11 = self.rows(q)
+            return numkernel._noise_integral_rows(*self.rows(b), q00, q01, q11).T
+        self.assert_chunks_agree(core, *stack)

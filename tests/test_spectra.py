@@ -166,11 +166,11 @@ class TestEvaluatePoles:
 
     def test_exponents_at_all_three_frequencies_precede_any_exponential(self, monkeypatch):
         # every kernel is screened before any exponential is taken, so the
-        # pole at +omega is reported and expm is never called.  Without
-        # Langevin noise: the pole is also at the calibration frequency
-        def no_expm(m):
+        # pole at +omega is reported and the exponential core is never called.
+        # Without Langevin noise: the pole is also at the calibration frequency
+        def no_expm(*rows):
             raise AssertionError("an exponential was taken before every kernel was screened")
-        monkeypatch.setattr(spectra, "expm", no_expm)
+        monkeypatch.setattr(propagation, "_expm_rows", no_expm)
         mp = medium(rabi_mhz=0.0, gamma_g_mhz=0.0, delta2_mhz=1.0)
         with pytest.raises(PoleError) as err:
             evaluate(mp, TWO_PI * 1.0, langevin=False)
@@ -278,26 +278,32 @@ class TestWithoutLangevinNoise:
 
 
 class TestWorkPerEvaluate:
-    """Each evaluate call forms one kernel stack, at the reference, 0 and
-    +-omega of every point, takes every exponential in one expm call and
-    every noise integral in one noise_integral call, and one diffusion set;
-    a vapor adds one _screened_generator call per block of rows of the Doppler
+    """Each evaluate call forms one generator stack, at the reference, 0 and
+    +-omega of every point, assembles the kernel on the reference and +-omega
+    rows only, takes every exponential in one _expm_rows call and every noise
+    integral in one _noise_integral_rows call, and one diffusion set; a vapor
+    adds one _screened_generator call per block of rows of the Doppler
     average, one on a stack within vapor._BLOCK_MEMBERS."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        calls = {"expm": [], "diffusion_set": 0, "kernel": 0}
-        expm, noise_integral, diffusion_set, kernel = (
-            spectra.expm, propagation.noise_integral, propagation.diffusion_set,
-            spectra._coherence_kernel)
+        calls = {"expm": [], "diffusion_set": 0, "screened": 0}
+        expm, noise, kernel, diffusion_set = (
+            propagation._expm_rows, propagation._noise_integral_rows, propagation._kernel,
+            propagation.diffusion_set)
 
-        def count_expm(m):      # (matrix size, number of matrices)
-            calls["expm"].append((m.shape[-1], int(np.prod(m.shape[:-2]))))
-            return expm(m)
+        def count_expm(*rows):      # number of members
+            calls["expm"].append(len(rows[0]))
+            return expm(*rows)
 
-        def count_noise_integral(b, q):     # number of members; a key once called
-            calls.setdefault("noise_integral", []).append(int(np.prod(b.shape[:-2])))
-            return noise_integral(b, q)
+        def count_noise(*rows):     # number of members; a key once called
+            calls.setdefault("noise", []).append(len(rows[0]))
+            return noise(*rows)
+
+        def count_kernel(screened, rows):       # (rows, number of matrices)
+            out = kernel(screened, rows)
+            calls.setdefault("kernel", []).append((rows, int(np.prod(out.shape[:-2]))))
+            return out
 
         def count_diffusion_set(p):
             calls["diffusion_set"] += 1
@@ -305,44 +311,46 @@ class TestWorkPerEvaluate:
 
         def counted(solve):
             def count_solve(*args):
-                calls["kernel"] += 1
+                calls["screened"] += 1
                 return solve(*args)
             return count_solve
-        monkeypatch.setattr(spectra, "expm", count_expm)
-        # the noise integrals and diffusion set of propagation._langevin
-        monkeypatch.setattr(propagation, "noise_integral", count_noise_integral)
+        # the exponentials, kernel, noise integrals and diffusion set that
+        # evaluate reaches through propagation._transfers and _langevin
+        monkeypatch.setattr(propagation, "_expm_rows", count_expm)
+        monkeypatch.setattr(propagation, "_noise_integral_rows", count_noise)
+        monkeypatch.setattr(propagation, "_kernel", count_kernel)
         monkeypatch.setattr(propagation, "diffusion_set", count_diffusion_set)
-        monkeypatch.setattr(spectra, "_coherence_kernel", counted(kernel))
-        # the Doppler average solves the coherence system for its generator only
-        monkeypatch.setattr("fourwave.vapor._screened_generator",
-                            counted(propagation._screened_generator))
+        # the stack at rest, and the Doppler average's, solved for the generator only
+        for name in ("fourwave.spectra", "fourwave.vapor"):
+            monkeypatch.setattr(f"{name}._screened_generator",
+                                counted(propagation._screened_generator))
         return calls
 
     OMEGAS = TWO_PI * np.linspace(0.1, 5.0, 50)
 
     def test_cold_medium_with_langevin_noise(self, counts):
         evaluate(medium(), self.OMEGAS)
-        # expm: the reference, 0 and +-omega at 50 frequencies; noise
-        # integrals: d1 - d2 at the reference and dsym at +-omega
-        assert counts == {"expm": [(2, 200)], "noise_integral": [150], "diffusion_set": 1,
-                          "kernel": 1}
+        # exponentials: the reference, 0 and +-omega at 50 frequencies; kernel and
+        # noise integrals: d1 - d2 at the reference and dsym at +-omega
+        assert counts == {"expm": [200], "kernel": [([0, 2, 3], 150)], "noise": [150],
+                          "diffusion_set": 1, "screened": 1}
 
     def test_cold_medium_without_langevin_noise(self, counts):
         evaluate(medium(), self.OMEGAS, langevin=False)
-        assert counts == {"expm": [(2, 150)], "diffusion_set": 0, "kernel": 1}
+        assert counts == {"expm": [150], "diffusion_set": 0, "screened": 1}
 
     def test_transparent_medium_forms_no_reference(self, counts):
         evaluate(medium(optical_depth=0.0), self.OMEGAS)
-        assert counts == {"expm": [(2, 150)], "noise_integral": [100], "diffusion_set": 1,
-                          "kernel": 1}
+        assert counts == {"expm": [150], "kernel": [([1, 2], 100)], "noise": [100],
+                          "diffusion_set": 1, "screened": 1}
 
     def test_vapor_medium(self, counts):
         evaluate(medium(**TestStackedEvaluate.POINT), TWO_PI * 1.0,
                  vapor=VaporParams.rb85_d1(temperature_c=120.0))
-        # expm: the reference on the atom at rest and the averages at 0, +-omega;
-        # kernels: the stack at rest and the Doppler average
-        assert counts == {"expm": [(2, 4)], "noise_integral": [3], "diffusion_set": 1,
-                          "kernel": 2}
+        # exponentials: the reference on the atom at rest and the averages at
+        # 0, +-omega; generator stacks: the stack at rest and the Doppler average
+        assert counts == {"expm": [4], "kernel": [([0, 2, 3], 3)], "noise": [3],
+                          "diffusion_set": 1, "screened": 2}
 
 
 class TestVaporColdLimit:
