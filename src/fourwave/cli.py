@@ -12,14 +12,15 @@ usage: fourwave {run,validate,reference} --config PATH [--out PATH] [--format {c
   --format {csv,json}  override output.format              (run and reference only)
   --db                 append decibel columns of the noise (run and reference only)
 
-Exit status: 0 ok, 1 run failed, 2 usage or config error.  Rows are written in
-sweep order, the same for a fixed config; a row whose frequency sits on a
-resonance pole is written empty with flag 'pole', and the run exits 0.
+Exit status: 0 ok, 1 run failed (leaving no output file), 2 usage or config
+error.  Rows are written in sweep order as they are computed, the same for a
+fixed config; a row whose frequency sits on a resonance pole is written empty
+with flag 'pole', and the run exits 0.
 """
 
 import csv
-import io
 import math
+import os
 import sys
 from getopt import GetoptError, getopt
 
@@ -41,18 +42,11 @@ NOISE_COLUMNS = ("S_Nminus", "S_phiplus", "inseparability", "S_Na", "S_N")
 # Coherence matrices in one stacked evaluation of a cold or vapor sweep, at most
 # 4 per cold row (the reference, 0, +omega and -omega) and 3 x VELOCITY_NODES
 # more per vapor row (the Doppler nodes at 0, +-omega); a larger sweep is split
-# in halves.  A stack of 68 vapor rows peaked within 0.1 MB of one row at a
-# time (31.3 MB resident); configs/vapor_gain_scan.ini (7564 matrices) is one
-# stack.
+# in halves.  Rows are written as each stack finishes, so this bounds the memory
+# of a run and nothing else: a stack of 68 vapor rows peaked within 0.1 MB of
+# one row at a time (31.3 MB resident); configs/vapor_gain_scan.ini (7564
+# matrices) is one stack.
 BLOCK_MATRICES = 8192
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return f"{value:.12g}"
 
 
 def _columns(model: str, kind: str = "") -> list[str]:
@@ -66,44 +60,49 @@ def _columns(model: str, kind: str = "") -> list[str]:
     return ["sweep_value", "Ga", "Gb", "S_Nminus", "flag"]
 
 
-def _medium_rows(cfg: RunConfig, values: list[float]) -> list[dict]:
-    """Cold or vapor rows of consecutive sweep values, evaluated as one
-    stacked medium; the vapor model folds the front-loaded residual
-    absorption into the gains.  A stack above BLOCK_MATRICES, or one that
-    raises, is split in halves down to single values, so every row gets
-    the flag it gets alone."""
+def _medium_rows(cfg: RunConfig, values: np.ndarray):
+    """Cold or vapor rows of consecutive sweep values (an array), in sweep
+    order, one block of columns (name -> list of cells) per stacked medium
+    evaluated; the vapor model folds the front-loaded residual absorption
+    into the gains.  A stack above BLOCK_MATRICES, or one that raises, is
+    split in halves down to single values, so every row gets the flag it
+    gets alone; a row with a non-finite value keeps only its flag."""
     half = len(values) // 2
     members = 4 + (3 * VELOCITY_NODES if cfg.model == "vapor" else 0)
-    if half and len(values) * members > BLOCK_MATRICES:
-        return _medium_rows(cfg, values[:half]) + _medium_rows(cfg, values[half:])
-    swept = np.array(values)
-    point = cfgmod.at_sweep_value(cfg, swept)
-    mp = cfgmod.medium_params_from(point)
-    omega = mhz_to_rad_us(swept if cfg.sweep_axis == "omega_mhz" else cfg.omega_mhz)
-    vp = cfgmod.vapor_params_from(point) if cfg.model == "vapor" else None
-    try:
-        obs = spec.evaluate(mp, omega, langevin=cfg.langevin, vapor=vp)
-        prepared, front_loss = None, 1.0
-        if vp is not None:
-            from .vapor import residual_transmission
-            prepared, front_loss = residual_transmission(mp, vp)
-    except FourwaveError as exc:
-        if half:
-            return _medium_rows(cfg, values[:half]) + _medium_rows(cfg, values[half:])
-        return [{"sweep_value": values[0],
-                 "flag": "pole" if isinstance(exc, PoleError) else f"error:{exc}"}]
-    columns = {"Ga": front_loss * obs.gain_a, "Gb": front_loss * obs.gain_b,
-               **{name: getattr(obs, name) for name in spec.NOISE_FIELDS},
-               "prepared_fraction": prepared}
-    columns = {name: np.broadcast_to(column, swept.shape).tolist()
-               for name, column in columns.items() if column is not None}
-    rows = []
-    for i, value in enumerate(values):
-        row = {name: column[i] for name, column in columns.items()}
-        bad = [name for name, x in row.items() if not math.isfinite(x)]
-        rows.append({"sweep_value": value, "flag": f"error:non-finite {bad[0]}"} if bad
-                    else {"sweep_value": value, **row, "flag": ""})
-    return rows
+    if not half or len(values) * members <= BLOCK_MATRICES:
+        point = cfgmod.at_sweep_value(cfg, values)
+        mp = cfgmod.medium_params_from(point)
+        omega = mhz_to_rad_us(values if cfg.sweep_axis == "omega_mhz" else cfg.omega_mhz)
+        vp = cfgmod.vapor_params_from(point) if cfg.model == "vapor" else None
+        try:
+            obs = spec.evaluate(mp, omega, langevin=cfg.langevin, vapor=vp)
+            prepared, front_loss = None, 1.0
+            if vp is not None:
+                from .vapor import residual_transmission
+                prepared, front_loss = residual_transmission(mp, vp)
+        except FourwaveError as exc:
+            if not half:
+                yield {"sweep_value": values.tolist(),
+                       "flag": ["pole" if isinstance(exc, PoleError) else f"error:{exc}"]}
+                return
+        else:
+            columns = {"Ga": front_loss * obs.gain_a, "Gb": front_loss * obs.gain_b,
+                       **{name: getattr(obs, name) for name in spec.NOISE_FIELDS},
+                       "prepared_fraction": prepared}
+            columns = {name: np.broadcast_to(column, values.shape)
+                       for name, column in columns.items() if column is not None}
+            finite = {name: np.isfinite(column) for name, column in columns.items()}
+            block = {"sweep_value": values.tolist(), "flag": [""] * len(values),
+                     **{name: column.tolist() for name, column in columns.items()}}
+            for i in np.flatnonzero(~np.logical_and.reduce([*finite.values()])).tolist():
+                block["flag"][i] = "error:non-finite " + next(
+                    name for name, ok in finite.items() if not ok[i])
+                for name in columns:
+                    block[name][i] = None
+            yield block
+            return
+    yield from _medium_rows(cfg, values[:half])
+    yield from _medium_rows(cfg, values[half:])
 
 
 def _eit_row(cfg: RunConfig, axis: str, value: float) -> dict:
@@ -140,74 +139,73 @@ def _reference_row(cfg: RunConfig, axis: str, value: float) -> dict:
         return {"sweep_value": value, "flag": f"error:{exc}"}
 
 
-_ROW_BUILDERS = {"eit": _eit_row, "reference": _reference_row}
+def _table(block: dict, names) -> list[list]:
+    """The columns ``names`` of a block of rows, None where it has none; a
+    name_db column holds 10 log10 of the positive floats of column name."""
+    rows = len(block["flag"])
+    table = [block.get(name.removesuffix("_db")) or [None] * rows for name in names]
+    return [[10.0 * math.log10(v) if isinstance(v, float) and v > 0 else None for v in column]
+            if name.endswith("_db") else column for name, column in zip(names, table)]
 
 
 def run(cfg: RunConfig, with_db: bool = False) -> int:
-    """Execute the sweep and write the output file; returns exit status."""
-    problems = cfgmod.validate(cfg)
-    if problems:
+    """Execute the sweep, writing each block of rows as it is evaluated;
+    returns exit status.  A run that fails leaves no output file."""
+    if problems := cfgmod.validate(cfg):
         for d in problems:
             print(f"config error at {d}", file=sys.stderr)
         return 2
-    axis, values = cfg.sweep_axis, cfgmod.sweep_values(cfg)
-    rows = _medium_rows(cfg, values) if cfg.model in ("cold", "vapor") \
-        else [_ROW_BUILDERS[cfg.model](cfg, axis, v) for v in values]
-
-    columns = _columns(cfg.model, cfg.reference.get("kind", ""))
+    names = _columns(cfg.model, cfg.reference.get("kind", ""))
     if with_db:
-        columns = _with_db_columns(columns, rows)
-    labels = [f"sweep_value[{axis}]" if c == "sweep_value" else c
-              for c in columns]     # axis key carries the unit
-    text = _render_csv(labels, columns, rows) if cfg.output_format == "csv" \
-        else _render_json(labels, columns, rows, cfg)
+        names[-1:-1] = [f"{name}_db" for name in names if name in NOISE_COLUMNS]
+    labels = [f"sweep_value[{cfg.sweep_axis}]" if c == "sweep_value" else c
+              for c in names]     # axis key carries the unit
+    write = _write_csv if cfg.output_format == "csv" else _write_json
+    values = cfgmod.sweep_values(cfg)
+    build = _eit_row if cfg.model == "eit" else _reference_row
+    blocks = _medium_rows(cfg, np.array(values)) if cfg.model in ("cold", "vapor") else (
+        {name: [cell] for name, cell in build(cfg, cfg.sweep_axis, v).items()} for v in values)
+    path, fh = cfg.output_path, None
     try:
-        with open(cfg.output_path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"run failed: cannot write {cfg.output_path}: {exc.strerror}", file=sys.stderr)
+        with open(path, "w", newline="") as fh:
+            write(fh, labels, (_table(block, names) for block in blocks), cfg)
+    except BaseException as exc:
+        if fh is not None and os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)     # the partial output; never a device or a link
+        if not isinstance(exc, OSError):
+            raise
+        print(f"run failed: cannot write {path}: {exc.strerror}", file=sys.stderr)
         return 1
     return 0
 
 
-def _with_db_columns(columns, rows):
-    out = list(columns)
-    insert_at = out.index("flag")
-    for name in [c for c in columns if c in NOISE_COLUMNS]:
-        db_name = f"{name}_db"
-        for row in rows:
-            val = row.get(name)
-            row[db_name] = 10.0 * math.log10(val) if isinstance(val, float) and val > 0 \
-                else None
-        out.insert(insert_at, db_name)
-        insert_at += 1
-    return out
+def _write_csv(fh, labels, tables, cfg: RunConfig):
+    csv.writer(fh, lineterminator="\n").writerow(labels)
+    # a writer per block, so that its 128 KiB record buffer is free while a stack is evaluated
+    for *numbers, flags in tables:
+        cells = [["" if x is None else f"{x:.12g}" for x in column] for column in numbers]
+        csv.writer(fh, lineterminator="\n").writerows(zip(*cells, flags))
 
 
-def _render_csv(labels, columns, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(labels)
-    writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
-    return buf.getvalue()
-
-
-def _render_json(labels, columns, rows, cfg: RunConfig) -> str:
+def _write_json(fh, labels, tables, cfg: RunConfig):
+    """The bytes of json.dumps(payload, indent=2) + "\n", rows written as
+    they come: numbers and nulls, and the flag last (null when empty)."""
     import hashlib
     import json
     meta = {"model": cfg.model, "sweep_axis": cfg.sweep_axis, "seed": cfg.seed,
             "version": __version__, "config_sha256": hashlib.sha256(cfg.text.encode()).hexdigest()}
     if cfg.model == "vapor":
         meta["velocity_order"] = VELOCITY_NODES
-    payload = {"schema": {"columns": labels}, "meta": meta,
-               "rows": [[row.get(c) if row.get(c) != "" else None for c in columns]
-                        for row in rows]}
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _load(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return cfgmod.parse_config(fh.read())
+    head = json.dumps({"schema": {"columns": labels}, "meta": meta, "rows": []}, indent=2)
+    fh.write(head[:-len("]\n}")])
+    comma = ""
+    for *numbers, flags in tables:
+        cells = [json.dumps(column)[1:-1].split(", ") for column in numbers]
+        cells.append([json.dumps(flag) if flag else "null" for flag in flags])
+        fh.write(comma + ",".join("\n    [\n      " + ",\n      ".join(row) + "\n    ]"
+                                  for row in zip(*cells)))
+        comma = ","
+    fh.write("\n  ]\n}\n")
 
 
 def _parse(argv) -> tuple[str, dict]:
@@ -243,7 +241,8 @@ def main(argv=None) -> int:
         print(__doc__, end="")
         return 0
     try:
-        cfg = _load(options["config"])
+        with open(options["config"], encoding="utf-8") as fh:
+            cfg = cfgmod.parse_config(fh.read())
     except (OSError, UnicodeDecodeError, ConfigParseError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2

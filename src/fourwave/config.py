@@ -97,9 +97,8 @@ PARAMETER_KEYS = {
 _BLOCKS = {"cold": ("atom", "medium"), "vapor": ("atom", "medium", "vapor"),
            "eit": ("eit",)}
 
-# run holds every row until it writes the file, about 0.6 KB a row (a
-# 100000-row cold sweep peaked 55 MB above a 10000-row one), so 10**6 rows
-# take about 0.6 GB and ten times as many would take 6 GB.
+# run writes rows as each stack finishes but holds the sweep values, as a list
+# and an array, about 45 bytes a row: 10**6 rows take about 45 MB.
 SWEEP_COUNT_LIMIT = 10**6
 
 
@@ -270,11 +269,11 @@ def sweep_values(cfg: RunConfig) -> list[float]:
 def _parameter_diagnostics(cfg: RunConfig) -> list[Diagnostic]:
     """The first domain error of the parameter objects run() builds.
 
-    They are built at both sweep endpoints: sweeps are linear and every
-    parameter constraint is an interval, so the endpoints decide.
+    They are built at both sweep endpoints, each once: sweeps are linear and
+    every parameter constraint is an interval, so the endpoints decide.
     """
-    builders = {"atom": atom_params_from, "medium": medium_params_from,
-                "vapor": vapor_params_from, "eit": eit_params_from}
+    builders = {"atom": atom_params_from, "vapor": vapor_params_from, "eit": eit_params_from,
+                "medium": lambda point: medium_params_from(point, built["atom"])}
     ends = (cfg.sweep_start,) if cfg.sweep_count == 1 \
         else (cfg.sweep_start, cfg.sweep_stop)
     for value in ends:
@@ -287,6 +286,8 @@ def _parameter_diagnostics(cfg: RunConfig) -> list[Diagnostic]:
         if cfg.model == "vapor" and (diag := _doppler_diagnostic(cfg, value, built["medium"],
                                                                   built["vapor"])):
             return [diag]
+        if point is cfg:        # the sweep axis is in no parameter block: one point
+            break
     return []
 
 
@@ -348,10 +349,10 @@ def atom_params_from(cfg: RunConfig):
     return AtomParams(**_fields(cfg, "atom"))
 
 
-def medium_params_from(cfg: RunConfig):
-    """MediumParams from the [atom] and [medium] blocks."""
+def medium_params_from(cfg: RunConfig, atom=None):
+    """MediumParams from the [medium] block on ``atom``, by default the [atom] block's."""
     from .propagation import MediumParams
-    return MediumParams(atom=atom_params_from(cfg), **_fields(cfg, "medium"))
+    return MediumParams(atom=atom or atom_params_from(cfg), **_fields(cfg, "medium"))
 
 
 def vapor_params_from(cfg: RunConfig):

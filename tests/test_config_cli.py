@@ -340,6 +340,26 @@ class TestValidation:
         assert [str(d) for d in validate(parse_config(ini.read_text()))] == [message]
         assert main(["run", "--config", str(ini)]) == 2
 
+    @pytest.mark.parametrize("model, axis, count, built", (
+        ("cold", "omega_mhz", 41, 1), ("cold", "delta2_mhz", 41, 2), ("cold", "delta2_mhz", 1, 1),
+        ("vapor", "omega_mhz", 41, 1), ("vapor", "temperature_c", 41, 2)))
+    def test_validate_builds_one_atom_per_sweep_point(self, monkeypatch, model, axis, count,
+                                                       built):
+        import fourwave.atom
+        calls = []
+
+        class Counted(fourwave.atom.AtomParams):
+            def __post_init__(self):
+                calls.append(self)
+                super().__post_init__()
+        monkeypatch.setattr(fourwave.atom, "AtomParams", Counted)
+        start, stop = {"omega_mhz": (0.5, 5), "delta2_mhz": (-100, 100),
+                       "temperature_c": (60, 160)}[axis]
+        text = (cold_config if model == "cold" else vapor_config)(
+            "o.csv", axis=axis, start=start, stop=stop, count=count)
+        assert validate(parse_config(text)) == []
+        assert len(calls) == built
+
     @pytest.mark.parametrize("model, edits, rejected", (
         ("cold", (), False),
         ("cold", (("rabi_mhz = 300", "rabi_mhz = -5"),), True),

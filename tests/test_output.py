@@ -1,0 +1,229 @@
+"""What `fourwave run` writes: the streamed CSV and JSON writers against the
+dict renderers they replaced, byte for byte; memory bounded by the stack,
+not the sweep; and a run that fails leaves no output file."""
+
+import csv
+import hashlib
+import io
+import json
+import math
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fourwave import cli
+from fourwave import config as cfgmod
+from fourwave.cli import main
+from fourwave.errors import DomainError, FourwaveError, PoleError
+from fourwave.numkernel import VELOCITY_NODES
+from fourwave.units import mhz_to_rad_us
+
+from test_config_cli import CHAIN_CONFIG, EIT_CONFIG, REFERENCE_CONFIG, cold_config
+from test_sweeps import CONFIG, POINT
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+# The row-by-row output path the streamed writers replaced: a dict per row,
+# rendered once the whole sweep is done.  Kept as the oracle.
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    return f"{value:.12g}"
+
+
+def _medium_rows(cfg, values: list[float]) -> list[dict]:
+    half = len(values) // 2
+    members = 4 + (3 * VELOCITY_NODES if cfg.model == "vapor" else 0)
+    if half and len(values) * members > cli.BLOCK_MATRICES:
+        return _medium_rows(cfg, values[:half]) + _medium_rows(cfg, values[half:])
+    swept = np.array(values)
+    point = cfgmod.at_sweep_value(cfg, swept)
+    mp = cfgmod.medium_params_from(point)
+    omega = mhz_to_rad_us(swept if cfg.sweep_axis == "omega_mhz" else cfg.omega_mhz)
+    vp = cfgmod.vapor_params_from(point) if cfg.model == "vapor" else None
+    try:
+        obs = cli.spec.evaluate(mp, omega, langevin=cfg.langevin, vapor=vp)
+        prepared, front_loss = None, 1.0
+        if vp is not None:
+            from fourwave.vapor import residual_transmission
+            prepared, front_loss = residual_transmission(mp, vp)
+    except FourwaveError as exc:
+        if half:
+            return _medium_rows(cfg, values[:half]) + _medium_rows(cfg, values[half:])
+        return [{"sweep_value": values[0],
+                 "flag": "pole" if isinstance(exc, PoleError) else f"error:{exc}"}]
+    columns = {"Ga": front_loss * obs.gain_a, "Gb": front_loss * obs.gain_b,
+               **{name: getattr(obs, name) for name in cli.spec.NOISE_FIELDS},
+               "prepared_fraction": prepared}
+    columns = {name: np.broadcast_to(column, swept.shape).tolist()
+               for name, column in columns.items() if column is not None}
+    rows = []
+    for i, value in enumerate(values):
+        row = {name: column[i] for name, column in columns.items()}
+        bad = [name for name, x in row.items() if not math.isfinite(x)]
+        rows.append({"sweep_value": value, "flag": f"error:non-finite {bad[0]}"} if bad
+                    else {"sweep_value": value, **row, "flag": ""})
+    return rows
+
+
+def _with_db_columns(columns, rows):
+    out = list(columns)
+    insert_at = out.index("flag")
+    for name in [c for c in columns if c in cli.NOISE_COLUMNS]:
+        db_name = f"{name}_db"
+        for row in rows:
+            val = row.get(name)
+            row[db_name] = 10.0 * math.log10(val) if isinstance(val, float) and val > 0 \
+                else None
+        out.insert(insert_at, db_name)
+        insert_at += 1
+    return out
+
+
+def _render_csv(labels, columns, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(labels)
+    writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
+    return buf.getvalue()
+
+
+def _render_json(labels, columns, rows, cfg) -> str:
+    meta = {"model": cfg.model, "sweep_axis": cfg.sweep_axis, "seed": cfg.seed,
+            "version": cli.__version__,
+            "config_sha256": hashlib.sha256(cfg.text.encode()).hexdigest()}
+    if cfg.model == "vapor":
+        meta["velocity_order"] = VELOCITY_NODES
+    payload = {"schema": {"columns": labels}, "meta": meta,
+               "rows": [[row.get(c) if row.get(c) != "" else None for c in columns]
+                        for row in rows]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def oracle(text: str, fmt: str, with_db: bool) -> str:
+    cfg = cfgmod.parse_config(text)
+    axis, values = cfg.sweep_axis, cfgmod.sweep_values(cfg)
+    build = cli._eit_row if cfg.model == "eit" else cli._reference_row
+    rows = _medium_rows(cfg, values) if cfg.model in ("cold", "vapor") \
+        else [build(cfg, axis, v) for v in values]
+    columns = cli._columns(cfg.model, cfg.reference.get("kind", ""))
+    if with_db:
+        columns = _with_db_columns(columns, rows)
+    labels = [f"sweep_value[{axis}]" if c == "sweep_value" else c for c in columns]
+    return _render_csv(labels, columns, rows) if fmt == "csv" \
+        else _render_json(labels, columns, rows, cfg)
+
+
+def shipped(name: str) -> str:
+    return (CONFIGS / f"{name}.ini").read_text()
+
+
+CASES = {
+    "entangled_pair": shipped("entangled_pair"),
+    "vapor_gain_scan": shipped("vapor_gain_scan"),
+    "reference_pia": shipped("reference_pia"),
+    # a pole row in the middle of a stack (tests/test_sweeps.py::test_pole_row_mid_block)
+    "pole-mid-stack": CONFIG.format(
+        model="cold", axis="omega_mhz", start=1.5, stop=2.5, count=5, path="o.csv",
+        **{**POINT["cold"], "rabi_mhz": 0.0, "gamma_g_mhz": 0.0, "delta2_mhz": 2.0}),
+    # 12 rows flagged error:non-finite S_Nminus (tests/test_config_fuzz.py)
+    "non-finite": shipped("vapor_gain_scan").replace("optical_depth = 4500",
+                                                     "optical_depth = 1000001"),
+    "chain-commas": CHAIN_CONFIG.format(path="o.csv"),
+    "eit": EIT_CONFIG.format(path="o.csv"),
+    "psa": REFERENCE_CONFIG.format(path="o.csv").replace(
+        "kind = pia", "kind = psa").replace("gain = 3", "gain = 3\ntheta_deg = 30"),
+    "count-1": cold_config("o.csv", axis="omega_mhz", start=2.5, stop=2.5, count=1),
+}
+
+
+@pytest.mark.parametrize("fmt, with_db", (("csv", False), ("json", False), ("csv", True),
+                                          ("json", True)), ids=("csv", "json", "csv-db",
+                                                                "json-db"))
+@pytest.mark.parametrize("name", (*CASES, "split-stacks"))
+def test_output_equals_the_dict_renderers(tmp_path, monkeypatch, name, fmt, with_db):
+    if name == "split-stacks":    # stacks of 4 rows, the last one of 2
+        monkeypatch.setattr(cli, "BLOCK_MATRICES", 4 * 4)
+    text = CASES.get(name, CASES["entangled_pair"])
+    ini, out = tmp_path / "cfg.ini", tmp_path / f"out.{fmt}"
+    ini.write_text(text)
+    command = "reference" if "model = reference" in text else "run"
+    argv = [command, "--config", str(ini), "--out", str(out), "--format", fmt]
+    assert main(argv + ["--db"] * with_db) == 0
+    expected = oracle(text, fmt, with_db)
+    assert out.read_text() == expected
+    if name == "non-finite":
+        assert expected.count("error:non-finite S_Nminus") == 12
+    if name == "chain-commas" and fmt == "csv":
+        assert ',"error:slice_transmission' in expected     # quoted: it holds commas
+
+
+def omega_sweep(count: int, path) -> str:
+    return shipped("entangled_pair").replace("count = 50", f"count = {count}") \
+        .replace("path = entangled_pair.csv", f"path = {path}")
+
+
+def traced_peak(tmp_path, count: int) -> int:
+    ini = tmp_path / f"sweep{count}.ini"
+    ini.write_text(omega_sweep(count, tmp_path / "out.csv"))
+    tracemalloc.start()
+    try:
+        assert main(["run", "--config", str(ini)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_is_bounded_by_the_stack_not_the_sweep(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "BLOCK_MATRICES", 4 * 64)     # stacks of 64 rows
+    traced_peak(tmp_path, 64)       # lazy imports and first-use caches
+    short, long = traced_peak(tmp_path, 128), traced_peak(tmp_path, 1280)
+    assert long <= 1.25 * short, (short, long)
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 1281
+
+
+def test_unwritable_output_fails_before_any_evaluation(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.spec, "evaluate", lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "missing" / "o.csv"
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(cold_config(out, count=3))
+    assert main(["run", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err == (f"run failed: cannot write {out}: "
+                                       "No such file or directory\n")
+    assert calls == []
+
+
+def test_run_failing_after_the_first_stack_leaves_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "BLOCK_MATRICES", 4 * 4)
+    out, ini = tmp_path / "o.csv", tmp_path / "cfg.ini"
+    ini.write_text(cold_config(out, count=11))
+    built, medium_params_from = [], cfgmod.medium_params_from
+
+    def second_stack_fails(point, atom=None):
+        if atom is None:        # run's stacks; validate passes the atom it built
+            built.append(point)
+            if len(built) == 2:
+                assert out.exists()     # opened before the first stack
+                raise DomainError("medium: no second stack")
+        return medium_params_from(point, atom)
+    monkeypatch.setattr(cfgmod, "medium_params_from", second_stack_fails)
+    assert main(["run", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err == "run failed: medium: no second stack\n"
+    assert len(built) == 2 and not out.exists()
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_failed_write_reports_and_keeps_a_device(tmp_path, capsys):
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(cold_config("/dev/full", count=3))
+    assert main(["run", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err == ("run failed: cannot write /dev/full: "
+                                       "No space left on device\n")
+    assert Path("/dev/full").exists()
