@@ -105,9 +105,8 @@ def _medium_rows(cfg: RunConfig, values: np.ndarray):
     yield from _medium_rows(cfg, values[half:])
 
 
-def _eit_row(cfg: RunConfig, axis: str, value: float) -> dict:
+def _eit_row(lp, value: float) -> dict:
     from .eit import susceptibility
-    lp = cfgmod.eit_params_from(cfg)
     try:
         chi = susceptibility(lp, mhz_to_rad_us(value))
     except PoleError:
@@ -162,9 +161,11 @@ def run(cfg: RunConfig, with_db: bool = False) -> int:
               for c in names]     # axis key carries the unit
     write = _write_csv if cfg.output_format == "csv" else _write_json
     values = cfgmod.sweep_values(cfg)
-    build = _eit_row if cfg.model == "eit" else _reference_row
+    lp = cfgmod.eit_params_from(cfg) if cfg.model == "eit" else None     # one for every row
+    rows = (_reference_row(cfg, cfg.sweep_axis, v) if lp is None else _eit_row(lp, v)
+            for v in values)
     blocks = _medium_rows(cfg, np.array(values)) if cfg.model in ("cold", "vapor") else (
-        {name: [cell] for name, cell in build(cfg, cfg.sweep_axis, v).items()} for v in values)
+        {name: [cell] for name, cell in row.items()} for row in rows)
     path, fh = cfg.output_path, None
     try:
         with open(path, "w", newline="") as fh:

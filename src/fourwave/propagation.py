@@ -36,18 +36,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom import AtomParams, build_coherence_system, diffusion_set, steady_state
+from .atom import AtomParams, diffusion_set, steady_state
 from .errors import CalibrationError, PoleError, first, require
 from .numkernel import _expm_rows, _noise_integral_rows, expm
 from .units import TWO_PI
 
-# Resonance pole (row flagged, excluded from spectra): the coherence system's 2-norm
-# condition number exceeds this, checked exactly unless a cheaper screen rules it out.
+# Resonance pole (row flagged, excluded from spectra): the coherence system's
+# Frobenius condition number |M1'|_F |M1'^-1|_F, in closed form, exceeds this.
 POLE_CONDITION_LIMIT = 1e12
 
 # Largest optical depth: far above any cell's, and far from overflow.  No
 # generator entry exceeds about 1e12 * optical_depth, as |M1'| >= gamma_e / 2
-# and the pole screen bounds |M1'^-1| by POLE_CONDITION_LIMIT / |M1'|.
+# and a member that is no pole has |M1'^-1|_F <= POLE_CONDITION_LIMIT / |M1'|_F.
 OPTICAL_DEPTH_LIMIT = 1e100
 
 # The reference frequency of the Langevin normalization, rad/us.
@@ -116,11 +116,11 @@ def _screened_generator(mp: MediumParams, omega, ss=None):
     (2,2) abd - h^2(a+b), (2,3) -h^2(a+b), (3,3) abc - h^2(a+b).  T takes row
     0 and minus row 1; the generator is i (optical_depth g/4) T M1'^-1 s1.
 
-    A pole is cond_2(M1') > POLE_CONDITION_LIMIT: kappa_F = |M1'|_F |M1'^-1|_F
-    (_kappa2) >= kappa_2 within limit / 2 (2 for rounding) everywhere rules poles
-    out, else np.linalg.cond of the built M1' decides.  PoleError names the omega
-    of the first pole in stack order, its stack index and the last-axis (velocity
-    node) indices of the poles beside it; a non-finite omega raises DomainError.
+    A pole is kappa_F = |M1'|_F |M1'^-1|_F (_kappa2) > POLE_CONDITION_LIMIT, or a
+    NaN kappa_F: one closed-form test, no SVD (kappa_2 <= kappa_F <= 4 kappa_2 for
+    the 4x4 M1').  PoleError names the omega of the first pole in stack order, its
+    stack index and the last-axis (velocity node) indices of the poles beside it;
+    a non-finite omega raises DomainError.
     """
     require(np.isfinite(omega), "coherence system", "omega", "must be finite", omega)
     p = mp.atom
@@ -155,13 +155,11 @@ def _screened_generator(mp: MediumParams, omega, ss=None):
         gens = np.array([e0 * n0 - b * u0, b * u1 - h2cdr * n1,
                          h2cdr * n0 - a * u0, e5 * n1 + a * u1])
         gens *= ipref * t
-    if not (kappa2 <= (POLE_CONDITION_LIMIT / 2) ** 2).all():     # also on a NaN
-        poles = np.linalg.cond(build_coherence_system(p, ss, omega)[0]) > POLE_CONDITION_LIMIT
-        if poles.any():
-            index = np.unravel_index(poles.argmax(), poles.shape)
-            at = float(np.broadcast_to(omega, poles.shape)[index])
-            raise PoleError(f"coherence system singular at omega = {at:.6g} rad/us", omega=at,
-                            nodes=np.flatnonzero(poles[index[:-1]]).tolist(), index=index)
+    if (poles := ~(kappa2 <= POLE_CONDITION_LIMIT**2).reshape(shape)).any():   # NaN too
+        index = np.unravel_index(poles.argmax(), poles.shape)
+        at = float(np.broadcast_to(omega, poles.shape)[index])
+        raise PoleError(f"coherence system singular at omega = {at:.6g} rad/us", omega=at,
+                        nodes=np.flatnonzero(poles[index[:-1]]).tolist(), index=index)
     return (np.asarray(pref)[..., None, None], gens.reshape((4,) + shape), t,
             (a, b, h2cdr, hdr, hcr, e0, e5))
 

@@ -498,6 +498,22 @@ class TestRun:
         assert float(centre[header[0]]) == 0.0
         assert abs(float(centre["chi_im"])) < 1e-12
 
+    def test_eit_run_builds_its_parameters_once(self, tmp_path, monkeypatch):
+        # one LambdaParams in validate and one for all 81 rows, not one per row
+        from fourwave import eit
+        built = []
+
+        class Counted(eit.LambdaParams):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+        monkeypatch.setattr(eit, "LambdaParams", Counted)
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(EIT_CONFIG.format(path=tmp_path / "eit.csv"))
+        assert main(["run", "--config", str(ini)]) == 0
+        assert len(read_rows(tmp_path / "eit.csv")[1]) == 81
+        assert 1 <= len(built) <= 2
+
     def test_invalid_config_nonzero_exit(self, tmp_path, capsys):
         ini = tmp_path / "cfg.ini"
         ini.write_text(cold_config(tmp_path / "o.csv", count=0))

@@ -134,3 +134,28 @@ def test_imports_no_test_only_module(path):
               if isinstance(node, ast.ImportFrom) and node.level == 0 for alias in node.names]
     assert [name for name in names
             if any(name == m or name.startswith(m + ".") for m in NEVER_IMPORTED)] == []
+
+
+def linalg_references(path) -> list[str]:
+    """How a module reaches numpy.linalg: "linalg.<name>" for each np.linalg.<name>,
+    "linalg" for any other reference to it or an import that reaches into it."""
+    tree = ast.parse(path.read_text())
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            up = parents[node]
+            refs.append(f"linalg.{up.attr}" if isinstance(up, ast.Attribute) else "linalg")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+            refs += ["linalg" for name in names if "linalg" in name.split(".")]
+    return sorted(refs)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "fourwave").glob("*.py")), ids=source_id)
+def test_only_atom_references_numpy_linalg(path):
+    # one pole rule: propagation flags poles by the closed-form kappa_F alone, and
+    # no module grows a LAPACK path beside it; atom keeps the 7x7 eigvals of
+    # slowest_relaxation and decay_rates
+    expected = ["linalg.eigvals"] * 2 if path.name == "atom.py" else []
+    assert linalg_references(path) == expected

@@ -72,6 +72,15 @@ def _medium_rows(cfg, values: list[float]) -> list[dict]:
     return rows
 
 
+def _eit_row(cfg, value: float) -> dict:
+    from fourwave.eit import susceptibility
+    try:
+        chi = susceptibility(cfgmod.eit_params_from(cfg), mhz_to_rad_us(value))
+    except PoleError:
+        return {"sweep_value": value, "flag": "pole"}
+    return {"sweep_value": value, "chi_re": chi.real, "chi_im": chi.imag, "flag": ""}
+
+
 def _with_db_columns(columns, rows):
     out = list(columns)
     insert_at = out.index("flag")
@@ -109,9 +118,9 @@ def _render_json(labels, columns, rows, cfg) -> str:
 def oracle(text: str, fmt: str, with_db: bool) -> str:
     cfg = cfgmod.parse_config(text)
     axis, values = cfg.sweep_axis, cfgmod.sweep_values(cfg)
-    build = cli._eit_row if cfg.model == "eit" else cli._reference_row
     rows = _medium_rows(cfg, values) if cfg.model in ("cold", "vapor") \
-        else [build(cfg, axis, v) for v in values]
+        else [_eit_row(cfg, v) if cfg.model == "eit" else cli._reference_row(cfg, axis, v)
+              for v in values]
     columns = cli._columns(cfg.model, cfg.reference.get("kind", ""))
     if with_db:
         columns = _with_db_columns(columns, rows)

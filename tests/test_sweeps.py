@@ -141,21 +141,25 @@ def test_pole_row_costs_a_logarithmic_number_of_calls(tmp_path, evaluate_calls):
 
 # gamma_g = 0 delta2 sweeps at omega = 2 MHz: across the Raman resonances of
 # the kernels at -omega, 0, the 1 MHz calibration frequency and +omega, and
-# within 1.6e-8 MHz of +omega, where the condition number of the coherence
-# system crosses POLE_CONDITION_LIMIT.  Without the pump the entry
+# within 1.6e-8 MHz of +omega, where the Frobenius condition number kappa_F of
+# the coherence system crosses POLE_CONDITION_LIMIT.  Without the pump the entry
 # d = omega + i gamma_g - delta2 of the diagonal M1' reaches 0 there; with it,
-# det M1' stays away from 0.  The flags are those of the LAPACK-inverse kernel.
+# det M1' stays away from 0.  Near +omega the flags differ by model: vapor
+# rows 2 and 6 (delta2 = 2 -+ 8e-9 MHz) have kappa_F = 1.02e12 (kappa_2 =
+# 8.3e11) and are poles, the cold rows there kappa_F = 6.4e11.
 RAMAN_SWEEPS = ((-3.0, 3.0, 13), (2.0 - 1.6e-8, 2.0 + 1.6e-8, 9))
 RAMAN_FLAGS = {0.0: (["", "", "pole", "", "", "", "pole", "", "pole", "", "pole", "", ""],
-                     [""] * 3 + ["pole"] * 3 + [""] * 3),
-               300.0: ([""] * 13, [""] * 9)}
+                     {"cold": [""] * 3 + ["pole"] * 3 + [""] * 3,
+                      "vapor": [""] * 2 + ["pole"] * 5 + [""] * 2}),
+               300.0: ([""] * 13, {"cold": [""] * 9, "vapor": [""] * 9})}
 
 
 @pytest.mark.parametrize("model", ("cold", "vapor"))
 @pytest.mark.parametrize("rabi_mhz", (0.0, 300.0), ids=("pump-off", "pump-on"))
 def test_raman_pole_flags(tmp_path, model, rabi_mhz):
     point = {**POINT[model], "gamma_g_mhz": 0.0, "omega_mhz": 2.0, "rabi_mhz": rabi_mhz}
-    for sweep, flags in zip(RAMAN_SWEEPS, RAMAN_FLAGS[rabi_mhz]):
+    wide, near = RAMAN_FLAGS[rabi_mhz]
+    for sweep, flags in zip(RAMAN_SWEEPS, (wide, near[model])):
         rows = assert_stacked_equals_alone(tmp_path, model, "delta2_mhz", *sweep, **point)
         assert [row.split(",")[-1] for row in rows] == flags
 
