@@ -18,7 +18,6 @@ fixed config; a row whose frequency sits on a resonance pole is written empty
 with flag 'pole', and the run exits 0.
 """
 
-import csv
 import math
 import os
 import sys
@@ -40,12 +39,14 @@ LONG_OPTIONS = ("help", "config=", "out=", "format=", "db")
 NOISE_COLUMNS = ("S_Nminus", "S_phiplus", "inseparability", "S_Na", "S_N")
 
 # Coherence matrices in one stacked evaluation of a cold or vapor sweep, at most
-# 4 per cold row (the reference, 0, +omega and -omega) and 3 x VELOCITY_NODES
-# more per vapor row (the Doppler nodes at 0, +-omega); a larger sweep is split
-# in halves.  Rows are written as each stack finishes, so this bounds the memory
-# of a run and nothing else: a stack of 68 vapor rows peaked within 0.1 MB of
-# one row at a time (31.3 MB resident); configs/vapor_gain_scan.ini (7564
-# matrices) is one stack.
+# 4 per cold row and 3 x VELOCITY_NODES more per vapor row (the Doppler nodes at
+# 0, +-omega); a larger sweep is split in halves.  A cold stack has exactly 2 per
+# row (+omega, -omega) and 2 per medium (the reference and 0): 4N for N media,
+# 2 + 2N for an omega sweep of N rows, so 4 per row bounds both.  Rows are
+# written as each stack finishes, so this bounds the memory of a run and
+# nothing else: a stack of 68 vapor rows peaked within 0.1 MB of one row at a
+# time (31.3 MB resident); configs/vapor_gain_scan.ini (7564 matrices) is one
+# stack.
 BLOCK_MATRICES = 8192
 
 
@@ -180,12 +181,18 @@ def run(cfg: RunConfig, with_db: bool = False) -> int:
     return 0
 
 
+def _csv_cell(text: str) -> str:
+    """text as csv.writer(fh, lineterminator="\\n") writes it (a lone CR as is)."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\n') else text
+
+
 def _write_csv(fh, labels, tables, cfg: RunConfig):
-    csv.writer(fh, lineterminator="\n").writerow(labels)
-    # a writer per block, so that its 128 KiB record buffer is free while a stack is evaluated
+    # csv.writer's bytes; numbers never need quoting, labels and flags may
+    fh.write(",".join(map(_csv_cell, labels)) + "\n")
     for *numbers, flags in tables:
         cells = [["" if x is None else f"{x:.12g}" for x in column] for column in numbers]
-        csv.writer(fh, lineterminator="\n").writerows(zip(*cells, flags))
+        cells.append([_csv_cell(flag) if flag else flag for flag in flags])
+        fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def _write_json(fh, labels, tables, cfg: RunConfig):

@@ -33,7 +33,7 @@ class PoleError(FourwaveError, ArithmeticError):
         self.omega = omega
         self.velocities = velocities or []
         self.nodes = nodes or []
-        self.index = index      # stack index of the first pole
+        self.index = index      # stack index of the first pole (flat on a flat stack)
 
 
 class DomainError(FourwaveError, ValueError):

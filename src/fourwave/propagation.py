@@ -14,12 +14,15 @@ noise int_0^1 e^{-Gz} K D K^+ e^{-G^+ z} dz at +-omega, the closed form
 numkernel.noise_integral(-G, K D K^+), real by construction.  _langevin
 forms them for spectra.evaluate, integrated_diffusion and commutator_defect,
 with their normalization, never stored: the scale requires the output field
-commutator to stay canonical at CALIBRATION_FREQ, the leading row of each
-caller's generator stack (_reference), rather than microscopic
-coupling-constant bookkeeping.  It assembles the kernel K only on the rows
-of _screened_generator's stack that carry noise (_kernel), for one batched
-product Q = K D K^+, and passes the flat rows of -G and of Q to numkernel's
-noise core; transfers are views of the exponential core's rows (_transfers).
+commutator to stay canonical at CALIBRATION_FREQ, the leading members of
+each caller's generator stack (_reference), rather than microscopic
+coupling-constant bookkeeping.  It assembles the kernel K only on the
+members of _screened_generator's stack that carry noise (_kernel), for a
+product Q = K D K^+ per group of members with one D each, and passes the
+flat rows of -G and of Q to numkernel's noise core; transfers are views of
+the exponential core's rows (_transfers).  Their stacks lie on one flat
+member axis (_stack): the reference and 0 once per medium, +-omega at every
+point, so an omega sweep of N points over one medium forms 2 + 2N members.
 
 MediumParams fields may be arrays.  Results are stacked to the broadcast
 shape of the medium and omega (leading axes), the velocity nodes of a
@@ -32,6 +35,7 @@ named operands.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,12 +104,31 @@ def _frequencies(shape, *omegas) -> np.ndarray:
     return np.stack([np.broadcast_to(w, shape) for w in omegas])
 
 
-def _screened_generator(mp: MediumParams, omega, ss=None):
+def _stack(media, shape, *omegas):
+    """A generator stack on one flat member axis: the frequencies ``omegas``,
+    each broadcast on its own against ``shape`` (the medium's shape ``media``,
+    or with its vapor's), as (the frequencies (n,), the flat index of each
+    member's medium (n,), the shape of each group), so that a frequency of
+    the medium alone (the reference, 0) takes ``shape``."""
+    shapes = [np.broadcast_shapes(shape, np.shape(w)) for w in omegas]
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    freqs, index = np.empty(ends[-1]), np.empty(ends[-1], dtype=int)
+    flat = np.arange(math.prod(media)).reshape(media)
+    for w, s, start, end in zip(omegas, shapes, [0, *ends], ends):
+        freqs[start:end].reshape(s)[...] = w
+        index[start:end].reshape(s)[...] = flat
+    return freqs, index, shapes
+
+
+def _screened_generator(mp: MediumParams, omega, ss=None, index=None):
     """(generator prefactor, the generator as rows m00, m01, m10, m11 (4, ...),
     the scale t (N,), the flat factors a, b, h2cdr, hdr, hcr, e0, e5 of T M1'^-1
-    for M1' scaled by t), stacked to the broadcast shape of the medium, omega
-    and ``ss`` (the steady state of mp.atom, if known), in closed form, every
-    member screened for poles.  No kernel is formed: _kernel does that.
+    for M1' scaled by t) at omega broadcast against the medium and ``ss`` (the
+    steady state of mp.atom, if known), or on _stack's flat ``index`` of the
+    medium of each member, in closed form, every member screened for poles.
+    The operands of the medium alone (h, the steady-state coherences, i pref,
+    the population differences, a, b, c, d but omega) are formed once per
+    medium, then taken per member.  No kernel is formed: _kernel does that.
 
     M1' = [[A, -h uu^T], [-h uu^T, C]] with A = diag(a, b), C = diag(c, d),
     u = (1, -1), h = rabi/2 and build_coherence_system's diagonal a, b, c, d.
@@ -119,25 +142,36 @@ def _screened_generator(mp: MediumParams, omega, ss=None):
     A pole is kappa_F = |M1'|_F |M1'^-1|_F (_kappa2) > POLE_CONDITION_LIMIT, or a
     NaN kappa_F: one closed-form test, no SVD (kappa_2 <= kappa_F <= 4 kappa_2 for
     the 4x4 M1').  PoleError names the omega of the first pole in stack order, its
-    stack index and the last-axis (velocity node) indices of the poles beside it;
-    a non-finite omega raises DomainError.
+    stack index (the flat member index of an indexed stack) and the last-axis
+    (velocity node) indices of the poles beside it; a non-finite omega raises
+    DomainError.
     """
     require(np.isfinite(omega), "coherence system", "omega", "must be finite", omega)
     p = mp.atom
     ss = steady_state(p) if ss is None else ss
-    g, gam, w0, dl, d2, w, i = p.gamma_e, p.gamma_g, p.omega0, p.delta1, p.delta2, omega, 1j
+    g, gam, w0, dl, d2, i = p.gamma_e, p.gamma_g, p.omega0, p.delta1, p.delta2, 1j
     pref = mp.optical_depth * g / 4.0
-    rows = (w + (i*g/2 + (dl - d2)), w + (i*g/2 - (dl + d2 + w0)), w + (i*g - (d2 + w0)),
-            w + (i*gam - d2), p.rabi / 2.0, *ss.coh[::2], i * pref, ss.pops[2] - ss.pops[1],
-            ss.pops[0] - ss.pops[3])
-    shape = np.broadcast(*rows).shape
+    fixed = (i*g/2 + (dl - d2), i*g/2 - (dl + d2 + w0), i*g - (d2 + w0), i*gam - d2,
+             p.rabi / 2.0, *ss.coh[::2], i * pref, ss.pops[2] - ss.pops[1],
+             ss.pops[0] - ss.pops[3])
+    media = np.broadcast(*fixed).shape
+    shape = np.broadcast_shapes(media, np.shape(omega)) if index is None else index.shape
     # every operand on the whole stack, flat and contiguous (numpy's contiguous
-    # complex multiply fuses multiply-adds, its other loops do not); M1' scaled
-    # by a power of two t ~ 1/|entries| (exact) so that D cannot underflow
-    m = np.empty((len(rows),) + (shape or (1,)), dtype=complex)
-    for row, x in zip(m, rows):
-        row[...] = x
-    a, b, c, d, h, s31, s42, ipref, n0, n1 = m = m.reshape(len(rows), -1)
+    # complex multiply fuses multiply-adds, its other loops do not): broadcast
+    # against omega, or formed once per medium and taken by index (a Doppler
+    # block has nothing to share, and a second buffer of its size beside the
+    # stack cost it about 200 us); M1' scaled by a power of two t ~ 1/|entries|
+    # (exact) so that D cannot underflow
+    m = np.empty((len(fixed),) + (shape if index is None else media), dtype=complex)
+    for k, x in enumerate(fixed):
+        m[k] = x
+    del fixed, x        # dead: a lower peak on big stacks
+    m = m.reshape(len(m), -1)
+    if index is not None:
+        m = m.take(index, axis=1)
+    a, b, c, d, h, s31, s42, ipref, n0, n1 = m
+    diagonal = m[:4].reshape((4,) + shape)
+    diagonal += omega       # a, b, c, d: omega + their value at 0
     t = np.ldexp(1.0, -np.frexp(abs(m[:5]).sum(0))[1])
     m[:5] *= t
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # the screen flags D = 0
@@ -156,10 +190,10 @@ def _screened_generator(mp: MediumParams, omega, ss=None):
                          h2cdr * n0 - a * u0, e5 * n1 + a * u1])
         gens *= ipref * t
     if (poles := ~(kappa2 <= POLE_CONDITION_LIMIT**2).reshape(shape)).any():   # NaN too
-        index = np.unravel_index(poles.argmax(), poles.shape)
-        at = float(np.broadcast_to(omega, poles.shape)[index])
-        raise PoleError(f"coherence system singular at omega = {at:.6g} rad/us", omega=at,
-                        nodes=np.flatnonzero(poles[index[:-1]]).tolist(), index=index)
+        at = np.unravel_index(poles.argmax(), shape)
+        w = float(np.broadcast_to(omega, shape)[at])
+        raise PoleError(f"coherence system singular at omega = {w:.6g} rad/us", omega=w,
+                        nodes=np.flatnonzero(poles[at[:-1]]).tolist(), index=at)
     return (np.asarray(pref)[..., None, None], gens.reshape((4,) + shape), t,
             (a, b, h2cdr, hdr, hcr, e0, e5))
 
@@ -188,24 +222,32 @@ def _matrices(rows) -> np.ndarray:
     return np.ascontiguousarray(rows.reshape(len(rows), -1).T).reshape(rows.shape[1:] + (2, -1))
 
 
-def _kernel(screened, rows=slice(None)) -> np.ndarray:
-    """The kernel T M1'(omega)^-1 of rows ``rows`` (leading-axis indices) of
+def _kernel(screened, members=slice(None)) -> np.ndarray:
+    """The kernel T M1'(omega)^-1 of the members ``members`` (flat indices) of
     the _screened_generator stack ``screened``, from its scale t and flat
-    factors, as (..., 2, 4) matrices.  The one place that assembles T M1'^-1:
+    factors, as (k, 2, 4) matrices.  The one place that assembles T M1'^-1:
     rows 0 and minus 1 of D M1'^-1 over D, times t."""
-    _, gens, t, factors = screened
-    shape = gens.shape[1:]
-    t, a, b, h2cdr, hdr, hcr, e0, e5 = (x.reshape(shape[0], -1)[rows].ravel()
-                                        for x in (t, *factors))
+    t, a, b, h2cdr, hdr, hcr, e0, e5 = (x[members] for x in (screened[2], *screened[3]))
     kernel = np.array([e0, -h2cdr, b * hdr, -(b * hcr), h2cdr, e5, a * hdr, -(a * hcr)])
     kernel *= t         # T M1'^-1 of the unscaled M1'
-    return _matrices(kernel.reshape((8, -1) + shape[1:]))
+    return _matrices(kernel)
 
 
-def _transfers(gens) -> np.ndarray:
-    """The transfer matrices e^G of generator rows (4, ...), as (..., 2, 2)
-    views of the rows of one _expm_rows call."""
-    return _expm_rows(*gens.reshape(4, -1)).T.reshape(gens.shape[1:] + (2, 2))
+def _transfers(gens, shapes, views=None) -> list:
+    """The transfer matrices e^G of flat generator rows ``gens`` (4, n), one
+    _expm_rows call, per group of members of ``shapes``: (..., 2, 2) views of
+    its rows, a group broadcast to a larger shape in ``views`` as contiguous
+    rows (a complex product of a stride-0 operand takes numpy's other loop,
+    which rounds differently)."""
+    rows, start, out = _expm_rows(*gens), 0, []
+    for s, v in zip(shapes, views or shapes):
+        x = rows[:, start:start + math.prod(s)]
+        start += x.shape[1]
+        if v != s:
+            x = np.broadcast_to(x.reshape((4,) + (1,) * (len(v) - len(s)) + s), (4,) + v)
+            x = x.reshape(4, -1)        # a copy
+        out.append(x.T.reshape(v + (2, 2)))
+    return out
 
 
 def generator(mp: MediumParams, omega) -> np.ndarray:
@@ -224,39 +266,42 @@ def gains(mp: MediumParams) -> MeanFieldOut:
 
 def _reference(mp: MediumParams) -> tuple:
     """The reference frequency of the Langevin normalization, as the leading
-    row of a kernel stack: CALIBRATION_FREQ if some member has optical depth,
-    else none, as the scale of a transparent stack is exactly 1."""
+    members of a kernel stack: CALIBRATION_FREQ if some member has optical
+    depth, else none, as the scale of a transparent stack is exactly 1."""
     return (CALIBRATION_FREQ,) if np.any(np.greater(mp.optical_depth, 0)) else ()
 
 
-def _langevin(mp: MediumParams, screened, abcd_ref, rows=slice(None),
+def _langevin(mp: MediumParams, screened, abcd_ref, start: int, shape,
               defect: bool = False):
-    """The normalized Langevin weights scale * pref * x of rows ``rows``
-    (leading-axis indices, all by default) of the _screened_generator stack
-    ``screened``, past the first len(abcd_ref), the reference rows of transfer
-    abcd_ref: x = noise_integral(-G, K D K^+) from the flat rows of -G and Q,
-    D = d1 - d2 on the reference rows and dsym on the others (d1 - d2 with
-    ``defect``); the kernel is assembled on these rows only.  The scale makes
-    |A|^2 - |B|^2 + scale (the d1 - d2 probe-row weight) = 1 at the reference;
-    it is 1 with no reference row, and where that identity holds with no
-    Langevin term (a synthetic pure-gain medium)."""
+    """The normalized Langevin weights scale * pref * x of the members from
+    ``start`` on (of shape ``shape``) of the _screened_generator stack
+    ``screened``, whose leading members are the reference, of transfers
+    abcd_ref (a list of one, or empty): x = noise_integral(-G, K D K^+) from
+    the flat rows of -G and Q, D = d1 - d2 on the reference and dsym on the
+    others (d1 - d2 with ``defect``), each D broadcast by the matmul over its
+    group; the kernel is assembled on these members only.  The scale makes
+    |A|^2 - |B|^2 + scale (the d1 - d2 probe-row weight) = 1 at the
+    reference; it is 1 with no reference, and where that identity holds with
+    no Langevin term (a synthetic pure-gain medium)."""
     pref, gens = screened[:2]
-    kernel = _kernel(screened, rows)
-    r = len(abcd_ref)
+    ref = [abcd.shape[:-2] for abcd in abcd_ref]
+    nref = sum(map(math.prod, ref))
+    members = np.concatenate([np.arange(nref), np.arange(start, gens.shape[-1])])
+    kernel = _kernel(screened, members)
     ds = diffusion_set(mp.atom)
     d12 = ds.d1 - ds.d2
-    dmats = np.stack([d12] * r + [d12 if defect else ds.dsym] * (len(kernel) - r))
-    # the atom's axes are the trailing point axes of each row
-    dmats = np.expand_dims(dmats, tuple(range(1, 1 + kernel.ndim - dmats.ndim)))
-    qm = kernel @ dmats @ np.swapaxes(kernel.conj(), -1, -2)
-    b = -gens[:, rows].reshape(4, -1)
-    x = _noise_integral_rows(*b, *(qm[..., i, j].reshape(-1) for i, j in ((0, 0), (0, 1), (1, 1))))
-    x = x.T.reshape(kernel.shape[:-1])      # (rows, ..., mode)
+    # the atom's axes are the trailing axes of each group's members
+    groups = [(kernel[:nref].reshape(s + (2, 4)), d12) for s in ref] + [
+        (kernel[nref:].reshape(shape + (2, 4)), d12 if defect else ds.dsym)]
+    qs = [k @ dm @ np.swapaxes(k.conj(), -1, -2) for k, dm in groups]
+    q = (np.concatenate([qm[..., i, j].ravel() for qm in qs]) for i, j in ((0, 0), (0, 1), (1, 1)))
+    x = _noise_integral_rows(*-gens[:, members], *q)
     scale = 1.0
-    if r:
-        raw = pref[..., 0, 0] * x[:r, ..., 0]     # the unnormalized probe-row weight
+    if nref:
+        raw = pref[..., 0, 0] * x[0, :nref].reshape(ref[0])   # the unnormalized probe-row weight
+        abcd = abcd_ref[0]
         with np.errstate(over="ignore", invalid="ignore"):     # a non-finite scale raises below
-            deficit = 1.0 - (abs(abcd_ref[..., 0, 0])**2 - abs(abcd_ref[..., 0, 1])**2)
+            deficit = 1.0 - (abs(abcd[..., 0, 0])**2 - abs(abcd[..., 0, 1])**2)
         vanishing = abs(raw) < 1e-14
         if np.any(bad := vanishing & (abs(deficit) > 1e-9)):
             raise CalibrationError(
@@ -266,8 +311,18 @@ def _langevin(mp: MediumParams, screened, abcd_ref, rows=slice(None),
         if np.any(bad := ~(scale > 0)):     # true for a NaN too
             kind = "non-positive" if first(scale, bad) <= 0 else "non-finite"
             raise CalibrationError(f"calibration produced {kind} scale {first(scale, bad):.3e}")
-        scale = scale[0]
-    return np.expand_dims(scale, -1) * pref[..., 0] * x[r:]
+    return np.expand_dims(scale, -1) * pref[..., 0] * x[:, nref:].T.reshape(shape + (2,))
+
+
+def _weights(mp: MediumParams, omegas, defect: bool = False):
+    """_langevin's weights at the frequencies ``omegas`` (one shape) of mp, on
+    a _stack after the reference, (len(omegas), ..., mode)."""
+    ref, media = _reference(mp), mp.shape
+    freqs, index, shapes = _stack(media, media, *ref, *omegas)
+    screened = _screened_generator(mp, freqs, index=index)
+    nref = len(ref) * math.prod(media)
+    abcd_ref = _transfers(screened[1][:, :nref], shapes[:len(ref)])
+    return _langevin(mp, screened, abcd_ref, nref, (len(omegas),) + shapes[-1], defect)
 
 
 def integrated_diffusion(mp: MediumParams, omega):
@@ -275,9 +330,7 @@ def integrated_diffusion(mp: MediumParams, omega):
     omega, normalized by _langevin: w[0] from the kernel at +omega, w[1] at
     -omega, and on the last axis mode a and mode b, as they weight the columns
     of the transfer matrices in the noise spectra."""
-    ref = _reference(mp)
-    screened = _screened_generator(mp, _frequencies(mp.shape, *ref, omega, -np.asarray(omega)))
-    return _langevin(mp, screened, _transfers(screened[1][:, :len(ref)]))
+    return _weights(mp, (omega, -np.asarray(omega)))
 
 
 def commutator_defect(mp: MediumParams, omega) -> float:
@@ -285,6 +338,4 @@ def commutator_defect(mp: MediumParams, omega) -> float:
     weight on the probe row at +omega, normalized by _langevin, so that
     |A(omega)|^2 - |B(omega)|^2 + commutator_defect(omega) = 1 holds at
     CALIBRATION_FREQ."""
-    ref = _reference(mp)
-    screened = _screened_generator(mp, _frequencies(mp.shape, *ref, omega))
-    return _langevin(mp, screened, _transfers(screened[1][:, :len(ref)]), defect=True)[0, ..., 0]
+    return _weights(mp, (omega,), defect=True)[0, ..., 0]

@@ -23,13 +23,14 @@ as an ``Observables``; ``observables`` does the same for precomputed (e.g.
 synthetic) matrices.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NormalizationError, require
 from .propagation import (MediumParams, _frequencies, _langevin, _reference, _screened_generator,
-                          _transfers)
+                          _stack, _transfers)
 
 NORMALIZATION_FLOOR = 1e-30
 
@@ -83,36 +84,40 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
     """All observables of the media mp at analysis frequencies omega, stacked
     to their broadcast shape (and the vapor's).
 
-    Order of work: one generator stack at (CALIBRATION_FREQ, 0, +omega,
-    -omega) of every point as flat rows, each member screened for poles ->
-    for a VaporParams ``vapor``, doppler_generator's exponents at (0,
-    +-omega) in a copy of the rows (the noise keeps the atom at rest) -> one
-    exponential-core call on every exponent, whose rows the observables read
-    as (..., 2, 2) views -> propagation._langevin on the reference and
-    +-omega rows: the kernel of those rows only, one noise-core call, the
-    normalization checks and scale, the diffusion weights -> the
-    observables.  The reference is in the stack only with ``langevin`` and
-    if some member has optical depth (propagation._reference; else the scale
-    is exactly 1); without ``langevin`` the diffusion is zero.
+    Order of work: one generator stack on a flat member axis (_stack): the
+    reference (CALIBRATION_FREQ) and 0 once per medium, +omega and -omega at
+    every point, each member screened for poles -> for a VaporParams
+    ``vapor``, doppler_generator's exponents at (0, +-omega) in a copy of the
+    rows (the noise keeps the atom at rest) -> one exponential-core call on
+    every exponent, read as (..., 2, 2) views, A(0) and C(0) broadcast to
+    every point -> propagation._langevin on the reference and +-omega
+    members: their kernel only, one noise-core call, the normalization checks
+    and scale, the diffusion weights -> the observables.  The reference is in
+    the stack only with ``langevin`` and if some member has optical depth
+    (propagation._reference; else the scale is exactly 1); without
+    ``langevin`` the diffusion is zero.
     """
-    shape = mp.shape
+    media = shape = mp.shape
     if vapor is not None:
         from .vapor import doppler_generator, doppler_width
         shape = np.broadcast_shapes(shape, np.shape(doppler_width(vapor)))
     ref = _reference(mp) if langevin else ()
-    r = len(ref)
-    freqs = _frequencies(shape, *ref, 0.0, omega, -np.asarray(omega))
-    screened = _screened_generator(mp, freqs)
+    r, rest = len(ref), math.prod(shape)
+    freqs, index, shapes = _stack(media, shape, *ref, 0.0, omega, -np.asarray(omega))
+    point = shapes[-1]
+    screened = _screened_generator(mp, freqs, index=index)
     exps = screened[1]
     if vapor is not None:
+        averages = doppler_generator(mp, vapor, _frequencies(shape, 0.0, omega, -np.asarray(omega)))
+        # the average at 0 of one point per medium: its first along omega's own axes
+        lead = len(point) - len(shape)
+        zero = averages[(0,) * (1 + lead) + tuple(slice(None if n > 1 else 1) for n in shape)]
         exps = exps.copy()
-        averages = doppler_generator(mp, vapor, freqs[r:])
-        exps[:, r:] = np.moveaxis(averages.reshape(averages.shape[:-2] + (4,)), -1, 0)
-    abcds = _transfers(exps)
+        exps[:, r * rest:] = np.concatenate([zero.reshape(-1, 4), averages[1:].reshape(-1, 4)]).T
+    abcds = _transfers(exps, shapes, shapes[:r] + [point] * 3)     # A(0), C(0) at every point
     if not langevin:
         return observables(*abcds, np.zeros((2, 2)))
-    noise = [*range(r), r + 1, r + 2]       # the reference and +-omega rows
-    return observables(*abcds[r:], _langevin(mp, screened, abcds[:r], noise))
+    return observables(*abcds[r:], _langevin(mp, screened, abcds[:r], (r + 1) * rest, (2,) + point))
 
 
 def to_dB(s: float) -> float:

@@ -1,10 +1,11 @@
 """What importing the package loads: the core only.  The vapor, EIT and
 reference models load on first use, and so do json and hashlib for the
 JSON output.  No command or script run loads argparse, or locale, which
-its translated messages import, or scipy, a test dependency only (its
-import alone costs twice a run's set-up), or numpy.polynomial: the
-velocity nodes are stored constants.  No source file or script imports
-scipy or numpy.polynomial at all, not even lazily in a function body."""
+its translated messages import, or csv (cli writes CSV with str.join), or
+scipy, a test dependency only (its import alone costs twice a run's
+set-up), or numpy.polynomial: the velocity nodes are stored constants.  No
+source file or script imports scipy or numpy.polynomial at all, not even
+lazily in a function body."""
 
 import ast
 import os
@@ -18,7 +19,7 @@ import fourwave
 
 ROOT = Path(__file__).resolve().parents[1]
 ON_FIRST_USE = ("fourwave.eit", "fourwave.reference", "fourwave.vapor", "hashlib", "json")
-NEVER_LOADED = ("argparse", "locale", "numpy.polynomial", "scipy")
+NEVER_LOADED = ("argparse", "csv", "locale", "numpy.polynomial", "scipy")
 NEVER_IMPORTED = ("numpy.polynomial", "scipy")
 
 # fourwave.__all__: the core names and those loaded on first use.

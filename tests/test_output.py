@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourwave import cli
 from fourwave import config as cfgmod
@@ -195,6 +197,22 @@ def test_memory_is_bounded_by_the_stack_not_the_sweep(tmp_path, monkeypatch):
     short, long = traced_peak(tmp_path, 128), traced_peak(tmp_path, 1280)
     assert long <= 1.25 * short, (short, long)
     assert len((tmp_path / "out.csv").read_text().splitlines()) == 1281
+
+
+@given(labels=st.lists(st.text(), min_size=2, max_size=3), flags=st.lists(st.text(), max_size=6),
+       numbers=st.lists(st.one_of(st.none(), st.floats(allow_nan=False)), min_size=6, max_size=6))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_csv_bytes_equal_the_csv_module(labels, flags, numbers):
+    # any flag text, an error message with commas, quotes or line breaks
+    # included, is quoted as csv.writer quotes it; numbers never need quoting
+    table = [numbers[:len(flags)]] * (len(labels) - 1) + [flags]
+    ours, theirs = io.StringIO(newline=""), io.StringIO(newline="")
+    cli._write_csv(ours, labels, [table, table], None)
+    writer = csv.writer(theirs, lineterminator="\n")
+    writer.writerow(labels)
+    for _ in range(2):
+        writer.writerows(zip(*[[_fmt(x) for x in column] for column in table[:-1]], flags))
+    assert ours.getvalue() == theirs.getvalue()
 
 
 def test_unwritable_output_fails_before_any_evaluation(tmp_path, monkeypatch, capsys):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fourwave import numkernel, propagation, spectra
-from fourwave.atom import AtomParams, build_coherence_system, steady_state
+from fourwave.atom import AtomParams, build_coherence_system, diffusion_set, steady_state
 from fourwave.errors import CalibrationError, PoleError
 from fourwave.propagation import (CALIBRATION_FREQ, POLE_CONDITION_LIMIT, MediumParams,
                                   _screened_generator, commutator_defect, gains, generator,
@@ -375,6 +375,60 @@ class TestIntegratedDiffusion:
         omega = TWO_PI * np.linspace(0.5, 4.5, 5)
         spectra.evaluate(mp, omega)
         assert integrated_diffusion(mp, omega).tobytes() == seen[0].tobytes()
+
+
+def broadcast_weights(mp, omegas, defect=False):
+    """The Langevin weights of one (rows, ...) stack of omega broadcast against
+    the medium, the reference row broadcast to every point and D stacked per
+    row (the layout before the flat member axis), as _langevin normalizes them."""
+    ref = propagation._reference(mp)
+    r = len(ref)
+    freqs = propagation._frequencies(mp.shape, *ref, *omegas)
+    pref, gens, _, _ = screened = _screened_generator(mp, freqs)
+    kernel = propagation._kernel(screened).reshape(freqs.shape + (2, 4))
+    ds = diffusion_set(mp.atom)
+    d12 = ds.d1 - ds.d2
+    dmats = np.stack([d12] * r + [d12 if defect else ds.dsym] * len(omegas))
+    dmats = np.expand_dims(dmats, tuple(range(1, 1 + kernel.ndim - dmats.ndim)))
+    qm = kernel @ dmats @ np.swapaxes(kernel.conj(), -1, -2)
+    q = (qm[..., i, j].reshape(-1) for i, j in ((0, 0), (0, 1), (1, 1)))
+    x = numkernel._noise_integral_rows(*-gens.reshape(4, -1), *q).T.reshape(kernel.shape[:-1])
+    scale = 1.0
+    if r:
+        abcd = numkernel._expm_rows(*gens[:, :r].reshape(4, -1)).T.reshape(
+            gens[:, :r].shape[1:] + (2, 2))
+        raw = pref[..., 0, 0] * x[:r, ..., 0]
+        deficit = 1.0 - (abs(abcd[..., 0, 0])**2 - abs(abcd[..., 0, 1])**2)
+        vanishing = abs(raw) < 1e-14
+        scale = np.where(vanishing, 1.0, deficit / np.where(vanishing, 1.0, raw))[0]
+    return np.expand_dims(scale, -1) * pref[..., 0] * x[r:]
+
+
+class TestFlatStack:
+    """integrated_diffusion and commutator_defect, whose reference members the
+    flat stack forms once per medium, equal the broadcast stack bit for bit."""
+
+    MEDIA = {"omega-sweep": ({}, TWO_PI * np.linspace(0.1, 5.0, 50)),
+             "media": ({"delta2_mhz": np.linspace(-80.0, -20.0, 61)}, TWO_PI * 1.0),
+             "media-by-omega": ({"optical_depth": np.array([[0.0], [150.0], [300.0]])},
+                                TWO_PI * np.array([0.3, 1.0, 2.5, 4.0])),
+             "transparent": ({"optical_depth": 0.0}, TWO_PI * np.array([0.5, 2.0]))}
+
+    @pytest.mark.parametrize("changes, omega", MEDIA.values(), ids=MEDIA.keys())
+    def test_integrated_diffusion(self, changes, omega):
+        mp = medium(**{**QBS, **changes})
+        got = integrated_diffusion(mp, omega)
+        want = broadcast_weights(mp, (omega, -omega))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("changes, omega", MEDIA.values(), ids=MEDIA.keys())
+    def test_commutator_defect(self, changes, omega):
+        mp = medium(**{**QBS, **changes})
+        got = np.asarray(commutator_defect(mp, omega))
+        want = broadcast_weights(mp, (omega,), defect=True)[0, ..., 0]
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCalibration:

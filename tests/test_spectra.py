@@ -252,6 +252,31 @@ class TestStackedEvaluate:
             for name in ("gain_a", "gain_b", *NOISE_FIELDS):
                 assert getattr(stacked, name)[i] == getattr(one, name)[0], (name, i)
 
+    SWEEPS = {"omega-sweep": ((), TWO_PI * np.linspace(0.1, 5.0, 50)),
+              "media": ((61,), TWO_PI * 1.0),
+              "media-by-omega": ((3, 1), TWO_PI * np.array([0.3, 1.0, 2.5, 4.0]))}
+
+    @pytest.mark.parametrize("langevin", (True, False), ids=("langevin", "clean"))
+    @pytest.mark.parametrize("hot", (False, True), ids=("cold", "vapor"))
+    @pytest.mark.parametrize("shape, omega", SWEEPS.values(), ids=SWEEPS.keys())
+    def test_sweep_equals_each_point_alone(self, shape, omega, hot, langevin):
+        # bit for bit: the reference and 0, formed once per medium of a sweep,
+        # and each +-omega member round as at a one-point stack of the same rank
+        vapor = VaporParams.rb85_d1(temperature_c=120.0) if hot else None
+        mp = medium(**self.POINT)
+        if shape:
+            mp = mp.with_atom(delta2=TWO_PI * np.linspace(-25.0, 17.0, np.prod(shape))
+                              .reshape(shape))
+        stacked = evaluate(mp, omega, langevin=langevin, vapor=vapor)
+        points = np.broadcast_shapes(shape, np.shape(omega))
+        for index in np.ndindex(points):
+            at = tuple(slice(i, i + 1) for i in index)
+            one = evaluate(mp.with_atom(delta2=np.broadcast_to(mp.atom.delta2, points)[at]),
+                           np.broadcast_to(omega, points)[at], langevin=langevin, vapor=vapor)
+            for name in ("gain_a", "gain_b", *NOISE_FIELDS):
+                assert getattr(stacked, name)[at].tobytes() == getattr(one, name).tobytes(), \
+                    (name, index)
+
 
 class TestWithoutLangevinNoise:
     """Without Langevin noise evaluate reads the same transfers at 0 and
@@ -278,12 +303,13 @@ class TestWithoutLangevinNoise:
 
 
 class TestWorkPerEvaluate:
-    """Each evaluate call forms one generator stack, at the reference, 0 and
-    +-omega of every point, assembles the kernel on the reference and +-omega
-    rows only, takes every exponential in one _expm_rows call and every noise
-    integral in one _noise_integral_rows call, and one diffusion set; a vapor
-    adds one _screened_generator call per block of rows of the Doppler
-    average, one on a stack within vapor._BLOCK_MEMBERS."""
+    """Each evaluate call forms one generator stack on a flat member axis, the
+    reference and 0 once per medium and +-omega at every point, assembles the
+    kernel on the reference and +-omega members only, takes every exponential
+    in one _expm_rows call and every noise integral in one _noise_integral_rows
+    call, and one diffusion set; a vapor adds one _screened_generator call per
+    block of rows of the Doppler average, one on a stack within
+    vapor._BLOCK_MEMBERS."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -300,9 +326,10 @@ class TestWorkPerEvaluate:
             calls.setdefault("noise", []).append(len(rows[0]))
             return noise(*rows)
 
-        def count_kernel(screened, rows):       # (rows, number of matrices)
-            out = kernel(screened, rows)
-            calls.setdefault("kernel", []).append((rows, int(np.prod(out.shape[:-2]))))
+        def count_kernel(screened, members):    # the flat member indices
+            out = kernel(screened, members)
+            assert len(out) == len(members)
+            calls.setdefault("kernel", []).append(members.tolist())
             return out
 
         def count_diffusion_set(p):
@@ -310,9 +337,9 @@ class TestWorkPerEvaluate:
             return diffusion_set(p)
 
         def counted(solve):
-            def count_solve(*args):
+            def count_solve(*args, **kwargs):
                 calls["screened"] += 1
-                return solve(*args)
+                return solve(*args, **kwargs)
             return count_solve
         # the exponentials, kernel, noise integrals and diffusion set that
         # evaluate reaches through propagation._transfers and _langevin
@@ -330,18 +357,19 @@ class TestWorkPerEvaluate:
 
     def test_cold_medium_with_langevin_noise(self, counts):
         evaluate(medium(), self.OMEGAS)
-        # exponentials: the reference, 0 and +-omega at 50 frequencies; kernel and
-        # noise integrals: d1 - d2 at the reference and dsym at +-omega
-        assert counts == {"expm": [200], "kernel": [([0, 2, 3], 150)], "noise": [150],
+        # exponentials: the reference and 0 once, +-omega at 50 frequencies
+        # (2 + 2N, not 4N = 200); kernel and noise integrals: d1 - d2 at the
+        # reference and dsym at +-omega
+        assert counts == {"expm": [102], "kernel": [[0, *range(2, 102)]], "noise": [101],
                           "diffusion_set": 1, "screened": 1}
 
     def test_cold_medium_without_langevin_noise(self, counts):
         evaluate(medium(), self.OMEGAS, langevin=False)
-        assert counts == {"expm": [150], "diffusion_set": 0, "screened": 1}
+        assert counts == {"expm": [101], "diffusion_set": 0, "screened": 1}
 
     def test_transparent_medium_forms_no_reference(self, counts):
         evaluate(medium(optical_depth=0.0), self.OMEGAS)
-        assert counts == {"expm": [150], "kernel": [([1, 2], 100)], "noise": [100],
+        assert counts == {"expm": [101], "kernel": [list(range(1, 101))], "noise": [100],
                           "diffusion_set": 1, "screened": 1}
 
     def test_vapor_medium(self, counts):
@@ -349,8 +377,15 @@ class TestWorkPerEvaluate:
                  vapor=VaporParams.rb85_d1(temperature_c=120.0))
         # exponentials: the reference on the atom at rest and the averages at
         # 0, +-omega; generator stacks: the stack at rest and the Doppler average
-        assert counts == {"expm": [4], "kernel": [([0, 2, 3], 3)], "noise": [3],
+        assert counts == {"expm": [4], "kernel": [[0, 2, 3]], "noise": [3],
                           "diffusion_set": 1, "screened": 2}
+
+    def test_media_by_frequencies(self, counts):
+        # (3, 1) media by 4 frequencies: the reference and 0 once per medium
+        mp = medium(delta2_mhz=np.array([[-60.0], [-52.0], [-44.0]]))
+        evaluate(mp, TWO_PI * np.array([0.5, 1.0, 2.0, 4.0]))
+        assert counts == {"expm": [3 + 3 + 24], "kernel": [[0, 1, 2, *range(6, 30)]],
+                          "noise": [27], "diffusion_set": 1, "screened": 1}
 
 
 class TestVaporColdLimit:
