@@ -39,14 +39,15 @@ LONG_OPTIONS = ("help", "config=", "out=", "format=", "db")
 NOISE_COLUMNS = ("S_Nminus", "S_phiplus", "inseparability", "S_Na", "S_N")
 
 # Coherence matrices in one stacked evaluation of a cold or vapor sweep, at most
-# 4 per cold row and 3 x VELOCITY_NODES more per vapor row (the Doppler nodes at
-# 0, +-omega); a larger sweep is split in halves.  A cold stack has exactly 2 per
-# row (+omega, -omega) and 2 per medium (the reference and 0): 4N for N media,
-# 2 + 2N for an omega sweep of N rows, so 4 per row bounds both.  Rows are
-# written as each stack finishes, so this bounds the memory of a run and
-# nothing else: a stack of 68 vapor rows peaked within 0.1 MB of one row at a
-# time (31.3 MB resident); configs/vapor_gain_scan.ini (7564 matrices) is one
-# stack.
+# 4 per cold row and 3 x VELOCITY_NODES more per vapor row; a larger sweep is
+# split in halves.  A cold stack has exactly 2 per row (+omega, -omega) and 2 per
+# medium (the reference and 0): 4N for N media, 2 + 2N for an omega sweep of N
+# rows.  The Doppler average adds exactly VELOCITY_NODES per medium (at 0) and
+# 2 x VELOCITY_NODES per row (+-omega): 120N for N media, 40 + 80N for an omega
+# sweep of N rows.  So the bound per row holds for both.  Rows are written as
+# each stack finishes, so this bounds the memory of a run and nothing else: a
+# stack of 68 vapor rows peaked within 0.1 MB of one row at a time (31.3 MB
+# resident); configs/vapor_gain_scan.ini (7564 matrices) is one stack.
 BLOCK_MATRICES = 8192
 
 
@@ -115,9 +116,9 @@ def _eit_row(lp, value: float) -> dict:
     return {"sweep_value": value, "chi_re": chi.real, "chi_im": chi.imag, "flag": ""}
 
 
-def _reference_row(cfg: RunConfig, axis: str, value: float) -> dict:
+def _reference_row(cfg: RunConfig, value: float) -> dict:
     from . import reference as refmod
-    kind = cfg.reference.get("kind", "pia")
+    axis, kind = cfg.sweep_axis, cfg.reference.get("kind", "pia")
     try:
         if kind == "pia":
             gain = value if axis == "gain" else float(cfg.reference["gain"])
@@ -163,8 +164,7 @@ def run(cfg: RunConfig, with_db: bool = False) -> int:
     write = _write_csv if cfg.output_format == "csv" else _write_json
     values = cfgmod.sweep_values(cfg)
     lp = cfgmod.eit_params_from(cfg) if cfg.model == "eit" else None     # one for every row
-    rows = (_reference_row(cfg, cfg.sweep_axis, v) if lp is None else _eit_row(lp, v)
-            for v in values)
+    rows = (_reference_row(cfg, v) if lp is None else _eit_row(lp, v) for v in values)
     blocks = _medium_rows(cfg, np.array(values)) if cfg.model in ("cold", "vapor") else (
         {name: [cell] for name, cell in row.items()} for row in rows)
     path, fh = cfg.output_path, None

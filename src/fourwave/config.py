@@ -25,7 +25,7 @@ Grammar (INI dialect, parsed by configparser):
     kind = pia | psa | chain
     gain = <float>                          ; pia, psa
     theta_deg, big_theta_deg = <float>      ; psa
-    slice_gain, slice_transmission, n_slices ; chain (n_slices whole, >= 1)
+    slice_gain, slice_transmission, n_slices ; chain (n_slices whole, 1 to 10**6)
 
     [sweep]
     axis = <parameter key>        ; exactly one sweep axis
@@ -100,6 +100,10 @@ _BLOCKS = {"cold": ("atom", "medium"), "vapor": ("atom", "medium", "vapor"),
 # run writes rows as each stack finishes but holds the sweep values, as a list
 # and an array, about 45 bytes a row: 10**6 rows take about 45 MB.
 SWEEP_COUNT_LIMIT = 10**6
+
+# A chain takes its slices one by one, about 0.6 us each: 10**6 slices take
+# about 0.6 s a row.
+_SLICE_COUNT_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -233,12 +237,13 @@ def validate(cfg: RunConfig) -> list[Diagnostic]:
     if not 1 <= cfg.sweep_count <= SWEEP_COUNT_LIMIT:
         diags.append(Diagnostic("sweep.count", f"must be from 1 to {SWEEP_COUNT_LIMIT}, "
                                 f"got {cfg.sweep_count}"))
+    # a swept frequency that no parameter object bounds
+    unbounded = cfg.sweep_axis == ("delta2_mhz" if cfg.model == "eit" else "omega_mhz")
     for key, value in (("run.omega_mhz", cfg.omega_mhz), ("sweep.start", cfg.sweep_start),
                        ("sweep.stop", cfg.sweep_stop)):
         if not math.isfinite(value):
             diags.append(Diagnostic(key, f"must be finite, got {value}"))
-        elif (key == "run.omega_mhz" or cfg.sweep_axis == "omega_mhz") \
-                and abs(mhz_to_rad_us(value)) > FREQUENCY_LIMIT:
+        elif (key == "run.omega_mhz" or unbounded) and abs(mhz_to_rad_us(value)) > FREQUENCY_LIMIT:
             diags.append(Diagnostic(key, f"must be at most {FREQUENCY_LIMIT:g} rad/us in "
                                          f"magnitude, got {value}"))
     if cfg.output_format not in FORMATS:
@@ -250,11 +255,11 @@ def validate(cfg: RunConfig) -> list[Diagnostic]:
     if not diags and cfg.model == "reference" and cfg.reference.get("kind") == "chain":
         swept = cfg.sweep_axis == "n_slices"
         slices = sweep_values(cfg) if swept else [float(cfg.reference["n_slices"])]
-        if bad := [n for n in slices if not (n >= 1 and n.is_integer())]:
+        if bad := [n for n in slices if not (1 <= n <= _SLICE_COUNT_LIMIT and n.is_integer())]:
             written = f"{bad[0]:g} (at n_slices = {bad[0]:g})" if swept \
                 else cfg.reference["n_slices"]
-            diags.append(Diagnostic("reference.n_slices",
-                                    f"must be a whole number >= 1, got {written}"))
+            diags.append(Diagnostic("reference.n_slices", "must be a whole number from 1 to "
+                                    f"{_SLICE_COUNT_LIMIT}, got {written}"))
     return diags or _parameter_diagnostics(cfg)
 
 

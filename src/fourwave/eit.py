@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atom import FREQUENCY_LIMIT
 from .errors import DomainError, PoleError, require
 
 POLE_ABS_TOL = 1e-15
@@ -26,6 +27,9 @@ class LambdaParams:
     def __post_init__(self):
         for name, value in vars(self).items():
             require(np.isfinite(value), "LambdaParams", name, "must be finite", value)
+            if name != "chi_scale":     # a rate, bounded as AtomParams bounds its rates
+                require(abs(value) <= FREQUENCY_LIMIT, "LambdaParams", name, "must be at most "
+                        f"{FREQUENCY_LIMIT:g} rad/us in magnitude", value)
         require(np.greater(self.gamma_e, 0), "LambdaParams", "gamma_e", "must be > 0", self.gamma_e)
         require(~np.less(self.gamma_g, 0), "LambdaParams", "gamma_g", "must be >= 0", self.gamma_g)
         require(~np.less(self.rabi_c, 0), "LambdaParams", "rabi_c", "must be >= 0", self.rabi_c)

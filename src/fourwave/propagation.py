@@ -97,13 +97,6 @@ class MeanFieldOut:
     phase_b: float
 
 
-def _frequencies(shape, *omegas) -> np.ndarray:
-    """The analysis frequencies, each broadcast against ``shape`` (a
-    medium's), stacked on a new leading axis."""
-    shape = np.broadcast_shapes(shape, *map(np.shape, omegas))
-    return np.stack([np.broadcast_to(w, shape) for w in omegas])
-
-
 def _stack(media, shape, *omegas):
     """A generator stack on one flat member axis: the frequencies ``omegas``,
     each broadcast on its own against ``shape`` (the medium's shape ``media``,

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalizationError, require
-from .propagation import (MediumParams, _frequencies, _langevin, _reference, _screened_generator,
-                          _stack, _transfers)
+from .propagation import (MediumParams, _langevin, _reference, _screened_generator, _stack,
+                          _transfers)
 
 NORMALIZATION_FLOOR = 1e-30
 
@@ -87,9 +87,10 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
     Order of work: one generator stack on a flat member axis (_stack): the
     reference (CALIBRATION_FREQ) and 0 once per medium, +omega and -omega at
     every point, each member screened for poles -> for a VaporParams
-    ``vapor``, doppler_generator's exponents at (0, +-omega) in a copy of the
-    rows (the noise keeps the atom at rest) -> one exponential-core call on
-    every exponent, read as (..., 2, 2) views, A(0) and C(0) broadcast to
+    ``vapor``, the Doppler averages of the same groups 0, +omega and -omega
+    (vapor._doppler_rows, one call each) in place of theirs, after the
+    reference (the noise keeps the atom at rest) -> one exponential-core call
+    on every exponent, read as (..., 2, 2) views, A(0) and C(0) broadcast to
     every point -> propagation._langevin on the reference and +-omega
     members: their kernel only, one noise-core call, the normalization checks
     and scale, the diffusion weights -> the observables.  The reference is in
@@ -99,21 +100,18 @@ def evaluate(mp: MediumParams, omega, *, langevin: bool = True,
     """
     media = shape = mp.shape
     if vapor is not None:
-        from .vapor import doppler_generator, doppler_width
+        from .vapor import _doppler_rows, doppler_width
         shape = np.broadcast_shapes(shape, np.shape(doppler_width(vapor)))
     ref = _reference(mp) if langevin else ()
     r, rest = len(ref), math.prod(shape)
-    freqs, index, shapes = _stack(media, shape, *ref, 0.0, omega, -np.asarray(omega))
+    groups = (0.0, omega, -np.asarray(omega))
+    freqs, index, shapes = _stack(media, shape, *ref, *groups)
     point = shapes[-1]
     screened = _screened_generator(mp, freqs, index=index)
     exps = screened[1]
-    if vapor is not None:
-        averages = doppler_generator(mp, vapor, _frequencies(shape, 0.0, omega, -np.asarray(omega)))
-        # the average at 0 of one point per medium: its first along omega's own axes
-        lead = len(point) - len(shape)
-        zero = averages[(0,) * (1 + lead) + tuple(slice(None if n > 1 else 1) for n in shape)]
-        exps = exps.copy()
-        exps[:, r * rest:] = np.concatenate([zero.reshape(-1, 4), averages[1:].reshape(-1, 4)]).T
+    if vapor is not None:       # the averages after the reference
+        averages = [rows.reshape(4, -1) for rows in _doppler_rows(mp, vapor, groups)]
+        exps = np.concatenate([exps[:, :r * rest], *averages], axis=1)
     abcds = _transfers(exps, shapes, shapes[:r] + [point] * 3)     # A(0), C(0) at every point
     if not langevin:
         return observables(*abcds, np.zeros((2, 2)))

@@ -3,18 +3,18 @@
 The cold-atom propagation generator is averaged over the Maxwell-Boltzmann
 velocity distribution by shifting the one-photon detuning per velocity
 class, delta1 -> delta1 + k*v, on a last (node) axis of the medium, one
-stacked generator call per block of leading frequency rows; the leading
-axes come from the medium, omega and the VaporParams, whose fields may be
-arrays too.  The velocity classes are one fixed rule, the
-numkernel.VELOCITY_NODES = 40 Gauss-Hermite nodes of the distribution,
-stored below as constants: numpy's hermegauss(40), which the tests check
-them against, is not called at run time.  The distribution is symmetric,
-so the sign of the shift is immaterial.  Langevin diffusion is not velocity
-averaged (the coefficients change very little); cold-atom diffusion is
-reused with the averaged transfer.
+stacked generator call per frequency group (spectra.evaluate's 0 on the
+medium, +omega and -omega at every point); the leading axes come from the
+medium, omega and the VaporParams, whose fields may be arrays too.  The
+velocity classes are one fixed rule, the numkernel.VELOCITY_NODES = 40
+Gauss-Hermite nodes of the distribution, stored below as constants:
+numpy's hermegauss(40), which the tests check them against, is not called
+at run time.  The distribution is symmetric, so the sign of the shift is
+immaterial.  Langevin diffusion is not velocity averaged (the coefficients
+change very little); cold-atom diffusion is reused with the averaged
+transfer.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -125,42 +125,28 @@ def velocity_nodes(vp: VaporParams):
     return velocities, _UNIT_WEIGHTS, shifts
 
 
-# Members of one _screened_generator call of the velocity average: about 1.9
-# MiB of temporaries, within a core's 2 MiB L2 cache (the (3, 61, 40) stack of
-# configs/vapor_gain_scan.ini in one call peaked at 3.48 MiB).
-_BLOCK_MEMBERS = 4096
+def _doppler_rows(mp: MediumParams, vp: VaporParams, omegas, ss=None) -> list:
+    """The velocity-averaged generator rows (4, ...) of each frequency group
+    of ``omegas``, in order, each broadcast on its own against the medium and
+    the vapor; ``ss`` is the steady state of the node medium if known.
 
-
-def doppler_generator(mp: MediumParams, vp: VaporParams, omega, ss=None) -> np.ndarray:
-    """Velocity-averaged propagation exponent, stacked to the broadcast
-    shape of the medium, omega and the vapor.
-
-    Gauss-Hermite average of the cold generator with the detuning shifted
-    by k*v per node; ``ss`` is the steady state of those nodes if known.
-    The node medium and its steady state are formed once; an omega of higher
-    rank than the medium and the vapor goes in blocks of leading rows, in
-    stack order, of at most _BLOCK_MEMBERS members or one row.  The nodes are
-    the last, contiguous axis of _screened_generator's rows (4, ..., node):
-    they are weighted and summed along it in place, and only the averaged
-    rows become 2x2 matrices.  Any node sitting on a Raman pole aborts the
-    average; the error lists the offending velocities at the first such omega.
+    The node medium and its steady state are formed once, every group's
+    omega is checked, then each group takes one _screened_generator call.
+    The nodes are the last, contiguous axis of its rows (4, ..., node): they
+    are weighted and summed along it in place.  Any node sitting on a Raman
+    pole aborts the average; the error lists the offending velocities at the
+    first such omega, groups in order.
     """
     velocities, weights, shifts = velocity_nodes(vp)
     nodes = mp.at_nodes(shifts)
-    omega = np.expand_dims(omega, -1)
-    # the whole stack's checks come first, as in one call
-    require(np.isfinite(omega), "coherence system", "omega", "must be finite", omega)
+    omegas = [np.expand_dims(w, -1) for w in omegas]
+    for w in omegas:        # every group's checks come first, as in one call
+        require(np.isfinite(w), "coherence system", "omega", "must be finite", w)
     ss = steady_state(nodes.atom) if ss is None else ss
-    blocks = [...]      # all of omega, unless it has a leading axis of its own
-    # (omega.ndim > 1 first spares a scalar omega nodes.shape, ~10 us a call)
-    if omega.ndim > 1 and omega.ndim > len(nodes.shape):
-        per_row = math.prod(np.broadcast_shapes(omega.shape, nodes.shape)[1:]) or 1
-        step = max(1, _BLOCK_MEMBERS // per_row)
-        blocks = [slice(k, k + step) for k in range(0, len(omega), step)]
     averages = []
-    for block in blocks:
+    for w in omegas:
         try:
-            rows = _screened_generator(nodes, omega[block], ss)[1]
+            rows = _screened_generator(nodes, w, ss)[1]
         except PoleError as exc:
             row = velocities[exc.index[len(exc.index) - velocities.ndim:-1]]
             raise PoleError(
@@ -171,7 +157,16 @@ def doppler_generator(mp: MediumParams, vp: VaporParams, omega, ss=None) -> np.n
         # round differently), in place; + 0.0 turns an all -0.0 sum into +0.0
         rows *= weights
         averages.append(np.cumsum(rows, axis=-1, out=rows)[..., -1] + 0.0)
-    return _matrices(averages[0] if len(averages) == 1 else np.concatenate(averages, axis=1))
+    return averages
+
+
+def doppler_generator(mp: MediumParams, vp: VaporParams, omega, ss=None) -> np.ndarray:
+    """Velocity-averaged propagation exponent, stacked to the broadcast
+    shape of the medium, omega and the vapor: the Gauss-Hermite average of
+    the cold generator with the detuning shifted by k*v per node, as one
+    frequency group of _doppler_rows; ``ss`` is the steady state of those
+    nodes if known."""
+    return _matrices(_doppler_rows(mp, vp, (omega,), ss)[0])
 
 
 @dataclass(frozen=True)

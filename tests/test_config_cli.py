@@ -377,6 +377,8 @@ class TestValidation:
         ("eit", (), False),
         ("eit", (("rabi_c_mhz = 5.75", "rabi_c_mhz = -1"),), True),
         ("eit", (("gamma_g_mhz = 0", "gamma_g_mhz = nan"),), True),
+        ("eit", (("rabi_c_mhz = 5.75", "rabi_c_mhz = 1e200"),), True),
+        ("eit", (("stop = 20", "stop = 1e300"),), True),
         ("psa", (("gain = 3", "gain = 3\ntheta_deg = 30\nbig_theta_deg = 45"),), False),
         ("psa", (("gain = 3", "gain = 3\ntheta_deg = abc"),), True),
         ("psa", (("gain = 3", "gain = 3\nbig_theta_deg = abc"),), True),
@@ -400,6 +402,7 @@ class TestValidation:
         ("chain", (("n_slices = 4", "n_slices = inf"),), True),
         ("chain", (("n_slices = 4", "n_slices = 2.5"),), True),
         ("chain", (("n_slices = 4", "n_slices = 0"),), True),
+        ("chain", (("n_slices = 4", "n_slices = 1000001"),), True),
         ("chain", (("axis = slice_transmission", "axis = n_slices"), ("start = 0.5", "start = 1"),
                    ("stop = 0.9", "stop = 5")), False),
         ("chain", (("axis = slice_transmission", "axis = n_slices"), ("start = 0.5", "start = 1"),
@@ -408,14 +411,16 @@ class TestValidation:
             "negative-depth", "rabi-sweep-from-negative", "vapor",
             "probe-wider-than-pump", "temperature-sweep-below-zero-kelvin",
             "nan-atomic-mass", "zero-wavelength",
-            "eit", "eit-negative-control", "eit-nan-ground-decay",
+            "eit", "eit-negative-control", "eit-nan-ground-decay", "eit-overflowing-control",
+            "eit-detuning-sweep-beyond-frequency-limit",
             "psa", "psa-theta-not-a-number", "psa-big-theta-not-a-number",
             "omega-sweep-from-nan", "omega-sweep-from-inf", "nan-analysis-frequency",
             "overflowing-analysis-frequency", "overflowing-rabi", "overflowing-generator-prefactor",
             "doppler-shift-beyond-frequency-limit", "temperature-sweep-to-doppler-overflow",
             "velocity-order-fixed", "velocity-order-80",
             "velocity-order-100000", "chain", "chain-nan-slices", "chain-infinite-slices",
-            "chain-fractional-slices", "chain-no-slices", "chain-whole-slice-sweep",
+            "chain-fractional-slices", "chain-no-slices", "chain-too-many-slices",
+            "chain-whole-slice-sweep",
             "chain-fractional-slice-sweep"))
     def test_validate_rejects_exactly_what_run_rejects(self, tmp_path, model,
                                                        edits, rejected):

@@ -1,6 +1,7 @@
-"""The shipped configs with one value replaced or one line deleted: the CLI
-answers every edit with an exit status, never an exception, and validate
-passes exactly the configs that run does not reject."""
+"""The shipped configs, and the EIT, psa and chain configs of the CLI tests,
+with one value replaced or one line deleted: the CLI answers every edit with
+an exit status, never an exception, and validate passes exactly the configs
+that run does not reject."""
 
 import csv
 import io
@@ -14,8 +15,20 @@ from hypothesis import strategies as st
 
 from fourwave.cli import main
 from fourwave.config import SWEEP_COUNT_LIMIT
+from test_config_cli import CHAIN_CONFIG, EIT_CONFIG, REFERENCE_CONFIG
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# Each config an edit starts from, by name: the shipped ones, and one of each
+# model and reference kind they leave out, every one accepted as it stands.
+TEMPLATES = {
+    **{name: (CONFIGS / f"{name}.ini").read_text()
+       for name in ("entangled_pair", "reference_pia", "vapor_gain_scan")},
+    "eit": EIT_CONFIG.format(path="out.csv"),
+    "psa": REFERENCE_CONFIG.format(path="out.csv").replace(
+        "kind = pia", "kind = psa\ntheta_deg = 30\nbig_theta_deg = 45"),
+    "chain": CHAIN_CONFIG.format(path="out.csv").replace("start = -0.5", "start = 0.5")
+                                                .replace("stop = 0.5", "stop = 0.9"),
+}
 TOKENS = ("", "nan", "inf", "-inf", "-1", "0", "1e400", "1e300", "1e-300",
           "abc", "off", "json", "psa", "temperature_c")
 
@@ -62,17 +75,17 @@ def check_exit_statuses(text: str, folder: Path):
         assert rows and all(len(row) == len(header) for row in rows)
 
 
-@pytest.mark.parametrize("name", ("entangled_pair", "reference_pia", "vapor_gain_scan"))
+@pytest.mark.parametrize("name", TEMPLATES)
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(data=st.data())
 def test_edited_config_gets_an_exit_status(tmp_path_factory, name, data):
-    text = data.draw(edited((CONFIGS / f"{name}.ini").read_text()), label="config")
+    text = data.draw(edited(TEMPLATES[name]), label="config")
     check_exit_statuses(text, tmp_path_factory.mktemp(name))
 
 
 def with_value(name: str, key: str, token: str) -> str:
-    """The shipped config ``name`` with the value of ``key`` replaced by token."""
-    text = (CONFIGS / f"{name}.ini").read_text()
+    """The config TEMPLATES[name] with the value of ``key`` replaced by token."""
+    text = TEMPLATES[name]
     assert f"\n{key} = " in text
     return "\n".join(f"{key} = {token}" if line.startswith(f"{key} =") else line
                      for line in text.splitlines()) + "\n"
@@ -86,6 +99,8 @@ def with_value(name: str, key: str, token: str) -> str:
     ("vapor_gain_scan", "optical_depth", "5e5"),
     ("vapor_gain_scan", "optical_depth", "1000001"),
     ("vapor_gain_scan", "optical_depth", "2e6"),
+    ("eit", "rabi_c_mhz", "1e200"),     # rabi_c**2 overflowed in eit.susceptibility
+    ("chain", "n_slices", "1e300"),     # a chain of 1e300 slices never finished
 ))
 def test_edit_a_draw_failed_on(tmp_path, name, key, token):
     check_exit_statuses(with_value(name, key, token), tmp_path)

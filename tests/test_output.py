@@ -121,7 +121,7 @@ def oracle(text: str, fmt: str, with_db: bool) -> str:
     cfg = cfgmod.parse_config(text)
     axis, values = cfg.sweep_axis, cfgmod.sweep_values(cfg)
     rows = _medium_rows(cfg, values) if cfg.model in ("cold", "vapor") \
-        else [_eit_row(cfg, v) if cfg.model == "eit" else cli._reference_row(cfg, axis, v)
+        else [_eit_row(cfg, v) if cfg.model == "eit" else cli._reference_row(cfg, v)
               for v in values]
     columns = cli._columns(cfg.model, cfg.reference.get("kind", ""))
     if with_db:

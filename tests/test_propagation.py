@@ -383,7 +383,7 @@ def broadcast_weights(mp, omegas, defect=False):
     row (the layout before the flat member axis), as _langevin normalizes them."""
     ref = propagation._reference(mp)
     r = len(ref)
-    freqs = propagation._frequencies(mp.shape, *ref, *omegas)
+    freqs = np.stack(np.broadcast_arrays(np.zeros(mp.shape), *ref, *omegas)[1:])
     pref, gens, _, _ = screened = _screened_generator(mp, freqs)
     kernel = propagation._kernel(screened).reshape(freqs.shape + (2, 4))
     ds = diffusion_set(mp.atom)

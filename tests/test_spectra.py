@@ -1,6 +1,7 @@
 """Noise-spectra tests, including the synthetic ideal-amplifier oracle."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -295,7 +296,9 @@ class TestWithoutLangevinNoise:
         noisy = evaluate(mp, self.OMEGAS, vapor=vapor)
         for name in ("gain_a", "gain_b"):
             assert getattr(clean, name).tobytes() == getattr(noisy, name).tobytes(), name
-        freqs = propagation._frequencies(mp.shape, 0.0, self.OMEGAS, -self.OMEGAS)
+        # (0, +omega, -omega), each broadcast to every point
+        freqs = np.stack(np.broadcast_arrays(np.zeros(mp.shape), 0.0, self.OMEGAS,
+                                             -self.OMEGAS)[1:])
         exps = generator(mp, freqs) if vapor is None else doppler_generator(mp, vapor, freqs)
         read_off = observables(*expm(exps), NO_DIFFUSION)
         for name in ("gain_a", "gain_b", *NOISE_FIELDS):
@@ -308,8 +311,8 @@ class TestWorkPerEvaluate:
     kernel on the reference and +-omega members only, takes every exponential
     in one _expm_rows call and every noise integral in one _noise_integral_rows
     call, and one diffusion set; a vapor adds one _screened_generator call per
-    block of rows of the Doppler average, one on a stack within
-    vapor._BLOCK_MEMBERS."""
+    frequency group of the Doppler average (0, +omega, -omega), each on the
+    velocity nodes of its own members."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -336,9 +339,12 @@ class TestWorkPerEvaluate:
             calls["diffusion_set"] += 1
             return diffusion_set(p)
 
-        def counted(solve):
+        def counted(solve, doppler):
             def count_solve(*args, **kwargs):
                 calls["screened"] += 1
+                if doppler:     # node members; a key once called
+                    calls.setdefault("nodes", []).append(
+                        math.prod(np.broadcast_shapes(args[0].shape, np.shape(args[1]))))
                 return solve(*args, **kwargs)
             return count_solve
         # the exponentials, kernel, noise integrals and diffusion set that
@@ -348,9 +354,9 @@ class TestWorkPerEvaluate:
         monkeypatch.setattr(propagation, "_kernel", count_kernel)
         monkeypatch.setattr(propagation, "diffusion_set", count_diffusion_set)
         # the stack at rest, and the Doppler average's, solved for the generator only
-        for name in ("fourwave.spectra", "fourwave.vapor"):
-            monkeypatch.setattr(f"{name}._screened_generator",
-                                counted(propagation._screened_generator))
+        for name in ("spectra", "vapor"):
+            monkeypatch.setattr(f"fourwave.{name}._screened_generator",
+                                counted(propagation._screened_generator, name == "vapor"))
         return calls
 
     OMEGAS = TWO_PI * np.linspace(0.1, 5.0, 50)
@@ -376,9 +382,18 @@ class TestWorkPerEvaluate:
         evaluate(medium(**TestStackedEvaluate.POINT), TWO_PI * 1.0,
                  vapor=VaporParams.rb85_d1(temperature_c=120.0))
         # exponentials: the reference on the atom at rest and the averages at
-        # 0, +-omega; generator stacks: the stack at rest and the Doppler average
+        # 0, +-omega; generator stacks: the stack at rest and one Doppler
+        # average per group, each on the 40 nodes of the point
         assert counts == {"expm": [4], "kernel": [[0, 2, 3]], "noise": [3],
-                          "diffusion_set": 1, "screened": 2}
+                          "diffusion_set": 1, "screened": 4, "nodes": [40] * 3}
+
+    def test_vapor_frequency_sweep(self, counts):
+        # the Doppler average at 0 once for the medium, not at every omega:
+        # 40 + 2 x 50 x 40 = 4040 node members, not 3 x 50 x 40 = 6000
+        evaluate(medium(**TestStackedEvaluate.POINT), self.OMEGAS,
+                 vapor=VaporParams.rb85_d1(temperature_c=120.0))
+        assert counts == {"expm": [102], "kernel": [[0, *range(2, 102)]], "noise": [101],
+                          "diffusion_set": 1, "screened": 4, "nodes": [40, 2000, 2000]}
 
     def test_media_by_frequencies(self, counts):
         # (3, 1) media by 4 frequencies: the reference and 0 once per medium

@@ -18,7 +18,7 @@ from fourwave.config import (at_sweep_value, medium_params_from, parse_config,
                              sweep_values, vapor_params_from)
 from fourwave.errors import DomainError, PoleError, RangeWarning
 from fourwave.numkernel import VELOCITY_NODES, expm
-from fourwave.propagation import MediumParams, _frequencies, generator
+from fourwave.propagation import MediumParams, generator
 from fourwave.vapor import (_UNIT_NODES, _UNIT_WEIGHTS, VaporParams, doppler_absorption,
                             doppler_generator, doppler_width, maxwell_pdf, mean_speed,
                             optical_depth, residual_transmission, saturated_vapor_pressure_torr,
@@ -193,96 +193,101 @@ class TestDopplerAveraging:
             assert hot.tobytes() == acc.tobytes()
 
     @pytest.fixture
-    def blocks(self, monkeypatch):
-        """The omega shape of each _screened_generator call of the Doppler average."""
-        calls = []
+    def calls(self, monkeypatch):
+        """The member shape, nodes last, of each _screened_generator call of
+        the Doppler average."""
+        shapes = []
 
         def count(*args):
-            calls.append(np.shape(args[1]))
+            shapes.append(np.broadcast_shapes(args[0].shape, np.shape(args[1])))
             return propagation._screened_generator(*args)
         monkeypatch.setattr(vapor, "_screened_generator", count)
-        return calls
+        return shapes
 
     @staticmethod
-    def config_stack():
+    def config_groups():
         """The swept medium and vapor of configs/vapor_gain_scan.ini and its
-        (0, +omega, -omega) stack, as spectra.evaluate averages it."""
+        frequency groups (0, +omega, -omega), as spectra.evaluate averages them."""
         cfg = parse_config(VAPOR_CONFIG.read_text())
         point = at_sweep_value(cfg, np.array(sweep_values(cfg)))
         mp, vp = medium_params_from(point), vapor_params_from(point)
         w = TWO_PI * cfg.omega_mhz
-        return mp, vp, _frequencies(mp.shape, 0.0, w, -w)
+        return mp, vp, (0.0, w, -w)
 
-    def test_blocked_config_stack_is_the_in_order_node_loop(self, blocks):
-        # 3 x 61 x 40 members are above the block budget: one block per row
-        mp, vp, omegas = self.config_stack()
-        assert omegas.size * VELOCITY_NODES > vapor._BLOCK_MEMBERS
-        velocities, weights, shifts = velocity_nodes(vp)
-        gens = generator(mp.at_nodes(shifts), np.expand_dims(omegas, -1))
-        acc = np.zeros(omegas.shape + (2, 2), dtype=complex)
-        for j, wt in enumerate(weights):
-            acc += wt * gens[..., j, :, :]
-        hot = doppler_generator(mp, vp, omegas)
-        assert blocks == [(1, 61, 1)] * 3
-        assert np.array_equal(hot, acc)
-        assert hot.tobytes() == acc.tobytes()
+    def test_config_groups_are_the_in_order_node_loop(self, calls):
+        # one call per group of 61 media x 40 nodes
+        mp, vp, groups = self.config_groups()
+        _, weights, shifts = velocity_nodes(vp)
+        hot = vapor._doppler_rows(mp, vp, groups)
+        assert calls == [(61, VELOCITY_NODES)] * 3
+        for rows, omega in zip(hot, groups):
+            gens = generator(mp.at_nodes(shifts), np.expand_dims(omega, -1))
+            acc = np.zeros(mp.shape + (2, 2), dtype=complex)
+            for j, wt in enumerate(weights):
+                acc += wt * gens[..., j, :, :]
+            assert propagation._matrices(rows).tobytes() == acc.tobytes()
 
-    def test_blocked_temperature_sweep_equals_its_rows_alone(self, blocks):
-        # 41 temperatures x (0, +-omega) x 40 nodes: blocks of two rows and one
+    SWEEPS = {"temperature": (dict(temperature=celsius_to_kelvin(np.linspace(80.0, 160.0, 41))),
+                              1.0, [(41, VELOCITY_NODES)] * 3),
+              "omega": ({}, np.linspace(0.2, 10.0, 50),
+                        [(VELOCITY_NODES,)] + [(50, VELOCITY_NODES)] * 2)}
+
+    @pytest.mark.parametrize("vapor_fields, omega_mhz, shapes", SWEEPS.values(), ids=SWEEPS.keys())
+    def test_each_group_equals_the_group_alone(self, calls, vapor_fields, omega_mhz, shapes):
+        # groups of their own shapes: 0 on the medium and the vapor, +-omega at every point
         cfg = parse_config(VAPOR_CONFIG.read_text())
         mp = medium_params_from(cfg)
-        vp = dataclasses.replace(vapor_params_from(cfg),
-                                 temperature=celsius_to_kelvin(np.linspace(80.0, 160.0, 41)))
-        w = TWO_PI * cfg.omega_mhz
-        omegas = _frequencies((41,), 0.0, w, -w)
-        hot = doppler_generator(mp, vp, omegas)
-        assert blocks == [(2, 41, 1), (1, 41, 1)]
-        for i, omega in enumerate(omegas):
+        vp = dataclasses.replace(vapor_params_from(cfg), **vapor_fields)
+        w = TWO_PI * omega_mhz
+        groups = (0.0, w, -w)
+        hot = vapor._doppler_rows(mp, vp, groups)
+        assert calls == shapes
+        for rows, omega in zip(hot, groups):
             alone = doppler_generator(mp, vp, omega)
-            assert hot[i].tobytes() == alone.tobytes()
+            assert propagation._matrices(rows).tobytes() == alone.tobytes()
 
-    @pytest.mark.parametrize("row", (1, 2), ids=("+omega", "-omega"))
-    def test_pole_in_a_later_block_is_the_pole_of_its_row_alone(self, blocks, row):
+    @pytest.mark.parametrize("group", (1, 2), ids=("+omega", "-omega"))
+    def test_pole_in_a_later_group_is_the_pole_of_that_group_alone(self, calls, group):
         # no pump, no ground decay: each node is singular at omega = delta2 only,
-        # the row of (0, +omega, -omega) in the block after ``row`` clean ones
+        # the group of (0, +omega, -omega) after ``group`` clean ones
         mp = hot_medium(rabi_mhz=0.0, gamma_g_mhz=0.0,
                         delta1_mhz=np.linspace(500.0, 1100.0, 61))
         pole = mp.atom.delta2
         with pytest.raises(PoleError) as alone:
             doppler_generator(mp, VP, pole)
-        blocks.clear()
-        omega = pole if row == 1 else -pole
-        with pytest.raises(PoleError) as stacked:
-            doppler_generator(mp, VP, _frequencies(mp.shape, 0.0, omega, -omega))
-        assert len(blocks) == row + 1
-        assert str(stacked.value) == str(alone.value)
-        assert stacked.value.omega == alone.value.omega == pole
-        assert stacked.value.velocities == alone.value.velocities
+        calls.clear()
+        omega = pole if group == 1 else -pole
+        with pytest.raises(PoleError) as grouped:
+            vapor._doppler_rows(mp, VP, (0.0, omega, -omega))
+        assert len(calls) == group + 1
+        assert str(grouped.value) == str(alone.value)
+        assert grouped.value.omega == alone.value.omega == pole
+        assert grouped.value.velocities == alone.value.velocities
         assert len(alone.value.velocities) == VELOCITY_NODES
 
-    def test_non_finite_omega_in_a_later_block_precedes_a_pole(self, blocks):
-        # as in one call, omega is checked on the whole stack before any block
+    def test_non_finite_omega_in_a_later_group_precedes_a_pole(self, calls):
+        # as in one call, every group's omega is checked before any group is screened
         mp = hot_medium(rabi_mhz=0.0, gamma_g_mhz=0.0,
                         delta1_mhz=np.linspace(500.0, 1100.0, 61))
-        omegas = _frequencies(mp.shape, mp.atom.delta2, 0.0, np.nan)
         with pytest.raises(DomainError, match="omega must be finite, got nan"):
-            doppler_generator(mp, VP, omegas)
-        assert blocks == []
+            vapor._doppler_rows(mp, VP, (mp.atom.delta2, 0.0, np.nan))
+        assert calls == []
 
-    # tracemalloc peak of the average above its start on the (3, 61, 40) stack
-    # of a configs/vapor_gain_scan.ini run, 1.38 MiB with numpy 2.4 in blocks
-    # of one frequency row; the whole stack in one call peaked at 3.48 MiB
+    # tracemalloc peak of the average above its start on the (0, +omega,
+    # -omega) groups of 61 media x 40 nodes of a configs/vapor_gain_scan.ini
+    # run, 1.32 MiB with numpy 2.4; the three groups in one call of a
+    # (3, 61, 40) stack peaked at 3.48 MiB
     PEAK_MIB = 1.6
 
     def test_peak_memory_of_the_config_stack(self):
-        mp, vp, omegas = self.config_stack()
+        mp, vp, groups = self.config_groups()
         nodes = steady_state(mp.at_nodes(velocity_nodes(vp)[2]).atom)
-        assert doppler_generator(mp, vp, omegas, nodes).shape == (3, 61, 2, 2)
+        assert [rows.shape for rows in vapor._doppler_rows(mp, vp, groups, nodes)] == [(4, 61)] * 3
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            doppler_generator(mp, vp, omegas, nodes)
+            vapor._doppler_rows(mp, vp, groups, nodes)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
