@@ -14,13 +14,15 @@ usage: fourwave {run,validate,reference} --config PATH [--out PATH] [--format {c
 
 Exit status: 0 ok, 1 run failed (leaving no output file), 2 usage or config
 error.  Rows are written in sweep order as they are computed, the same for a
-fixed config; a row whose frequency sits on a resonance pole is written empty
-with flag 'pole', and the run exits 0.
+fixed config; a row on a resonance pole is written empty with flag 'pole', one
+that fails or holds a non-finite value with flag 'error:<reason>', and the run
+exits 0.
 """
 
 import math
 import os
 import sys
+from functools import partial
 from getopt import GetoptError, getopt
 
 import numpy as np
@@ -62,82 +64,81 @@ def _columns(model: str, kind: str = "") -> list[str]:
     return ["sweep_value", "Ga", "Gb", "S_Nminus", "flag"]
 
 
-def _medium_rows(cfg: RunConfig, values: np.ndarray):
-    """Cold or vapor rows of consecutive sweep values (an array), in sweep
-    order, one block of columns (name -> list of cells) per stacked medium
-    evaluated; the vapor model folds the front-loaded residual absorption
-    into the gains.  A stack above BLOCK_MATRICES, or one that raises, is
-    split in halves down to single values, so every row gets the flag it
-    gets alone; a row with a non-finite value keeps only its flag."""
+def _rows(cfg: RunConfig, values: np.ndarray, lp=None):
+    """Rows of consecutive sweep values (an array), in sweep order, one block
+    of columns (name -> list of cells) per evaluation: a stack of cold or
+    vapor media, or one EIT (on ``lp``) or reference row.  One guard flags a
+    row: 'pole' for a PoleError, 'error:<message>' for another FourwaveError
+    or an ArithmeticError; a row with a non-finite value keeps only its flag.
+    A stack above BLOCK_MATRICES, or one that raises, is split in halves down
+    to single values, so every row gets the flag it gets alone.  A stack's
+    parameter objects are built outside the guard: a DomainError fails the run."""
     half = len(values) // 2
     members = 4 + (3 * VELOCITY_NODES if cfg.model == "vapor" else 0)
     if not half or len(values) * members <= BLOCK_MATRICES:
-        point = cfgmod.at_sweep_value(cfg, values)
-        mp = cfgmod.medium_params_from(point)
-        omega = mhz_to_rad_us(values if cfg.sweep_axis == "omega_mhz" else cfg.omega_mhz)
-        vp = cfgmod.vapor_params_from(point) if cfg.model == "vapor" else None
+        if cfg.model in ("cold", "vapor"):
+            point = cfgmod.at_sweep_value(cfg, values)
+            vp = cfgmod.vapor_params_from(point) if cfg.model == "vapor" else None
+            evaluate = partial(_medium_columns, cfg, values, cfgmod.medium_params_from(point), vp)
+        else:
+            evaluate = partial(_row_columns, cfg, lp, values.item())
         try:
-            obs = spec.evaluate(mp, omega, langevin=cfg.langevin, vapor=vp)
-            prepared, front_loss = None, 1.0
-            if vp is not None:
-                from .vapor import residual_transmission
-                prepared, front_loss = residual_transmission(mp, vp)
-        except FourwaveError as exc:
+            columns = evaluate()
+        except (FourwaveError, ArithmeticError) as exc:
             if not half:
                 yield {"sweep_value": values.tolist(),
                        "flag": ["pole" if isinstance(exc, PoleError) else f"error:{exc}"]}
                 return
         else:
-            columns = {"Ga": front_loss * obs.gain_a, "Gb": front_loss * obs.gain_b,
-                       **{name: getattr(obs, name) for name in spec.NOISE_FIELDS},
-                       "prepared_fraction": prepared}
-            columns = {name: np.broadcast_to(column, values.shape)
-                       for name, column in columns.items() if column is not None}
-            finite = {name: np.isfinite(column) for name, column in columns.items()}
+            table = np.empty((len(columns), len(values)))      # (column, row)
+            for k, column in enumerate(columns.values()):
+                table[k] = column
+            finite = np.isfinite(table)
             block = {"sweep_value": values.tolist(), "flag": [""] * len(values),
-                     **{name: column.tolist() for name, column in columns.items()}}
-            for i in np.flatnonzero(~np.logical_and.reduce([*finite.values()])).tolist():
-                block["flag"][i] = "error:non-finite " + next(
-                    name for name, ok in finite.items() if not ok[i])
+                     **dict(zip(columns, table.tolist()))}
+            for i in (~finite.all(0)).nonzero()[0].tolist():
+                block["flag"][i] = f"error:non-finite {[*columns][finite[:, i].argmin()]}"
                 for name in columns:
                     block[name][i] = None
             yield block
             return
-    yield from _medium_rows(cfg, values[:half])
-    yield from _medium_rows(cfg, values[half:])
+    yield from _rows(cfg, values[:half], lp)
+    yield from _rows(cfg, values[half:], lp)
 
 
-def _eit_row(lp, value: float) -> dict:
-    from .eit import susceptibility
-    try:
+def _medium_columns(cfg: RunConfig, values: np.ndarray, mp, vp) -> dict:
+    """The columns of a cold or vapor stack, vapor gains after the residual absorption."""
+    omega = mhz_to_rad_us(values if cfg.sweep_axis == "omega_mhz" else cfg.omega_mhz)
+    obs = spec.evaluate(mp, omega, langevin=cfg.langevin, vapor=vp)
+    columns = {"Ga": obs.gain_a, "Gb": obs.gain_b,
+               **{name: getattr(obs, name) for name in spec.NOISE_FIELDS}}
+    if vp is not None:
+        from .vapor import residual_transmission
+        columns["prepared_fraction"], front_loss = residual_transmission(mp, vp)
+        columns["Ga"], columns["Gb"] = front_loss * obs.gain_a, front_loss * obs.gain_b
+    return columns
+
+
+def _row_columns(cfg: RunConfig, lp, value: float) -> dict:
+    """The columns of one EIT (on ``lp``) or reference row at the float ``value``."""
+    if lp is not None:
+        from .eit import susceptibility
         chi = susceptibility(lp, mhz_to_rad_us(value))
-    except PoleError:
-        return {"sweep_value": value, "flag": "pole"}
-    return {"sweep_value": value, "chi_re": chi.real, "chi_im": chi.imag, "flag": ""}
-
-
-def _reference_row(cfg: RunConfig, value: float) -> dict:
+        return {"chi_re": chi.real, "chi_im": chi.imag}
     from . import reference as refmod
-    axis, kind = cfg.sweep_axis, cfg.reference.get("kind", "pia")
-    try:
-        if kind == "pia":
-            gain = value if axis == "gain" else float(cfg.reference["gain"])
+    if cfg.reference["kind"] != "chain":
+        gain = value if cfg.sweep_axis == "gain" else float(cfg.reference["gain"])
+        if cfg.reference["kind"] == "pia":
             n_a, n_b, _ = refmod.ideal_pia_means(gain, 1.0)
-            return {"sweep_value": value, "Ga": n_a, "Gb": n_b,
-                    "S_Nminus": refmod.ideal_pia_noise(gain), "flag": ""}
-        if kind == "psa":
-            gain = value if axis == "gain" else float(cfg.reference["gain"])
-            theta = math.radians(float(cfg.reference.get("theta_deg", "0")))
-            big = math.radians(float(cfg.reference.get("big_theta_deg", "90")))
-            return {"sweep_value": value, "psa_gain": refmod.psa_gain(gain, theta),
-                    "S_N": refmod.psa_noise(gain, theta, big), "flag": ""}
-        params = {key: float(value if key == axis else cfg.reference[key])
-                  for key in ("slice_gain", "slice_transmission", "n_slices")}
-        params["n_slices"] = int(params["n_slices"])
-        ga, gb, snm = refmod.sliced_amp_loss(refmod.SliceChainParams(**params))
-        return {"sweep_value": value, "Ga": ga, "Gb": gb, "S_Nminus": snm, "flag": ""}
-    except FourwaveError as exc:
-        return {"sweep_value": value, "flag": f"error:{exc}"}
+            return {"Ga": n_a, "Gb": n_b, "S_Nminus": refmod.ideal_pia_noise(gain)}
+        theta = math.radians(float(cfg.reference.get("theta_deg", "0")))
+        big = math.radians(float(cfg.reference.get("big_theta_deg", "90")))
+        return {"psa_gain": refmod.psa_gain(gain, theta),
+                "S_N": refmod.psa_noise(gain, theta, big)}
+    params = {key: value if key == cfg.sweep_axis else float(cfg.reference[key])
+              for key in ("slice_gain", "slice_transmission", "n_slices")}
+    ga, gb, snm = refmod.sliced_amp_loss(refmod.SliceChainParams(**params))
+    return {"Ga": ga, "Gb": gb, "S_Nminus": snm}
 
 
 def _table(block: dict, names) -> list[list]:
@@ -162,11 +163,10 @@ def run(cfg: RunConfig, with_db: bool = False) -> int:
     labels = [f"sweep_value[{cfg.sweep_axis}]" if c == "sweep_value" else c
               for c in names]     # axis key carries the unit
     write = _write_csv if cfg.output_format == "csv" else _write_json
-    values = cfgmod.sweep_values(cfg)
+    values = np.array(cfgmod.sweep_values(cfg))
     lp = cfgmod.eit_params_from(cfg) if cfg.model == "eit" else None     # one for every row
-    rows = (_reference_row(cfg, v) if lp is None else _eit_row(lp, v) for v in values)
-    blocks = _medium_rows(cfg, np.array(values)) if cfg.model in ("cold", "vapor") else (
-        {name: [cell] for name, cell in row.items()} for row in rows)
+    blocks = _rows(cfg, values) if cfg.model in ("cold", "vapor") else (
+        block for value in values[:, None] for block in _rows(cfg, value, lp))   # one row each
     path, fh = cfg.output_path, None
     try:
         with open(path, "w", newline="") as fh:

@@ -9,25 +9,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, NormalizationError, PoleError
 
 
 @dataclass(frozen=True)
 class SliceChainParams:
     """Alternating chain of ideal gain slices and beamsplitter losses."""
 
-    slice_gain: float          # g >= 1 per gain zone
+    slice_gain: float          # finite g >= 1 per gain zone
     slice_transmission: float  # t in (0, 1] per loss zone
-    n_slices: int
+    n_slices: int              # a whole number >= 1, an int or a float
 
     def __post_init__(self):
-        if self.slice_gain < 1:
-            raise DomainError(f"slice_gain must be >= 1, got {self.slice_gain}")
-        if not 0 < self.slice_transmission <= 1:
-            raise DomainError(
-                f"slice_transmission must be in (0, 1], got {self.slice_transmission}")
-        if self.n_slices < 1:
-            raise DomainError(f"n_slices must be >= 1, got {self.n_slices}")
+        g, t, n = self.slice_gain, self.slice_transmission, self.n_slices
+        for name, value, ok, rule in (("slice_gain", g, g >= 1, "must be >= 1"),
+                                      ("slice_gain", g, math.isfinite(g), "must be finite"),
+                                      ("slice_transmission", t, 0 < t <= 1, "must be in (0, 1]"),
+                                      ("n_slices", n, n >= 1, "must be >= 1"),
+                                      ("n_slices", n, n % 1 == 0, "must be a whole number")):
+            if not ok:
+                raise DomainError(f"{name} {rule}, got {value}", name, rule, value)
 
 
 def ideal_pia_noise(gain: float) -> float:
@@ -52,30 +53,33 @@ def ideal_pia_means(gain: float, n_in: float):
 def sliced_amp_loss(p: SliceChainParams):
     """Terminal (Ga, Gb, s_nminus) of the sliced gain-plus-loss chain.
 
-    Iterates the symmetric-order quadrature correlations from coherent
-    inputs (unit seed on mode a, vacuum on mode b) together with the mean
-    fields, then forms the normalized intensity-difference noise from the
-    terminal intensities.
+    A slice is an affine map on the symmetric-order quadrature correlations,
+    a 4x4 matrix on (xa, xb, xab, 1), and a linear map on the mean fields of
+    a and b+ (real for a real seed), a 2x2 matrix: the chain is their
+    n_slices-th power on coherent inputs (unit seed on mode a, vacuum on b).
+    The normalized intensity-difference noise follows from the terminal
+    intensities.  An overflow gives inf or NaN; a total gain that is not > 0
+    (an underflow) raises NormalizationError.
     """
     g, t = p.slice_gain, p.slice_transmission
-    root = math.sqrt(g * (g - 1.0))
-    xa, xb, xab = 1.0, 1.0, 0.0
-    alpha, beta = 1.0, 0.0    # mean fields of a and b+ (real for real seed)
-    for _ in range(p.n_slices):
-        xa, xb, xab = (
-            g * t * xa + (g - 1.0) * t * xb + 2.0 * t * root * xab + (1.0 - t),
-            (g - 1.0) * xa + g * xb + 2.0 * root * xab,
-            math.sqrt(t) * root * (xa + xb) + (2.0 * g - 1.0) * math.sqrt(t) * xab,
-        )
-        alpha, beta = (
-            math.sqrt(t) * (math.sqrt(g) * alpha + math.sqrt(g - 1.0) * beta),
-            math.sqrt(g) * beta + math.sqrt(g - 1.0) * alpha,
-        )
-    gain_a, gain_b = alpha**2, beta**2
-    total = gain_a + gain_b
-    s_nminus = (gain_a * xa + gain_b * xb
-                - 2.0 * math.sqrt(gain_a * gain_b) * xab) / total
-    return gain_a, gain_b, s_nminus
+    root, st, sg, sg1 = math.sqrt(g * (g - 1.0)), math.sqrt(t), math.sqrt(g), math.sqrt(g - 1.0)
+    slices = (np.array([[g * t, (g - 1.0) * t, 2.0 * t * root, 1.0 - t],
+                        [g - 1.0, g, 2.0 * root, 0.0],
+                        [st * root, st * root, (2.0 * g - 1.0) * st, 0.0],
+                        [0.0, 0.0, 0.0, 1.0]]),
+              np.array([[st * sg, st * sg1], [sg1, sg]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise, field = slices       # to the n_slices-th power, squaring over its bits
+        for bit in bin(int(p.n_slices))[3:]:
+            noise, field = (m @ m @ s if bit == "1" else m @ m
+                            for m, s in zip((noise, field), slices))
+        xa, xb, xab = noise[:3, 0] + noise[:3, 1] + noise[:3, 3]     # from (1, 1, 0, 1)
+        gain_a, gain_b = field[:, 0] * field[:, 0]      # from (1, 0)
+        total = gain_a + gain_b
+        if not total > 0:
+            raise NormalizationError(f"sliced_amp_loss: total gain {total} is not > 0")
+        s_nminus = (gain_a * xa + gain_b * xb - 2.0 * np.sqrt(gain_a * gain_b) * xab) / total
+    return float(gain_a), float(gain_b), float(s_nminus)
 
 
 def psa_gain(gain: float, theta: float) -> float:

@@ -91,6 +91,9 @@ path = {path}
 format = csv
 """
 
+# the chain's slice transmissions from 0.5 to 0.9
+TRANSMISSIONS = (("start = -0.5", "start = 0.5"), ("stop = 0.5", "stop = 0.9"))
+
 EIT_CONFIG = """
 [run]
 model = eit
@@ -402,7 +405,9 @@ class TestValidation:
         ("chain", (("n_slices = 4", "n_slices = inf"),), True),
         ("chain", (("n_slices = 4", "n_slices = 2.5"),), True),
         ("chain", (("n_slices = 4", "n_slices = 0"),), True),
-        ("chain", (("n_slices = 4", "n_slices = 1000001"),), True),
+        # accepted since the chain is a matrix power; one whose rows stay finite
+        ("chain", (("n_slices = 4", "n_slices = 1000001"), ("slice_gain = 1.2", "slice_gain = 1"),
+                   ("start = 0.5", "start = 0.9999999"), ("stop = 0.9", "stop = 1")), False),
         ("chain", (("axis = slice_transmission", "axis = n_slices"), ("start = 0.5", "start = 1"),
                    ("stop = 0.9", "stop = 5")), False),
         ("chain", (("axis = slice_transmission", "axis = n_slices"), ("start = 0.5", "start = 1"),
@@ -615,6 +620,53 @@ class TestRun:
         assert [len(row) for row in rows] == [len(header)] * 3
         assert rows[0][-1].startswith("error:slice_transmission")
         assert rows[2][-1] == ""
+
+
+    @pytest.mark.parametrize("template, edits, flag", (
+        # the total gain underflowed to 0: a ZeroDivisionError traceback
+        (CHAIN_CONFIG, (("slice_gain = 1.2", "slice_gain = 1"),
+                        ("n_slices = 4", "n_slices = 10000"), *TRANSMISSIONS),
+         "error:sliced_amp_loss: total gain 0.0 is not > 0"),
+        # the chain overflowed: rows 0.5,inf,inf,nan with an empty flag
+        (CHAIN_CONFIG, (("n_slices = 4", "n_slices = 100000"), *TRANSMISSIONS),
+         "error:non-finite Ga"),
+        # NaN rows with an empty flag
+        (CHAIN_CONFIG, (("slice_gain = 1.2", "slice_gain = inf"), *TRANSMISSIONS),
+         "error:slice_gain must be finite, got inf"),
+        # inf,nan with an empty flag
+        (REFERENCE_CONFIG, (("kind = pia", "kind = psa"), ("start = 3", "start = 1e300"),
+                            ("stop = 3", "stop = 1e300")), "error:non-finite psa_gain"),
+        # a vanishing amplification is a pole, not error:psa_noise: vanishing amplification
+        (REFERENCE_CONFIG, (("kind = pia", "kind = psa\ntheta_deg = 180"),
+                            ("start = 3", "start = 1e8"), ("stop = 3", "stop = 1e8")), "pole"),
+    ), ids=("chain-underflow", "chain-overflow", "chain-infinite-gain", "psa-overflow",
+            "psa-pole"))
+    def test_reference_blow_up_is_a_flagged_row(self, tmp_path, capsys, template, edits, flag):
+        out, ini = tmp_path / "o.csv", tmp_path / "cfg.ini"
+        text = template.format(path=out)
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        ini.write_text(text)
+        assert main(["validate", "--config", str(ini)]) == 0
+        assert main(["reference", "--config", str(ini)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert rows and all(row[1:] == [""] * (len(header) - 2) + [flag] for row in rows)
+
+    def test_chain_of_1e300_slices_runs_at_once(self, tmp_path):
+        out, ini = tmp_path / "o.csv", tmp_path / "cfg.ini"
+        ini.write_text(CHAIN_CONFIG.format(path=out).replace("slice_gain = 1.2", "slice_gain = 1")
+                       .replace("slice_transmission = 0.9", "slice_transmission = 1")
+                       .replace("n_slices = 4", "n_slices = 1e300")
+                       .replace("axis = slice_transmission", "axis = slice_gain")
+                       .replace("start = -0.5", "start = 1").replace("stop = 0.5", "stop = 1"))
+        assert main(["validate", "--config", str(ini)]) == 0
+        assert main(["run", "--config", str(ini)]) == 0
+        _, rows = read_rows(out)
+        assert [(row["Ga"], row["Gb"], row["S_Nminus"], row["flag"]) for row in rows] \
+            == [("1", "0", "1", "")] * 3
 
 
 class TestCommandLine:

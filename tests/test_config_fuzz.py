@@ -1,16 +1,18 @@
 """The shipped configs, and the EIT, psa and chain configs of the CLI tests,
-with one value replaced or one line deleted: the CLI answers every edit with
-an exit status, never an exception, and validate passes exactly the configs
-that run does not reject."""
+with one value replaced or one line deleted (the chain config also with two
+such edits): the CLI answers every edit with an exit status, never an
+exception, validate passes exactly the configs that run does not reject, and
+no row holds a non-finite number or a number beside its flag."""
 
 import csv
 import io
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fourwave.cli import main
@@ -73,6 +75,10 @@ def check_exit_statuses(text: str, folder: Path):
     if status == 0:
         header, rows = rows_of(out.read_text())
         assert rows and all(len(row) == len(header) for row in rows)
+        # a row with a flag holds no numbers; one without holds only finite ones
+        for *cells, flag in rows:
+            numbers = [float(cell) for cell in cells[1:] if cell not in ("", None)]
+            assert not numbers if flag else all(map(math.isfinite, numbers)), (cells, flag)
 
 
 @pytest.mark.parametrize("name", TEMPLATES)
@@ -83,9 +89,10 @@ def test_edited_config_gets_an_exit_status(tmp_path_factory, name, data):
     check_exit_statuses(text, tmp_path_factory.mktemp(name))
 
 
-def with_value(name: str, key: str, token: str) -> str:
-    """The config TEMPLATES[name] with the value of ``key`` replaced by token."""
-    text = TEMPLATES[name]
+def with_value(name: str, key: str, token: str, text: str = "") -> str:
+    """The config TEMPLATES[name] (or ``text``) with the value of ``key``
+    replaced by token."""
+    text = text or TEMPLATES[name]
     assert f"\n{key} = " in text
     return "\n".join(f"{key} = {token}" if line.startswith(f"{key} =") else line
                      for line in text.splitlines()) + "\n"
@@ -104,6 +111,15 @@ def with_value(name: str, key: str, token: str) -> str:
 ))
 def test_edit_a_draw_failed_on(tmp_path, name, key, token):
     check_exit_statuses(with_value(name, key, token), tmp_path)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(text=edited(TEMPLATES["chain"]).flatmap(edited))
+# two edits reach what one cannot: a total gain that underflowed to 0 made a
+# ZeroDivisionError traceback
+@example(text=with_value("chain", "n_slices", "10000", with_value("chain", "slice_gain", "1")))
+def test_twice_edited_chain_gets_an_exit_status(tmp_path_factory, text):
+    check_exit_statuses(text, tmp_path_factory.mktemp("chain"))
 
 
 def test_dense_vapor_rows_keep_their_flags(tmp_path):

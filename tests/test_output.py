@@ -22,7 +22,8 @@ from fourwave.errors import DomainError, FourwaveError, PoleError
 from fourwave.numkernel import VELOCITY_NODES
 from fourwave.units import mhz_to_rad_us
 
-from test_config_cli import CHAIN_CONFIG, EIT_CONFIG, REFERENCE_CONFIG, cold_config
+from test_config_cli import (CHAIN_CONFIG, EIT_CONFIG, REFERENCE_CONFIG, TRANSMISSIONS,
+                             cold_config)
 from test_sweeps import CONFIG, POINT
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -83,6 +84,38 @@ def _eit_row(cfg, value: float) -> dict:
     return {"sweep_value": value, "chi_re": chi.real, "chi_im": chi.imag, "flag": ""}
 
 
+def _reference_row(cfg, value: float) -> dict:
+    from fourwave import reference as refmod
+    axis, kind = cfg.sweep_axis, cfg.reference.get("kind", "pia")
+    try:
+        if kind == "pia":
+            gain = value if axis == "gain" else float(cfg.reference["gain"])
+            n_a, n_b, _ = refmod.ideal_pia_means(gain, 1.0)
+            return {"sweep_value": value, "Ga": n_a, "Gb": n_b,
+                    "S_Nminus": refmod.ideal_pia_noise(gain), "flag": ""}
+        if kind == "psa":
+            gain = value if axis == "gain" else float(cfg.reference["gain"])
+            theta = math.radians(float(cfg.reference.get("theta_deg", "0")))
+            big = math.radians(float(cfg.reference.get("big_theta_deg", "90")))
+            return {"sweep_value": value, "psa_gain": refmod.psa_gain(gain, theta),
+                    "S_N": refmod.psa_noise(gain, theta, big), "flag": ""}
+        params = {key: float(value if key == axis else cfg.reference[key])
+                  for key in ("slice_gain", "slice_transmission", "n_slices")}
+        ga, gb, snm = refmod.sliced_amp_loss(refmod.SliceChainParams(**params))
+        return {"sweep_value": value, "Ga": ga, "Gb": gb, "S_Nminus": snm, "flag": ""}
+    except PoleError:
+        return {"sweep_value": value, "flag": "pole"}
+    except (FourwaveError, ArithmeticError) as exc:
+        return {"sweep_value": value, "flag": f"error:{exc}"}
+
+
+def _finite(row: dict) -> dict:
+    """The row, or its sweep value and the flag of its first non-finite cell."""
+    bad = [name for name, x in row.items() if isinstance(x, float) and not math.isfinite(x)]
+    return {"sweep_value": row["sweep_value"], "flag": f"error:non-finite {bad[0]}"} \
+        if bad else row
+
+
 def _with_db_columns(columns, rows):
     out = list(columns)
     insert_at = out.index("flag")
@@ -121,7 +154,7 @@ def oracle(text: str, fmt: str, with_db: bool) -> str:
     cfg = cfgmod.parse_config(text)
     axis, values = cfg.sweep_axis, cfgmod.sweep_values(cfg)
     rows = _medium_rows(cfg, values) if cfg.model in ("cold", "vapor") \
-        else [_eit_row(cfg, v) if cfg.model == "eit" else cli._reference_row(cfg, v)
+        else [_finite(_eit_row(cfg, v) if cfg.model == "eit" else _reference_row(cfg, v))
               for v in values]
     columns = cli._columns(cfg.model, cfg.reference.get("kind", ""))
     if with_db:
@@ -129,6 +162,15 @@ def oracle(text: str, fmt: str, with_db: bool) -> str:
     labels = [f"sweep_value[{axis}]" if c == "sweep_value" else c for c in columns]
     return _render_csv(labels, columns, rows) if fmt == "csv" \
         else _render_json(labels, columns, rows, cfg)
+
+
+def edited(template: str, *edits) -> str:
+    """The config template, written to o.csv, with each (old, new) edit made."""
+    text = template.format(path="o.csv")
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return text
 
 
 def shipped(name: str) -> str:
@@ -151,6 +193,15 @@ CASES = {
     "psa": REFERENCE_CONFIG.format(path="o.csv").replace(
         "kind = pia", "kind = psa").replace("gain = 3", "gain = 3\ntheta_deg = 30"),
     "count-1": cold_config("o.csv", axis="omega_mhz", start=2.5, stop=2.5, count=1),
+    # a total gain that underflows to 0, a chain and a psa gain that overflow
+    "chain-underflow": edited(CHAIN_CONFIG, ("slice_gain = 1.2", "slice_gain = 1"),
+                              ("n_slices = 4", "n_slices = 10000"), *TRANSMISSIONS),
+    "chain-overflow": edited(CHAIN_CONFIG, ("n_slices = 4", "n_slices = 100000"), *TRANSMISSIONS),
+    "psa-overflow": edited(REFERENCE_CONFIG, ("kind = pia", "kind = psa"),
+                           ("start = 3", "start = 1e300"), ("stop = 3", "stop = 1e300")),
+    # a vanishing amplification, flagged as a pole
+    "psa-pole": edited(REFERENCE_CONFIG, ("kind = pia", "kind = psa\ntheta_deg = 180"),
+                       ("start = 3", "start = 1e8"), ("stop = 3", "stop = 1e8")),
 }
 
 
