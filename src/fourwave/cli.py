@@ -40,16 +40,13 @@ COMMANDS = ("run", "validate", "reference")
 LONG_OPTIONS = ("help", "config=", "out=", "format=", "db")
 NOISE_COLUMNS = ("S_Nminus", "S_phiplus", "inseparability", "S_Na", "S_N")
 
-# Coherence matrices in one stacked evaluation of a cold or vapor sweep, at most
-# 4 per cold row and 3 x VELOCITY_NODES more per vapor row; a larger sweep is
-# split in halves.  A cold stack has exactly 2 per row (+omega, -omega) and 2 per
-# medium (the reference and 0): 4N for N media, 2 + 2N for an omega sweep of N
-# rows.  The Doppler average adds exactly VELOCITY_NODES per medium (at 0) and
-# 2 x VELOCITY_NODES per row (+-omega): 120N for N media, 40 + 80N for an omega
-# sweep of N rows.  So the bound per row holds for both.  Rows are written as
-# each stack finishes, so this bounds the memory of a run and nothing else: a
-# stack of 68 vapor rows peaked within 0.1 MB of one row at a time (31.3 MB
-# resident); configs/vapor_gain_scan.ini (7564 matrices) is one stack.
+# Coherence matrices in one stacked evaluation, at most 4 a row (an EIT or
+# reference row counts 4: a stack holds 2048 of them) and 3 x VELOCITY_NODES more
+# a vapor row; a larger sweep is split in halves.  Exactly: 4N for N cold media
+# and 2 + 2N for a cold omega sweep of N rows, and 120N or 40 + 80N more from the
+# Doppler average.  Rows are written as each stack finishes, so this bounds a
+# run's memory and nothing else: a stack of 68 vapor rows peaked within 0.1 MB of
+# one row at a time; configs/vapor_gain_scan.ini is one stack.
 BLOCK_MATRICES = 8192
 
 
@@ -64,24 +61,17 @@ def _columns(model: str, kind: str = "") -> list[str]:
     return ["sweep_value", "Ga", "Gb", "S_Nminus", "flag"]
 
 
-def _rows(cfg: RunConfig, values: np.ndarray, lp=None):
-    """Rows of consecutive sweep values (an array), in sweep order, one block
-    of columns (name -> list of cells) per evaluation: a stack of cold or
-    vapor media, or one EIT (on ``lp``) or reference row.  One guard flags a
-    row: 'pole' for a PoleError, 'error:<message>' for another FourwaveError
-    or an ArithmeticError; a row with a non-finite value keeps only its flag.
-    A stack above BLOCK_MATRICES, or one that raises, is split in halves down
-    to single values, so every row gets the flag it gets alone.  A stack's
-    parameter objects are built outside the guard: a DomainError fails the run."""
+def _rows(stack, members: int, names: list[str], values: np.ndarray):
+    """Rows of consecutive sweep values (an array), in sweep order, a block of
+    columns (name -> list of cells) per stack: stack(values) builds a stack's
+    parameters outside the guard (a DomainError fails the run) and returns its
+    evaluation, the cells of ``names`` in order.  The guard flags a row 'pole'
+    (PoleError) or 'error:<message>' (another FourwaveError, an ArithmeticError
+    or a non-finite cell).  A stack above BLOCK_MATRICES (``members`` a row), or
+    one that raises, is split in halves, so every row gets the flag it gets alone."""
     half = len(values) // 2
-    members = 4 + (3 * VELOCITY_NODES if cfg.model == "vapor" else 0)
     if not half or len(values) * members <= BLOCK_MATRICES:
-        if cfg.model in ("cold", "vapor"):
-            point = cfgmod.at_sweep_value(cfg, values)
-            vp = cfgmod.vapor_params_from(point) if cfg.model == "vapor" else None
-            evaluate = partial(_medium_columns, cfg, values, cfgmod.medium_params_from(point), vp)
-        else:
-            evaluate = partial(_row_columns, cfg, lp, values.item())
+        evaluate = stack(values)
         try:
             columns = evaluate()
         except (FourwaveError, ArithmeticError) as exc:
@@ -90,55 +80,69 @@ def _rows(cfg: RunConfig, values: np.ndarray, lp=None):
                        "flag": ["pole" if isinstance(exc, PoleError) else f"error:{exc}"]}
                 return
         else:
-            table = np.empty((len(columns), len(values)))      # (column, row)
-            for k, column in enumerate(columns.values()):
+            table = np.empty((len(names), len(values)))      # (column, row)
+            for k, column in enumerate(columns):
                 table[k] = column
             finite = np.isfinite(table)
             block = {"sweep_value": values.tolist(), "flag": [""] * len(values),
-                     **dict(zip(columns, table.tolist()))}
+                     **dict(zip(names, table.tolist()))}
             for i in (~finite.all(0)).nonzero()[0].tolist():
-                block["flag"][i] = f"error:non-finite {[*columns][finite[:, i].argmin()]}"
-                for name in columns:
+                block["flag"][i] = f"error:non-finite {names[finite[:, i].argmin()]}"
+                for name in names:
                     block[name][i] = None
             yield block
             return
-    yield from _rows(cfg, values[:half], lp)
-    yield from _rows(cfg, values[half:], lp)
+    yield from _rows(stack, members, names, values[:half])
+    yield from _rows(stack, members, names, values[half:])
 
 
-def _medium_columns(cfg: RunConfig, values: np.ndarray, mp, vp) -> dict:
-    """The columns of a cold or vapor stack, vapor gains after the residual absorption."""
-    omega = mhz_to_rad_us(values if cfg.sweep_axis == "omega_mhz" else cfg.omega_mhz)
-    obs = spec.evaluate(mp, omega, langevin=cfg.langevin, vapor=vp)
-    columns = {"Ga": obs.gain_a, "Gb": obs.gain_b,
-               **{name: getattr(obs, name) for name in spec.NOISE_FIELDS}}
-    if vp is not None:
+def _medium_stack(cfg: RunConfig, values: np.ndarray):
+    """A cold or vapor stack's evaluation, vapor gains after the residual absorption."""
+    point = cfgmod.at_sweep_value(cfg, values)
+    vp = cfgmod.vapor_params_from(point) if cfg.model == "vapor" else None
+    mp = cfgmod.medium_params_from(point)
+
+    def cells():
+        omega = mhz_to_rad_us(values if cfg.sweep_axis == "omega_mhz" else cfg.omega_mhz)
+        obs = spec.evaluate(mp, omega, langevin=cfg.langevin, vapor=vp)
+        noise = [getattr(obs, name) for name in spec.NOISE_FIELDS]
+        if vp is None:
+            return [obs.gain_a, obs.gain_b, *noise]
         from .vapor import residual_transmission
-        columns["prepared_fraction"], front_loss = residual_transmission(mp, vp)
-        columns["Ga"], columns["Gb"] = front_loss * obs.gain_a, front_loss * obs.gain_b
-    return columns
+        prepared, front_loss = residual_transmission(mp, vp)
+        return [front_loss * obs.gain_a, front_loss * obs.gain_b, *noise, prepared]
+    return cells
 
 
-def _row_columns(cfg: RunConfig, lp, value: float) -> dict:
-    """The columns of one EIT (on ``lp``) or reference row at the float ``value``."""
-    if lp is not None:
-        from .eit import susceptibility
-        chi = susceptibility(lp, mhz_to_rad_us(value))
-        return {"chi_re": chi.real, "chi_im": chi.imag}
-    from . import reference as refmod
-    if cfg.reference["kind"] != "chain":
-        gain = value if cfg.sweep_axis == "gain" else float(cfg.reference["gain"])
-        if cfg.reference["kind"] == "pia":
-            n_a, n_b, _ = refmod.ideal_pia_means(gain, 1.0)
-            return {"Ga": n_a, "Gb": n_b, "S_Nminus": refmod.ideal_pia_noise(gain)}
+def _eit_stack(cfg: RunConfig, values: np.ndarray):
+    """An EIT stack's evaluation on its LambdaParams, one Python float at a time."""
+    from .eit import susceptibility
+    lp = cfgmod.eit_params_from(cfg)
+
+    def row(delta2):
+        return (chi := susceptibility(lp, mhz_to_rad_us(delta2))).real, chi.imag
+    return lambda: [*zip(*map(row, values.tolist()))]
+
+
+def _reference_stack(cfg: RunConfig, values: np.ndarray):
+    """A reference stack's evaluation on its fixed keys, one Python float at a time."""
+    from . import reference as ref
+    if (kind := cfg.reference["kind"]) == "chain":
+        fixed = {key: float(cfg.reference[key])
+                 for key in ("slice_gain", "slice_transmission", "n_slices")}
+
+        def row(value):
+            return ref.sliced_amp_loss(ref.SliceChainParams(**{**fixed, cfg.sweep_axis: value}))
+    elif kind == "pia":     # pia and psa sweep their gain
+        def row(gain):
+            return *ref.ideal_pia_means(gain, 1.0)[:2], ref.ideal_pia_noise(gain)
+    else:
         theta = math.radians(float(cfg.reference.get("theta_deg", "0")))
         big = math.radians(float(cfg.reference.get("big_theta_deg", "90")))
-        return {"psa_gain": refmod.psa_gain(gain, theta),
-                "S_N": refmod.psa_noise(gain, theta, big)}
-    params = {key: value if key == cfg.sweep_axis else float(cfg.reference[key])
-              for key in ("slice_gain", "slice_transmission", "n_slices")}
-    ga, gb, snm = refmod.sliced_amp_loss(refmod.SliceChainParams(**params))
-    return {"Ga": ga, "Gb": gb, "S_Nminus": snm}
+
+        def row(gain):
+            return ref.psa_gain(gain, theta), ref.psa_noise(gain, theta, big)
+    return lambda: [*zip(*map(row, values.tolist()))]
 
 
 def _table(block: dict, names) -> list[list]:
@@ -154,19 +158,16 @@ def run(cfg: RunConfig, with_db: bool = False) -> int:
     """Execute the sweep, writing each block of rows as it is evaluated;
     returns exit status.  A run that fails leaves no output file."""
     if problems := cfgmod.validate(cfg):
-        for d in problems:
-            print(f"config error at {d}", file=sys.stderr)
+        print(*(f"config error at {d}" for d in problems), sep="\n", file=sys.stderr)
         return 2
     names = _columns(cfg.model, cfg.reference.get("kind", ""))
+    stack = {"eit": _eit_stack, "reference": _reference_stack}.get(cfg.model, _medium_stack)
+    members = 4 + (3 * VELOCITY_NODES if cfg.model == "vapor" else 0)     # matrices a row
+    blocks = _rows(partial(stack, cfg), members, names[1:-1], np.array(cfgmod.sweep_values(cfg)))
     if with_db:
         names[-1:-1] = [f"{name}_db" for name in names if name in NOISE_COLUMNS]
-    labels = [f"sweep_value[{cfg.sweep_axis}]" if c == "sweep_value" else c
-              for c in names]     # axis key carries the unit
+    labels = [f"sweep_value[{cfg.sweep_axis}]", *names[1:]]     # axis key carries the unit
     write = _write_csv if cfg.output_format == "csv" else _write_json
-    values = np.array(cfgmod.sweep_values(cfg))
-    lp = cfgmod.eit_params_from(cfg) if cfg.model == "eit" else None     # one for every row
-    blocks = _rows(cfg, values) if cfg.model in ("cold", "vapor") else (
-        block for value in values[:, None] for block in _rows(cfg, value, lp))   # one row each
     path, fh = cfg.output_path, None
     try:
         with open(path, "w", newline="") as fh:
@@ -265,8 +266,7 @@ def main(argv=None) -> int:
         print("config error at run.model: the reference subcommand requires "
               f"model = reference, got {cfg.model!r}", file=sys.stderr)
         return 2
-    if options.get("out"):
-        cfg.output_path = options["out"]
+    cfg.output_path = options.get("out") or cfg.output_path
     cfg.output_format = options.get("format", cfg.output_format)
     try:
         return run(cfg, with_db="db" in options)

@@ -24,7 +24,7 @@ Grammar (INI dialect, parsed by configparser):
     [reference]                   ; reference model only
     kind = pia | psa | chain
     gain = <float>                          ; pia, psa
-    theta_deg, big_theta_deg = <float>      ; psa
+    theta_deg, big_theta_deg = <float>      ; psa, both finite
     slice_gain, slice_transmission, n_slices ; chain (n_slices a whole number >= 1)
 
     [sweep]
@@ -189,16 +189,16 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def _require_floats(diags, mapping, keys, section):
+def _require_floats(diags, mapping, keys, section, finite=()):
     for key in keys:
         if key not in mapping:
             diags.append(Diagnostic(f"{section}.{key}", "missing required key"))
             continue
         try:
-            float(mapping[key])
+            if not math.isfinite(float(mapping[key])) and key in finite:
+                diags.append(Diagnostic(f"{section}.{key}", f"must be finite, got {mapping[key]}"))
         except ValueError:
-            diags.append(Diagnostic(f"{section}.{key}",
-                                    f"not a number: {mapping[key]!r}"))
+            diags.append(Diagnostic(f"{section}.{key}", f"not a number: {mapping[key]!r}"))
 
 
 def validate(cfg: RunConfig) -> list[Diagnostic]:
@@ -222,7 +222,7 @@ def validate(cfg: RunConfig) -> list[Diagnostic]:
         else:       # the keys a kind reads are the axes it may sweep
             axes = _REFERENCE_KEYS[kind]
             optional = [k for k in _OPTIONAL_REFERENCE_KEYS.get(kind, ()) if k in cfg.reference]
-            _require_floats(diags, cfg.reference, (*axes, *optional), "reference")
+            _require_floats(diags, cfg.reference, (*axes, *optional), "reference", optional)
 
     if not cfg.sweep_axis:
         diags.append(Diagnostic("sweep.axis", "missing sweep axis"))

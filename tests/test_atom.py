@@ -227,7 +227,9 @@ class TestGeneratorIdentity:
         assert np.max(self.residual(point, TWO_PI * np.concatenate([-freqs, freqs]))) < 1e-5
 
     @pytest.mark.xfail(strict=True, reason="known defect: the identity fails at these "
-                       "points of the config and script ranges, cause not yet found")
+                       "points of the config and script ranges because diffusion_set's "
+                       "literal d2 is transposed (ROADMAP item 11); with d2 transposed the "
+                       "residuals fall from 7.8e-5 and 2.1e-2 to 4.4e-13 and 1.3e-12")
     @pytest.mark.parametrize("point, omega_mhz", (
         (dict(gamma_g=0.04, delta1=1528.0, delta2=99.0, rabi=1535.0, optical_depth=150.0),
          -9.5),

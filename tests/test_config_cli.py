@@ -189,6 +189,14 @@ class TestValidation:
         diags = validate(parse_config(text))
         assert any(d.key == "sweep.axis" for d in diags)
 
+    def test_psa_angles_must_be_finite(self, tmp_path):
+        # an infinite angle once passed validate and made run raise from math.cos
+        text = REFERENCE_CONFIG.format(path=tmp_path / "o.csv").replace(
+            "kind = pia", "kind = psa\ntheta_deg = inf\nbig_theta_deg = 1e400")
+        assert [str(d) for d in validate(parse_config(text))] == [
+            "reference.theta_deg: must be finite, got inf",
+            "reference.big_theta_deg: must be finite, got 1e400"]
+
     def test_validate_subcommand_exit_codes(self, tmp_path):
         good = tmp_path / "good.ini"
         good.write_text(cold_config(tmp_path / "o.csv"))
@@ -385,6 +393,9 @@ class TestValidation:
         ("psa", (("gain = 3", "gain = 3\ntheta_deg = 30\nbig_theta_deg = 45"),), False),
         ("psa", (("gain = 3", "gain = 3\ntheta_deg = abc"),), True),
         ("psa", (("gain = 3", "gain = 3\nbig_theta_deg = abc"),), True),
+        ("psa", (("gain = 3", "gain = 3\ntheta_deg = inf"),), True),
+        ("psa", (("gain = 3", "gain = 3\nbig_theta_deg = inf"),), True),
+        ("psa", (("gain = 3", "gain = 3\ntheta_deg = nan"),), True),
         ("cold", (("axis = delta2_mhz", "axis = omega_mhz"), ("start = -100", "start = nan")),
          True),
         ("cold", (("axis = delta2_mhz", "axis = omega_mhz"), ("start = -100", "start = inf")),
@@ -418,7 +429,8 @@ class TestValidation:
             "nan-atomic-mass", "zero-wavelength",
             "eit", "eit-negative-control", "eit-nan-ground-decay", "eit-overflowing-control",
             "eit-detuning-sweep-beyond-frequency-limit",
-            "psa", "psa-theta-not-a-number", "psa-big-theta-not-a-number",
+            "psa", "psa-theta-not-a-number", "psa-big-theta-not-a-number", "psa-inf-theta",
+            "psa-inf-big-theta", "psa-nan-theta",
             "omega-sweep-from-nan", "omega-sweep-from-inf", "nan-analysis-frequency",
             "overflowing-analysis-frequency", "overflowing-rabi", "overflowing-generator-prefactor",
             "doppler-shift-beyond-frequency-limit", "temperature-sweep-to-doppler-overflow",

@@ -108,6 +108,7 @@ def with_value(name: str, key: str, token: str, text: str = "") -> str:
     ("vapor_gain_scan", "optical_depth", "2e6"),
     ("eit", "rabi_c_mhz", "1e200"),     # rabi_c**2 overflowed in eit.susceptibility
     ("chain", "n_slices", "1e300"),     # a chain of 1e300 slices never finished
+    ("psa", "big_theta_deg", "inf"),    # passed validate; run raised from math.cos
 ))
 def test_edit_a_draw_failed_on(tmp_path, name, key, token):
     check_exit_statuses(with_value(name, key, token), tmp_path)

@@ -202,6 +202,14 @@ CASES = {
     # a vanishing amplification, flagged as a pole
     "psa-pole": edited(REFERENCE_CONFIG, ("kind = pia", "kind = psa\ntheta_deg = 180"),
                        ("start = 3", "start = 1e8"), ("stop = 3", "stop = 1e8")),
+    # flagged rows inside one EIT or reference stack: a pole at delta2 = 0,
+    # three gains below 1, and 15 vanishing amplifications after 6 rows that evaluate
+    "eit-pole": edited(EIT_CONFIG, ("rabi_c_mhz = 5.75", "rabi_c_mhz = 0")),
+    "pia-below-unit-gain": edited(REFERENCE_CONFIG, ("start = 3", "start = 0.5"),
+                                  ("stop = 3", "stop = 10"), ("count = 1", "count = 40")),
+    "psa-poles-in-a-stack": edited(REFERENCE_CONFIG, ("kind = pia", "kind = psa\ntheta_deg = 180"),
+                                   ("start = 3", "start = 1e7"), ("stop = 3", "stop = 1e8"),
+                                   ("count = 1", "count = 21")),
 }
 
 
@@ -222,6 +230,9 @@ def test_output_equals_the_dict_renderers(tmp_path, monkeypatch, name, fmt, with
     assert out.read_text() == expected
     if name == "non-finite":
         assert expected.count("error:non-finite S_Nminus") == 12
+    if name == "psa-poles-in-a-stack" and fmt == "csv":
+        assert [row.rsplit(",", 1)[1] for row in expected.splitlines()[1:]] == \
+            [""] * 6 + ["pole"] * 15
     if name == "chain-commas" and fmt == "csv":
         assert ',"error:slice_transmission' in expected     # quoted: it holds commas
 

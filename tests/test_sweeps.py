@@ -1,7 +1,9 @@
 """Stacked sweeps: a cold or vapor sweep evaluated as stacked media, split
 in halves above the size budget or on an error, writes the same CSV text as
-each of its values evaluated alone, error and pole rows included."""
+each of its values evaluated alone, error and pole rows included.  EIT and
+reference sweeps take the same stacks, evaluated one value at a time."""
 
+import csv
 import json
 import math
 import warnings
@@ -15,6 +17,8 @@ from hypothesis import strategies as st
 from fourwave import cli
 from fourwave.cli import main
 from fourwave.config import SWEEP_AXES, parse_config, sweep_values
+
+from test_config_cli import EIT_CONFIG, REFERENCE_CONFIG
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -217,3 +221,64 @@ def test_blow_ups_are_flagged_silently(tmp_path):
         raise ValueError(f"not strict JSON: {token}")
     payload = json.loads((tmp_path / "out.json").read_text(), parse_constant=reject)
     assert [row[-1] for row in payload["rows"]][1:3] == [overflow, overflow]
+
+
+@pytest.fixture
+def stack_calls(monkeypatch):
+    """The row count of every EIT or reference stack evaluation."""
+    calls = []
+
+    def spied(build):
+        def stack(cfg, values):
+            evaluate = build(cfg, values)
+
+            def counted():
+                calls.append(len(values))
+                return evaluate()
+            return counted
+        return stack
+    for name in ("_eit_stack", "_reference_stack"):
+        monkeypatch.setattr(cli, name, spied(getattr(cli, name)))
+    return calls
+
+
+def scalar_rows(directory, template, *edits) -> list[list[str]]:
+    """The CSV rows, header dropped, of run on the template with each edit made."""
+    out, ini = directory / "out.csv", directory / "cfg.ini"
+    text = template.format(path=out)
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    ini.write_text(text)
+    assert main(["run", "--config", str(ini)]) == 0
+    with open(out, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_eit_sweep_is_one_evaluation(tmp_path, monkeypatch, stack_calls):
+    assert [row[-1] for row in scalar_rows(tmp_path, EIT_CONFIG)] == [""] * 81
+    assert stack_calls == [81]
+    # an EIT row counts 4 matrices, as a cold row does: the same stacks
+    monkeypatch.setattr(cli, "BLOCK_MATRICES", 4 * 4)
+    scalar_rows(tmp_path, EIT_CONFIG, ("count = 81", "count = 11"))
+    assert stack_calls[1:] == [2, 3, 3, 3]
+
+
+# the first three gains of 0.5 to 10 in 40 rows, each below 1
+PIA_FLAGS = [f"error:ideal_pia_means: gain must be >= 1, got {gain}"
+             for gain in (0.5, 0.7435897435897436, 0.9871794871794872)]
+
+
+@pytest.mark.parametrize("template, edits, flags", (
+    # no control field and no ground decay: the susceptibility's only pole is delta2 = 0
+    (EIT_CONFIG, (("rabi_c_mhz = 5.75", "rabi_c_mhz = 0"),), [""] * 40 + ["pole"] + [""] * 40),
+    (REFERENCE_CONFIG, (("start = 3", "start = 0.5"), ("stop = 3", "stop = 10"),
+                        ("count = 1", "count = 40")), PIA_FLAGS + [""] * 37),
+), ids=("eit-pole", "pia-below-unit-gain"))
+def test_flagged_row_costs_a_logarithmic_number_of_evaluations(tmp_path, stack_calls,
+                                                                template, edits, flags):
+    rows = scalar_rows(tmp_path, template, *edits)
+    assert [row[-1] for row in rows] == flags
+    assert all(cells == [""] * len(cells) for _, *cells, flag in rows if flag)
+    n = len(flags)
+    assert stack_calls[0] == n and len(stack_calls) <= 2 * math.ceil(math.log2(n)) + 1
