@@ -201,8 +201,8 @@ def _write_json(fh, labels, tables, cfg: RunConfig):
     they come: numbers and nulls, and the flag last (null when empty)."""
     import hashlib
     import json
-    meta = {"model": cfg.model, "sweep_axis": cfg.sweep_axis, "seed": cfg.seed,
-            "version": __version__, "config_sha256": hashlib.sha256(cfg.text.encode()).hexdigest()}
+    meta = {"model": cfg.model, "sweep_axis": cfg.sweep_axis, "version": __version__,
+            "config_sha256": hashlib.sha256(cfg.text.encode()).hexdigest()}
     if cfg.model == "vapor":
         meta["velocity_order"] = VELOCITY_NODES
     head = json.dumps({"schema": {"columns": labels}, "meta": meta, "rows": []}, indent=2)

@@ -4,7 +4,6 @@ Grammar (INI dialect, parsed by configparser):
 
     [run]
     model = cold | vapor | eit | reference
-    seed = <int>                  ; echoed in JSON meta only: no model is random
     langevin = on | off          ; or configparser's true/false, yes/no, 1/0, any case
     omega_mhz = <float>          ; analysis frequency when not swept
 
@@ -16,7 +15,7 @@ Grammar (INI dialect, parsed by configparser):
 
     [vapor]                       ; vapor model only
     temperature_c, atomic_mass_u, wavelength_nm, pump_waist_um,
-    probe_waist_um, cell_length_mm, cross_section_cm2
+    probe_waist_um, cell_length_mm, cross_section_cm2   ; the last two change no run output
 
     [eit]                         ; eit model only
     gamma_e_mhz, gamma_g_mhz, delta1_mhz, rabi_c_mhz
@@ -118,7 +117,6 @@ class RunConfig:
     """Parsed, unvalidated run configuration (raw key/value maps)."""
 
     model: str = ""
-    seed: int = 0
     langevin: bool | str = True     # the text as written if it is no boolean
     omega_mhz: float = 1.0
     atom: dict = field(default_factory=dict)
@@ -152,7 +150,7 @@ def _number(parser, section: str, key: str, default: str, kind):
 
 def parse_config(text: str) -> RunConfig:
     """Parse config text; raises ConfigParseError on syntax errors and on
-    a seed, count, quadrature order or scalar frequency that is not a number."""
+    a count, quadrature order or scalar frequency that is not a number."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
                                        interpolation=None)
     try:
@@ -163,7 +161,6 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(text=text)
     run = parser["run"] if parser.has_section("run") else {}
     cfg.model = run.get("model", "")
-    cfg.seed = _number(parser, "run", "seed", "0", int)
     langevin = run.get("langevin", "on")
     cfg.langevin = parser.BOOLEAN_STATES.get(langevin.lower(), langevin)
     cfg.omega_mhz = _number(parser, "run", "omega_mhz", "1.0", float)

@@ -14,33 +14,29 @@ POLE_ABS_TOL = 1e-15
 class LambdaParams:
     """Lambda-scheme parameters, rates in rad/us.
 
-    ``chi_scale`` replaces the dimensional prefactor (density times dipole
-    squared over hbar*epsilon0); all outputs are reported in these units.
+    The susceptibility is reported in units of the dimensional prefactor
+    (density times dipole squared over hbar*epsilon0).
     """
 
     gamma_e: float   # excited-state linewidth
     gamma_g: float   # ground-coherence decay
     delta1: float    # one-photon detuning of the control field
     rabi_c: float    # control Rabi frequency
-    chi_scale: float = 1.0
 
     def __post_init__(self):
-        for name, value in vars(self).items():
+        for name, value in vars(self).items():     # rates, bounded as AtomParams bounds its rates
             require(np.isfinite(value), "LambdaParams", name, "must be finite", value)
-            if name != "chi_scale":     # a rate, bounded as AtomParams bounds its rates
-                require(abs(value) <= FREQUENCY_LIMIT, "LambdaParams", name, "must be at most "
-                        f"{FREQUENCY_LIMIT:g} rad/us in magnitude", value)
+            require(abs(value) <= FREQUENCY_LIMIT, "LambdaParams", name, "must be at most "
+                    f"{FREQUENCY_LIMIT:g} rad/us in magnitude", value)
         require(np.greater(self.gamma_e, 0), "LambdaParams", "gamma_e", "must be > 0", self.gamma_e)
         require(~np.less(self.gamma_g, 0), "LambdaParams", "gamma_g", "must be >= 0", self.gamma_g)
         require(~np.less(self.rabi_c, 0), "LambdaParams", "rabi_c", "must be >= 0", self.rabi_c)
-        require(np.greater(self.chi_scale, 0), "LambdaParams", "chi_scale", "must be > 0",
-                self.chi_scale)
 
 
 def susceptibility(lp: LambdaParams, delta2: float) -> complex:
     """Linear probe susceptibility at two-photon detuning delta2.
 
-    chi = scale * 2(gamma + i delta) /
+    chi = 2(gamma + i delta) /
           [2(gamma + i delta)(2(delta - Delta) - i Gamma) - i Omega_c^2]
     """
     gd = lp.gamma_g + 1j * delta2
@@ -48,7 +44,7 @@ def susceptibility(lp: LambdaParams, delta2: float) -> complex:
         - 1j * lp.rabi_c**2
     if abs(denom) < POLE_ABS_TOL:
         raise PoleError(f"susceptibility: pole at delta2 = {delta2}", omega=delta2)
-    return lp.chi_scale * 2.0 * gd / denom
+    return 2.0 * gd / denom
 
 
 def transparency_window(lp: LambdaParams) -> float:

@@ -23,17 +23,12 @@ class DegenerateModelError(FourwaveError, ValueError):
 class PoleError(FourwaveError, ArithmeticError):
     """A frequency point sits on (or too close to) a Raman resonance pole.
 
-    Carries the offending analysis frequency in ``omega``, the indices along
-    the last (velocity node) axis of the poles beside the first one in
-    ``nodes`` and, for velocity-averaged quantities, the offending velocities.
+    Carries the offending analysis frequency in ``omega``.
     """
 
-    def __init__(self, message, omega=None, velocities=None, nodes=None, index=()):
+    def __init__(self, message, omega=None):
         super().__init__(message)
         self.omega = omega
-        self.velocities = velocities or []
-        self.nodes = nodes or []
-        self.index = index      # stack index of the first pole (flat on a flat stack)
 
 
 class DomainError(FourwaveError, ValueError):

@@ -134,10 +134,8 @@ def _screened_generator(mp: MediumParams, omega, ss=None, index=None):
 
     A pole is kappa_F = |M1'|_F |M1'^-1|_F (_kappa2) > POLE_CONDITION_LIMIT, or a
     NaN kappa_F: one closed-form test, no SVD (kappa_2 <= kappa_F <= 4 kappa_2 for
-    the 4x4 M1').  PoleError names the omega of the first pole in stack order, its
-    stack index (the flat member index of an indexed stack) and the last-axis
-    (velocity node) indices of the poles beside it; a non-finite omega raises
-    DomainError.
+    the 4x4 M1').  PoleError names the omega of the first pole in stack order; a
+    non-finite omega raises DomainError.
     """
     require(np.isfinite(omega), "coherence system", "omega", "must be finite", omega)
     p = mp.atom
@@ -183,10 +181,8 @@ def _screened_generator(mp: MediumParams, omega, ss=None, index=None):
                          h2cdr * n0 - a * u0, e5 * n1 + a * u1])
         gens *= ipref * t
     if (poles := ~(kappa2 <= POLE_CONDITION_LIMIT**2).reshape(shape)).any():   # NaN too
-        at = np.unravel_index(poles.argmax(), shape)
-        w = float(np.broadcast_to(omega, shape)[at])
-        raise PoleError(f"coherence system singular at omega = {w:.6g} rad/us", omega=w,
-                        nodes=np.flatnonzero(poles[at[:-1]]).tolist(), index=at)
+        w = float(first(omega, poles))
+        raise PoleError(f"coherence system singular at omega = {w:.6g} rad/us", omega=w)
     return (np.asarray(pref)[..., None, None], gens.reshape((4,) + shape), t,
             (a, b, h2cdr, hdr, hcr, e0, e5))
 

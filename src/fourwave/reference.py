@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NormalizationError, PoleError
+from .errors import DomainError, NormalizationError
 
 
 @dataclass(frozen=True)
@@ -83,22 +83,23 @@ def sliced_amp_loss(p: SliceChainParams):
 
 
 def psa_gain(gain: float, theta: float) -> float:
-    """Phase-sensitive amplification factor 2G - 1 + 2 sqrt(G(G-1)) cos(theta)."""
+    """Phase-sensitive amplification factor 2G - 1 + 2 sqrt(G(G-1)) cos(theta); for
+    cos(theta) < 0, without the sum that cancels, the factor at theta = pi,
+    1/(sqrt(G) + sqrt(G-1))^2 > 0, plus 2 sqrt(G(G-1)) (1 + cos(theta))."""
     if gain < 1:
         raise DomainError(f"psa_gain: gain must be >= 1, got {gain}")
-    return 2.0 * gain - 1.0 + 2.0 * math.sqrt(gain * (gain - 1.0)) * math.cos(theta)
+    root, cos = math.sqrt(gain * (gain - 1.0)), math.cos(theta)
+    if cos < 0:
+        least = math.sqrt(gain) + math.sqrt(gain - 1.0)
+        return 1.0 / (least * least) + 2.0 * root * (1.0 + cos)
+    return 2.0 * gain - 1.0 + 2.0 * root * cos
 
 
 def psa_noise(gain: float, theta: float, big_theta: float) -> float:
-    """Quadrature noise of the phase-sensitive amplifier, SQL = 1.
-
-    Ratio of the measured-quadrature spectrum (angle big_theta) to the
-    mean-field amplification (angle theta).
-    """
-    denom = psa_gain(gain, theta)
-    if abs(denom) < 1e-15:
-        raise PoleError(f"psa_noise: vanishing amplification at theta = {theta}")
-    return psa_gain(gain, big_theta) / denom
+    """Quadrature noise of the phase-sensitive amplifier, SQL = 1: the
+    measured-quadrature spectrum (angle big_theta) over the mean-field
+    amplification (angle theta), never 0 (an overflowing gain gives NaN)."""
+    return psa_gain(gain, big_theta) / psa_gain(gain, theta)
 
 
 def nlo_pia_transfer(eta: complex, length: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atom import preparation_probability, steady_state
-from .errors import DomainError, PoleError, RangeWarning, first, require
+from .errors import DomainError, RangeWarning, first, require
 from .numkernel import expm
 from .propagation import MediumParams, _matrices, _screened_generator, generator
 from .units import (ATM_TO_PA, ATM_TO_TORR, KB, RB85_D1_WAVELENGTH_M,
@@ -134,10 +134,10 @@ def _doppler_rows(mp: MediumParams, vp: VaporParams, omegas, ss=None) -> list:
     omega is checked, then each group takes one _screened_generator call.
     The nodes are the last, contiguous axis of its rows (4, ..., node): they
     are weighted and summed along it in place.  Any node sitting on a Raman
-    pole aborts the average; the error lists the offending velocities at the
+    pole aborts the average with _screened_generator's PoleError, at the
     first such omega, groups in order.
     """
-    velocities, weights, shifts = velocity_nodes(vp)
+    _, weights, shifts = velocity_nodes(vp)
     nodes = mp.at_nodes(shifts)
     omegas = [np.expand_dims(w, -1) for w in omegas]
     for w in omegas:        # every group's checks come first, as in one call
@@ -145,14 +145,7 @@ def _doppler_rows(mp: MediumParams, vp: VaporParams, omegas, ss=None) -> list:
     ss = steady_state(nodes.atom) if ss is None else ss
     averages = []
     for w in omegas:
-        try:
-            rows = _screened_generator(nodes, w, ss)[1]
-        except PoleError as exc:
-            row = velocities[exc.index[len(exc.index) - velocities.ndim:-1]]
-            raise PoleError(
-                f"doppler_generator: {len(exc.nodes)} velocity nodes on resonance at "
-                f"omega = {exc.omega:.6g}", omega=exc.omega,
-                velocities=list(row[exc.nodes])) from exc
+        rows = _screened_generator(nodes, w, ss)[1]
         # a running sum adds node by node in node order (a pairwise np.sum may
         # round differently), in place; + 0.0 turns an all -0.0 sum into +0.0
         rows *= weights
@@ -160,13 +153,12 @@ def _doppler_rows(mp: MediumParams, vp: VaporParams, omegas, ss=None) -> list:
     return averages
 
 
-def doppler_generator(mp: MediumParams, vp: VaporParams, omega, ss=None) -> np.ndarray:
+def doppler_generator(mp: MediumParams, vp: VaporParams, omega) -> np.ndarray:
     """Velocity-averaged propagation exponent, stacked to the broadcast
     shape of the medium, omega and the vapor: the Gauss-Hermite average of
     the cold generator with the detuning shifted by k*v per node, as one
-    frequency group of _doppler_rows; ``ss`` is the steady state of those
-    nodes if known."""
-    return _matrices(_doppler_rows(mp, vp, (omega,), ss)[0])
+    frequency group of _doppler_rows."""
+    return _matrices(_doppler_rows(mp, vp, (omega,))[0])
 
 
 @dataclass(frozen=True)
@@ -223,8 +215,7 @@ def _doppler_profile(vp: VaporParams, detuning):
         return np.where(two_var == 0.0, detuning == 0.0, np.exp(-detuning**2 / two_var))
 
 
-def residual_transmission(mp: MediumParams, vp: VaporParams,
-                          probe_detuning: float | None = None):
+def residual_transmission(mp: MediumParams, vp: VaporParams):
     """(prepared fraction, front loss factor) for a transiting vapor.
 
     Atoms that have not reached the pump-dressed stationary state within
@@ -232,13 +223,11 @@ def residual_transmission(mp: MediumParams, vp: VaporParams,
     at the cell entrance: both mode gains are multiplied by the same
     factor exp(-u * alphaL * doppler_profile(detuning)) where u is the
     unprepared fraction and the profile is the Gaussian Doppler absorption
-    line evaluated at the probe detuning (defaults to the one-photon
-    detuning of the pump).
+    line evaluated at the one-photon detuning of the pump.
     """
     prepared = preparation_probability(mp.atom, transit_time(vp))
     unprepared = 1.0 - prepared
-    detuning = mp.atom.delta1 if probe_detuning is None else probe_detuning
-    return prepared, np.exp(-unprepared * mp.optical_depth * _doppler_profile(vp, detuning))
+    return prepared, np.exp(-unprepared * mp.optical_depth * _doppler_profile(vp, mp.atom.delta1))
 
 
 def saturated_vapor_pressure_atm(temperature: float) -> float:

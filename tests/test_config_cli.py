@@ -15,7 +15,6 @@ from fourwave.config import PARAMETER_KEYS, SWEEP_COUNT_LIMIT, parse_config, val
 COLD_TEMPLATE = """
 [run]
 model = cold
-seed = {seed}
 langevin = {langevin}
 omega_mhz = 1.0
 
@@ -43,16 +42,14 @@ format = {fmt}
 
 
 def cold_config(path, axis="delta2_mhz", start=-100, stop=100, count=41,
-                depth=150, seed=7, langevin="on", fmt="csv"):
+                depth=150, langevin="on", fmt="csv"):
     return COLD_TEMPLATE.format(path=path, axis=axis, start=start, stop=stop,
-                                count=count, depth=depth, seed=seed,
-                                langevin=langevin, fmt=fmt)
+                                count=count, depth=depth, langevin=langevin, fmt=fmt)
 
 
 REFERENCE_CONFIG = """
 [run]
 model = reference
-seed = 1
 
 [reference]
 kind = pia
@@ -72,7 +69,6 @@ format = csv
 CHAIN_CONFIG = """
 [run]
 model = reference
-seed = 1
 
 [reference]
 kind = chain
@@ -97,7 +93,6 @@ TRANSMISSIONS = (("start = -0.5", "start = 0.5"), ("stop = 0.5", "stop = 0.9"))
 EIT_CONFIG = """
 [run]
 model = eit
-seed = 1
 
 [eit]
 gamma_e_mhz = 5.75
@@ -206,13 +201,23 @@ class TestValidation:
         assert main(["validate", "--config", str(bad)]) == 2
 
     @pytest.mark.parametrize("command", ("run", "validate"))
-    def test_non_integer_seed_is_a_read_error(self, tmp_path, capsys, command):
+    def test_non_integer_count_is_a_read_error(self, tmp_path, capsys, command):
         ini = tmp_path / "cfg.ini"
-        ini.write_text(cold_config(tmp_path / "o.csv", seed="abc"))
+        ini.write_text(cold_config(tmp_path / "o.csv", count="abc"))
         assert main([command, "--config", str(ini)]) == 2
-        err = capsys.readouterr().err
-        assert "cannot read config" in err
-        assert "run.seed" in err
+        assert capsys.readouterr().err == "cannot read config: sweep.count: not an integer: 'abc'\n"
+
+    def test_leftover_seed_key_is_ignored(self, tmp_path, capsys):
+        # no model is random: a seed, even one that is no number, changes no byte
+        plain, seeded = tmp_path / "plain.ini", tmp_path / "seeded.ini"
+        plain.write_text(cold_config(tmp_path / "plain.csv", count=3))
+        seeded.write_text(cold_config(tmp_path / "seeded.csv", count=3)
+                          .replace("model = cold", "model = cold\nseed = abc"))
+        assert main(["validate", "--config", str(seeded)]) == 0
+        for ini in (plain, seeded):
+            assert main(["run", "--config", str(ini)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert (tmp_path / "seeded.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     @pytest.mark.parametrize("command", ("run", "validate"))
     def test_unknown_langevin_value_rejected(self, tmp_path, capsys, command):
@@ -648,11 +653,13 @@ class TestRun:
         # inf,nan with an empty flag
         (REFERENCE_CONFIG, (("kind = pia", "kind = psa"), ("start = 3", "start = 1e300"),
                             ("stop = 3", "stop = 1e300")), "error:non-finite psa_gain"),
-        # a vanishing amplification is a pole, not error:psa_noise: vanishing amplification
+        # deamplified, the least factor 1/(sqrt(G) + sqrt(G-1))^2 does not overflow,
+        # but 2 sqrt(G(G-1)) (1 + cos theta) is inf * 0
         (REFERENCE_CONFIG, (("kind = pia", "kind = psa\ntheta_deg = 180"),
-                            ("start = 3", "start = 1e8"), ("stop = 3", "stop = 1e8")), "pole"),
+                            ("start = 3", "start = 1e300"), ("stop = 3", "stop = 1e300")),
+         "error:non-finite psa_gain"),
     ), ids=("chain-underflow", "chain-overflow", "chain-infinite-gain", "psa-overflow",
-            "psa-pole"))
+            "psa-overflow-deamplified"))
     def test_reference_blow_up_is_a_flagged_row(self, tmp_path, capsys, template, edits, flag):
         out, ini = tmp_path / "o.csv", tmp_path / "cfg.ini"
         text = template.format(path=out)

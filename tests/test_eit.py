@@ -11,9 +11,8 @@ from fourwave.eit import (LambdaParams, absorption_peak_separation,
 from fourwave.errors import PoleError
 
 
-def lam(gamma_e=1.0, gamma_g=0.0, delta1=0.0, rabi_c=1.0, chi_scale=1.0):
-    return LambdaParams(gamma_e=gamma_e, gamma_g=gamma_g, delta1=delta1,
-                        rabi_c=rabi_c, chi_scale=chi_scale)
+def lam(gamma_e=1.0, gamma_g=0.0, delta1=0.0, rabi_c=1.0):
+    return LambdaParams(gamma_e=gamma_e, gamma_g=gamma_g, delta1=delta1, rabi_c=rabi_c)
 
 
 class TestSusceptibility:

@@ -139,8 +139,7 @@ def _render_csv(labels, columns, rows) -> str:
 
 
 def _render_json(labels, columns, rows, cfg) -> str:
-    meta = {"model": cfg.model, "sweep_axis": cfg.sweep_axis, "seed": cfg.seed,
-            "version": cli.__version__,
+    meta = {"model": cfg.model, "sweep_axis": cfg.sweep_axis, "version": cli.__version__,
             "config_sha256": hashlib.sha256(cfg.text.encode()).hexdigest()}
     if cfg.model == "vapor":
         meta["velocity_order"] = VELOCITY_NODES
@@ -199,17 +198,20 @@ CASES = {
     "chain-overflow": edited(CHAIN_CONFIG, ("n_slices = 4", "n_slices = 100000"), *TRANSMISSIONS),
     "psa-overflow": edited(REFERENCE_CONFIG, ("kind = pia", "kind = psa"),
                            ("start = 3", "start = 1e300"), ("stop = 3", "stop = 1e300")),
-    # a vanishing amplification, flagged as a pole
-    "psa-pole": edited(REFERENCE_CONFIG, ("kind = pia", "kind = psa\ntheta_deg = 180"),
-                       ("start = 3", "start = 1e8"), ("stop = 3", "stop = 1e8")),
-    # flagged rows inside one EIT or reference stack: a pole at delta2 = 0,
-    # three gains below 1, and 15 vanishing amplifications after 6 rows that evaluate
+    # deamplification by 2.5e-9 (G = 1e8 at theta = 180 degrees)
+    "psa-deamplified": edited(REFERENCE_CONFIG, ("kind = pia", "kind = psa\ntheta_deg = 180"),
+                              ("start = 3", "start = 1e8"), ("stop = 3", "stop = 1e8")),
+    # flagged rows inside one EIT or reference stack: a pole at delta2 = 0 and
+    # three gains below 1
     "eit-pole": edited(EIT_CONFIG, ("rabi_c_mhz = 5.75", "rabi_c_mhz = 0")),
     "pia-below-unit-gain": edited(REFERENCE_CONFIG, ("start = 3", "start = 0.5"),
                                   ("stop = 3", "stop = 10"), ("count = 1", "count = 40")),
-    "psa-poles-in-a-stack": edited(REFERENCE_CONFIG, ("kind = pia", "kind = psa\ntheta_deg = 180"),
-                                   ("start = 3", "start = 1e7"), ("stop = 3", "stop = 1e8"),
-                                   ("count = 1", "count = 21")),
+    # 21 deamplifications from G = 1e7 to 1e8, where the sum 2G - 1 - 2 sqrt(G(G-1))
+    # cancelled to 0 on the last 15 rows
+    "psa-deamplified-stack": edited(REFERENCE_CONFIG,
+                                    ("kind = pia", "kind = psa\ntheta_deg = 180"),
+                                    ("start = 3", "start = 1e7"), ("stop = 3", "stop = 1e8"),
+                                    ("count = 1", "count = 21")),
 }
 
 
@@ -230,9 +232,12 @@ def test_output_equals_the_dict_renderers(tmp_path, monkeypatch, name, fmt, with
     assert out.read_text() == expected
     if name == "non-finite":
         assert expected.count("error:non-finite S_Nminus") == 12
-    if name == "psa-poles-in-a-stack" and fmt == "csv":
-        assert [row.rsplit(",", 1)[1] for row in expected.splitlines()[1:]] == \
-            [""] * 6 + ["pole"] * 15
+    if name == "psa-deamplified-stack" and fmt == "csv":
+        # each row the reciprocal of the amplification at theta = 0, which does not cancel
+        rows = [row.split(",") for row in expected.splitlines()[1:]]
+        assert [(row[1], row[-1]) for row in rows] == [
+            (f"{1.0 / (2.0 * g - 1.0 + 2.0 * math.sqrt(g * (g - 1.0))):.12g}", "")
+            for g in (float(row[0]) for row in rows)]
     if name == "chain-commas" and fmt == "csv":
         assert ',"error:slice_transmission' in expected     # quoted: it holds commas
 

@@ -183,17 +183,27 @@ class TestPhaseSensitive:
         assert psa_gain(3.0, 0.0) == pytest.approx((math.sqrt(3) + math.sqrt(2))**2,
                                                    rel=1e-12)
 
-    @given(gain=st.floats(1.0, 100.0))
-    @settings(max_examples=60, deadline=None)
+    @given(gain=st.one_of(st.floats(1.0, 100.0), st.floats(100.0, 1e12)))
+    @settings(max_examples=200, deadline=None)
     def test_amplification_extremes_multiply_to_unity(self, gain):
         # (2G-1)^2 - 4G(G-1) = 1: maximal amplification times maximal
-        # deamplification is exactly one
+        # deamplification is exactly one, to rounding, at every gain (1e12 here):
+        # the deamplification is taken without the sum that cancels
         product = psa_gain(gain, 0.0) * psa_gain(gain, math.pi)
-        assert product == pytest.approx(1.0, rel=1e-8)
+        assert product == pytest.approx(1.0, rel=1e-13)
 
     def test_noise_trivial_angles(self):
         assert psa_noise(4.0, 0.3, 0.3) == pytest.approx(1.0, rel=1e-14)
         assert psa_noise(7.0, math.pi / 2, math.pi / 2) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("gain", (1e8, 1e15))
+    def test_noise_over_a_deamplification_is_a_number(self, gain):
+        # the amplification at theta = 180 degrees is 1/(2G-1+2 sqrt(G(G-1))),
+        # 2.5e-16 at G = 1e15: small, but no pole
+        least = 1.0 / (2.0 * gain - 1.0 + 2.0 * math.sqrt(gain * (gain - 1.0)))
+        assert psa_gain(gain, math.pi) == pytest.approx(least, rel=1e-15)
+        assert psa_noise(gain, math.pi, math.pi / 2) == pytest.approx(
+            psa_gain(gain, math.pi / 2) / least, rel=1e-15)
 
     def test_best_squeezing_at_gain_three(self):
         expected = (5 - 2 * math.sqrt(6)) / (5 + 2 * math.sqrt(6))

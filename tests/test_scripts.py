@@ -166,3 +166,20 @@ class TestCommandLine:
         assert "Traceback" not in run.stderr
         assert run.stderr.count("\n") == (0 if code == 0 else 1)
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", (
+    ["-c", "import sys; from fourwave.cli import main; sys.exit(main())", "--help"],
+    ["-c", "import sys; from fourwave.cli import main; sys.exit(main())"],
+    *([str(ROOT / "scripts" / f"{name}.py"), "--help"] for name in SCRIPTS),
+), ids=("fourwave --help", "fourwave usage error", *SCRIPTS))
+def test_help_is_the_same_under_python_OO(tmp_path, argv):
+    # the help texts are assigned to __doc__, which python -OO keeps
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    plain, optimized = (subprocess.run([sys.executable, *flags, *argv], cwd=tmp_path, env=env,
+                                       capture_output=True)
+                        for flags in ([], ["-OO"]))
+    assert (optimized.returncode, optimized.stdout, optimized.stderr) \
+        == (plain.returncode, plain.stdout, plain.stderr)
+    assert b"usage:" in plain.stdout + plain.stderr
