@@ -15,7 +15,7 @@ Grammar (INI dialect, parsed by configparser):
 
     [vapor]                       ; vapor model only
     temperature_c, atomic_mass_u, wavelength_nm, pump_waist_um,
-    probe_waist_um, cell_length_mm, cross_section_cm2   ; the last two change no run output
+    probe_waist_um, cell_length_mm, cross_section_cm2
 
     [eit]                         ; eit model only
     gamma_e_mhz, gamma_g_mhz, delta1_mhz, rabi_c_mhz

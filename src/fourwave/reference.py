@@ -83,22 +83,19 @@ def sliced_amp_loss(p: SliceChainParams):
 
 
 def psa_gain(gain: float, theta: float) -> float:
-    """Phase-sensitive amplification factor 2G - 1 + 2 sqrt(G(G-1)) cos(theta); for
-    cos(theta) < 0, without the sum that cancels, the factor at theta = pi,
-    1/(sqrt(G) + sqrt(G-1))^2 > 0, plus 2 sqrt(G(G-1)) (1 + cos(theta))."""
+    """Phase-sensitive amplification factor 2G - 1 + 2 sqrt(G(G-1)) cos(theta),
+    summed as 1/(sqrt(G) + sqrt(G-1))^2 + 2 sqrt(G) sqrt(G-1) (1 + cos(theta)):
+    two terms >= 0 that do not cancel, the first > 0 at every finite G."""
     if gain < 1:
         raise DomainError(f"psa_gain: gain must be >= 1, got {gain}")
-    root, cos = math.sqrt(gain * (gain - 1.0)), math.cos(theta)
-    if cos < 0:
-        least = math.sqrt(gain) + math.sqrt(gain - 1.0)
-        return 1.0 / (least * least) + 2.0 * root * (1.0 + cos)
-    return 2.0 * gain - 1.0 + 2.0 * root * cos
+    root, root1 = math.sqrt(gain), math.sqrt(gain - 1.0)
+    return 1.0 / (root + root1) / (root + root1) + (1.0 + math.cos(theta)) * root * root1 * 2.0
 
 
 def psa_noise(gain: float, theta: float, big_theta: float) -> float:
     """Quadrature noise of the phase-sensitive amplifier, SQL = 1: the
     measured-quadrature spectrum (angle big_theta) over the mean-field
-    amplification (angle theta), never 0 (an overflowing gain gives NaN)."""
+    amplification (angle theta)."""
     return psa_gain(gain, big_theta) / psa_gain(gain, theta)
 
 

@@ -650,16 +650,10 @@ class TestRun:
         # NaN rows with an empty flag
         (CHAIN_CONFIG, (("slice_gain = 1.2", "slice_gain = inf"), *TRANSMISSIONS),
          "error:slice_gain must be finite, got inf"),
-        # inf,nan with an empty flag
-        (REFERENCE_CONFIG, (("kind = pia", "kind = psa"), ("start = 3", "start = 1e300"),
-                            ("stop = 3", "stop = 1e300")), "error:non-finite psa_gain"),
-        # deamplified, the least factor 1/(sqrt(G) + sqrt(G-1))^2 does not overflow,
-        # but 2 sqrt(G(G-1)) (1 + cos theta) is inf * 0
-        (REFERENCE_CONFIG, (("kind = pia", "kind = psa\ntheta_deg = 180"),
-                            ("start = 3", "start = 1e300"), ("stop = 3", "stop = 1e300")),
-         "error:non-finite psa_gain"),
-    ), ids=("chain-underflow", "chain-overflow", "chain-infinite-gain", "psa-overflow",
-            "psa-overflow-deamplified"))
+        # the amplification 4G - 2 overflows: inf,nan with an empty flag
+        (REFERENCE_CONFIG, (("kind = pia", "kind = psa"), ("start = 3", "start = 1e308"),
+                            ("stop = 3", "stop = 1e308")), "error:non-finite psa_gain"),
+    ), ids=("chain-underflow", "chain-overflow", "chain-infinite-gain", "psa-overflow"))
     def test_reference_blow_up_is_a_flagged_row(self, tmp_path, capsys, template, edits, flag):
         out, ini = tmp_path / "o.csv", tmp_path / "cfg.ini"
         text = template.format(path=out)
@@ -673,6 +667,17 @@ class TestRun:
         with open(out, newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert rows and all(row[1:] == [""] * (len(header) - 2) + [flag] for row in rows)
+
+    def test_psa_deamplification_at_large_gain_is_a_number(self, tmp_path):
+        # G(G-1) = 1e600 is out of range, the amplification 1/(4G) at theta = 180 is not
+        out, ini = tmp_path / "o.csv", tmp_path / "cfg.ini"
+        ini.write_text(REFERENCE_CONFIG.format(path=out)
+                       .replace("kind = pia", "kind = psa\ntheta_deg = 180\nbig_theta_deg = 180")
+                       .replace("start = 3", "start = 1e300").replace("stop = 3", "stop = 1e300"))
+        assert main(["reference", "--config", str(ini)]) == 0
+        _, rows = read_rows(out)
+        assert [(row["psa_gain"], row["S_N"], row["flag"]) for row in rows] \
+            == [("2.5e-301", "1", "")]
 
     def test_chain_of_1e300_slices_runs_at_once(self, tmp_path):
         out, ini = tmp_path / "o.csv", tmp_path / "cfg.ini"

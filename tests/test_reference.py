@@ -187,8 +187,7 @@ class TestPhaseSensitive:
     @settings(max_examples=200, deadline=None)
     def test_amplification_extremes_multiply_to_unity(self, gain):
         # (2G-1)^2 - 4G(G-1) = 1: maximal amplification times maximal
-        # deamplification is exactly one, to rounding, at every gain (1e12 here):
-        # the deamplification is taken without the sum that cancels
+        # deamplification is exactly one, to rounding, up to G = 1e12
         product = psa_gain(gain, 0.0) * psa_gain(gain, math.pi)
         assert product == pytest.approx(1.0, rel=1e-13)
 
