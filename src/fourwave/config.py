@@ -14,8 +14,7 @@ Grammar (INI dialect, parsed by configparser):
     optical_depth = <float>
 
     [vapor]                       ; vapor model only
-    temperature_c, atomic_mass_u, wavelength_nm, pump_waist_um,
-    probe_waist_um, cell_length_mm, cross_section_cm2
+    temperature_c, atomic_mass_u, wavelength_nm, pump_waist_um, probe_waist_um
 
     [eit]                         ; eit model only
     gamma_e_mhz, gamma_g_mhz, delta1_mhz, rabi_c_mhz
@@ -85,9 +84,7 @@ PARAMETER_KEYS = {
               "atomic_mass_u": ("atomic_mass", lambda u: u * ATOMIC_MASS_KG),
               "wavelength_nm": ("wavelength", lambda nm: nm * 1e-9),
               "pump_waist_um": ("pump_waist", lambda um: um * 1e-6),
-              "probe_waist_um": ("probe_waist", lambda um: um * 1e-6),
-              "cell_length_mm": ("cell_length", lambda mm: mm * 1e-3),
-              "cross_section_cm2": ("cross_section", lambda cm2: cm2 * 1e-4)},
+              "probe_waist_um": ("probe_waist", lambda um: um * 1e-6)},
     "eit": {f"{name}_mhz": (name, mhz_to_rad_us) for name in
             ("gamma_e", "gamma_g", "delta1", "rabi_c")},
 }

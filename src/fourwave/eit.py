@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atom import FREQUENCY_LIMIT
-from .errors import DomainError, PoleError, require
+from .errors import DomainError, PoleError, first, require
 
 POLE_ABS_TOL = 1e-15
 
@@ -42,8 +42,9 @@ def susceptibility(lp: LambdaParams, delta2: float) -> complex:
     gd = lp.gamma_g + 1j * delta2
     denom = 2.0 * gd * (2.0 * (delta2 - lp.delta1) - 1j * lp.gamma_e) \
         - 1j * lp.rabi_c**2
-    if abs(denom) < POLE_ABS_TOL:
-        raise PoleError(f"susceptibility: pole at delta2 = {delta2}", omega=delta2)
+    if np.any(pole := np.abs(denom) < POLE_ABS_TOL):
+        d = first(delta2, pole)
+        raise PoleError(f"susceptibility: pole at delta2 = {d}", omega=d)
     return 2.0 * gd / denom
 
 

@@ -36,15 +36,13 @@ PRESSURE_FIT_RANGE_K = (290.0, 430.0)
 
 @dataclass(frozen=True)
 class VaporParams:
-    """Cell and beam geometry of a hot vapor, SI units."""
+    """Temperature, atom and beam geometry of a hot vapor, SI units."""
 
     temperature: float     # K
     atomic_mass: float     # kg
     wavelength: float      # m
     pump_waist: float      # m
     probe_waist: float     # m
-    cell_length: float     # m
-    cross_section: float   # m^2
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -58,12 +56,10 @@ class VaporParams:
 
     @classmethod
     def rb85_d1(cls, temperature_c: float = 120.0, pump_waist: float = 600e-6,
-                probe_waist: float = 300e-6, cell_length: float = 12.5e-3,
-                cross_section: float = 1.0e-13) -> "VaporParams":
+                probe_waist: float = 300e-6) -> "VaporParams":
         return cls(temperature=celsius_to_kelvin(temperature_c),
                    atomic_mass=RB85_MASS_KG, wavelength=RB85_D1_WAVELENGTH_M,
-                   pump_waist=pump_waist, probe_waist=probe_waist,
-                   cell_length=cell_length, cross_section=cross_section)
+                   pump_waist=pump_waist, probe_waist=probe_waist)
 
 
 def velocity_sigma(vp: VaporParams) -> float:
@@ -221,9 +217,11 @@ def residual_transmission(mp: MediumParams, vp: VaporParams):
     Atoms that have not reached the pump-dressed stationary state within
     the transit time act as a linear absorber.  The whole loss is lumped
     at the cell entrance: both mode gains are multiplied by the same
-    factor exp(-u * alphaL * doppler_profile(detuning)) where u is the
-    unprepared fraction and the profile is the Gaussian Doppler absorption
-    line evaluated at the one-photon detuning of the pump.
+    factor exp(-u * alphaL * doppler_profile(delta1)), u the unprepared
+    fraction, alphaL the medium's optical_depth.  The Gaussian Doppler
+    line reads alphaL as its peak depth, where the generator reads it as
+    the homogeneous n*sigma0*L, and drops the Lorentz wings: an open
+    defect (ROADMAP item 15).
     """
     prepared = preparation_probability(mp.atom, transit_time(vp))
     unprepared = 1.0 - prepared
@@ -266,18 +264,15 @@ def vapor_density(vp: VaporParams) -> float:
     return vapor_fraction(t) * pressure_pa / (KB * t)
 
 
-def optical_depth(vp: VaporParams) -> float:
-    """Resonant optical depth n * sigma * L of the cell."""
-    return vapor_density(vp) * vp.cross_section * vp.cell_length
-
-
 def doppler_absorption(vp: VaporParams, detuning: float, peak_od: float) -> float:
     """Transmission through an inhomogeneously broadened line.
 
     T = exp(-peak_od * exp(-detuning^2 / (2 sigma_nu^2))) with the Doppler
     width sigma_nu = omega_0 * sqrt(kB T / (m c^2)) expressed in rad/us,
     the unit of ``detuning``.  A width whose square underflows gives the
-    limit: exp(-peak_od) on resonance and 1 off it.
+    limit: exp(-peak_od) on resonance and 1 off it.  ``peak_od`` is a
+    Gaussian peak depth, not the generator's homogeneous n*sigma0*L: the
+    Gaussian line drops the Lorentz wings.
     """
     require(~np.less(peak_od, 0), "doppler_absorption", "peak_od", "must be >= 0", peak_od)
     return np.exp(-peak_od * _doppler_profile(vp, detuning))

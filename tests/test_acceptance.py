@@ -4,6 +4,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line
 per criterion.
 """
 
+import dataclasses
 import math
 import sys
 
@@ -141,10 +142,7 @@ def test_07_doppler_suite():
     mp = medium(gamma_g_mhz=1.0, rabi_mhz=300.0, delta1_mhz=700.0,
                 delta2_mhz=4.0, depth=4500.0)
     # (a) frozen vapor reproduces the cold generator
-    frozen = VaporParams(temperature=1e-9, atomic_mass=vp.atomic_mass,
-                         wavelength=vp.wavelength, pump_waist=vp.pump_waist,
-                         probe_waist=vp.probe_waist, cell_length=vp.cell_length,
-                         cross_section=vp.cross_section)
+    frozen = dataclasses.replace(vp, temperature=1e-9)
     cold_limit = np.max(np.abs(doppler_generator(mp, frozen, 0.0)
                                - generator(mp, 0.0)))
     # (b) ordered slice product against summed exponents, 2000 slices

@@ -1,7 +1,9 @@
 """Configuration parsing, validation and the batch CLI."""
 
+import configparser
 import csv
 import hashlib
+import io
 import json
 import math
 from pathlib import Path
@@ -119,12 +121,10 @@ atomic_mass_u = 85
 wavelength_nm = 795
 pump_waist_um = 600
 probe_waist_um = 300
-cell_length_mm = 12.5
-cross_section_cm2 = 1e-9
 """
 
 
-QUADRATURE = """cross_section_cm2 = 1e-9
+QUADRATURE = """probe_waist_um = 300
 
 [quadrature]
 velocity_order = {order}"""
@@ -218,6 +218,19 @@ class TestValidation:
             assert main(["run", "--config", str(ini)]) == 0
         assert capsys.readouterr() == ("", "")
         assert (tmp_path / "seeded.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_leftover_cell_keys_are_ignored(self, tmp_path, capsys):
+        # the vapor depth is [medium] optical_depth: the old cell keys change no byte
+        text = (ROOT / "configs" / "vapor_gain_scan.ini").read_text()
+        plain, cell = tmp_path / "plain.ini", tmp_path / "cell.ini"
+        plain.write_text(text)
+        cell.write_text(text.replace("probe_waist_um = 300", "probe_waist_um = 300\n"
+                                     "cell_length_mm = 12.5\ncross_section_cm2 = 1e-9"))
+        assert main(["validate", "--config", str(cell)]) == 0
+        for ini in (plain, cell):
+            assert main(["run", "--config", str(ini), "--out", str(ini.with_suffix(".csv"))]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert (tmp_path / "cell.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     @pytest.mark.parametrize("command", ("run", "validate"))
     def test_unknown_langevin_value_rejected(self, tmp_path, capsys, command):
@@ -334,7 +347,7 @@ class TestValidation:
         out = tmp_path / "o.csv"
         ini = tmp_path / "cfg.ini"
         ini.write_text(vapor_config(out, count=2, depth=1000).replace(
-            "cross_section_cm2 = 1e-9", QUADRATURE.format(order=80)))
+            "probe_waist_um = 300", QUADRATURE.format(order=80)))
         assert main([command, "--config", str(ini)]) == 2
         assert getattr(capsys.readouterr(), stream) == (
             f"{prefix}quadrature.velocity_order: must be 40, the fixed node count, got 80\n")
@@ -413,9 +426,9 @@ class TestValidation:
         ("vapor", (("temperature_c = 120", "temperature_c = 1e300"),), True),
         ("vapor", (("axis = delta2_mhz", "axis = temperature_c"), ("start = -100", "start = 20"),
                    ("stop = 100", "stop = 1e300")), True),
-        ("vapor", (("cross_section_cm2 = 1e-9", QUADRATURE.format(order=40)),), False),
-        ("vapor", (("cross_section_cm2 = 1e-9", QUADRATURE.format(order=80)),), True),
-        ("vapor", (("cross_section_cm2 = 1e-9", QUADRATURE.format(order=100000)),), True),
+        ("vapor", (("probe_waist_um = 300", QUADRATURE.format(order=40)),), False),
+        ("vapor", (("probe_waist_um = 300", QUADRATURE.format(order=80)),), True),
+        ("vapor", (("probe_waist_um = 300", QUADRATURE.format(order=100000)),), True),
         ("chain", (), False),
         ("chain", (("n_slices = 4", "n_slices = nan"),), True),
         ("chain", (("n_slices = 4", "n_slices = inf"),), True),
@@ -773,6 +786,49 @@ class TestVaporModel:
         _, rows = read_rows(out)
         assert len(rows) == 61
         assert all(row["flag"] == "" for row in rows)
+
+
+def with_value(parser, section, key, value=None):
+    """The config text of ``parser`` with section.key set to ``value``, or dropped."""
+    edited = configparser.ConfigParser(interpolation=None)
+    edited.read_dict(parser)
+    if value is None:
+        edited.remove_option(section, key)
+    else:
+        edited.set(section, key, value)
+    text = io.StringIO()
+    edited.write(text)
+    return text.getvalue()
+
+
+@pytest.mark.parametrize("ini", sorted((ROOT / "configs").glob("*.ini")), ids=lambda p: p.stem)
+def test_every_required_key_is_read(tmp_path, ini):
+    # a key that validate requires but no run reads is an input that gives
+    # nothing back: 1% on each such key (langevin flipped) must change the
+    # CSV; the sweep replaces the value of its axis, so that key is skipped
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    parser.read_string(ini.read_text())
+
+    def run(section, key, value):
+        cfg, out = tmp_path / "cfg.ini", tmp_path / f"{section}.{key}.csv"
+        cfg.write_text(with_value(parser, section, key, value))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    as_shipped = run("run", "model", parser["run"]["model"])    # through the same writer
+    unread = []
+    for section in parser.sections():
+        for key, value in parser[section].items():
+            if key == "langevin":
+                value = "off" if parser.getboolean(section, key) else "on"
+            elif key != parser["sweep"]["axis"] and f"{section}.{key}: missing required key" \
+                    in map(str, validate(parse_config(with_value(parser, section, key)))):
+                value = repr(1.01 * float(value) or 0.01)
+            else:
+                continue
+            if run(section, key, value) == as_shipped:
+                unread.append(f"{section}.{key}")
+    assert unread == []
 
 
 class TestReferenceOutputs:

@@ -41,6 +41,23 @@ class TestSusceptibility:
             return      # exact pole points are excluded by contract
         assert chi.imag >= -1e-15
 
+    def test_arrays_match_the_scalar_calls(self):
+        # numpy's complex loop may round the last bit apart from Python's
+        delta2 = np.linspace(-5.0, 5.0, 101)
+        lp = lam(gamma_g=0.1, delta1=0.4, rabi_c=1.5)
+        want = [susceptibility(lp, d) for d in delta2.tolist()]
+        assert susceptibility(lp, delta2).tolist() == pytest.approx(want, rel=1e-15, abs=0)
+        rabi = np.linspace(0.0, 3.0, 101)
+        want = [susceptibility(lam(gamma_g=0.1, rabi_c=r), 0.7) for r in rabi.tolist()]
+        got = susceptibility(lam(gamma_g=0.1, rabi_c=rabi), 0.7)
+        assert got.tolist() == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_pole_inside_an_array_is_named(self):
+        # with no control field and no ground decay, delta2 = 0 is a pole
+        with pytest.raises(PoleError, match=r"pole at delta2 = 0\.0$") as exc:
+            susceptibility(lam(rabi_c=0.0), np.array([-1.0, 0.5, 0.0, 2.0]))
+        assert exc.value.omega == 0.0
+
     def test_detuning_reflection_maps_to_minus_conjugate(self):
         rng = np.random.default_rng(23)
         for _ in range(25):

@@ -45,8 +45,6 @@ atomic_mass_u = 85
 wavelength_nm = 795
 pump_waist_um = 600
 probe_waist_um = 300
-cell_length_mm = 12.5
-cross_section_cm2 = 1e-9
 
 [sweep]
 axis = {axis}

@@ -21,7 +21,7 @@ from fourwave.numkernel import VELOCITY_NODES, expm
 from fourwave.propagation import MediumParams, generator
 from fourwave.vapor import (_UNIT_NODES, _UNIT_WEIGHTS, VaporParams, doppler_absorption,
                             doppler_generator, doppler_width, maxwell_pdf, mean_speed,
-                            optical_depth, residual_transmission, saturated_vapor_pressure_torr,
+                            residual_transmission, saturated_vapor_pressure_torr,
                             slice_consistency, transit_time, vapor_density,
                             vapor_fraction, velocity_nodes, velocity_sigma)
 from fourwave.units import TWO_PI, celsius_to_kelvin
@@ -55,10 +55,7 @@ class TestMaxwell:
     def test_speed_temperature_scaling(self):
         v1 = mean_speed(VaporParams.rb85_d1(temperature_c=25.0))
         hot = VaporParams.rb85_d1(temperature_c=25.0)
-        t4 = VaporParams(temperature=hot.temperature * 4, atomic_mass=hot.atomic_mass,
-                         wavelength=hot.wavelength, pump_waist=hot.pump_waist,
-                         probe_waist=hot.probe_waist, cell_length=hot.cell_length,
-                         cross_section=hot.cross_section)
+        t4 = dataclasses.replace(hot, temperature=hot.temperature * 4)
         assert mean_speed(t4) == pytest.approx(2 * v1, rel=1e-12)
 
 
@@ -117,10 +114,7 @@ class TestGaussHermite:
 
 class TestDopplerAveraging:
     def test_cold_limit(self):
-        frozen = VaporParams(temperature=1e-9, atomic_mass=VP.atomic_mass,
-                             wavelength=VP.wavelength, pump_waist=VP.pump_waist,
-                             probe_waist=VP.probe_waist, cell_length=VP.cell_length,
-                             cross_section=VP.cross_section)
+        frozen = dataclasses.replace(VP, temperature=1e-9)
         mp = hot_medium()
         w = TWO_PI * 1.0
         hot = doppler_generator(mp, frozen, w)
@@ -365,10 +359,7 @@ class TestTransit:
 
     def test_quadrupled_temperature_halves_transit(self):
         base = VaporParams.rb85_d1(temperature_c=25.0)
-        hot = VaporParams(temperature=base.temperature * 4,
-                          atomic_mass=base.atomic_mass, wavelength=base.wavelength,
-                          pump_waist=base.pump_waist, probe_waist=base.probe_waist,
-                          cell_length=base.cell_length, cross_section=base.cross_section)
+        hot = dataclasses.replace(base, temperature=base.temperature * 4)
         assert transit_time(hot) == pytest.approx(transit_time(base) / 2, rel=1e-12)
 
     def test_waist_ordering_enforced(self):
@@ -415,10 +406,10 @@ class TestVaporUtilities:
     def test_vapor_fraction_at_120c(self):
         assert vapor_fraction(273.15 + 120.0) == pytest.approx(0.075, abs=1e-12)
 
-    def test_optical_depth_monotone_in_temperature(self):
+    def test_vapor_density_monotone_in_temperature(self):
         temps = np.linspace(20.0, 150.0, 14)
-        depths = [optical_depth(VaporParams.rb85_d1(temperature_c=t)) for t in temps]
-        assert all(b > a for a, b in zip(depths, depths[1:]))
+        densities = [vapor_density(VaporParams.rb85_d1(temperature_c=t)) for t in temps]
+        assert all(b > a for a, b in zip(densities, densities[1:]))
 
     def test_out_of_range_warns_but_returns(self):
         vp = VaporParams.rb85_d1(temperature_c=165.0)   # just past the fit range
@@ -431,11 +422,11 @@ class TestVaporUtilities:
         each = [VaporParams.rb85_d1(temperature_c=t) for t in temps]
         vp = VaporParams.rb85_d1(temperature_c=np.array(temps))
         with pytest.warns(RangeWarning, match="T = 438.1 K"):     # 165 C only
-            stacked = [vapor_density(vp), optical_depth(vp),
+            stacked = [vapor_density(vp),
                        doppler_absorption(vp, np.array(detunings), np.array(depths))]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RangeWarning)
-            alone = [[vapor_density(one) for one in each], [optical_depth(one) for one in each],
+            alone = [[vapor_density(one) for one in each],
                      [doppler_absorption(*args) for args in zip(each, detunings, depths)]]
         for got, want in zip(stacked, alone):
             assert got.tolist() == pytest.approx(want, rel=1e-15, abs=0)
